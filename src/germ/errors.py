@@ -1,8 +1,4 @@
-"""Exception hierarchy shared by the whole package.
-
-The three leaf classes map one-to-one onto the CLI exit codes:
-InputError -> 1, DomainError -> 2, UnsupportedError -> 3.
-"""
+"""Exception hierarchy shared by the whole package."""
 
 from __future__ import annotations
 
@@ -18,7 +14,3 @@ class InputError(GermError):
 class DomainError(GermError):
     """Structurally valid input that violates an operation's precondition."""
 
-
-class UnsupportedError(GermError):
-    """Valid input outside the exactly-computable fragment (e.g. a fiber
-    point with irrational coordinates)."""

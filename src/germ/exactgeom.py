@@ -270,7 +270,6 @@ def support_value(polytope: NewtonPolytope, w: Sequence[Extended]) -> Extended:
         val = extended_inner(w1, w2, v.x, v.y)
         if best is None or val < best:
             best = val
-    assert best is not None
     return best
 
 
@@ -312,7 +311,6 @@ def slope(face: Face) -> Extended:
     if face.left == Y_INFINITY:
         return POS_INF
     left, right = face.left, face.right
-    assert isinstance(left, Point2) and isinstance(right, Point2)
     return (left.y - right.y) / (right.x - left.x)
 
 
@@ -321,7 +319,6 @@ def face_intercepts(face: Face) -> FaceIntercepts:
     if not face.is_compact:
         raise DomainError("intercepts are defined only for compact faces")
     left, right = face.left, face.right
-    assert isinstance(left, Point2) and isinstance(right, Point2)
     d = left.x * right.y - right.x * left.y
     alpha = d / (right.y - left.y)
     beta = d / (left.x - right.x)
@@ -335,7 +332,6 @@ def face_normals(polytope: NewtonPolytope) -> list[IntVec]:
     out: list[IntVec] = []
     for f in compact_faces(polytope):
         s = slope(f)
-        assert isinstance(s, Fraction)
         out.append((s.numerator, s.denominator))
     return out
 
@@ -408,22 +404,3 @@ def _extended_gcd(a: int, b: int) -> IntVec:
         old_y, y = y, old_y - qq * y
     return (old_x, old_y)
 
-
-def cone_lattice_points(c: Cone2, bound: int) -> list[IntVec]:
-    """All nonzero lattice points of the cone with both coordinates <= bound
-    (brute enumeration; used by verification suites as an oracle)."""
-    u, v = c.g1, c.g2
-    if _det(u, v) < 0:
-        u, v = v, u
-    out: list[IntVec] = []
-    for x in range(bound + 1):
-        for y in range(bound + 1):
-            if x == 0 and y == 0:
-                continue
-            p = (x, y)
-            if _det(u, v) == 0:
-                if _det(u, p) == 0 and (p[0] * u[0] + p[1] * u[1]) > 0:
-                    out.append(p)
-            elif _det(u, p) >= 0 and _det(p, v) >= 0:
-                out.append(p)
-    return out

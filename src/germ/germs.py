@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
-from .errors import DomainError, InputError
+from .errors import DomainError, GermError, InputError
 from .exactgeom import (
     Face,
     NewtonPolytope,
@@ -37,6 +38,7 @@ from .polys import (
     render_poly,
     render_weighted_terms,
     series_mul,
+    series_pow,
     uni_coprime,
     uni_is_squarefree,
     uni_trim,
@@ -52,8 +54,7 @@ __all__ = [
     "newton_polytope",
     "newton_polytope_of_poly",
     "nondegeneracy_check",
-    "mult_along_curve",
-    "remove_curve_component",
+    "split_along_curve",
     "local_intersection",
     "newton_intersection_bound",
     "curve_orient",
@@ -163,12 +164,8 @@ def newton_polytope(b: DivisorGerm) -> NewtonPolytope:
     """Coefficient-weighted Minkowski combination of the branch polytopes."""
     if b.is_empty:
         raise InputError("empty divisor has no Newton polytope")
-    total: NewtonPolytope | None = None
-    for coeff, p in b.components:
-        part = scale(newton_polytope_of_poly(p), coeff)
-        total = part if total is None else minkowski_sum(total, part)
-    assert total is not None
-    return total
+    parts = [scale(newton_polytope_of_poly(p), coeff) for coeff, p in b.components]
+    return reduce(minkowski_sum, parts)
 
 
 @dataclass(frozen=True)
@@ -199,16 +196,12 @@ def _face_form(p: Poly, face: Face) -> "list[Fraction]":
     coefficient of a univariate polynomial.
     """
     s = slope(face)
-    assert isinstance(s, Fraction)
     a, b = s.numerator, s.denominator
     left = face.left
-    assert not isinstance(left, str)
     coeffs: dict[int, Fraction] = {}
     for (i, j), c in p.terms.items():
         if a * i + b * j == a * left.x + b * left.y:  # on the face line
-            k = (Fraction(i) - left.x) / b
-            assert k.denominator == 1
-            coeffs[int(k)] = c
+            coeffs[int((i - left.x) / b)] = c  # b divides i - left.x: gcd(a, b) = 1
     out = [Fraction(0)] * (max(coeffs) + 1)
     for k, c in coeffs.items():
         out[k] = c
@@ -222,7 +215,6 @@ def nondegeneracy_check(b: DivisorGerm) -> NondegeneracyReport:
     for idx, (_, p) in enumerate(b.components):
         for face in compact_faces(newton_polytope_of_poly(p)):
             s = slope(face)
-            assert isinstance(s, Fraction)
             form = _face_form(p, face)
             if not uni_is_squarefree(form):
                 return NondegeneracyReport(
@@ -242,35 +234,22 @@ def nondegeneracy_check(b: DivisorGerm) -> NondegeneracyReport:
 # multiplicities and intersections
 
 
-def _curve_multiplicity(p: Poly, g: Poly) -> "tuple[int, Poly]":
-    """Largest k with g^k | p, together with the exact quotient p / g^k."""
-    k = 0
-    while True:
-        q = divide_exact(p, g)
-        if q is None:
-            return k, p
-        p = q
-        k += 1
+def split_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, DivisorGerm]":
+    """mult_C B and B minus its C-part, in one division pass per branch.
 
-
-def mult_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> Fraction:
-    """mult_C B: coefficient-weighted order of vanishing of B along C."""
-    total = Fraction(0)
+    Every branch is divided by the curve polynomial as often as it goes;
+    mult_C B is the coefficient-weighted count of those divisions, and the
+    quotients that still pass through the origin make up the C-free part.
+    """
+    mult = Fraction(0)
+    reduced = []
     for coeff, p in b.components:
-        k, _ = _curve_multiplicity(p, c.poly)
-        total += coeff * k
-    return total
-
-
-def remove_curve_component(b: DivisorGerm, c: SmoothCurveGerm) -> DivisorGerm:
-    """B minus its C-part: divide every branch by the maximal power of the
-    curve polynomial; branches that become units disappear."""
-    out = []
-    for coeff, p in b.components:
-        _, reduced = _curve_multiplicity(p, c.poly)
-        if reduced.constant_term() == 0:
-            out.append((coeff, reduced))
-    return DivisorGerm(tuple(out))
+        while (q := divide_exact(p, c.poly)) is not None:
+            p = q
+            mult += coeff
+        if p.constant_term() == 0:
+            reduced.append((coeff, p))
+    return mult, DivisorGerm(tuple(reduced))
 
 
 def curve_parametrization(g: Poly, order: int) -> "tuple[list[Fraction], list[Fraction]]":
@@ -299,8 +278,8 @@ def curve_parametrization(g: Poly, order: int) -> "tuple[list[Fraction], list[Fr
             break
         psi = new
     xs, ys = (ident, psi) if solved_var == 1 else (psi, ident)
-    residual = _eval_poly_series(g, xs, ys, order)
-    assert all(v == 0 for v in residual), "parametrization did not converge"
+    if any(_eval_poly_series(g, xs, ys, order)):
+        raise GermError("curve parametrization did not converge")
     return list(xs), list(ys)
 
 
@@ -308,27 +287,17 @@ def _eval_poly_series(
     p: Poly, xs: "list[Fraction]", ys: "list[Fraction]", order: int
 ) -> "list[Fraction]":
     out = [Fraction(0)] * order
-    x_pows: dict[int, list[Fraction]] = {0: _series_one(order)}
-    y_pows: dict[int, list[Fraction]] = {0: _series_one(order)}
-
-    def power(cache: dict, base: "list[Fraction]", e: int) -> "list[Fraction]":
-        if e not in cache:
-            prev = power(cache, base, e - 1)
-            cache[e] = series_mul(prev, base, order)
-        return cache[e]
-
+    x_pows: dict[int, list[Fraction]] = {}
+    y_pows: dict[int, list[Fraction]] = {}
     for (i, j), c in p.terms.items():
-        term = series_mul(power(x_pows, xs, i), power(y_pows, ys, j), order)
+        if i not in x_pows:
+            x_pows[i] = series_pow(xs, i, order)
+        if j not in y_pows:
+            y_pows[j] = series_pow(ys, j, order)
+        term = series_mul(x_pows[i], y_pows[j], order)
         for k, v in enumerate(term):
             out[k] += c * v
     return out
-
-
-def _series_one(order: int) -> "list[Fraction]":
-    one = [Fraction(0)] * order
-    if order > 0:
-        one[0] = Fraction(1)
-    return one
 
 
 def local_intersection(b: DivisorGerm, c: SmoothCurveGerm) -> Fraction:

@@ -10,8 +10,10 @@ exact rational arithmetic:
 * the log canonical threshold of a smooth curve through the origin, as the
   smallest discrepancy/contact ratio over a complete finite candidate set
   of weights, capped by the curve's own coefficient room,
-* the explicit fibration bound delta(eps) = sup_n (eps - 1/n)/(n - 1) and
-  the distance-to-integer approximation step behind it.
+* the explicit fibration bound delta(eps) = sup_n (eps - 1/n)/(n - 1), in
+  closed form, and the distance-to-integer approximation step behind it,
+* the surface-theorem checker, which builds the Newton polytope, the mld
+  scan and the split of B along C once and hands them to the lct.
 
 The mld and lct values are upper bounds for the true birational invariants
 in general; they are exact on Newton-nondegenerate inputs, which callers
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError, InputError
+from .errors import DomainError, GermError, InputError
 from .exactgeom import (
     Cone2,
     IntVec,
@@ -41,13 +43,11 @@ from .germs import (
     DivisorGerm,
     SmoothCurveGerm,
     local_intersection,
-    mult_along_curve,
     newton_polytope,
     newton_polytope_of_poly,
     nondegeneracy_check,
-    remove_curve_component,
+    split_along_curve,
 )
-from .polys import Poly
 from .scalars import Extended, NEG_INF, as_fraction, is_infinite
 
 __all__ = [
@@ -60,11 +60,9 @@ __all__ = [
     "mld_toric",
     "lct_toric",
     "verify_surface_theorem",
-    "surface_bound",
     "delta_bound",
     "bound_floor_check",
     "dirichlet_k",
-    "binomial_mld",
     "binomial_lct",
 ]
 
@@ -73,13 +71,16 @@ __all__ = [
 # log discrepancies
 
 
+def _discrepancy(p: NewtonPolytope, v: IntVec) -> Fraction:
+    """v1 + v2 - min over the vertices of <v, vertex>: the log discrepancy
+    form of the weight v, linear on each normal-fan cone."""
+    return v[0] + v[1] - min(v[0] * q.x + v[1] * q.y for q in p.vertices)
+
+
 def toric_log_discrepancy(b: DivisorGerm, w: "tuple[int, int]") -> Fraction:
     """a(E_w, X, B) = w1 + w2 - <w, Newton diagram of B> for a primitive
     positive integer weight w."""
-    weight = make_weight(w[0], w[1])
-    value = support_value(newton_polytope(b), (Fraction(weight.w1), Fraction(weight.w2)))
-    assert isinstance(value, Fraction)
-    return weight.w1 + weight.w2 - value
+    return _discrepancy(newton_polytope(b), make_weight(w[0], w[1]))
 
 
 @dataclass(frozen=True)
@@ -117,36 +118,29 @@ def mld_toric(b: DivisorGerm) -> MldResult:
     """
     if b.is_empty:
         raise InputError("empty divisor")
-    p = newton_polytope(b)
+    return _mld(newton_polytope(b))
 
+
+def _mld(p: NewtonPolytope) -> MldResult:
     def g(v: IntVec) -> Fraction:
-        s = support_value(p, (Fraction(v[0]), Fraction(v[1])))
-        assert isinstance(s, Fraction)
-        return v[0] + v[1] - s
+        return _discrepancy(p, v)
 
     axis_values = (g((1, 0)), g((0, 1)))
-    best: Fraction | None = None
-    best_w: IntVec | None = None
-
-    def consider(v: IntVec, value: Fraction) -> None:
-        nonlocal best, best_w
-        if best is None or value < best:
-            best, best_w = value, v
-
+    best: "tuple[Fraction, IntVec] | None" = None
     for sector in _normal_fan_cones(p):
         basis = hilbert_basis(sector)
+        if sector.g1 == (1, 0) and sector.g2 == (0, 1):
+            basis = basis + [(1, 1)]  # no positive basis element in this fan
         for h in basis:
             value = g(h)
             positive = h[0] >= 1 and h[1] >= 1
             if value < 0:
                 witness = h if positive else _positive_negative_witness(g, h, basis)
                 return MldResult(NEG_INF, make_weight(*witness), False, axis_values)
-            if positive:
-                consider(h, value)
-        if sector.g1 == (1, 0) and sector.g2 == (0, 1):
-            consider((1, 1), g((1, 1)))  # no positive basis element in this fan
-    assert best is not None and best_w is not None
-    return MldResult(best, make_weight(*best_w), True, axis_values)
+            if positive and (best is None or value < best[0]):
+                best = (value, h)
+    # the fan always has a positive candidate: a face normal or (1, 1)
+    return MldResult(best[0], make_weight(*best[1]), True, axis_values)
 
 
 def _positive_negative_witness(g, axis: IntVec, basis: "list[IntVec]") -> IntVec:
@@ -156,12 +150,14 @@ def _positive_negative_witness(g, axis: IntVec, basis: "list[IntVec]") -> IntVec
     p0 = (axis[0] + partner[0], axis[1] + partner[1]) if partner else (1, 1)
     if g(p0) >= 0:
         rate = g((p0[0] + axis[0], p0[1] + axis[1])) - g(p0)
-        assert rate < 0
+        if rate >= 0:
+            raise GermError(f"axis direction {axis} does not lower the discrepancy")
         steps = math.floor(g(p0) / -rate) + 1
         p0 = (p0[0] + steps * axis[0], p0[1] + steps * axis[1])
     d = gcd(p0[0], p0[1])
     w = (p0[0] // d, p0[1] // d)
-    assert g(w) < 0 and w[0] >= 1 and w[1] >= 1
+    if g(w) >= 0 or w[0] < 1 or w[1] < 1:
+        raise GermError(f"weight {w} does not certify a negative discrepancy")
     return w
 
 
@@ -194,37 +190,40 @@ def lct_toric(b: DivisorGerm, c: SmoothCurveGerm) -> LctResult:
         raise InputError("empty divisor")
     if b.max_coefficient() > 1:
         raise DomainError("coefficient above one")
-    mld = mld_toric(b)
+    pb = newton_polytope(b)
+    mld = _mld(pb)
     if is_infinite(mld.value) or mld.value < 0:
         raise DomainError("pair not lc before adding C")
+    mult, _ = split_along_curve(b, c)
+    return _lct(b, c, pb, mult)
 
-    pb = newton_polytope(b)
+
+def _lct(b: DivisorGerm, c: SmoothCurveGerm, pb: NewtonPolytope, mult: Fraction) -> LctResult:
+    """Threshold of an lc pair with coefficients at most one, given the
+    Newton polytope ``pb`` of B and mult_C B."""
     pc = newton_polytope_of_poly(c.poly)
     candidates: list[IntVec] = [(1, 0), (0, 1)]
     for n in face_normals(pb) + face_normals(pc):
         if n not in candidates:
             candidates.append(n)
 
-    best: Fraction | None = None
-    best_w: IntVec | None = None
+    best: "tuple[Fraction, IntVec] | None" = None
     for w in candidates:
-        wf = (Fraction(w[0]), Fraction(w[1]))
-        den = support_value(pc, wf)
-        assert isinstance(den, Fraction)
+        den = support_value(pc, w)
         if den == 0:
             continue
-        num = w[0] + w[1] - support_value(pb, wf)
-        assert isinstance(num, Fraction)
-        ratio = num / den
-        if best is None or ratio < best:
-            best, best_w = ratio, w
-    assert best is not None and best_w is not None  # candidate set is never empty
-    cap = 1 - mult_along_curve(b, c)
-    value = min(best, cap)
-    witness: IntVec | str = best_w if best <= cap else "cap"
+        ratio = _discrepancy(pb, w) / den
+        if best is None or ratio < best[0]:
+            best = (ratio, w)
+    # never None: C passes through the origin, so an axis weight or the
+    # normal of C's compact face has positive contact with C
+    membership, best_w = best
+    cap = 1 - mult
+    value = min(membership, cap)
+    witness: IntVec | str = best_w if membership <= cap else "cap"
     extended = b + DivisorGerm(((value, c.poly),)) if value > 0 else b
     exact = nondegeneracy_check(extended).nondegenerate
-    return LctResult(best, cap, value, witness, exact)
+    return LctResult(membership, cap, value, witness, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -239,45 +238,34 @@ class BoundResult:
 
 
 def delta_bound(epsilon: object) -> BoundResult:
-    """Exact supremum of (eps - 1/n)/(n - 1) over integers n >= 2.
+    """Exact supremum of h(n) = (eps - 1/n)/(n - 1) over integers n >= 2.
 
-    Any maximizer satisfies eps/(n - 1) >= sup >= min(eps^2/4, 3/2), which
-    confines the search to n <= 1 + 4/eps (and n = 2 dominates for large
-    eps), so the supremum is a maximum over a finite range.  Ties go to the
-    smallest n.
+    On x > 1, h(x) = (eps*x - 1)/(x(x - 1)) has derivative of the sign of
+    -eps*x^2 + 2x - 1.  For eps >= 1 that is negative, so n = 2 wins.  For
+    eps < 1, h rises up to x* = (1 + sqrt(1 - eps))/eps and falls after it,
+    so the maximum over n >= 2 is at n0 = max(2, floor(x*)) or n0 + 1.
+    With eps = p/q, x* = (q + sqrt(q(q - p)))/p, and since p is a
+    positive integer, floor(x*) = (q + isqrt(q(q - p))) // p exactly.  Ties
+    go to the smallest n.
     """
     eps = as_fraction(epsilon)
     if eps <= 0:
         raise InputError("epsilon must be positive")
-    n_max = max(2, math.ceil(1 + 4 / eps))
-    best: Fraction | None = None
-    best_n = 2
-    for n in range(2, n_max + 1):
-        h = (eps - Fraction(1, n)) / (n - 1)
-        if best is None or h > best:
-            best, best_n = h, n
-    assert best is not None
-    return BoundResult(eps, best, best_n)
+    p, q = eps.numerator, eps.denominator
+    n = 2 if p >= q else max(2, (q + math.isqrt(q * (q - p))) // p)
+
+    def h(k: int) -> Fraction:
+        return (eps - Fraction(1, k)) / (k - 1)
+
+    if h(n + 1) > h(n):
+        n += 1
+    return BoundResult(eps, h(n), n)
 
 
 def bound_floor_check(epsilon: object) -> bool:
     """delta(eps) >= min(eps^2/4, 3/2) must hold for every positive eps."""
     eps = as_fraction(epsilon)
     return delta_bound(eps).delta >= min(eps * eps / 4, Fraction(3, 2))
-
-
-def surface_bound(epsilon: Fraction, n_max: int) -> "tuple[Fraction, int]":
-    """max over 2 <= n <= n_max of (eps - 1/n)/(n - 1), with its witness."""
-    if n_max < 2:
-        raise InputError("n_max must be at least 2")
-    best: Fraction | None = None
-    best_n = 2
-    for n in range(2, n_max + 1):
-        h = (epsilon - Fraction(1, n)) / (n - 1)
-        if best is None or h > best:
-            best, best_n = h, n
-    assert best is not None
-    return best, best_n
 
 
 # ---------------------------------------------------------------------------
@@ -328,22 +316,7 @@ def dirichlet_k(q: object, delta: object) -> DirichletTrace:
 
 
 # ---------------------------------------------------------------------------
-# binomial closed forms
-
-
-def _binomial_divisor(lam: Fraction, m: int, n: int) -> DivisorGerm:
-    p = Poly.from_terms(2, {(m, 0): 1, (0, n): 1})
-    return DivisorGerm(((lam, p),))
-
-
-def binomial_mld(lam: object, m: int, n: int) -> Extended:
-    """mld of lambda * (x^m + y^n = 0); -inf when the pair is not lc."""
-    coeff = as_fraction(lam)
-    if not 0 < coeff <= 1:
-        raise InputError("lambda must lie in (0, 1]")
-    if m < 1 or n < 1:
-        raise InputError("exponents must be positive integers")
-    return mld_toric(_binomial_divisor(coeff, m, n)).value
+# binomial closed form
 
 
 def binomial_lct(lam: object, m: int, n: int) -> Fraction:
@@ -370,16 +343,16 @@ def binomial_lct(lam: object, m: int, n: int) -> Fraction:
 class SurfaceTheoremReport:
     """Hypotheses, intermediates and verdict of the lct lower-bound check.
 
-    The three hypotheses: the germ is epsilon-lc, the curve's multiplicity
-    inside B is at most 1 - epsilon, and the C-free part meets the curve
-    with local intersection at most 2.  When they hold and the input is
-    Newton-nondegenerate, the threshold must be at least
-    max_{2 <= n <= n_max} (eps - 1/n)/(n - 1); hypothesis failures make the
-    check inapplicable rather than failed.
+    The hypotheses: the germ is epsilon-lc, the curve's multiplicity inside
+    B is at most 1 - epsilon, the C-free part meets the curve with local
+    intersection at most 2, every coefficient of B is at most 1, and B is
+    Newton-nondegenerate.  When they all hold, the threshold must be at
+    least the exact delta(eps) = sup_{n >= 2} (eps - 1/n)/(n - 1) of
+    :func:`delta_bound`; a failed hypothesis makes the check inapplicable
+    rather than failed, and is named in ``failed_hypotheses``.
     """
 
     epsilon: Fraction
-    n_max: int
     mld: MldResult
     mult: Fraction
     reduced_intersection: Fraction
@@ -396,16 +369,14 @@ def verify_surface_theorem(
     b: DivisorGerm,
     c: SmoothCurveGerm,
     epsilon: object,
-    n_max: int = 64,
 ) -> SurfaceTheoremReport:
     eps = as_fraction(epsilon)
     if eps <= 0:
         raise InputError("epsilon must be positive")
-    mld = mld_toric(b)
-    mult = mult_along_curve(b, c)
-    reduced = remove_curve_component(b, c)
+    pb = newton_polytope(b)
+    mld = _mld(pb)
+    mult, reduced = split_along_curve(b, c)
     inter = local_intersection(reduced, c)
-    nondeg = nondegeneracy_check(b).nondegenerate
 
     failed = []
     if is_infinite(mld.value) or mld.value < eps:
@@ -414,24 +385,28 @@ def verify_surface_theorem(
         failed.append("mult_C B <= 1 - epsilon")
     if inter > 2:
         failed.append("(B' . C) <= 2")
+    if b.max_coefficient() > 1:
+        failed.append("coefficients <= 1")
+    # The lct certifies B + lct*C nondegenerate, and then B is too: the
+    # nondegeneracy test passes on every subset of the branches it passes on.
+    lct = _lct(b, c, pb, mult) if not failed else None
+    nondeg = (lct is not None and lct.exact) or nondegeneracy_check(b).nondegenerate
     if not nondeg:
         failed.append("newton nondegeneracy")
-    applicable = not failed and b.max_coefficient() <= 1
+        lct = None
 
-    bound, witness_n = surface_bound(eps, n_max)
-    lct = lct_toric(b, c) if applicable else None
-    passed = (lct.value >= bound) if lct is not None else None
+    bound = delta_bound(eps)
+    passed = (lct.value >= bound.delta) if lct is not None else None
     return SurfaceTheoremReport(
         eps,
-        n_max,
         mld,
         mult,
         inter,
         nondeg,
         tuple(failed),
-        applicable,
-        bound,
-        witness_n,
+        not failed,
+        bound.delta,
+        bound.witness_n,
         lct,
         passed,
     )

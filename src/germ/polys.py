@@ -1,9 +1,7 @@
 """Exact sparse polynomials over the rationals, plus the expression parser.
 
 A polynomial in ``n`` variables is a mapping from exponent tuples to nonzero
-``Fraction`` coefficients.  The same representation serves the two-variable
-germ calculus and the three-variable fibration data (base variable plus two
-homogeneous fiber coordinates).
+``Fraction`` coefficients.
 
 The accepted expression grammar (whitespace insignificant)::
 
@@ -59,12 +57,6 @@ class Poly:
     def constant(nvars: int, value: object) -> "Poly":
         return Poly.from_terms(nvars, {(0,) * nvars: Fraction(value)})  # type: ignore[arg-type]
 
-    @staticmethod
-    def variable(nvars: int, index: int) -> "Poly":
-        exp = [0] * nvars
-        exp[index] = 1
-        return Poly(nvars, {tuple(exp): Fraction(1)})
-
     # predicates and views ----------------------------------------------
 
     @property
@@ -74,24 +66,10 @@ class Poly:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
-    def support(self) -> list[Exponent]:
-        return sorted(self.terms)
-
     def total_degree(self) -> int:
         if self.is_zero:
             return 0
         return max(sum(e) for e in self.terms)
-
-    def degree_in(self, var: int) -> int:
-        if self.is_zero:
-            return 0
-        return max(e[var] for e in self.terms)
-
-    def valuation_in(self, var: int) -> int:
-        """Largest k with var^k dividing the polynomial (0 for the zero poly)."""
-        if self.is_zero:
-            return 0
-        return min(e[var] for e in self.terms)
 
     def coefficient(self, exp: Exponent) -> Fraction:
         return self.terms.get(exp, Fraction(0))
@@ -138,7 +116,8 @@ class Poly:
             if other == 0:
                 return Poly.zero(self.nvars)
             return Poly(self.nvars, {e: c * other for e, c in self.terms.items()})
-        assert isinstance(other, Poly)
+        if not isinstance(other, Poly):
+            raise InputError(f"cannot multiply a polynomial by {type(other).__name__}")
         self._require_same(other)
         out: dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -152,66 +131,6 @@ class Poly:
         return Poly(self.nvars, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise InputError("negative polynomial power")
-        result = Poly.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def subs(self, assignment: Mapping[int, "Poly"]) -> "Poly":
-        """Substitute polynomials for variables (others are kept)."""
-        nvars = self.nvars
-        for p in assignment.values():
-            if p.nvars != nvars:
-                raise InputError("substitution must preserve the variable count")
-        power_cache: dict[tuple[int, int], Poly] = {}
-
-        def var_power(i: int, e: int) -> Poly:
-            key = (i, e)
-            if key not in power_cache:
-                base = assignment.get(i, Poly.variable(nvars, i))
-                power_cache[key] = base ** e
-            return power_cache[key]
-
-        total = Poly.zero(nvars)
-        for exp, c in self.terms.items():
-            term = Poly.constant(nvars, c)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * var_power(i, e)
-            total = total + term
-        return total
-
-    def eval(self, values: Sequence[Fraction]) -> Fraction:
-        if len(values) != self.nvars:
-            raise InputError("wrong number of values")
-        total = Fraction(0)
-        for exp, c in self.terms.items():
-            v = c
-            for val, e in zip(values, exp):
-                v *= val ** e
-            total += v
-        return total
-
-    def drop_var_power(self, var: int, k: int) -> "Poly":
-        """Divide exactly by var^k (requires valuation >= k)."""
-        if k == 0:
-            return self
-        if self.valuation_in(var) < k:
-            raise InputError("polynomial is not divisible by that variable power")
-        out = {}
-        for exp, c in self.terms.items():
-            e = list(exp)
-            e[var] -= k
-            out[tuple(e)] = c
-        return Poly(self.nvars, out)
 
 
 def divide_exact(f: Poly, g: Poly) -> Poly | None:
@@ -551,6 +470,7 @@ def series_mul(a: Uni, b: Uni, order: int) -> Uni:
 
 
 def series_pow(a: Uni, k: int, order: int) -> Uni:
+    """a^k truncated to degree < order, by repeated squaring."""
     out = [Fraction(0)] * order
     if order > 0:
         out[0] = Fraction(1)
@@ -558,65 +478,8 @@ def series_pow(a: Uni, k: int, order: int) -> Uni:
     while k:
         if k & 1:
             out = series_mul(out, base, order)
-        base = series_mul(base, base, order)
         k >>= 1
+        if k:
+            base = series_mul(base, base, order)
     return out
 
-
-def uni_rational_roots(c: Uni) -> tuple[list[tuple[Fraction, int]], int]:
-    """All rational roots with multiplicities, plus the degree of the
-    rootless residual factor.  Uses the rational root test on the integer
-    model of the polynomial, deflating each root found."""
-    work = uni_trim(list(c))
-    if not work:
-        raise InputError("zero polynomial has no well-defined roots")
-    roots: list[tuple[Fraction, int]] = []
-    # factor out u^k
-    k = 0
-    while work[0] == 0:
-        work.pop(0)
-        k += 1
-    if k:
-        roots.append((Fraction(0), k))
-    while uni_degree(work) >= 1:
-        root = _find_rational_root(work)
-        if root is None:
-            break
-        mult = 0
-        while True:
-            q, r = uni_divmod(work, [-root, Fraction(1)])
-            if r:
-                break
-            work = q
-            mult += 1
-        roots.append((root, mult))
-    return roots, uni_degree(work)
-
-
-def _find_rational_root(c: Uni) -> Fraction | None:
-    from math import gcd
-
-    den = 1
-    for x in c:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in c]
-    a0, an = ints[0], ints[-1]
-    assert a0 != 0
-    for p in _divisors(abs(a0)):
-        for q in _divisors(abs(an)):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if sum(co * cand ** i for i, co in enumerate(c)) == 0:
-                    return cand
-    return None
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)

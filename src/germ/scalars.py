@@ -98,20 +98,3 @@ def extended_inner(w1: Extended, w2: Extended, x: Fraction, y: Fraction) -> Exte
         total += w * c
     return total
 
-
-def min_extended(values: "list[Extended]") -> Extended:
-    """Minimum of a non-empty list of extended scalars."""
-    if not values:
-        raise InputError("min of empty list")
-    best: Extended = values[0]
-    for v in values[1:]:
-        if v < best:
-            best = v
-    return best
-
-
-def format_extended(value: Extended) -> str:
-    """Human form: lowest-terms ``p/q`` (or ``p``), ``inf`` / ``-inf``."""
-    if is_infinite(value):
-        return "inf" if value is POS_INF else "-inf"
-    return str(value)

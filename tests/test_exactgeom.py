@@ -16,7 +16,6 @@ from germ.exactgeom import (
     Y_INFINITY,
     compact_faces,
     cone,
-    cone_lattice_points,
     contains,
     face_intercepts,
     face_normals,
@@ -209,6 +208,30 @@ def test_face_intercepts_rejects_rays():
 
 # ---------------------------------------------------------------------------
 # Hilbert bases
+
+
+def cone_lattice_points(c, bound):
+    """Oracle: all nonzero lattice points of the cone with both coordinates
+    <= bound, by brute enumeration."""
+    u, v = c.g1, c.g2
+    if _det(u, v) < 0:
+        u, v = v, u
+    out = []
+    for x in range(bound + 1):
+        for y in range(bound + 1):
+            if x == 0 and y == 0:
+                continue
+            p = (x, y)
+            if _det(u, v) == 0:
+                if _det(u, p) == 0 and (p[0] * u[0] + p[1] * u[1]) > 0:
+                    out.append(p)
+            elif _det(u, p) >= 0 and _det(p, v) >= 0:
+                out.append(p)
+    return out
+
+
+def _det(u, v):
+    return u[0] * v[1] - u[1] * v[0]
 
 
 def brute_irreducibles(c, bound):

@@ -11,13 +11,11 @@ from germ.errors import DomainError, InputError
 from germ.germs import curve_orient, divisor, parse_divisor
 from germ.invariants import (
     binomial_lct,
-    binomial_mld,
     bound_floor_check,
     delta_bound,
     dirichlet_k,
     lct_toric,
     mld_toric,
-    surface_bound,
     toric_log_discrepancy,
     verify_surface_theorem,
 )
@@ -269,6 +267,18 @@ def test_delta_bound_matches_exhaustive():
         assert delta_bound(eps).delta == expected
 
 
+def test_delta_bound_closed_form_matches_scan():
+    """The closed form against the maximum over 2 <= n <= ceil(1 + 4/eps),
+    witness included (ties go to the smallest n)."""
+    rng = random.Random(43)
+    for _ in range(60):
+        eps = F(rng.randint(1, 40), rng.randint(1, 2000))
+        values = [(eps - F(1, n)) / (n - 1) for n in range(2, ceil(1 + 4 / eps) + 1)]
+        best = max(values)
+        result = delta_bound(eps)
+        assert (result.delta, result.witness_n) == (best, values.index(best) + 2)
+
+
 def test_delta_bound_monotone_on_grid():
     values = [delta_bound(F(j, 16)).delta for j in range(1, 64)]
     assert all(a <= b for a, b in zip(values, values[1:]))
@@ -288,7 +298,7 @@ def test_bound_floor_examples():
 
 
 def test_surface_bound_small_range():
-    assert surface_bound(F(1, 3), 10) == (F(1, 30), 5)
+    assert (delta_bound(F(1, 3)).delta, delta_bound(F(1, 3)).witness_n) == (F(1, 30), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -347,20 +357,19 @@ def test_dirichlet_rejects_bad_delta():
 def test_binomial_mld_cusp_family():
     for m in [1, 2, 5]:
         lam = F(2 * m - 1, m * m)
-        assert binomial_mld(lam, m, m + 1) == F(1, m)
+        assert mld_toric(binom(lam, m, m + 1)).value == F(1, m)
 
 
 def test_binomial_mld_trivial():
-    assert binomial_mld(1, 1, 1) == 1
+    assert mld_toric(binom(1, 1, 1)).value == 1
 
 
 def test_binomial_mld_brute_cross_check():
     assert brute_binomial_mld(F(1, 2), 2, 3) == 1
-    assert binomial_mld(F(1, 2), 2, 3) == 1
+    assert mld_toric(binom(F(1, 2), 2, 3)).value == 1
 
 
 def test_binomial_mld_not_lc_reports_neg_inf():
-    assert binomial_mld(1, 3, 3) is NEG_INF
     assert mld_toric(binom(F(1), 3, 3)).value is NEG_INF
 
 
@@ -392,7 +401,7 @@ def test_binomial_lct_precondition_error_names_inequality():
 
 def test_surface_theorem_cusp_family_m3():
     b = parse_divisor("5/9*(x^3+y^4)")
-    rep = verify_surface_theorem(b, curve_orient(parse_poly("y")), F(1, 3), n_max=10)
+    rep = verify_surface_theorem(b, curve_orient(parse_poly("y")), F(1, 3))
     assert rep.applicable
     assert rep.bound == F(1, 30) and rep.bound_witness_n == 5
     assert rep.lct is not None and rep.lct.value == F(1, 9)
@@ -414,3 +423,16 @@ def test_surface_theorem_hypothesis_filter():
     assert not rep.applicable
     assert "mult_C B <= 1 - epsilon" in rep.failed_hypotheses
     assert rep.passed is None
+
+
+def test_surface_theorem_checks_exact_bound_for_small_epsilon():
+    b = parse_divisor("1/2*(x^2+y^2)")
+    rep = verify_surface_theorem(b, curve_orient(parse_poly("y")), F(1, 200))
+    assert rep.bound == delta_bound(F(1, 200)).delta > 0
+    assert rep.bound_witness_n == delta_bound(F(1, 200)).witness_n
+
+
+def test_surface_theorem_names_coefficient_above_one():
+    rep = verify_surface_theorem(parse_divisor("3/2*(x + y)"), curve_orient(parse_poly("y")), F(1, 4))
+    assert rep.failed_hypotheses == ("coefficients <= 1",)
+    assert not rep.applicable and rep.lct is None and rep.passed is None

@@ -4,9 +4,10 @@ A divisor germ is a finite positive rational combination of polynomial
 branches through the origin; a smooth curve germ is a single polynomial
 with nonzero linear part.  This module extracts their Newton data and
 computes the purely local quantities the invariant layer builds on:
-multiplicities along a curve, local intersection numbers via truncated
-power-series parametrization, and the Newton-nondegeneracy certificate
-that marks inputs whose toric invariants are exact.
+multiplicities along a curve, local intersection numbers via one sparse
+power-series parametrization in the curve's oriented frame, and the
+Newton-nondegeneracy certificate that marks inputs whose toric invariants
+are exact.
 
 Polynomials (not power series) keep every computation exact and decidable;
 curve polynomials are trusted to be irreducible over the rationals.
@@ -38,7 +39,6 @@ from .polys import (
     render_poly,
     render_weighted_terms,
     series_mul,
-    series_pow,
     uni_coprime,
     uni_is_squarefree,
     uni_trim,
@@ -117,6 +117,9 @@ class SmoothCurveGerm:
     Newton diagram has vertices (1, 0) and (0, b) with ``b`` the tangency
     invariant (symbolically +inf when no pure power of the second variable
     occurs, i.e. the curve is a coordinate axis up to a unit).
+
+    This orientation is also the parametrization frame: ``oriented_poly()``
+    is solved for x as a power series in y.
     """
 
     poly: Poly
@@ -252,76 +255,63 @@ def split_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, Di
     return mult, DivisorGerm(tuple(reduced))
 
 
-def curve_parametrization(g: Poly, order: int) -> "tuple[list[Fraction], list[Fraction]]":
-    """Truncated power-series parametrization (x(t), y(t)) of a smooth curve.
+def curve_parametrization(g: Poly, order: int) -> "dict[int, Fraction]":
+    """Sparse series psi, truncated below ``order``, with g(psi(t), t) = 0.
 
-    Solves for whichever variable has a nonzero linear coefficient by
-    fixed-point iteration; each pass is exact and gains at least one order,
-    so ``order`` passes reach the fixed point of the truncation.
+    ``g`` is in ``curve_orient``'s frame: through the origin, with x-linear
+    coefficient lin != 0.  Each exact pass psi -> -(g - lin*x)(psi, t) / lin
+    gains an order; psi is fixed iff the residual g(psi, t) = lin*(psi - new) is 0.
     """
-    cx, cy = g.coefficient((1, 0)), g.coefficient((0, 1))
-    ident = [Fraction(0), Fraction(1)] + [Fraction(0)] * max(0, order - 2)
-    ident = ident[:order]
-    if cy != 0:
-        solved_var, lin = 1, cy
-    elif cx != 0:
-        solved_var, lin = 0, cx
-    else:
-        raise InputError("curve is singular at the origin (zero linear part)")
-    rest = Poly(2, {e: c for e, c in g.terms.items() if e != ((1, 0) if solved_var == 0 else (0, 1))})
-    psi = [Fraction(0)] * order
+    lin = g.coefficient((1, 0))
+    if lin == 0 or g.constant_term() != 0:
+        raise InputError("curve needs an x-linear term and must pass through the origin")
+    rest = g - Poly(2, {(1, 0): lin})
+    psi: dict[int, Fraction] = {}
     for _ in range(order + 1):
-        series = (ident, psi) if solved_var == 1 else (psi, ident)
-        val = _eval_poly_series(rest, series[0], series[1], order)
-        new = [-v / lin for v in val]
+        new = {k: -v / lin for k, v in _on_curve(rest, psi, order).items()}
         if new == psi:
-            break
+            return psi
         psi = new
-    xs, ys = (ident, psi) if solved_var == 1 else (psi, ident)
-    if any(_eval_poly_series(g, xs, ys, order)):
-        raise GermError("curve parametrization did not converge")
-    return list(xs), list(ys)
+    raise GermError("curve parametrization did not converge")
 
 
-def _eval_poly_series(
-    p: Poly, xs: "list[Fraction]", ys: "list[Fraction]", order: int
-) -> "list[Fraction]":
-    out = [Fraction(0)] * order
-    x_pows: dict[int, list[Fraction]] = {}
-    y_pows: dict[int, list[Fraction]] = {}
-    for (i, j), c in p.terms.items():
-        if i not in x_pows:
-            x_pows[i] = series_pow(xs, i, order)
-        if j not in y_pows:
-            y_pows[j] = series_pow(ys, j, order)
-        term = series_mul(x_pows[i], y_pows[j], order)
-        for k, v in enumerate(term):
-            out[k] += c * v
-    return out
+def _on_curve(p: Poly, psi: "dict[int, Fraction]", order: int) -> "dict[int, Fraction]":
+    """p(psi(t), t) below ``order`` by Horner's rule in x; y = t is a shift.
+
+    psi(0) = 0, so ``order`` products with psi empty any series.
+    """
+    out: dict[int, Fraction] = {}
+    top = max((i for i, _ in p.terms), default=0)
+    for (i, j), c in sorted(p.terms.items(), reverse=True):
+        for _ in range(min(top - i, order)):
+            out = series_mul(out, psi, order)
+        top = i
+        out[j] = out.get(j, 0) + c
+    for _ in range(min(top, order)):
+        out = series_mul(out, psi, order)
+    return {k: v for k, v in out.items() if v and k < order}
 
 
 def local_intersection(b: DivisorGerm, c: SmoothCurveGerm) -> Fraction:
     """(B . C) at the origin, assuming no component of B lies on C.
 
-    Truncation order N = (max branch degree) * (curve degree) + 1 always
-    resolves the order: the local intersection number of curves without a
-    common component is at most the product of their degrees.
+    The curve is x = psi(t), y = t in the frame of ``c.oriented_poly()``;
+    each branch, transposed when ``c.swapped``, meets it in the order of its
+    series.  A local intersection number of curves without a common
+    component is at most the product of their degrees, so truncating above
+    that bound always resolves it.
     """
     if b.is_empty:
         return Fraction(0)
     max_deg = max(p.total_degree() for _, p in b.components)
-    n = max_deg * c.poly.total_degree() + 1
-    xs, ys = curve_parametrization(c.poly, n + 1)
+    n = max_deg * c.poly.total_degree() + 2
+    psi = curve_parametrization(c.oriented_poly(), n)
     total = Fraction(0)
     for coeff, p in b.components:
-        values = _eval_poly_series(p, xs, ys, n + 1)
-        order = next((k for k, v in enumerate(values) if v != 0), None)
-        if order is None:
-            raise DomainError(
-                "intersection order not determined below truncation; "
-                "raise truncation or a component contains the curve"
-            )
-        total += coeff * order
+        values = _on_curve(_transpose(p) if c.swapped else p, psi, n)
+        if not values:
+            raise DomainError("C lies on a branch: its series is 0 below the Bezout truncation")
+        total += coeff * min(values)
     return total
 
 

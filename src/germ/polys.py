@@ -1,7 +1,8 @@
 """Exact sparse polynomials over the rationals, plus the expression parser.
 
 A polynomial in ``n`` variables is a mapping from exponent tuples to nonzero
-``Fraction`` coefficients.
+``Fraction`` coefficients; a truncated power series is the same kind of
+sparse mapping, from exponents below the truncation order.
 
 The accepted expression grammar (whitespace insignificant)::
 
@@ -396,6 +397,22 @@ def render_weighted_terms(
 
 
 # ---------------------------------------------------------------------------
+# sparse truncated power series (exponent -> nonzero coefficient)
+
+
+def series_mul(a: dict[int, Fraction], b: dict[int, Fraction], order: int) -> dict[int, Fraction]:
+    """Product truncated below ``order``; zero terms are never stored or visited."""
+    terms = sorted(b.items())
+    out: dict[int, Fraction] = {}
+    for i, ca in a.items():
+        for j, cb in terms:
+            if i + j >= order:
+                break
+            out[i + j] = out.get(i + j, 0) + ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
+# ---------------------------------------------------------------------------
 # dense univariate helpers (index = exponent)
 
 Uni = list  # list[Fraction]
@@ -453,33 +470,3 @@ def uni_is_squarefree(c: Uni) -> bool:
 
 def uni_coprime(a: Uni, b: Uni) -> bool:
     return uni_degree(uni_gcd(a, b)) <= 0
-
-
-def series_mul(a: Uni, b: Uni, order: int) -> Uni:
-    """Product truncated to degree < order."""
-    out = [Fraction(0)] * order
-    for i, ca in enumerate(a):
-        if i >= order or ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            if i + j >= order:
-                break
-            if cb != 0:
-                out[i + j] += ca * cb
-    return out
-
-
-def series_pow(a: Uni, k: int, order: int) -> Uni:
-    """a^k truncated to degree < order, by repeated squaring."""
-    out = [Fraction(0)] * order
-    if order > 0:
-        out[0] = Fraction(1)
-    base = list(a[:order]) + [Fraction(0)] * max(0, order - len(a))
-    while k:
-        if k & 1:
-            out = series_mul(out, base, order)
-        k >>= 1
-        if k:
-            base = series_mul(base, base, order)
-    return out
-

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
@@ -10,6 +11,7 @@ from germ.exactgeom import minkowski_sum
 from germ.germs import (
     DivisorGerm,
     curve_orient,
+    curve_parametrization,
     divisor,
     local_intersection,
     newton_intersection_bound,
@@ -273,8 +275,8 @@ def test_local_intersection_bound_instance():
 
 
 def test_local_intersection_high_exponent():
-    b = parse_divisor("1/2*(x^2000 + y)")
-    assert local_intersection(b, curve_orient(pp("y - x^2"))) == 1
+    for b, c in [("1/2*(x^2000 + y)", "y - x^2"), ("1/160*(x^160 + y^159)", "y - x^160")]:
+        assert local_intersection(parse_divisor(b), curve_orient(pp(c))) == 1
 
 
 def test_local_intersection_rejects_contained_component():
@@ -296,3 +298,72 @@ def test_intersection_bound_property():
         assert value >= bound
         checked += 1
     assert checked > 100
+
+
+def test_curve_parametrization_needs_x_linear_term_at_origin():
+    for text in ["y + x^2", "y", "x^2 + y^2", "1 + x"]:
+        with pytest.raises(InputError):
+            curve_parametrization(pp(text), 6)
+
+
+def _transpose(p):
+    return Poly(2, {(j, i): c for (i, j), c in p.terms.items()})
+
+
+def _power(p, k):
+    return reduce(lambda q, _: q * p, range(k), Poly.constant(2, 1))
+
+
+def _graph_oracle(b, u, a):
+    """(B . C) for C = u(x)*y - a(x) with u(0) != 0 and a(0) = 0, no series.
+
+    On C, y = a/u with u a unit, so a branch sum c_ij x^i y^j of y-degree D
+    meets C in ord_x of sum c_ij x^i a^j u^(D - j); None when that is 0.
+    """
+    total = F(0)
+    for coeff, p in b.components:
+        d = max(j for _, j in p.terms)
+        q = Poly.zero(2)
+        for (i, j), c in p.terms.items():
+            q = q + Poly(2, {(i, 0): c}) * _power(a, j) * _power(u, d - j)
+        if q.is_zero:
+            return None
+        total += coeff * min(i for i, _ in q.terms)
+    return total
+
+
+def _random_x_poly(rng, degree, constant):
+    terms = {(i, 0): F(rng.randint(-2, 2), rng.choice([1, 1, 2])) for i in range(1, degree + 1)}
+    terms[(0, 0)] = F(constant)
+    return Poly.from_terms(2, terms)
+
+
+def test_local_intersection_matches_graph_oracle():
+    rng = random.Random(31)
+    swapped = set()
+    for _ in range(250):
+        u = _random_x_poly(rng, rng.randint(0, 2), rng.choice([-1, 1, 2]))
+        a = _random_x_poly(rng, rng.randint(1, 3), 0)
+        if rng.random() < 0.5:  # tangent to the x-axis: swapped as given
+            a = a - Poly(2, {(1, 0): a.coefficient((1, 0))})
+        comps = []
+        for _ in range(rng.randint(1, 2)):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                i = rng.randint(0, 6)
+                terms[(i, rng.randint(int(i == 0), 6 - i))] = F(rng.choice([-2, -1, 1, 3]))
+            comps.append((F(rng.randint(1, 6), 6), Poly.from_terms(2, terms)))
+        if rng.random() < 0.05:
+            comps.append((F(1, 2), (u * pp("y") - a) * pp("x + y")))
+        b = DivisorGerm(tuple(comps))
+        expected = _graph_oracle(b, u, a)
+        g = u * pp("y") - a
+        b_t = DivisorGerm(tuple((coeff, _transpose(p)) for coeff, p in b.components))
+        for divisor_germ, curve in [(b, curve_orient(g)), (b_t, curve_orient(_transpose(g)))]:
+            swapped.add(curve.swapped)
+            if expected is None:
+                with pytest.raises(DomainError, match="truncation"):
+                    local_intersection(divisor_germ, curve)
+            else:
+                assert local_intersection(divisor_germ, curve) == expected
+    assert swapped == {False, True}

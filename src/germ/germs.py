@@ -4,13 +4,15 @@ A divisor germ is a finite positive rational combination of polynomial
 branches through the origin; a smooth curve germ is a single polynomial
 with nonzero linear part.  This module extracts their Newton data and
 computes the purely local quantities the invariant layer builds on:
-multiplicities along a curve, local intersection numbers via one sparse
-power-series parametrization in the curve's oriented frame, and the
+the multiplicity of B along a curve C and the local intersection of the
+C-free part of B with C, both read off one walk of x-derivatives along a
+sparse power-series parametrization of C in its oriented frame, and the
 Newton-nondegeneracy certificate that marks inputs whose toric invariants
 are exact.
 
-Polynomials (not power series) keep every computation exact and decidable;
-curve polynomials are trusted to be irreducible over the rationals.
+Polynomials (not power series) keep every computation exact and decidable.
+Only the germ of a curve at the origin matters: a curve polynomial may
+carry factors that do not vanish there, such as x + x*y for {x = 0}.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .exactgeom import (
 )
 from .polys import (
     Poly,
-    divide_exact,
     parse_poly,
     parse_weighted_terms,
     render_poly,
@@ -54,7 +55,7 @@ __all__ = [
     "newton_polytope",
     "newton_polytope_of_poly",
     "nondegeneracy_check",
-    "split_along_curve",
+    "contact_along_curve",
     "local_intersection",
     "newton_intersection_bound",
     "curve_orient",
@@ -237,24 +238,6 @@ def nondegeneracy_check(b: DivisorGerm) -> NondegeneracyReport:
 # multiplicities and intersections
 
 
-def split_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, DivisorGerm]":
-    """mult_C B and B minus its C-part, in one division pass per branch.
-
-    Every branch is divided by the curve polynomial as often as it goes;
-    mult_C B is the coefficient-weighted count of those divisions, and the
-    quotients that still pass through the origin make up the C-free part.
-    """
-    mult = Fraction(0)
-    reduced = []
-    for coeff, p in b.components:
-        while (q := divide_exact(p, c.poly)) is not None:
-            p = q
-            mult += coeff
-        if p.constant_term() == 0:
-            reduced.append((coeff, p))
-    return mult, DivisorGerm(tuple(reduced))
-
-
 def curve_parametrization(g: Poly, order: int) -> "dict[int, Fraction]":
     """Sparse series psi, truncated below ``order``, with g(psi(t), t) = 0.
 
@@ -292,27 +275,44 @@ def _on_curve(p: Poly, psi: "dict[int, Fraction]", order: int) -> "dict[int, Fra
     return {k: v for k, v in out.items() if v and k < order}
 
 
-def local_intersection(b: DivisorGerm, c: SmoothCurveGerm) -> Fraction:
-    """(B . C) at the origin, assuming no component of B lies on C.
+def contact_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, Fraction]":
+    """mult_C B and (B' . C), with B' the C-free part of B, in one walk per branch.
 
-    The curve is x = psi(t), y = t in the frame of ``c.oriented_poly()``;
-    each branch, transposed when ``c.swapped``, meets it in the order of its
-    series.  A local intersection number of curves without a common
-    component is at most the product of their degrees, so truncating above
-    that bound always resolves it.
+    The curve is x = psi(t), y = t in the frame of ``c.oriented_poly()``, and
+    each branch p, transposed when ``c.swapped``, is evaluated on it with its
+    x-derivatives p, dp/dx, d2p/dx2, ... until one is not 0 on C.  If that is
+    the k-th, the branch adds coeff*k to mult_C B and coeff times the order
+    of that series to (B' . C).  This is exact: dc/dx is a unit on C (its
+    constant term is the x-linear coefficient), so if p = c^k * q near the
+    origin with C not dividing q, then the j-th derivative vanishes on C for
+    j < k and the k-th is k! * (dc/dx)^k * q there, of order (q . C).  A
+    derivative that is not 0 on C meets it in at most the product of the
+    degrees, so a series that is 0 below n = max deg B * deg C + 2 is 0 on C.
+    The walk stops by the (deg_x p)-th derivative, a nonzero polynomial in y.
     """
     if b.is_empty:
-        return Fraction(0)
+        return Fraction(0), Fraction(0)
     max_deg = max(p.total_degree() for _, p in b.components)
     n = max_deg * c.poly.total_degree() + 2
     psi = curve_parametrization(c.oriented_poly(), n)
-    total = Fraction(0)
+    mult = inter = Fraction(0)
     for coeff, p in b.components:
-        values = _on_curve(_transpose(p) if c.swapped else p, psi, n)
-        if not values:
-            raise DomainError("C lies on a branch: its series is 0 below the Bezout truncation")
-        total += coeff * min(values)
-    return total
+        p = _transpose(p) if c.swapped else p
+        k = 0
+        while not (values := _on_curve(p, psi, n)):
+            p = Poly(2, {(i - 1, j): i * v for (i, j), v in p.terms.items() if i})
+            k += 1
+        mult += coeff * k
+        inter += coeff * min(values)
+    return mult, inter
+
+
+def local_intersection(b: DivisorGerm, c: SmoothCurveGerm) -> Fraction:
+    """(B . C) at the origin, for B with no component on C."""
+    mult, inter = contact_along_curve(b, c)
+    if mult:
+        raise DomainError("C lies on a branch: its series is 0 below the Bezout truncation")
+    return inter
 
 
 def newton_intersection_bound(b: DivisorGerm, c: SmoothCurveGerm) -> Extended:

@@ -13,7 +13,7 @@ exact rational arithmetic:
 * the explicit fibration bound delta(eps) = sup_n (eps - 1/n)/(n - 1), in
   closed form, and the distance-to-integer approximation step behind it,
 * the surface-theorem checker, which builds the Newton polytope, the mld
-  scan and the split of B along C once and hands them to the lct.
+  scan and the contact of B with C once and hands them to the lct.
 
 The mld and lct values are upper bounds for the true birational invariants
 in general; they are exact on Newton-nondegenerate inputs, which callers
@@ -42,11 +42,10 @@ from .exactgeom import (
 from .germs import (
     DivisorGerm,
     SmoothCurveGerm,
-    local_intersection,
+    contact_along_curve,
     newton_polytope,
     newton_polytope_of_poly,
     nondegeneracy_check,
-    split_along_curve,
 )
 from .scalars import Extended, NEG_INF, as_fraction, is_infinite
 
@@ -194,7 +193,7 @@ def lct_toric(b: DivisorGerm, c: SmoothCurveGerm) -> LctResult:
     mld = _mld(pb)
     if is_infinite(mld.value) or mld.value < 0:
         raise DomainError("pair not lc before adding C")
-    mult, _ = split_along_curve(b, c)
+    mult, _ = contact_along_curve(b, c)
     return _lct(b, c, pb, mult)
 
 
@@ -375,8 +374,7 @@ def verify_surface_theorem(
         raise InputError("epsilon must be positive")
     pb = newton_polytope(b)
     mld = _mld(pb)
-    mult, reduced = split_along_curve(b, c)
-    inter = local_intersection(reduced, c)
+    mult, inter = contact_along_curve(b, c)
 
     failed = []
     if is_infinite(mld.value) or mld.value < eps:

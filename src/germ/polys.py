@@ -134,38 +134,6 @@ class Poly:
     __rmul__ = __mul__
 
 
-def divide_exact(f: Poly, g: Poly) -> Poly | None:
-    """Quotient f/g if g divides f exactly, else None.
-
-    Multivariate division by the single divisor g under lex order; since a
-    principal ideal's single generator is its own Groebner basis, a zero
-    remainder is equivalent to divisibility.
-    """
-    if g.is_zero:
-        raise InputError("division by the zero polynomial")
-    f._require_same(g)
-    lead = max(g.terms)  # lex-largest exponent of g
-    lead_c = g.terms[lead]
-    quotient: dict[Exponent, Fraction] = {}
-    rest = dict(f.terms)
-    while rest:
-        exp = max(rest)
-        c = rest[exp]
-        if any(e < l for e, l in zip(exp, lead)):
-            return None  # this monomial can never be cancelled
-        q_exp = tuple(e - l for e, l in zip(exp, lead))
-        q_c = c / lead_c
-        quotient[q_exp] = quotient.get(q_exp, Fraction(0)) + q_c
-        for ge, gc in g.terms.items():
-            t = tuple(a + b for a, b in zip(q_exp, ge))
-            s = rest.get(t, Fraction(0)) - q_c * gc
-            if s == 0:
-                rest.pop(t, None)
-            else:
-                rest[t] = s
-    return Poly(f.nvars, {e: c for e, c in quotient.items() if c != 0})
-
-
 # ---------------------------------------------------------------------------
 # parsing
 

@@ -10,6 +10,7 @@ convention +inf * 0 = 0 (needed when a weight coordinate is infinite).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -65,6 +66,11 @@ def is_infinite(value: object) -> bool:
     return isinstance(value, _Infinite)
 
 
+#: A signed integer, ``p/q`` or a plain decimal.  Exponent notation is left
+#: out: ``"1e-1000000"`` is ten characters but a million-digit number.
+_RATIONAL_TEXT = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+
+
 def as_fraction(value: object) -> Fraction:
     """Coerce ints / strings like ``"3/4"`` to an exact Fraction."""
     if isinstance(value, Fraction):
@@ -73,9 +79,13 @@ def as_fraction(value: object) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not a rational number: {value!r}") from exc
+            if _RATIONAL_TEXT.fullmatch(value.strip()):
+                return Fraction(value.strip())
+        except ZeroDivisionError:
+            pass
+        raise InputError(
+            f"not a rational number: {value!r} (use an integer, p/q or a plain decimal)"
+        )
     raise InputError(f"cannot interpret {value!r} as a rational number")
 
 

@@ -18,7 +18,7 @@ from germ.invariants import (
 from germ.polys import parse_poly
 
 SANE_EPS = ["1/2", "1/3", "2/7", "1", "3/2", " 1/7 ", "1/1000", "5"]
-INVALID_EPS = ["0", "-1/3", "1/0", "abc", "", "x", "nan", "inf", "1/-2", "--1"]
+INVALID_EPS = ["0", "-1/3", "1/0", "abc", "", "x", "nan", "inf", "1/-2", "--1", "1e-1000000"]
 NOISE = "()+-*/^xyz0123 "
 
 

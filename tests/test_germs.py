@@ -10,6 +10,7 @@ from germ.errors import DomainError, InputError
 from germ.exactgeom import minkowski_sum
 from germ.germs import (
     DivisorGerm,
+    contact_along_curve,
     curve_orient,
     curve_parametrization,
     divisor,
@@ -20,7 +21,6 @@ from germ.germs import (
     nondegeneracy_check,
     parse_divisor,
     render_divisor,
-    split_along_curve,
 )
 from germ.polys import Poly, parse_poly, render_poly
 from germ.scalars import POS_INF
@@ -69,6 +69,7 @@ def test_parse_divisor_single():
 def test_parse_divisor_two_components_order():
     b = parse_divisor("1/2*(x^2+y^2) + 1/3*(y)")
     assert [c for c, _ in b.components] == [F(1, 2), F(1, 3)]
+    assert render_divisor(b) == "1/2*(x^2 + y^2) + 1/3*(y)"
 
 
 def test_parse_divisor_rejects_constant_term():
@@ -225,35 +226,43 @@ def test_curve_orient_rejects_singular():
 
 
 def test_mult_no_common_factor():
-    assert split_along_curve(parse_divisor("3/4*(x^2 + y^3)"), curve_orient(pp("y")))[0] == 0
+    assert contact_along_curve(parse_divisor("3/4*(x^2 + y^3)"), curve_orient(pp("y")))[0] == 0
 
 
 def test_mult_single_factor():
     b = parse_divisor("1/2*(x*y + y^2)")  # y * (x + y)
-    assert split_along_curve(b, curve_orient(pp("y")))[0] == F(1, 2)
+    assert contact_along_curve(b, curve_orient(pp("y")))[0] == F(1, 2)
 
 
 def test_mult_square_factor():
-    assert split_along_curve(parse_divisor("1/3*(y^2*x)"), curve_orient(pp("y")))[0] == F(2, 3)
+    assert contact_along_curve(parse_divisor("1/3*(y^2*x)"), curve_orient(pp("y")))[0] == F(2, 3)
 
 
 def test_remove_curve_component():
-    b = parse_divisor("1/2*(x*y + y^2)")
-    assert render_divisor(split_along_curve(b, curve_orient(pp("y")))[1]) == "1/2*(x + y)"
-    assert render_divisor(split_along_curve(parse_divisor("1/3*(y^2*x)"), curve_orient(pp("y")))[1]) == "1/3*(x)"
+    # the C-free parts x + y and x each meet y = 0 once
+    c = curve_orient(pp("y"))
+    assert contact_along_curve(parse_divisor("1/2*(x*y + y^2)"), c) == (F(1, 2), F(1, 2))
+    assert contact_along_curve(parse_divisor("1/3*(y^2*x)"), c) == (F(2, 3), F(1, 3))
 
 
 def test_remove_identity_when_no_factor():
     b = parse_divisor("3/4*(x^2 + y^3)")
-    assert split_along_curve(b, curve_orient(pp("y")))[1] == b
+    c = curve_orient(pp("y"))
+    assert contact_along_curve(b, c) == (0, local_intersection(b, c)) == (0, F(3, 2))
 
 
 def test_remove_then_mult_zero():
+    # a factor c on every branch and c itself as a component raise mult_C B
+    # by their coefficients and leave the C-free part alone
     rng = random.Random(5)
     for _ in range(40):
         b = _random_divisor(rng)
         c = curve_orient(pp(rng.choice(["y", "x", "y - x^2", "x + y^3", "x - 2*y"])))
-        assert split_along_curve(split_along_curve(b, c)[1], c)[0] == 0
+        mult, inter = contact_along_curve(b, c)
+        more = DivisorGerm(tuple((coeff, p * c.poly) for coeff, p in b.components))
+        more = more + divisor([(F(1, 3), c.poly)])
+        total = sum(coeff for coeff, _ in b.components)
+        assert contact_along_curve(more, c) == (mult + total + F(1, 3), inter)
 
 
 def test_local_intersection_monomial_family():
@@ -290,11 +299,10 @@ def test_intersection_bound_property():
     for _ in range(200):
         b = _random_divisor(rng)
         c = curve_orient(pp(rng.choice(["y", "x", "y - x^2", "x + y^3", "x - 2*y", "y + x^4"])))
-        b = split_along_curve(b, c)[1]
-        if b.is_empty:
+        mult, value = contact_along_curve(b, c)
+        if mult:  # B' is not B; the graph-oracle test covers contained components
             continue
         bound = newton_intersection_bound(b, c)
-        value = local_intersection(b, c)
         assert value >= bound
         checked += 1
     assert checked > 100
@@ -314,14 +322,14 @@ def _power(p, k):
     return reduce(lambda q, _: q * p, range(k), Poly.constant(2, 1))
 
 
-def _graph_oracle(b, u, a):
+def _graph_oracle(components, u, a):
     """(B . C) for C = u(x)*y - a(x) with u(0) != 0 and a(0) = 0, no series.
 
     On C, y = a/u with u a unit, so a branch sum c_ij x^i y^j of y-degree D
     meets C in ord_x of sum c_ij x^i a^j u^(D - j); None when that is 0.
     """
     total = F(0)
-    for coeff, p in b.components:
+    for coeff, p in components:
         d = max(j for _, j in p.terms)
         q = Poly.zero(2)
         for (i, j), c in p.terms.items():
@@ -338,32 +346,46 @@ def _random_x_poly(rng, degree, constant):
     return Poly.from_terms(2, terms)
 
 
+def _random_branch(rng, constant, degree):
+    terms = {(0, 0): F(constant)}
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randint(0, degree)
+        terms[(i, rng.randint(int(i == 0), degree - i))] = F(rng.choice([-2, -1, 1, 3]))
+    return Poly.from_terms(2, terms)
+
+
 def test_local_intersection_matches_graph_oracle():
+    """Branches c^k * q, with k = 0 or a contained component with k = 1, 2
+    and q sometimes a unit, against mult_C B = sum coeff*k and the graph
+    oracle of the q's, as given and transposed."""
     rng = random.Random(31)
-    swapped = set()
+    seen = set()
+    checked = 0
     for _ in range(250):
         u = _random_x_poly(rng, rng.randint(0, 2), rng.choice([-1, 1, 2]))
         a = _random_x_poly(rng, rng.randint(1, 3), 0)
         if rng.random() < 0.5:  # tangent to the x-axis: swapped as given
             a = a - Poly(2, {(1, 0): a.coefficient((1, 0))})
-        comps = []
-        for _ in range(rng.randint(1, 2)):
-            terms = {}
-            for _ in range(rng.randint(1, 4)):
-                i = rng.randint(0, 6)
-                terms[(i, rng.randint(int(i == 0), 6 - i))] = F(rng.choice([-2, -1, 1, 3]))
-            comps.append((F(rng.randint(1, 6), 6), Poly.from_terms(2, terms)))
-        if rng.random() < 0.05:
-            comps.append((F(1, 2), (u * pp("y") - a) * pp("x + y")))
-        b = DivisorGerm(tuple(comps))
-        expected = _graph_oracle(b, u, a)
         g = u * pp("y") - a
+        parts = [(F(rng.randint(1, 6), 6), _random_branch(rng, 0, 6), 0)
+                 for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.3:
+            q = _random_branch(rng, rng.choice([0, 0, 1, -2]), 3)
+            parts.append((F(rng.randint(1, 6), 6), q, rng.choice([1, 2])))
+        expected = _graph_oracle([(coeff, q) for coeff, q, _ in parts], u, a)
+        if expected is None:  # a random q contains C: its k is unknown
+            continue
+        mult = sum(coeff * k for coeff, _, k in parts)
+        b = DivisorGerm(tuple((coeff, _power(g, k) * q) for coeff, q, k in parts))
         b_t = DivisorGerm(tuple((coeff, _transpose(p)) for coeff, p in b.components))
         for divisor_germ, curve in [(b, curve_orient(g)), (b_t, curve_orient(_transpose(g)))]:
-            swapped.add(curve.swapped)
-            if expected is None:
+            seen.update((curve.swapped, k) for _, _, k in parts)
+            assert contact_along_curve(divisor_germ, curve) == (mult, expected)
+            if mult:
                 with pytest.raises(DomainError, match="truncation"):
                     local_intersection(divisor_germ, curve)
             else:
                 assert local_intersection(divisor_germ, curve) == expected
-    assert swapped == {False, True}
+        checked += 1
+    assert seen == {(swapped, k) for swapped in (False, True) for k in (0, 1, 2)}
+    assert checked > 200

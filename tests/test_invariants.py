@@ -2,6 +2,7 @@
 step, with brute-force oracles for every derived value."""
 
 import random
+import time
 from fractions import Fraction as F
 from math import ceil, gcd
 
@@ -289,6 +290,18 @@ def test_delta_bound_rejects_nonpositive():
         delta_bound(0)
 
 
+def test_exponent_notation_is_rejected_at_once():
+    # ten characters that would make a million-digit number
+    b, c = parse_divisor("1/2*(x^2+y^2)"), curve_orient(parse_poly("y"))
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="p/q"):
+        delta_bound("1e-1000000")
+    with pytest.raises(InputError, match="p/q"):
+        verify_surface_theorem(b, c, "1e-1000000")
+    assert time.perf_counter() - start < 1
+    assert delta_bound("0.25") == delta_bound(F(1, 4)) == delta_bound(" 1/4 ")
+
+
 def test_bound_floor_examples():
     assert delta_bound(1).delta >= F(1, 4)
     assert bound_floor_check(1)
@@ -436,3 +449,10 @@ def test_surface_theorem_names_coefficient_above_one():
     rep = verify_surface_theorem(parse_divisor("3/2*(x + y)"), curve_orient(parse_poly("y")), F(1, 4))
     assert rep.failed_hypotheses == ("coefficients <= 1",)
     assert not rep.applicable and rep.lct is None and rep.passed is None
+
+
+def test_surface_theorem_curve_with_unit_factor():
+    # x + x*y = x*(1 + y) has the germ {x = 0}, which is a component of B
+    b = parse_divisor("1/2*(x) + 1/3*(y - x^2)")
+    rep = verify_surface_theorem(b, curve_orient(parse_poly("x + x*y")), "1/4")
+    assert rep.mult == F(1, 2) and rep.reduced_intersection == F(1, 3)

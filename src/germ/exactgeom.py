@@ -7,10 +7,14 @@ and y strictly decreasing; the two non-compact boundary rays are implicit
 and materialized by :func:`faces`.  All coordinates are ``Fraction``; two
 polytopes are equal iff their vertex chains are equal.
 
-The module also provides Hilbert bases of rational cones in the first
-quadrant, computed by the classical continued-fraction subdivision (walk
-along the bounded boundary of the convex hull of the nonzero lattice
-points), with no search bounds.
+The module also walks the Klein sail of a rational cone in the first
+quadrant: the bounded boundary of the convex hull of the cone's nonzero
+lattice points, whose lattice points are the cone's Hilbert basis.  The
+walk jumps one whole sail edge per step with one floor division, so a cone
+of determinant d costs O(log d) steps (Oda, *Convex Bodies and Algebraic
+Geometry*, 1.6; Fulton, *Introduction to Toric Varieties*, 2.6), with no
+search bounds.  :func:`hilbert_runs` is that walk; :func:`hilbert_basis`
+only expands its runs into points.
 """
 
 from __future__ import annotations
@@ -162,6 +166,8 @@ class Cone2:
                 raise InputError("cone generators must be integer vectors")
             if g[0] < 0 or g[1] < 0:
                 raise InputError(f"generator {g} outside the first quadrant")
+            if gcd(g[0], g[1]) != 1:
+                raise InputError(f"generator {g} is not primitive")
 
 
 def cone(g1: Sequence[int], g2: Sequence[int]) -> Cone2:
@@ -351,31 +357,55 @@ def _det(u: IntVec, v: IntVec) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def hilbert_basis(c: Cone2) -> list[IntVec]:
-    """Minimal generating set of the monoid of lattice points of the cone.
+class Run(NamedTuple):
+    """One sail edge: the lattice points start + j*step for 0 <= j <= count."""
 
-    Walks the bounded boundary of ``conv(cone lattice points minus 0)``: at
-    each step the neighbour of ``u`` toward ``v`` is the minimal lattice
-    point ``w`` with det(u, w) = 1 inside the cone.  Consecutive boundary
-    lattice points span unimodular cones, so the walk collects exactly the
-    irreducible elements.  Each step strictly decreases det(u, v), hence
-    termination without any search bound.
+    start: IntVec
+    step: IntVec
+    count: int
+
+    def point(self, j: int) -> IntVec:
+        return (self.start[0] + j * self.step[0], self.start[1] + j * self.step[1])
+
+
+def hilbert_runs(c: Cone2) -> list[Run]:
+    """The Klein sail of the cone as runs, from one generator to the other.
+
+    Consecutive runs share an endpoint; a single ray is one run of count 0.
+    From ``u`` the sail goes to its neighbour ``w`` toward ``v`` (the
+    minimal lattice point with det(u, w) = 1 inside the cone), and with
+    step = w - u every u + j*step has neighbour u + (j + 1)*step while that
+    point stays in the cone: det(u + j*step, v) = d - j*det(v, step), where
+    d = det(u, v) and det(v, step) = d - det(w, v) lies in [1, d].  So the
+    run has count d // det(v, step), and det(end, v) = d mod det(v, step)
+    is below d/2: at most log2(d) + 1 runs reach det = 0, at v.
     """
     u, v = c.g1, c.g2
     d = _det(u, v)
     if d == 0:
-        return [u]  # single ray (generators equal after primitivization)
+        return [Run(u, (0, 0), 0)]  # single ray (generators equal after primitivization)
     if d < 0:
         u, v = v, u
         d = -d
-    out = [u]
-    while d > 1:
+    runs: list[Run] = []
+    while d > 0:
         w = _boundary_neighbour(u, v, d)
-        out.append(w)
-        u = w
+        step = (w[0] - u[0], w[1] - u[1])
+        run = Run(u, step, d // (d - _det(w, v)))
+        runs.append(run)
+        u = run.point(run.count)
         d = _det(u, v)
-    out.append(v)
-    return out
+    return runs
+
+
+def hilbert_basis(c: Cone2) -> list[IntVec]:
+    """Minimal generating set of the monoid of lattice points of the cone,
+    in order from one generator to the other: the lattice points of the
+    runs of :func:`hilbert_runs`, each shared endpoint once.  Consecutive
+    sail points span unimodular cones, so these are exactly the
+    irreducible elements."""
+    runs = hilbert_runs(c)
+    return [runs[0].start] + [r.point(j) for r in runs for j in range(1, r.count + 1)]
 
 
 def _boundary_neighbour(u: IntVec, v: IntVec, d: int) -> IntVec:

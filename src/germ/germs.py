@@ -261,18 +261,28 @@ def curve_parametrization(g: Poly, order: int) -> "dict[int, Fraction]":
 def _on_curve(p: Poly, psi: "dict[int, Fraction]", order: int) -> "dict[int, Fraction]":
     """p(psi(t), t) below ``order`` by Horner's rule in x; y = t is a shift.
 
-    psi(0) = 0, so ``order`` products with psi empty any series.
+    psi(0) = 0, so ``order`` products with psi empty any series, and the
+    products stop once the series is empty (at once when psi = 0).
     """
     out: dict[int, Fraction] = {}
     top = max((i for i, _ in p.terms), default=0)
     for (i, j), c in sorted(p.terms.items(), reverse=True):
-        for _ in range(min(top - i, order)):
-            out = series_mul(out, psi, order)
+        out = _times_psi(out, psi, order, top - i)
         top = i
         out[j] = out.get(j, 0) + c
-    for _ in range(min(top, order)):
-        out = series_mul(out, psi, order)
+    out = _times_psi(out, psi, order, top)
     return {k: v for k, v in out.items() if v and k < order}
+
+
+def _times_psi(
+    s: "dict[int, Fraction]", psi: "dict[int, Fraction]", order: int, k: int
+) -> "dict[int, Fraction]":
+    """s * psi^k below ``order``."""
+    for _ in range(min(k, order)):
+        if not s:
+            break
+        s = series_mul(s, psi, order)
+    return s
 
 
 def contact_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, Fraction]":

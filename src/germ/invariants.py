@@ -5,8 +5,8 @@ exact rational arithmetic:
 
 * log discrepancies of monomial valuations (weighted blow-ups),
 * the minimal log discrepancy over all positive integer weights, found by
-  minimizing the discrepancy linear form over the Hilbert bases of the
-  normal-fan cones,
+  minimizing the discrepancy linear form over the endpoints of the
+  Klein-sail runs of the normal-fan cones, O(log det) per cone,
 * the log canonical threshold of a smooth curve through the origin, as the
   smallest discrepancy/contact ratio over a complete finite candidate set
   of weights, capped by the curve's own coefficient room,
@@ -32,10 +32,11 @@ from .exactgeom import (
     Cone2,
     IntVec,
     NewtonPolytope,
+    Run,
     Weight,
     cone,
     face_normals,
-    hilbert_basis,
+    hilbert_runs,
     make_weight,
     support_value,
 )
@@ -109,11 +110,13 @@ def _normal_fan_cones(p: NewtonPolytope) -> "list[Cone2]":
 def mld_toric(b: DivisorGerm) -> MldResult:
     """Minimize w1 + w2 - <w, Newton diagram> over positive integer pairs.
 
-    On each normal-fan cone the objective is linear, so it suffices to
-    scan the cone's Hilbert basis.  Axis basis vectors are not admissible
-    minimizers themselves; a positive point built from one witnesses value
-    -inf when its rate is negative, and the remaining positive candidates
-    (plus (1,1) when the fan is the whole quadrant) realize the infimum.
+    On each normal-fan cone the objective is linear, so its minimum over
+    the cone's Hilbert basis lies at an endpoint of a Klein-sail run: the
+    scan minimizes over run endpoints, O(log det) per cone.  Axis basis
+    vectors are not admissible minimizers themselves; a positive point
+    built from one witnesses value -inf when its rate is negative, and the
+    remaining positive candidates (plus (1,1) when the fan is the whole
+    quadrant) realize the infimum.
     """
     if b.is_empty:
         raise InputError("empty divisor")
@@ -121,32 +124,57 @@ def mld_toric(b: DivisorGerm) -> MldResult:
 
 
 def _mld(p: NewtonPolytope) -> MldResult:
+    """The first basis element, in fan order, with a negative discrepancy,
+    else the first positive one attaining the least discrepancy.
+
+    Along a run the discrepancy is g0 + j*rate.  Its first negative point
+    is j = 0 when g0 < 0, else j = g0 // -rate + 1 if that is a point of
+    the run; its least positive point is the first one when rate >= 0 and
+    the last one when rate < 0.
+    """
     def g(v: IntVec) -> Fraction:
         return _discrepancy(p, v)
 
     axis_values = (g((1, 0)), g((0, 1)))
     best: "tuple[Fraction, IntVec] | None" = None
     for sector in _normal_fan_cones(p):
-        basis = hilbert_basis(sector)
+        runs = hilbert_runs(sector)
         if sector.g1 == (1, 0) and sector.g2 == (0, 1):
-            basis = basis + [(1, 1)]  # no positive basis element in this fan
-        for h in basis:
-            value = g(h)
-            positive = h[0] >= 1 and h[1] >= 1
-            if value < 0:
-                witness = h if positive else _positive_negative_witness(g, h, basis)
+            runs.append(Run((1, 1), (0, 0), 0))  # no positive basis element in this fan
+        for run in runs:
+            g0 = g(run.start)
+            rate = g(run.point(1)) - g0  # 0 on a run of count 0, whose step is (0, 0)
+            negative = 0 if g0 < 0 else (g0 // -rate + 1 if rate < 0 else run.count + 1)
+            if negative <= run.count:
+                h = run.point(negative)
+                witness = h if _is_positive(h) else _positive_negative_witness(g, h, runs)
                 return MldResult(NEG_INF, make_weight(*witness), False, axis_values)
-            if positive and (best is None or value < best[0]):
-                best = (value, h)
+            js = _positive_points(run)
+            if js:
+                j = js[0] if rate >= 0 else js[-1]
+                if best is None or g0 + j * rate < best[0]:
+                    best = (g0 + j * rate, run.point(j))
     # the fan always has a positive candidate: a face normal or (1, 1)
     return MldResult(best[0], make_weight(*best[1]), True, axis_values)
 
 
-def _positive_negative_witness(g, axis: IntVec, basis: "list[IntVec]") -> IntVec:
-    """Positive weight with negative discrepancy, built by pushing a
-    positive point of the cone far in the negative axis direction."""
-    partner = next((h for h in basis if h[0] >= 1 and h[1] >= 1), None)
-    p0 = (axis[0] + partner[0], axis[1] + partner[1]) if partner else (1, 1)
+def _is_positive(v: IntVec) -> bool:
+    return v[0] >= 1 and v[1] >= 1
+
+
+def _positive_points(run: Run) -> range:
+    """The j with run.point(j) positive: all but an axis endpoint, since
+    the axes are the outer rays of the fan."""
+    lo = 0 if _is_positive(run.start) else 1
+    hi = run.count if _is_positive(run.point(run.count)) else run.count - 1
+    return range(lo, hi + 1)
+
+
+def _positive_negative_witness(g, axis: IntVec, runs: "list[Run]") -> IntVec:
+    """Positive weight with negative discrepancy, built by pushing the
+    first positive point of the sector far in the negative axis direction."""
+    partner = next(r.point(js[0]) for r in runs if (js := _positive_points(r)))
+    p0 = (axis[0] + partner[0], axis[1] + partner[1])
     if g(p0) >= 0:
         rate = g((p0[0] + axis[0], p0[1] + axis[1])) - g(p0)
         if rate >= 0:
@@ -155,7 +183,7 @@ def _positive_negative_witness(g, axis: IntVec, basis: "list[IntVec]") -> IntVec
         p0 = (p0[0] + steps * axis[0], p0[1] + steps * axis[1])
     d = gcd(p0[0], p0[1])
     w = (p0[0] // d, p0[1] // d)
-    if g(w) >= 0 or w[0] < 1 or w[1] < 1:
+    if g(w) >= 0 or not _is_positive(w):
         raise GermError(f"weight {w} does not certify a negative discrepancy")
     return w
 

@@ -54,10 +54,6 @@ class Poly:
     def zero(nvars: int) -> "Poly":
         return Poly(nvars, {})
 
-    @staticmethod
-    def constant(nvars: int, value: object) -> "Poly":
-        return Poly.from_terms(nvars, {(0,) * nvars: Fraction(value)})  # type: ignore[arg-type]
-
     # predicates and views ----------------------------------------------
 
     @property
@@ -111,27 +107,6 @@ class Poly:
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
-
-    def __mul__(self, other: object) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Poly.zero(self.nvars)
-            return Poly(self.nvars, {e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, Poly):
-            raise InputError(f"cannot multiply a polynomial by {type(other).__name__}")
-        self._require_same(other)
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exp, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = s
-        return Poly(self.nvars, out)
-
-    __rmul__ = __mul__
 
 
 # ---------------------------------------------------------------------------

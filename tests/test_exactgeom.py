@@ -1,5 +1,6 @@
 """Unit and property tests for the exact Newton-polytope engine."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -20,7 +21,9 @@ from germ.exactgeom import (
     face_intercepts,
     face_normals,
     faces,
+    _boundary_neighbour,
     hilbert_basis,
+    hilbert_runs,
     minkowski_sum,
     point,
     polytope_from_support,
@@ -280,6 +283,91 @@ def test_hilbert_rejects_outside_quadrant():
 
 def test_hilbert_generators_normalized():
     assert set(hilbert_basis(cone((4, 2), (2, 4)))) == {(2, 1), (1, 1), (1, 2)}
+
+
+def test_hilbert_cone_rejects_imprimitive_generator():
+    with pytest.raises(InputError, match="primitive"):
+        Cone2((2, 0), (0, 1))
+
+
+def stepwise_basis(c):
+    """Oracle: the sail walk one lattice point at a time, each the boundary
+    neighbour of the last, with no jump along an edge."""
+    u, v = c.g1, c.g2
+    d = _det(u, v)
+    if d == 0:
+        return [u]
+    if d < 0:
+        u, v, d = v, u, -d
+    out = [u]
+    while d > 1:
+        u = _boundary_neighbour(u, v, d)
+        out.append(u)
+        d = _det(u, v)
+    return out + [v]
+
+
+def _unimodular_pair(rng):
+    """Generators of det 1: a random descent in the Stern-Brocot tree."""
+    u, v = (1, 0), (0, 1)
+    for _ in range(rng.randint(0, 12)):
+        mediant = (u[0] + v[0], u[1] + v[1])
+        u, v = (mediant, v) if rng.random() < 0.5 else (u, mediant)
+    return u, v
+
+
+def _random_generators(rng):
+    kind = rng.random()
+    if kind < 0.1:  # single ray, given imprimitive
+        g, k = (rng.randint(0, 9), rng.randint(1, 9)), rng.randint(1, 4)
+        return g, (k * g[0], k * g[1])
+    if kind < 0.25:
+        return _unimodular_pair(rng)
+    top = rng.choice([6, 40, 300])
+
+    def gen():
+        while (g := (rng.randint(0, top), rng.randint(0, top))) == (0, 0):
+            pass
+        return g
+
+    return gen(), gen()
+
+
+def test_hilbert_runs_expand_to_stepwise_walk():
+    """On random cones, single rays, det 1 and both generator orders, the
+    runs expand in order to the one-point-at-a-time walk, each run is one
+    maximal edge of unimodular steps, and there are at most log2(d) + 1."""
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(3000):
+        g1, g2 = _random_generators(rng)
+        for c in (cone(g1, g2), cone(g2, g1)):
+            runs = hilbert_runs(c)
+            basis = hilbert_basis(c)
+            assert basis == stepwise_basis(c)
+            d = abs(_det(c.g1, c.g2))
+            seen.add(min(d, 2))
+            if d == 0:
+                assert runs == [(c.g1, (0, 0), 0)]
+                continue
+            assert {basis[0], basis[-1]} == {c.g1, c.g2}
+            assert len(runs) <= d.bit_length()
+            for r, nxt in zip(runs, runs[1:]):
+                assert nxt.start == r.point(r.count) and nxt.step != r.step
+            for r in runs:
+                assert r.count >= 1 and _det(r.start, r.step) == 1
+    assert seen == {0, 1, 2}
+
+
+def test_hilbert_runs_deep_cone():
+    # determinant 10^9, one edge; and a Fibonacci cone, whose sail turns often
+    assert hilbert_runs(cone((1, 0), (1, 10**9))) == [((1, 0), (0, 1), 10**9)]
+    a, b = 1, 1
+    while b < 10**12:
+        a, b = b, a + b
+    runs = hilbert_runs(cone((1, 0), (a, b)))
+    assert len(runs) <= b.bit_length()
+    assert runs[-1].point(runs[-1].count) == (a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,12 @@ from math import ceil, gcd
 import pytest
 
 from germ.errors import DomainError, InputError
-from germ.germs import curve_orient, divisor, parse_divisor
+from germ.exactgeom import hilbert_basis, make_weight, point, polytope_from_support
+from germ.germs import curve_orient, divisor, local_intersection, parse_divisor
 from germ.invariants import (
+    MldResult,
+    _mld,
+    _normal_fan_cones,
     binomial_lct,
     bound_floor_check,
     delta_bound,
@@ -146,6 +150,61 @@ def test_mld_brute_force_agreement():
     assert checked >= 20
 
 
+def full_scan_mld(p):
+    """Oracle: the scan of every Hilbert-basis element of every normal-fan
+    cone that the run walk replaced, with the class of its answer:
+    "attained", "positive" (-inf at a positive element) or "axis" (-inf at
+    an axis element, certified from the sector's first positive element)."""
+
+    def g(v):
+        return v[0] + v[1] - min(v[0] * q.x + v[1] * q.y for q in p.vertices)
+
+    axis_values = (g((1, 0)), g((0, 1)))
+    best = None
+    for sector in _normal_fan_cones(p):
+        basis = hilbert_basis(sector)
+        if sector.g1 == (1, 0) and sector.g2 == (0, 1):
+            basis = basis + [(1, 1)]
+        for h in basis:
+            value = g(h)
+            positive = h[0] >= 1 and h[1] >= 1
+            if value < 0 and positive:
+                return MldResult(NEG_INF, make_weight(*h), False, axis_values), "positive"
+            if value < 0:
+                partner = next(e for e in basis if e[0] >= 1 and e[1] >= 1)
+                w = _push_along_axis(g, h, partner)
+                return MldResult(NEG_INF, make_weight(*w), False, axis_values), "axis"
+            if positive and (best is None or value < best[0]):
+                best = (value, h)
+    return MldResult(best[0], make_weight(*best[1]), True, axis_values), "attained"
+
+
+def _push_along_axis(g, axis, partner):
+    p0 = (axis[0] + partner[0], axis[1] + partner[1])
+    if g(p0) >= 0:
+        rate = g((p0[0] + axis[0], p0[1] + axis[1])) - g(p0)
+        steps = g(p0) // -rate + 1
+        p0 = (p0[0] + steps * axis[0], p0[1] + steps * axis[1])
+    d = gcd(*p0)
+    return (p0[0] // d, p0[1] // d)
+
+
+def test_mld_run_walk_matches_full_scan():
+    """Field for field, witness included, on random rational polytopes."""
+    rng = random.Random(67)
+    classes = {"attained": 0, "positive": 0, "axis": 0}
+    for _ in range(2400):
+        top = rng.choice([2, 4, 12])
+        pts = [point(F(rng.randint(0, top * 6), rng.randint(1, 6)),
+                     F(rng.randint(0, top * 6), rng.randint(1, 6)))
+               for _ in range(rng.randint(1, 5))]
+        p = polytope_from_support(pts)
+        expected, kind = full_scan_mld(p)
+        assert _mld(p) == expected
+        classes[kind] += 1
+    assert min(classes.values()) >= 100, classes
+
+
 def _random_divisor(rng):
     comps = []
     for _ in range(rng.randint(1, 2)):
@@ -162,6 +221,22 @@ def _random_divisor(rng):
     if not comps:
         comps = [(F(1, 2), parse_poly("x + y"))]
     return divisor(comps)
+
+
+def test_mld_deep_cone_attained():
+    start = time.perf_counter()
+    r = mld_toric(parse_divisor("1/2*(x^1000000000 + y)"))
+    assert time.perf_counter() - start < 1
+    assert (r.value, r.witness, r.attained) == (F(3, 2), (1, 1), True)
+
+
+def test_mld_deep_cone_not_lc():
+    b = parse_divisor("2*(x^1000000000 + y)")
+    start = time.perf_counter()
+    r = mld_toric(b)
+    assert time.perf_counter() - start < 1
+    assert r.value is NEG_INF and not r.attained
+    assert toric_log_discrepancy(b, tuple(r.witness)) < 0
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +273,30 @@ def test_lct_precondition_errors():
         lct_toric(parse_divisor("2*(x)"), curve_orient(parse_poly("y")))
     with pytest.raises(DomainError, match="not lc"):
         lct_toric(parse_divisor("1*(x^2*y^2)"), curve_orient(parse_poly("y")))
+
+
+def test_lct_deep_cone_closed_form():
+    m = 10**9
+    for k in range(1, 5):
+        start = time.perf_counter()
+        res = lct_toric(parse_divisor(f"{F(1, 2 * k)}*(x^{m} + y^{k})"), curve_orient(parse_poly("y")))
+        assert time.perf_counter() - start < 1
+        assert res.value == F(1, 2) + F(k, m)
+
+
+def test_axis_curve_does_not_walk_the_exponent():
+    # psi = 0 on the curve x = 0, so Horner's products stop at the first
+    b = parse_divisor("1/4*(x^1000000000 + y^2)")
+    c = curve_orient(parse_poly("x"))
+    start = time.perf_counter()
+    res = lct_toric(b, c)
+    inter = local_intersection(b, c)
+    rep = verify_surface_theorem(b, c, "1/2")
+    assert time.perf_counter() - start < 1
+    assert (res.membership_sup, res.coefficient_cap, res.value, res.witness_weight, res.exact) == (
+        1, 1, 1, (1, 0), True)
+    assert inter == F(1, 2)
+    assert rep.applicable and rep.passed and rep.lct == res
 
 
 def membership_bisection(b, c, steps=64):

@@ -1,11 +1,14 @@
-"""Exact 2-D Newton polytope engine over the rationals.
+"""Exact 2-D Newton polytope engine over the rationals, run on integers.
 
 A Newton polytope here is the unbounded region ``conv(S) + Q`` where ``S``
 is a finite set of points in the closed first quadrant ``Q``.  It is stored
 canonically as the chain of its vertices, ordered with x strictly increasing
 and y strictly decreasing; the two non-compact boundary rays are implicit
-and materialized by :func:`faces`.  All coordinates are ``Fraction``; two
-polytopes are equal iff their vertex chains are equal.
+and materialized by :func:`faces`.  The chain is kept as integer lattice
+points over one positive denominator, in lowest terms, so construction,
+Minkowski sums, support values and normals run in ``int`` arithmetic; two
+polytopes are equal iff their chains are equal.  ``Fraction`` values appear
+only at the edges: the ``vertices`` view, support values and faces.
 
 The module also walks the Klein sail of a rational cone in the first
 quadrant: the bounded boundary of the convex hull of the cone's nonzero
@@ -21,11 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import DomainError, InputError
-from .scalars import Extended, POS_INF, as_fraction, extended_inner, is_infinite
+from .scalars import Extended, POS_INF, as_fraction, is_infinite
 
 
 class Point2(NamedTuple):
@@ -57,42 +60,47 @@ Y_INFINITY = AxisInfinityVertex("y")
 ExtendedVertex = Union[Point2, AxisInfinityVertex]
 
 
-@dataclass(frozen=True)
+IntVec = tuple[int, int]
+
+
+@dataclass(frozen=True, init=False)
 class NewtonPolytope:
-    """Vertex chain of ``conv(points) + first quadrant``, no redundancy."""
+    """Vertex chain of ``conv(points) + first quadrant``, no redundancy.
 
-    vertices: tuple[Point2, ...]
+    The vertices are ``lattice[i] / den``: integer points over one positive
+    denominator, with the gcd of ``den`` and every coordinate equal to 1, so
+    equal polytopes have equal fields.  The constructor takes and validates
+    a chain of rational points; the engine's own results are checked alike.
+    """
 
-    def __post_init__(self) -> None:
-        vs = self.vertices
-        if not vs:
-            raise InputError("polytope needs at least one vertex")
-        for v in vs:
-            if v.x < 0 or v.y < 0:
-                raise InputError(f"vertex {v} outside the first quadrant")
-        for a, b in zip(vs, vs[1:]):
-            if not (a.x < b.x and a.y > b.y):
-                raise InputError("vertices must have x increasing, y decreasing")
-        slopes = [(a.y - b.y) / (b.x - a.x) for a, b in zip(vs, vs[1:])]
-        for s, t in zip(slopes, slopes[1:]):
-            if not s > t:
-                raise InputError("boundary must be strictly convex (no collinear vertex)")
+    lattice: tuple[IntVec, ...]
+    den: int
+
+    def __init__(self, vertices: Sequence[Point2]) -> None:
+        lattice, den = _clear_denominators(vertices)
+        _check_chain(lattice, den)
+        object.__setattr__(self, "lattice", tuple(lattice))
+        object.__setattr__(self, "den", den)
+
+    @property
+    def vertices(self) -> tuple[Point2, ...]:
+        """The chain as exact rational points."""
+        d = self.den
+        return tuple(Point2(Fraction(x, d), Fraction(y, d)) for x, y in self.lattice)
+
+    def lattice_min(self, w: IntVec) -> int:
+        """den times the support value of the integer weight w: the least
+        <w, v> over the lattice vertices."""
+        w1, w2 = w
+        return min(w1 * x + w2 * y for x, y in self.lattice)
 
     @property
     def x_min(self) -> Fraction:
-        return self.vertices[0].x
+        return Fraction(self.lattice[0][0], self.den)
 
     @property
     def y_min(self) -> Fraction:
-        return self.vertices[-1].y
-
-    @property
-    def top(self) -> Point2:
-        return self.vertices[0]
-
-    @property
-    def bottom(self) -> Point2:
-        return self.vertices[-1]
+        return Fraction(self.lattice[-1][1], self.den)
 
     def __repr__(self) -> str:
         pts = ", ".join(f"({v.x}, {v.y})" for v in self.vertices)
@@ -147,9 +155,6 @@ def make_weight(w1: int, w2: int) -> Weight:
     return Weight(w1, w2)
 
 
-IntVec = tuple[int, int]
-
-
 @dataclass(frozen=True)
 class Cone2:
     """Rational cone in the closed first quadrant, spanned by two primitive
@@ -179,40 +184,88 @@ def cone(g1: Sequence[int], g2: Sequence[int]) -> Cone2:
 # construction
 
 
-def polytope_from_support(support: Iterable[Point2]) -> NewtonPolytope:
+def _clear_denominators(points: Iterable[Sequence[object]]) -> "tuple[list[IntVec], int]":
+    """Integer numerators of the points over their least common denominator.
+
+    When every coordinate is an ``int``, the points pass through unchanged
+    over denominator 1; otherwise each is read as an exact rational first.
+    """
+    pts = [(x, y) for x, y in points]
+    if all(type(x) is int and type(y) is int for x, y in pts):
+        return pts, 1
+    fracs = [(as_fraction(x), as_fraction(y)) for x, y in pts]
+    den = lcm(*(c.denominator for v in fracs for c in v))
+    return [(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+            for x, y in fracs], den
+
+
+def _check_chain(lattice: Sequence[IntVec], den: int) -> None:
+    """Raise unless the points form a valid chain: nonempty, in the first
+    quadrant, x increasing and y decreasing, strictly convex."""
+    if not lattice:
+        raise InputError("polytope needs at least one vertex")
+    for x, y in lattice:
+        if x < 0 or y < 0:
+            raise InputError(f"vertex ({Fraction(x, den)}, {Fraction(y, den)}) "
+                             "outside the first quadrant")
+    for a, b in zip(lattice, lattice[1:]):
+        if not (a[0] < b[0] and a[1] > b[1]):
+            raise InputError("vertices must have x increasing, y decreasing")
+    for a, b, c in zip(lattice, lattice[1:], lattice[2:]):
+        if _cross(a, b, c) <= 0:
+            raise InputError("boundary must be strictly convex (no collinear vertex)")
+
+
+def _polytope(lattice: Sequence[IntVec], den: int) -> NewtonPolytope:
+    """The polytope with vertices ``lattice[i] / den``, in lowest terms."""
+    if den != 1:
+        g = gcd(den, *(c for v in lattice for c in v))
+        if g != 1:
+            den //= g
+            lattice = [(x // g, y // g) for x, y in lattice]
+    _check_chain(lattice, den)
+    p = object.__new__(NewtonPolytope)
+    object.__setattr__(p, "lattice", tuple(lattice))
+    object.__setattr__(p, "den", den)
+    return p
+
+
+def polytope_from_support(support: Iterable[Sequence[object]]) -> NewtonPolytope:
     """Vertex chain of ``conv(union of p + first quadrant)`` over the support.
 
-    Dominated points (some other point is <= componentwise) and collinear
-    points are eliminated, so the result is canonical.
+    The points may be ``Point2`` values or plain pairs, such as the integer
+    exponent pairs of a polynomial.  Dominated points (some other point is
+    <= componentwise) and collinear points are eliminated, so the result is
+    canonical.
     """
-    pts = sorted(set(Point2(as_fraction(p[0]), as_fraction(p[1])) for p in support))
-    if not pts:
+    lattice, den = _clear_denominators(support)
+    if not lattice:
         raise InputError("empty support")
-    for p in pts:
-        if p.x < 0 or p.y < 0:
-            raise InputError(f"support point {p} outside the first quadrant")
+    pts = sorted(set(lattice))
+    for x, y in pts:
+        if x < 0 or y < 0:
+            raise InputError(f"support point ({Fraction(x, den)}, {Fraction(y, den)}) "
+                             "outside the first quadrant")
 
     # Pareto staircase: among equal x keep min y, then require y to drop.
-    frontier: list[Point2] = []
+    frontier: list[IntVec] = []
     for p in pts:
-        if frontier and frontier[-1].x == p.x:
-            continue  # same x, larger y
-        if frontier and p.y >= frontier[-1].y:
-            continue  # dominated by an earlier point
+        if frontier and (frontier[-1][0] == p[0] or p[1] >= frontier[-1][1]):
+            continue  # same x with larger y, or dominated by an earlier point
         frontier.append(p)
 
     # Lower convex hull of the staircase (monotone chain).
-    chain: list[Point2] = []
+    chain: list[IntVec] = []
     for p in frontier:
         while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
             chain.pop()
         chain.append(p)
-    return NewtonPolytope(tuple(chain))
+    return _polytope(chain, den)
 
 
-def _cross(a: Point2, b: Point2, c: Point2) -> Fraction:
+def _cross(a: IntVec, b: IntVec, c: IntVec) -> int:
     """Cross product of (b - a) and (c - b); > 0 keeps the chain convex."""
-    return (b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x)
+    return (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
 
 
 def scale(polytope: NewtonPolytope, c: object) -> NewtonPolytope:
@@ -220,7 +273,9 @@ def scale(polytope: NewtonPolytope, c: object) -> NewtonPolytope:
     factor = as_fraction(c)
     if factor <= 0:
         raise InputError(f"scale factor must be positive, got {factor}")
-    return NewtonPolytope(tuple(Point2(v.x * factor, v.y * factor) for v in polytope.vertices))
+    n = factor.numerator
+    return _polytope([(x * n, y * n) for x, y in polytope.lattice],
+                     polytope.den * factor.denominator)
 
 
 def minkowski_sum(p: NewtonPolytope, q: NewtonPolytope) -> NewtonPolytope:
@@ -228,28 +283,43 @@ def minkowski_sum(p: NewtonPolytope, q: NewtonPolytope) -> NewtonPolytope:
 
     The boundary of the sum is the boundary edges of both summands glued in
     order of decreasing slope, starting from the sum of the two topmost
-    vertices; parallel edges merge into a single longer face.
+    vertices; parallel edges merge into a single longer face.  Both chains
+    go over the lcm of the two denominators; each summand's edges are
+    already in slope order, so one merge by cross-multiplication glues them.
     """
-    edges = _boundary_edges(p) + _boundary_edges(q)
-    # (dx, dy) with dx > 0 > dy; sort by slope -dy/dx, steepest first.
-    edges.sort(key=lambda e: e[1] / e[0])  # dy/dx increasing == slope decreasing
-    current = Point2(p.top.x + q.top.x, p.top.y + q.top.y)
-    chain = [current]
-    i = 0
-    while i < len(edges):
-        dx, dy = edges[i]
-        while i + 1 < len(edges) and edges[i + 1][1] * dx == dy * edges[i + 1][0]:
-            dx += edges[i + 1][0]
-            dy += edges[i + 1][1]
+    den = lcm(p.den, q.den)
+    kp, kq = den // p.den, den // q.den
+    a, b = _edges(p, kp), _edges(q, kq)
+    x = kp * p.lattice[0][0] + kq * q.lattice[0][0]
+    y = kp * p.lattice[0][1] + kq * q.lattice[0][1]
+    chain = [(x, y)]
+    i = j = 0
+    while i < len(a) or j < len(b):
+        # edges (dx, dy) have dx > 0 > dy, and the steeper has the smaller
+        # dy/dx: order < 0 takes a[i], order > 0 takes b[j] and order == 0
+        # merges the parallel pair
+        if j == len(b):
+            order = -1
+        elif i == len(a):
+            order = 1
+        else:
+            order = a[i][1] * b[j][0] - b[j][1] * a[i][0]
+        dx = dy = 0
+        if order <= 0:
+            dx, dy = a[i]
             i += 1
-        current = Point2(current.x + dx, current.y + dy)
-        chain.append(current)
-        i += 1
-    return NewtonPolytope(tuple(chain))
+        if order >= 0:
+            dx, dy = dx + b[j][0], dy + b[j][1]
+            j += 1
+        x, y = x + dx, y + dy
+        chain.append((x, y))
+    return _polytope(chain, den)
 
 
-def _boundary_edges(p: NewtonPolytope) -> list[tuple[Fraction, Fraction]]:
-    return [(b.x - a.x, b.y - a.y) for a, b in zip(p.vertices, p.vertices[1:])]
+def _edges(p: NewtonPolytope, k: int) -> "list[IntVec]":
+    """The boundary edges of the chain, times k, left to right."""
+    vs = p.lattice
+    return [(k * (b[0] - a[0]), k * (b[1] - a[1])) for a, b in zip(vs, vs[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +331,8 @@ def support_value(polytope: NewtonPolytope, w: Sequence[Extended]) -> Extended:
 
     The weight must lie in the closed first quadrant and be nonzero.  One
     coordinate may be the symbolic +inf, evaluated under +inf * 0 = 0; the
-    result is then +inf exactly when every vertex misses the relevant axis.
+    result is then +inf exactly when every vertex misses the relevant axis,
+    and only the vertex on that axis (the first or the last) can meet it.
     """
     w1, w2 = w[0], w[1]
     w1 = w1 if is_infinite(w1) else as_fraction(w1)
@@ -271,12 +342,19 @@ def support_value(polytope: NewtonPolytope, w: Sequence[Extended]) -> Extended:
             raise InputError(f"weight {w} has a negative coordinate")
     if w1 == 0 and w2 == 0:
         raise InputError("weight must be nonzero")
-    best: Extended | None = None
-    for v in polytope.vertices:
-        val = extended_inner(w1, w2, v.x, v.y)
-        if best is None or val < best:
-            best = val
-    return best
+    if is_infinite(w1) or is_infinite(w2):
+        if is_infinite(w1) and is_infinite(w2):
+            raise InputError("weight cannot be infinite in both coordinates")
+        infinite, finite = (w1, w2) if is_infinite(w1) else (w2, w1)
+        if infinite is not POS_INF:
+            raise InputError("only +inf weights are meaningful")
+        # the first vertex has the least x, the last the least y: read the
+        # one the infinite coordinate multiplies as (that coordinate, other)
+        x, y = polytope.lattice[0] if infinite is w1 else polytope.lattice[-1][::-1]
+        return finite * Fraction(y, polytope.den) if x == 0 else POS_INF
+    # <(n1/d1, n2/d2), v/den> = <(n1*d2, n2*d1), v> / (d1*d2*den)
+    n1, d1, n2, d2 = w1.numerator, w1.denominator, w2.numerator, w2.denominator
+    return Fraction(polytope.lattice_min((n1 * d2, n2 * d1)), d1 * d2 * polytope.den)
 
 
 def contains(polytope: NewtonPolytope, p: Point2) -> bool:
@@ -336,9 +414,11 @@ def face_intercepts(face: Face) -> FaceIntercepts:
 def face_normals(polytope: NewtonPolytope) -> list[IntVec]:
     """Primitive inner normals of the compact faces, left to right."""
     out: list[IntVec] = []
-    for f in compact_faces(polytope):
-        s = slope(f)
-        out.append((s.numerator, s.denominator))
+    vs = polytope.lattice
+    for a, b in zip(vs, vs[1:]):
+        n1, n2 = a[1] - b[1], b[0] - a[0]
+        g = gcd(n1, n2)
+        out.append((n1 // g, n2 // g))
     return out
 
 

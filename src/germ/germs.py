@@ -142,11 +142,8 @@ def curve_orient(g: Poly) -> SmoothCurveGerm:
         raise InputError("curve is singular at the origin (zero linear part)")
     swapped = cx == 0
     oriented = _transpose(g) if swapped else g
-    diagram = newton_polytope_of_poly(oriented)
-    if diagram.x_min == 0:
-        b: Extended = diagram.top.y
-    else:
-        b = POS_INF
+    x0, y0 = newton_polytope_of_poly(oriented).lattice[0]  # integer exponents: den 1
+    b: Extended = Fraction(y0) if x0 == 0 else POS_INF
     return SmoothCurveGerm(g, swapped, b)
 
 

@@ -1,7 +1,11 @@
 """Singularity invariants of divisor germs via their Newton data.
 
 Everything is computed from the vertex chain of the Newton polytope with
-exact rational arithmetic:
+exact arithmetic.  The chain is integer lattice points over one
+denominator (see ``exactgeom``), so the mld scan compares and divides
+integers, den times each log discrepancy, and builds a ``Fraction`` only
+for a returned value; the lct compares its few candidate ratios as
+``Fraction`` values:
 
 * log discrepancies of monomial valuations (weighted blow-ups),
 * the minimal log discrepancy over all positive integer weights, found by
@@ -61,9 +65,7 @@ __all__ = [
     "lct_toric",
     "verify_surface_theorem",
     "delta_bound",
-    "bound_floor_check",
     "dirichlet_k",
-    "binomial_lct",
 ]
 
 
@@ -71,16 +73,18 @@ __all__ = [
 # log discrepancies
 
 
-def _discrepancy(p: NewtonPolytope, v: IntVec) -> Fraction:
-    """v1 + v2 - min over the vertices of <v, vertex>: the log discrepancy
-    form of the weight v, linear on each normal-fan cone."""
-    return v[0] + v[1] - min(v[0] * q.x + v[1] * q.y for q in p.vertices)
+def _discrepancy(p: NewtonPolytope, v: IntVec) -> int:
+    """The log discrepancy v1 + v2 - min over the vertices of <v, vertex>
+    of the weight v, times the polytope's denominator: an integer form,
+    linear on each normal-fan cone."""
+    return (v[0] + v[1]) * p.den - p.lattice_min(v)
 
 
 def toric_log_discrepancy(b: DivisorGerm, w: "tuple[int, int]") -> Fraction:
     """a(E_w, X, B) = w1 + w2 - <w, Newton diagram of B> for a primitive
     positive integer weight w."""
-    return _discrepancy(newton_polytope(b), make_weight(w[0], w[1]))
+    p = newton_polytope(b)
+    return Fraction(_discrepancy(p, make_weight(w[0], w[1])), p.den)
 
 
 @dataclass(frozen=True)
@@ -130,13 +134,15 @@ def _mld(p: NewtonPolytope) -> MldResult:
     Along a run the discrepancy is g0 + j*rate.  Its first negative point
     is j = 0 when g0 < 0, else j = g0 // -rate + 1 if that is a point of
     the run; its least positive point is the first one when rate >= 0 and
-    the last one when rate < 0.
+    the last one when rate < 0.  All of this is den times the discrepancy,
+    in integers: the scale changes no sign, floor or comparison.
     """
-    def g(v: IntVec) -> Fraction:
+    def g(v: IntVec) -> int:
         return _discrepancy(p, v)
 
-    axis_values = (g((1, 0)), g((0, 1)))
-    best: "tuple[Fraction, IntVec] | None" = None
+    den = p.den
+    axis_values = (Fraction(g((1, 0)), den), Fraction(g((0, 1)), den))
+    best: "tuple[int, IntVec] | None" = None
     for sector in _normal_fan_cones(p):
         runs = hilbert_runs(sector)
         if sector.g1 == (1, 0) and sector.g2 == (0, 1):
@@ -155,7 +161,7 @@ def _mld(p: NewtonPolytope) -> MldResult:
                 if best is None or g0 + j * rate < best[0]:
                     best = (g0 + j * rate, run.point(j))
     # the fan always has a positive candidate: a face normal or (1, 1)
-    return MldResult(best[0], make_weight(*best[1]), True, axis_values)
+    return MldResult(Fraction(best[0], den), make_weight(*best[1]), True, axis_values)
 
 
 def _is_positive(v: IntVec) -> bool:
@@ -179,7 +185,7 @@ def _positive_negative_witness(g, axis: IntVec, runs: "list[Run]") -> IntVec:
         rate = g((p0[0] + axis[0], p0[1] + axis[1])) - g(p0)
         if rate >= 0:
             raise GermError(f"axis direction {axis} does not lower the discrepancy")
-        steps = math.floor(g(p0) / -rate) + 1
+        steps = g(p0) // -rate + 1
         p0 = (p0[0] + steps * axis[0], p0[1] + steps * axis[1])
     d = gcd(p0[0], p0[1])
     w = (p0[0] // d, p0[1] // d)
@@ -239,7 +245,7 @@ def _lct(b: DivisorGerm, c: SmoothCurveGerm, pb: NewtonPolytope, mult: Fraction)
         den = support_value(pc, w)
         if den == 0:
             continue
-        ratio = _discrepancy(pb, w) / den
+        ratio = Fraction(_discrepancy(pb, w), pb.den) / den
         if best is None or ratio < best[0]:
             best = (ratio, w)
     # never None: C passes through the origin, so an axis weight or the
@@ -289,12 +295,6 @@ def delta_bound(epsilon: object) -> BoundResult:
     return BoundResult(eps, h(n), n)
 
 
-def bound_floor_check(epsilon: object) -> bool:
-    """delta(eps) >= min(eps^2/4, 3/2) must hold for every positive eps."""
-    eps = as_fraction(epsilon)
-    return delta_bound(eps).delta >= min(eps * eps / 4, Fraction(3, 2))
-
-
 # ---------------------------------------------------------------------------
 # distance-to-integer approximation
 
@@ -340,26 +340,6 @@ def dirichlet_k(q: object, delta: object) -> DirichletTrace:
     return DirichletTrace(
         qq, d, tuple(remainders), tuple(quotients), tuple(numerators), numerators[-1]
     )
-
-
-# ---------------------------------------------------------------------------
-# binomial closed form
-
-
-def binomial_lct(lam: object, m: int, n: int) -> Fraction:
-    """lct of the axis curve (y = 0) against lambda * (x^m + y^n = 0),
-    in the regime 0 <= lambda*n - n/m <= 1: equals 1 - lambda*n + n/m."""
-    coeff = as_fraction(lam)
-    if not 0 < coeff <= 1:
-        raise InputError("lambda must lie in (0, 1]")
-    if m < 1 or n < 1:
-        raise InputError("exponents must be positive integers")
-    gap = coeff * n - Fraction(n, m)
-    if gap < 0:
-        raise DomainError(f"lambda*n - n/m = {gap} violates 0 <= lambda*n - n/m")
-    if gap > 1:
-        raise DomainError(f"lambda*n - n/m = {gap} violates lambda*n - n/m <= 1")
-    return 1 - coeff * n + Fraction(n, m)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """Exact scalars: rational numbers plus two symbolic infinities.
 
-All numeric quantities in this package are ``fractions.Fraction`` values;
+All numeric results in this package are ``fractions.Fraction`` values;
 no floating point is used anywhere.  The infinities are symbolic sentinels,
 not numeric values: they support ordering against rationals but deliberately
-define no arithmetic.  The single sanctioned mixed operation is
-``extended_inner`` below, which evaluates an inner product under the
-convention +inf * 0 = 0 (needed when a weight coordinate is infinite).
+define no arithmetic.  The one place that mixes them with numbers,
+``exactgeom.support_value``, applies the convention +inf * 0 = 0 itself.
 """
 
 from __future__ import annotations
@@ -87,24 +86,3 @@ def as_fraction(value: object) -> Fraction:
             f"not a rational number: {value!r} (use an integer, p/q or a plain decimal)"
         )
     raise InputError(f"cannot interpret {value!r} as a rational number")
-
-
-def extended_inner(w1: Extended, w2: Extended, x: Fraction, y: Fraction) -> Extended:
-    """<(w1, w2), (x, y)> under the convention +inf * 0 = 0.
-
-    Exactly one weight coordinate may be infinite; coordinates of the point
-    must be finite and non-negative.
-    """
-    if is_infinite(w1) and is_infinite(w2):
-        raise InputError("weight cannot be infinite in both coordinates")
-    total = Fraction(0)
-    for w, c in ((w1, x), (w2, y)):
-        if is_infinite(w):
-            if w is not POS_INF:
-                raise InputError("only +inf weights are meaningful")
-            if c == 0:
-                continue
-            return POS_INF
-        total += w * c
-    return total
-

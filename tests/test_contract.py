@@ -1,10 +1,12 @@
-"""Every public entry point returns an answer or raises a ``GermError``.
+"""Every public entry point returns an answer or raises a ``GermError``,
+and every rational field of a result is a ``Fraction``.
 
 Seeded random divisor, curve and epsilon text, some of it mangled, goes
 through the parser into each entry point; any other exception fails.
 """
 
 import random
+from fractions import Fraction
 
 from germ.errors import GermError
 from germ.germs import curve_orient, local_intersection, nondegeneracy_check, parse_divisor
@@ -16,6 +18,7 @@ from germ.invariants import (
     verify_surface_theorem,
 )
 from germ.polys import parse_poly
+from germ.scalars import NEG_INF
 
 SANE_EPS = ["1/2", "1/3", "2/7", "1", "3/2", " 1/7 ", "1/1000", "5"]
 INVALID_EPS = ["0", "-1/3", "1/0", "abc", "", "x", "nan", "inf", "1/-2", "--1", "1e-1000000"]
@@ -73,3 +76,36 @@ def test_public_entry_points_raise_only_germ_errors():
             _run(lct_toric, b, c)
             _run(local_intersection, b, c)
             _run(verify_surface_theorem, b, c, eps)
+
+
+def _all_fractions(*values):
+    return all(isinstance(v, Fraction) for v in values)
+
+
+def test_rational_result_fields_are_fractions():
+    """The cases below have integer values (mld 1, mult 0, intersection 1,
+    lct 1, membership 1, axis discrepancies), which an int would equal: only the
+    type tells a leaked int apart, and readers of a report test
+    ``isinstance(mld, Fraction)`` to tell a number from -inf."""
+    y = curve_orient(parse_poly("y"))
+    attained = mld_toric(parse_divisor("1/2*(x^2+y^2)"))
+    not_lc = mld_toric(parse_divisor("2*(x)"))
+    assert attained.attained and attained.value == 1 and _all_fractions(attained.value)
+    assert not_lc.value is NEG_INF
+    for r in (attained, not_lc):
+        assert len(r.axis_values) == 2 and _all_fractions(*r.axis_values)
+
+    parabola = curve_orient(parse_poly("y - x^2"))
+    capped = lct_toric(parse_divisor("1/2*(y - x^2)"), parabola)
+    by_weight = lct_toric(parse_divisor("1/2*(x)"), y)
+    assert capped.witness_weight == "cap" and capped.membership_sup == 1
+    assert by_weight.witness_weight == (0, 1) and by_weight.value == 1
+    for r in (capped, by_weight):
+        assert _all_fractions(r.membership_sup, r.coefficient_cap, r.value)
+
+    report = verify_surface_theorem(parse_divisor("1/2*(x^2+y^2)"), y, "1/2")
+    assert report.applicable and report.passed
+    assert (report.mult, report.reduced_intersection) == (0, 1)
+    assert _all_fractions(report.epsilon, report.mult, report.reduced_intersection,
+                          report.bound, report.mld.value, report.lct.value)
+    assert _all_fractions(delta_bound(1).delta)

@@ -1,7 +1,9 @@
 """Unit and property tests for the exact Newton-polytope engine."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -451,3 +453,96 @@ def test_contains_support_duality(s, px, py):
 def test_hilbert_matches_brute_force(g1, g2):
     c = cone(g1, g2)
     assert set(hilbert_basis(c)) == brute_irreducibles(c, 18)
+
+
+# ---------------------------------------------------------------------------
+# the lattice engine against a plain-Fraction reference
+
+
+def reference_chain(points):
+    """Oracle: the staircase and monotone chain on ``Point2`` values, in
+    ``Fraction`` arithmetic, with no denominator cleared."""
+    frontier = []
+    for p in sorted(set(Point2(F(x), F(y)) for x, y in points)):
+        if frontier and (frontier[-1].x == p.x or p.y >= frontier[-1].y):
+            continue
+        frontier.append(p)
+    chain = []
+    for p in frontier:
+        while len(chain) >= 2:
+            a, b = chain[-2], chain[-1]
+            if (b.x - a.x) * (p.y - b.y) - (b.y - a.y) * (p.x - b.x) > 0:
+                break
+            chain.pop()
+        chain.append(p)
+    return tuple(chain)
+
+
+def reference_support(chain, w):
+    """Oracle: the least <w, v> over the vertices, in ``Fraction``."""
+    return min(F(w[0]) * v.x + F(w[1]) * v.y for v in chain)
+
+
+def _random_support(rng):
+    """Up to six points with a shared denominator in 1..12 and numerators up
+    to 10^12, or small ones so that domination and collinearity occur."""
+    den = rng.choice([1, rng.randint(1, 12)])
+    top = rng.choice([6, 60, 10**12])
+    return [(F(rng.randint(0, top), den), F(rng.randint(0, top), rng.randint(1, 12)))
+            for _ in range(rng.randint(1, 6))]
+
+
+def _is_canonical(p):
+    return p.den >= 1 and gcd(p.den, *(c for v in p.lattice for c in v)) == 1
+
+
+def test_lattice_engine_matches_fraction_reference():
+    """polytope_from_support, scale, minkowski_sum of operands over different
+    denominators and support_value, against the reference on seeded random
+    supports; every result is in lowest terms."""
+    rng = random.Random(71)
+    seen = Counter()
+    for _ in range(1500):
+        s1, s2 = _random_support(rng), _random_support(rng)
+        if rng.random() < 0.3:  # a dilate of s1: every edge has a parallel partner
+            k = F(rng.randint(1, 9), rng.randint(1, 9))
+            s2 = [(x * k, y * k) for x, y in s1]
+        p, q = polytope_from_support(s1), polytope_from_support(s2)
+        c1, c2 = reference_chain(s1), reference_chain(s2)
+        assert p.vertices == c1 and q.vertices == c2
+        factor = F(rng.randint(1, 10**6), rng.randint(1, 12))
+        scaled = scale(p, factor)
+        assert scaled.vertices == tuple(Point2(v.x * factor, v.y * factor) for v in c1)
+        total = minkowski_sum(p, q)
+        assert total.vertices == reference_chain(
+            [(a.x + b.x, a.y + b.y) for a in c1 for b in c2])
+        for _ in range(3):
+            w = (F(rng.randint(0, 40), rng.randint(1, 6)), F(rng.randint(1, 40), rng.randint(1, 6)))
+            w = w if rng.random() < 0.5 else w[::-1]
+            assert support_value(p, w) == reference_support(c1, w)
+            assert support_value(total, w) == reference_support(total.vertices, w)
+        assert all(_is_canonical(r) for r in (p, q, scaled, total))
+        seen["integer"] += p.den == 1
+        seen["fractional"] += p.den > 1
+        seen["unequal denominators"] += p.den != q.den
+        seen["parallel edges"] += len(total.lattice) < len(p.lattice) + len(q.lattice) - 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_lattice_form_is_canonical():
+    """Lowest terms, scaling round trips, and equal chains hash alike
+    however they were built."""
+    rng = random.Random(73)
+    for _ in range(400):
+        p = polytope_from_support(_random_support(rng))
+        a = F(rng.randint(1, 10**9), rng.randint(1, 10**9))
+        assert scale(scale(p, a), 1 / a) == p
+        rebuilt = NewtonPolytope(p.vertices)
+        assert rebuilt == p and hash(rebuilt) == hash(p)
+        assert (rebuilt.lattice, rebuilt.den) == (p.lattice, p.den)
+        doubled = minkowski_sum(p, p)
+        assert doubled == scale(p, 2) and hash(doubled) == hash(scale(p, 2))
+    assert polytope_from_support([(2, 0), (0, 2)]).den == 1
+    half = polytope_from_support([(F(1, 2), 0), (0, F(3, 2))])
+    assert (half.lattice, half.den) == (((0, 3), (1, 0)), 2)
+    assert scale(half, 2).den == 1

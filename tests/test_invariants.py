@@ -15,8 +15,6 @@ from germ.invariants import (
     MldResult,
     _mld,
     _normal_fan_cones,
-    binomial_lct,
-    bound_floor_check,
     delta_bound,
     dirichlet_k,
     lct_toric,
@@ -25,7 +23,7 @@ from germ.invariants import (
     verify_surface_theorem,
 )
 from germ.polys import Poly, parse_poly
-from germ.scalars import NEG_INF, POS_INF, is_infinite
+from germ.scalars import NEG_INF, POS_INF, as_fraction, is_infinite
 
 
 def binom(lam, m, n):
@@ -401,6 +399,12 @@ def test_exponent_notation_is_rejected_at_once():
     assert delta_bound("0.25") == delta_bound(F(1, 4)) == delta_bound(" 1/4 ")
 
 
+def bound_floor_check(epsilon):
+    """delta(eps) >= min(eps^2/4, 3/2) must hold for every positive eps."""
+    eps = as_fraction(epsilon)
+    return delta_bound(eps).delta >= min(eps * eps / 4, F(3, 2))
+
+
 def test_bound_floor_examples():
     assert delta_bound(1).delta >= F(1, 4)
     assert bound_floor_check(1)
@@ -483,6 +487,22 @@ def test_binomial_mld_brute_cross_check():
 
 def test_binomial_mld_not_lc_reports_neg_inf():
     assert mld_toric(binom(F(1), 3, 3)).value is NEG_INF
+
+
+def binomial_lct(lam, m, n):
+    """Oracle: lct of the axis curve (y = 0) against lambda * (x^m + y^n = 0),
+    in the regime 0 <= lambda*n - n/m <= 1: equals 1 - lambda*n + n/m."""
+    coeff = as_fraction(lam)
+    if not 0 < coeff <= 1:
+        raise InputError("lambda must lie in (0, 1]")
+    if m < 1 or n < 1:
+        raise InputError("exponents must be positive integers")
+    gap = coeff * n - F(n, m)
+    if gap < 0:
+        raise DomainError(f"lambda*n - n/m = {gap} violates 0 <= lambda*n - n/m")
+    if gap > 1:
+        raise DomainError(f"lambda*n - n/m = {gap} violates lambda*n - n/m <= 1")
+    return 1 - coeff * n + F(n, m)
 
 
 def test_binomial_lct_values():

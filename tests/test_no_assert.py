@@ -1,11 +1,46 @@
-"""The package keeps its runtime checks under ``python -O``: no ``assert``."""
+"""The package keeps its runtime checks under ``python -O``: no ``assert``,
+and the same answers with assertions stripped."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import germ.errors
 
 PACKAGE = Path(germ.errors.__file__).resolve().parent
+
+#: Defines ``evaluate(expr)``: the repr of a result, or the error it raises.
+EVALUATE = """
+from germ.errors import GermError
+from germ.germs import curve_orient, parse_divisor
+from germ.invariants import delta_bound, lct_toric, mld_toric, verify_surface_theorem
+from germ.polys import parse_poly
+
+def evaluate(expr):
+    try:
+        return repr(eval(expr))
+    except GermError as exc:
+        return f"{type(exc).__name__}: {exc}"
+"""
+
+CASES = [
+    'mld_toric(parse_divisor("3/4*(x^2+y^3)"))',
+    'mld_toric(parse_divisor("2*(x^1000000000 + y)"))',
+    'mld_toric(parse_divisor("1/3*(x^2*y + y^5) + 2/5*(x^3 - y^2)"))',
+    'lct_toric(parse_divisor("1/8*(x^3227 + y^4)"), curve_orient(parse_poly("y")))',
+    'lct_toric(parse_divisor("1/2*(y)"), curve_orient(parse_poly("y")))',
+    'lct_toric(parse_divisor("2*(x)"), curve_orient(parse_poly("y")))',
+    'verify_surface_theorem(parse_divisor("5/9*(x^3+y^4)"), curve_orient(parse_poly("y")), "1/3")',
+    'verify_surface_theorem(parse_divisor("1/2*(x^2-y^2) + 1/2*(x-y)"), '
+    'curve_orient(parse_poly("y - x^2")), "1/4")',
+    'verify_surface_theorem(parse_divisor("1/2*(y - x^3 + x^40)"), '
+    'curve_orient(parse_poly("y - x^3")), "1/100")',
+    'delta_bound("1/2")',
+    'delta_bound("1/10000")',
+]
 
 
 def test_package_has_no_assert_statement():
@@ -16,3 +51,19 @@ def test_package_has_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_optimized_interpreter_gives_the_same_answers():
+    namespace: dict = {}
+    exec(EVALUATE, namespace)
+    expected = [namespace["evaluate"](case) for case in CASES]
+    child = EVALUATE + (
+        "import json, sys\n"
+        "print(json.dumps([sys.flags.optimize] + [evaluate(c) for c in json.loads(sys.argv[1])]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-O", "-c", child, json.dumps(CASES)],
+                         capture_output=True, text=True, env=env, timeout=60, check=True)
+    optimize, *answers = json.loads(out.stdout)
+    assert optimize == 1
+    assert answers == expected

@@ -77,10 +77,7 @@ class NewtonPolytope:
     den: int
 
     def __init__(self, vertices: Sequence[Point2]) -> None:
-        lattice, den = _clear_denominators(vertices)
-        _check_chain(lattice, den)
-        object.__setattr__(self, "lattice", tuple(lattice))
-        object.__setattr__(self, "den", den)
+        _set_chain(self, *_clear_denominators(vertices))
 
     @property
     def vertices(self) -> tuple[Point2, ...]:
@@ -185,15 +182,8 @@ def cone(g1: Sequence[int], g2: Sequence[int]) -> Cone2:
 
 
 def _clear_denominators(points: Iterable[Sequence[object]]) -> "tuple[list[IntVec], int]":
-    """Integer numerators of the points over their least common denominator.
-
-    When every coordinate is an ``int``, the points pass through unchanged
-    over denominator 1; otherwise each is read as an exact rational first.
-    """
-    pts = [(x, y) for x, y in points]
-    if all(type(x) is int and type(y) is int for x, y in pts):
-        return pts, 1
-    fracs = [(as_fraction(x), as_fraction(y)) for x, y in pts]
+    """Integer numerators of the points over their least common denominator."""
+    fracs = [(as_fraction(x), as_fraction(y)) for x, y in points]
     den = lcm(*(c.denominator for v in fracs for c in v))
     return [(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
             for x, y in fracs], den
@@ -216,18 +206,24 @@ def _check_chain(lattice: Sequence[IntVec], den: int) -> None:
             raise InputError("boundary must be strictly convex (no collinear vertex)")
 
 
-def _polytope(lattice: Sequence[IntVec], den: int) -> NewtonPolytope:
-    """The polytope with vertices ``lattice[i] / den``, in lowest terms."""
+def _set_chain(p: NewtonPolytope, lattice: Sequence[IntVec], den: int) -> NewtonPolytope:
+    """Give p the checked chain ``lattice[i] / den``, in lowest terms: the
+    one place where a polytope's fields are set."""
     if den != 1:
         g = gcd(den, *(c for v in lattice for c in v))
         if g != 1:
             den //= g
             lattice = [(x // g, y // g) for x, y in lattice]
     _check_chain(lattice, den)
-    p = object.__new__(NewtonPolytope)
     object.__setattr__(p, "lattice", tuple(lattice))
     object.__setattr__(p, "den", den)
     return p
+
+
+def _polytope(lattice: Sequence[IntVec], den: int) -> NewtonPolytope:
+    """The polytope with vertices ``lattice[i] / den``, without the
+    rational round trip of the public constructor."""
+    return _set_chain(object.__new__(NewtonPolytope), lattice, den)
 
 
 def polytope_from_support(support: Iterable[Sequence[object]]) -> NewtonPolytope:

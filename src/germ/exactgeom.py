@@ -1,14 +1,14 @@
 """Exact 2-D Newton polytope engine over the rationals, run on integers.
 
-A Newton polytope here is the unbounded region ``conv(S) + Q`` where ``S``
-is a finite set of points in the closed first quadrant ``Q``.  It is stored
+A Newton polytope here is the region ``conv(S) + Q`` where ``S`` is a
+finite set of points in the closed first quadrant ``Q``.  It is stored
 canonically as the chain of its vertices, ordered with x strictly increasing
-and y strictly decreasing; the two non-compact boundary rays are implicit
-and materialized by :func:`faces`.  The chain is kept as integer lattice
-points over one positive denominator, in lowest terms, so construction,
-Minkowski sums, support values and normals run in ``int`` arithmetic; two
-polytopes are equal iff their chains are equal.  ``Fraction`` values appear
-only at the edges: the ``vertices`` view, support values and faces.
+and y strictly decreasing; its faces are the compact edges of the chain, and
+its weights are finite.  The chain is kept as integer lattice points over
+one positive denominator, in lowest terms, so construction, Minkowski sums,
+support values and normals run in ``int`` arithmetic; two polytopes are
+equal iff their chains are equal.  ``Fraction`` values appear only at the
+edges: the ``vertices`` view, support values and faces.
 
 The module also walks the Klein sail of a rational cone in the first
 quadrant: the bounded boundary of the convex hull of the cone's nonzero
@@ -22,13 +22,14 @@ only expands its runs into points.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import NamedTuple
 
-from .errors import DomainError, InputError
-from .scalars import Extended, POS_INF, as_fraction, is_infinite
+from .errors import InputError
+from .scalars import as_fraction
 
 
 class Point2(NamedTuple):
@@ -44,20 +45,11 @@ def point(x: object, y: object) -> Point2:
     return Point2(px, py)
 
 
-@dataclass(frozen=True)
-class AxisInfinityVertex:
-    """Symbolic vertex of a non-compact face: (+inf, 0) or (0, +inf)."""
-
-    axis: str  # "x" -> (+inf, 0), "y" -> (0, +inf)
-
-    def __repr__(self) -> str:
-        return "(+inf, 0)" if self.axis == "x" else "(0, +inf)"
-
-
-X_INFINITY = AxisInfinityVertex("x")
-Y_INFINITY = AxisInfinityVertex("y")
-
-ExtendedVertex = Union[Point2, AxisInfinityVertex]
+def as_pair(v: object) -> "tuple[object, object]":
+    """The two entries of a tuple or list of length 2."""
+    if not isinstance(v, (tuple, list)) or len(v) != 2:
+        raise InputError(f"expected a pair, got {v!r}")
+    return v[0], v[1]
 
 
 IntVec = tuple[int, int]
@@ -91,14 +83,6 @@ class NewtonPolytope:
         w1, w2 = w
         return min(w1 * x + w2 * y for x, y in self.lattice)
 
-    @property
-    def x_min(self) -> Fraction:
-        return Fraction(self.lattice[0][0], self.den)
-
-    @property
-    def y_min(self) -> Fraction:
-        return Fraction(self.lattice[-1][1], self.den)
-
     def __repr__(self) -> str:
         pts = ", ".join(f"({v.x}, {v.y})" for v in self.vertices)
         return f"NewtonPolytope[{pts}]"
@@ -106,35 +90,15 @@ class NewtonPolytope:
 
 @dataclass(frozen=True)
 class Face:
-    """One-dimensional boundary face, compact or a ray.
+    """Compact boundary face between two consecutive vertices of a chain."""
 
-    A horizontal ray has its finite left vertex and right vertex (+inf, 0);
-    a vertical ray has left vertex (0, +inf) and its finite right vertex.
-    """
-
-    left: ExtendedVertex
-    right: ExtendedVertex
+    left: Point2
+    right: Point2
 
     def __post_init__(self) -> None:
         l, r = self.left, self.right
-        if isinstance(l, Point2) and isinstance(r, Point2):
-            if not (l.x < r.x and l.y > r.y):
-                raise InputError("compact face needs left.x < right.x and left.y > right.y")
-        elif isinstance(l, Point2) and r == X_INFINITY:
-            pass  # horizontal ray
-        elif l == Y_INFINITY and isinstance(r, Point2):
-            pass  # vertical ray
-        else:
-            raise InputError("face must be compact or a single axis-parallel ray")
-
-    @property
-    def is_compact(self) -> bool:
-        return isinstance(self.left, Point2) and isinstance(self.right, Point2)
-
-
-class FaceIntercepts(NamedTuple):
-    alpha: Fraction  # x-axis intercept of the face's supporting line
-    beta: Fraction   # y-axis intercept
+        if not (isinstance(l, Point2) and isinstance(r, Point2) and l.x < r.x and l.y > r.y):
+            raise InputError("face needs points with left.x < right.x and left.y > right.y")
 
 
 class Weight(NamedTuple):
@@ -162,19 +126,13 @@ class Cone2:
 
     def __post_init__(self) -> None:
         for g in (self.g1, self.g2):
-            if g == (0, 0):
-                raise InputError("cone generator cannot be zero")
-            if not (isinstance(g[0], int) and isinstance(g[1], int)):
-                raise InputError("cone generators must be integer vectors")
-            if g[0] < 0 or g[1] < 0:
-                raise InputError(f"generator {g} outside the first quadrant")
-            if gcd(g[0], g[1]) != 1:
+            if _primitive(g) != tuple(g):
                 raise InputError(f"generator {g} is not primitive")
 
 
 def cone(g1: Sequence[int], g2: Sequence[int]) -> Cone2:
     """Build a cone from (possibly imprimitive) integer generators."""
-    return Cone2(_primitive((g1[0], g1[1])), _primitive((g2[0], g2[1])))
+    return Cone2(_primitive(g1), _primitive(g2))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +141,9 @@ def cone(g1: Sequence[int], g2: Sequence[int]) -> Cone2:
 
 def _clear_denominators(points: Iterable[Sequence[object]]) -> "tuple[list[IntVec], int]":
     """Integer numerators of the points over their least common denominator."""
-    fracs = [(as_fraction(x), as_fraction(y)) for x, y in points]
+    if not isinstance(points, Iterable):
+        raise InputError(f"expected a sequence of points, got {points!r}")
+    fracs = [(as_fraction(x), as_fraction(y)) for x, y in map(as_pair, points)]
     den = lcm(*(c.denominator for v in fracs for c in v))
     return [(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
             for x, y in fracs], den
@@ -319,64 +279,23 @@ def _edges(p: NewtonPolytope, k: int) -> "list[IntVec]":
 
 
 # ---------------------------------------------------------------------------
-# support, membership, faces
+# support values and compact faces
 
 
-def support_value(polytope: NewtonPolytope, w: Sequence[Extended]) -> Extended:
+def support_value(polytope: NewtonPolytope, w: Sequence[object]) -> Fraction:
     """min over the polytope of <w, .>, i.e. min over its vertices.
 
-    The weight must lie in the closed first quadrant and be nonzero.  One
-    coordinate may be the symbolic +inf, evaluated under +inf * 0 = 0; the
-    result is then +inf exactly when every vertex misses the relevant axis,
-    and only the vertex on that axis (the first or the last) can meet it.
+    The weight is a pair of rationals in the closed first quadrant, not both
+    zero.
     """
-    w1, w2 = w[0], w[1]
-    w1 = w1 if is_infinite(w1) else as_fraction(w1)
-    w2 = w2 if is_infinite(w2) else as_fraction(w2)
-    for c in (w1, w2):
-        if not is_infinite(c) and c < 0:
-            raise InputError(f"weight {w} has a negative coordinate")
+    w1, w2 = map(as_fraction, as_pair(w))
+    if w1 < 0 or w2 < 0:
+        raise InputError(f"weight {w} has a negative coordinate")
     if w1 == 0 and w2 == 0:
         raise InputError("weight must be nonzero")
-    if is_infinite(w1) or is_infinite(w2):
-        if is_infinite(w1) and is_infinite(w2):
-            raise InputError("weight cannot be infinite in both coordinates")
-        infinite, finite = (w1, w2) if is_infinite(w1) else (w2, w1)
-        if infinite is not POS_INF:
-            raise InputError("only +inf weights are meaningful")
-        # the first vertex has the least x, the last the least y: read the
-        # one the infinite coordinate multiplies as (that coordinate, other)
-        x, y = polytope.lattice[0] if infinite is w1 else polytope.lattice[-1][::-1]
-        return finite * Fraction(y, polytope.den) if x == 0 else POS_INF
     # <(n1/d1, n2/d2), v/den> = <(n1*d2, n2*d1), v> / (d1*d2*den)
     n1, d1, n2, d2 = w1.numerator, w1.denominator, w2.numerator, w2.denominator
     return Fraction(polytope.lattice_min((n1 * d2, n2 * d1)), d1 * d2 * polytope.den)
-
-
-def contains(polytope: NewtonPolytope, p: Point2) -> bool:
-    """Membership of a point in the region ``conv(vertices) + quadrant``.
-
-    Equivalent to <w, p> >= support_value for every compact-face normal and
-    both axis directions.
-    """
-    if p.x < 0 or p.y < 0:
-        return False
-    if p.x < polytope.x_min or p.y < polytope.y_min:
-        return False
-    for n1, n2 in face_normals(polytope):
-        if n1 * p.x + n2 * p.y < support_value(polytope, (Fraction(n1), Fraction(n2))):
-            return False
-    return True
-
-
-def faces(polytope: NewtonPolytope) -> list[Face]:
-    """All 1-dimensional faces, left to right: the vertical ray, the compact
-    faces, the horizontal ray.  A single-vertex polytope has just the rays."""
-    vs = polytope.vertices
-    out: list[Face] = [Face(Y_INFINITY, vs[0])]
-    out.extend(Face(a, b) for a, b in zip(vs, vs[1:]))
-    out.append(Face(vs[-1], X_INFINITY))
-    return out
 
 
 def compact_faces(polytope: NewtonPolytope) -> list[Face]:
@@ -384,27 +303,9 @@ def compact_faces(polytope: NewtonPolytope) -> list[Face]:
     return [Face(a, b) for a, b in zip(vs, vs[1:])]
 
 
-def slope(face: Face) -> Extended:
-    """(q1 - q2)/(p2 - p1); 0 for the horizontal ray, +inf for the vertical."""
-    if face.right == X_INFINITY:
-        return Fraction(0)
-    if face.left == Y_INFINITY:
-        return POS_INF
-    left, right = face.left, face.right
-    return (left.y - right.y) / (right.x - left.x)
-
-
-def face_intercepts(face: Face) -> FaceIntercepts:
-    """Axis intercepts (alpha, 0), (0, beta) of a compact face's line."""
-    if not face.is_compact:
-        raise DomainError("intercepts are defined only for compact faces")
-    left, right = face.left, face.right
-    d = left.x * right.y - right.x * left.y
-    alpha = d / (right.y - left.y)
-    beta = d / (left.x - right.x)
-    if alpha <= 0 or beta <= 0:
-        raise DomainError("face line does not cross both positive axes")
-    return FaceIntercepts(alpha, beta)
+def slope(face: Face) -> Fraction:
+    """(q1 - q2)/(p2 - p1) for the face from (p1, q1) to (p2, q2): positive."""
+    return (face.left.y - face.right.y) / (face.right.x - face.left.x)
 
 
 def face_normals(polytope: NewtonPolytope) -> list[IntVec]:
@@ -422,11 +323,15 @@ def face_normals(polytope: NewtonPolytope) -> list[IntVec]:
 # Hilbert bases
 
 
-def _primitive(v: IntVec) -> IntVec:
-    g = gcd(abs(v[0]), abs(v[1]))
+def _primitive(v: Sequence[int]) -> IntVec:
+    """Primitive generator of the ray of a nonzero first-quadrant vector."""
+    a, b = as_pair(v)
+    if not (isinstance(a, int) and isinstance(b, int)) or a < 0 or b < 0:
+        raise InputError(f"cone generator {v!r} is not a first-quadrant integer vector")
+    g = gcd(a, b)
     if g == 0:
-        raise InputError("zero vector has no primitive form")
-    return (v[0] // g, v[1] // g)
+        raise InputError("cone generator cannot be zero")
+    return (a // g, b // g)
 
 
 def _det(u: IntVec, v: IntVec) -> int:

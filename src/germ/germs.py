@@ -31,7 +31,6 @@ from .exactgeom import (
     polytope_from_support,
     scale,
     slope,
-    support_value,
 )
 from .polys import (
     Poly,
@@ -44,7 +43,6 @@ from .polys import (
     uni_is_squarefree,
     uni_trim,
 )
-from .scalars import Extended, POS_INF, is_infinite
 
 __all__ = [
     "DivisorGerm",
@@ -57,7 +55,6 @@ __all__ = [
     "nondegeneracy_check",
     "contact_along_curve",
     "local_intersection",
-    "newton_intersection_bound",
     "curve_orient",
     "render_divisor",
 ]
@@ -113,19 +110,14 @@ def render_divisor(b: DivisorGerm, variables: "tuple[str, str]" = ("x", "y")) ->
 class SmoothCurveGerm:
     """Curve germ smooth at the origin, in its original coordinates.
 
-    ``swapped`` records whether exchanging the two coordinates is needed to
-    make the pure first-variable monomial appear; after that orientation the
-    Newton diagram has vertices (1, 0) and (0, b) with ``b`` the tangency
-    invariant (symbolically +inf when no pure power of the second variable
-    occurs, i.e. the curve is a coordinate axis up to a unit).
-
-    This orientation is also the parametrization frame: ``oriented_poly()``
-    is solved for x as a power series in y.
+    ``swapped`` records whether the two coordinates are exchanged to give
+    ``oriented_poly()`` a nonzero x-linear term.  That orientation is the
+    parametrization frame: ``oriented_poly()`` is solved for x as a power
+    series in y.
     """
 
     poly: Poly
     swapped: bool
-    b_invariant: Extended  # positive integer as Fraction, or +inf
 
     def oriented_poly(self) -> Poly:
         return _transpose(self.poly) if self.swapped else self.poly
@@ -140,11 +132,7 @@ def curve_orient(g: Poly) -> SmoothCurveGerm:
     cx, cy = g.coefficient((1, 0)), g.coefficient((0, 1))
     if cx == 0 and cy == 0:
         raise InputError("curve is singular at the origin (zero linear part)")
-    swapped = cx == 0
-    oriented = _transpose(g) if swapped else g
-    x0, y0 = newton_polytope_of_poly(oriented).lattice[0]  # integer exponents: den 1
-    b: Extended = Fraction(y0) if x0 == 0 else POS_INF
-    return SmoothCurveGerm(g, swapped, b)
+    return SmoothCurveGerm(g, cx == 0)
 
 
 def _transpose(p: Poly) -> Poly:
@@ -321,16 +309,3 @@ def local_intersection(b: DivisorGerm, c: SmoothCurveGerm) -> Fraction:
         raise DomainError("C lies on a branch: its series is 0 below the Bezout truncation")
     return inter
 
-
-def newton_intersection_bound(b: DivisorGerm, c: SmoothCurveGerm) -> Extended:
-    """<(b, 1), Newton diagram of B> in the curve's oriented coordinates.
-
-    This is the combinatorial lower bound for (B . C): tangency weight on
-    the coordinate the curve is tangent to, with the +inf * 0 = 0 rule when
-    the curve is an axis."""
-    if b.is_empty:
-        return Fraction(0)
-    w = (c.b_invariant, Fraction(1))
-    if c.swapped:
-        w = (w[1], w[0])
-    return support_value(newton_polytope(b), w)

@@ -38,6 +38,7 @@ from .exactgeom import (
     NewtonPolytope,
     Run,
     Weight,
+    as_pair,
     cone,
     face_normals,
     hilbert_runs,
@@ -52,7 +53,7 @@ from .germs import (
     newton_polytope_of_poly,
     nondegeneracy_check,
 )
-from .scalars import Extended, NEG_INF, as_fraction, is_infinite
+from .scalars import Extended, NEG_INF, as_fraction
 
 __all__ = [
     "MldResult",
@@ -84,7 +85,7 @@ def toric_log_discrepancy(b: DivisorGerm, w: "tuple[int, int]") -> Fraction:
     """a(E_w, X, B) = w1 + w2 - <w, Newton diagram of B> for a primitive
     positive integer weight w."""
     p = newton_polytope(b)
-    return Fraction(_discrepancy(p, make_weight(w[0], w[1])), p.den)
+    return Fraction(_discrepancy(p, make_weight(*as_pair(w))), p.den)
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,7 @@ def lct_toric(b: DivisorGerm, c: SmoothCurveGerm) -> LctResult:
         raise DomainError("coefficient above one")
     pb = newton_polytope(b)
     mld = _mld(pb)
-    if is_infinite(mld.value) or mld.value < 0:
+    if mld.value < 0:  # NEG_INF orders below every rational
         raise DomainError("pair not lc before adding C")
     mult, _ = contact_along_curve(b, c)
     return _lct(b, c, pb, mult)
@@ -385,7 +386,7 @@ def verify_surface_theorem(
     mult, inter = contact_along_curve(b, c)
 
     failed = []
-    if is_infinite(mld.value) or mld.value < eps:
+    if mld.value < eps:
         failed.append("mld >= epsilon")
     if mult > 1 - eps:
         failed.append("mult_C B <= 1 - epsilon")

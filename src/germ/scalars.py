@@ -1,68 +1,40 @@
-"""Exact scalars: rational numbers plus two symbolic infinities.
+"""Exact scalars: rational numbers and one symbolic -inf.
 
 All numeric results in this package are ``fractions.Fraction`` values;
-no floating point is used anywhere.  The infinities are symbolic sentinels,
-not numeric values: they support ordering against rationals but deliberately
-define no arithmetic.  The one place that mixes them with numbers,
-``exactgeom.support_value``, applies the convention +inf * 0 = 0 itself.
+no floating point is used anywhere.  The only other value is ``NEG_INF``,
+the minimal log discrepancy of a pair that is not log canonical: a
+sentinel that orders below every rational and defines no arithmetic.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import total_ordering
 from typing import Union
 
 from .errors import InputError
 
 
-class _Infinite:
-    """Symbolic +inf / -inf.  Compares with rationals, no arithmetic."""
-
-    __slots__ = ("_sign",)
-
-    def __init__(self, sign: int) -> None:
-        self._sign = sign
-
-    @property
-    def sign(self) -> int:
-        return self._sign
+@total_ordering
+class _NegInf:
+    """Symbolic -inf: below every rational, equal only to itself."""
 
     def __repr__(self) -> str:
-        return "+inf" if self._sign > 0 else "-inf"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Infinite) and other._sign == self._sign
-
-    def __hash__(self) -> int:
-        return hash(("germ-infinity", self._sign))
+        return "-inf"
 
     def __lt__(self, other: object) -> bool:
-        if isinstance(other, _Infinite):
-            return self._sign < other._sign
-        return self._sign < 0
-
-    def __le__(self, other: object) -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, _Infinite):
-            return self._sign > other._sign
-        return self._sign > 0
-
-    def __ge__(self, other: object) -> bool:
-        return self == other or self > other
+        return other is not self
 
 
-POS_INF = _Infinite(1)
-NEG_INF = _Infinite(-1)
+NEG_INF = _NegInf()
 
-#: A rational number or one of the two symbolic infinities.
-Extended = Union[Fraction, _Infinite]
+#: A rational number or ``NEG_INF``.
+Extended = Union[Fraction, _NegInf]
 
 
 def is_infinite(value: object) -> bool:
-    return isinstance(value, _Infinite)
+    return value is NEG_INF
 
 
 #: A signed integer, ``p/q`` or a plain decimal.  Exponent notation is left

@@ -8,13 +8,17 @@ through the parser into each entry point; any other exception fails.
 import random
 from fractions import Fraction
 
-from germ.errors import GermError
+import pytest
+
+from germ.errors import GermError, InputError
+from germ.exactgeom import NewtonPolytope, cone, polytope_from_support, support_value
 from germ.germs import curve_orient, local_intersection, nondegeneracy_check, parse_divisor
 from germ.invariants import (
     delta_bound,
     dirichlet_k,
     lct_toric,
     mld_toric,
+    toric_log_discrepancy,
     verify_surface_theorem,
 )
 from germ.polys import parse_poly
@@ -76,6 +80,24 @@ def test_public_entry_points_raise_only_germ_errors():
             _run(lct_toric, b, c)
             _run(local_intersection, b, c)
             _run(verify_surface_theorem, b, c, eps)
+
+
+def test_malformed_weights_points_and_generators_raise_input_error():
+    b = parse_divisor("1*(x)")
+    p = polytope_from_support([(1, 1)])
+    cases = [
+        lambda: toric_log_discrepancy(b, (1,)),
+        lambda: toric_log_discrepancy(b, None),
+        lambda: toric_log_discrepancy(b, (1, 2, 3)),
+        lambda: support_value(p, (1,)),
+        lambda: polytope_from_support([(1,)]),
+        lambda: cone((1.5, 0), (1, 0)),
+        lambda: cone((1, 0), (0, "a")),
+        lambda: NewtonPolytope(None),
+    ]
+    for case in cases:
+        with pytest.raises(InputError):
+            case()
 
 
 def _all_fractions(*values):

@@ -9,20 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germ.errors import DomainError, InputError
+from germ.errors import InputError
 from germ.exactgeom import (
     Cone2,
     Face,
     NewtonPolytope,
     Point2,
-    X_INFINITY,
-    Y_INFINITY,
     compact_faces,
     cone,
-    contains,
-    face_intercepts,
     face_normals,
-    faces,
     _boundary_neighbour,
     hilbert_basis,
     hilbert_runs,
@@ -33,7 +28,6 @@ from germ.exactgeom import (
     slope,
     support_value,
 )
-from germ.scalars import POS_INF
 
 
 def poly(*pts):
@@ -75,6 +69,10 @@ def test_chain_invariants_enforced():
         NewtonPolytope((Point2(F(0), F(2)), Point2(F(1), F(1)), Point2(F(2), F(0))))
     with pytest.raises(InputError):
         NewtonPolytope((Point2(F(1), F(1)), Point2(F(0), F(2))))
+    with pytest.raises(InputError):
+        Face(Point2(F(1), F(0)), Point2(F(0), F(1)))
+    with pytest.raises(InputError):
+        Face((0, 1), (1, 0))  # a face joins chain points, not bare pairs
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +143,17 @@ def test_support_value_rejects_bad_weights():
         support_value(p, (-1, 2))
 
 
-def test_support_value_infinite_weight():
-    p = poly((0, 2), (3, 0))
-    assert support_value(p, (POS_INF, 1)) == 2  # picks the x = 0 vertex
-    assert support_value(poly((1, 1)), (POS_INF, 1)) == POS_INF
+def contains(polytope, p):
+    """Oracle: membership of a point in ``conv(vertices) + quadrant``, as
+    <w, p> >= support_value for every compact-face normal and both axis
+    directions."""
+    vs = polytope.vertices
+    if p.x < vs[0].x or p.y < vs[-1].y:
+        return False
+    for n1, n2 in face_normals(polytope):
+        if n1 * p.x + n2 * p.y < support_value(polytope, (n1, n2)):
+            return False
+    return True
 
 
 def test_contains_scaled_square_example():
@@ -166,49 +171,13 @@ def test_contains_vertex_itself():
 
 
 # ---------------------------------------------------------------------------
-# faces, slopes, intercepts
-
-
-def test_faces_single_vertex():
-    fs = faces(poly((1, 1)))
-    assert fs == [
-        Face(Y_INFINITY, Point2(F(1), F(1))),
-        Face(Point2(F(1), F(1)), X_INFINITY),
-    ]
-
-
-def test_faces_cusp_chain():
-    fs = faces(poly((0, 3), (1, 1), (4, 0)))
-    assert len(fs) == 4
-    assert fs[0].left is Y_INFINITY and fs[0].right == Point2(F(0), F(3))
-    assert fs[1] == Face(Point2(F(0), F(3)), Point2(F(1), F(1)))
-    assert fs[2] == Face(Point2(F(1), F(1)), Point2(F(4), F(0)))
-    assert fs[3].left == Point2(F(4), F(0)) and fs[3].right is X_INFINITY
-
-
-def test_faces_two_vertex():
-    fs = faces(poly((0, 2), (2, 0)))
-    assert len(fs) == 3
-    assert sum(1 for f in fs if f.is_compact) == 1
+# slopes
 
 
 def test_slope_values():
     assert slope(Face(Point2(F(0), F(3)), Point2(F(1), F(1)))) == 2
-    assert slope(Face(Point2(F(4), F(0)), X_INFINITY)) == 0
-    assert slope(Face(Y_INFINITY, Point2(F(0), F(3)))) == POS_INF
     for m, n in [(2, 3), (4, 4), (6, 1)]:
         assert slope(Face(Point2(F(0), F(n)), Point2(F(m), F(0)))) == F(n, m)
-
-
-def test_face_intercepts():
-    assert face_intercepts(Face(Point2(F(1), F(3)), Point2(F(3), F(1)))) == (4, 4)
-    assert face_intercepts(Face(Point2(F(0), F(3)), Point2(F(5), F(0)))) == (5, 3)
-    assert face_intercepts(Face(Point2(F(1), F(1)), Point2(F(4), F(0)))) == (4, F(4, 3))
-
-
-def test_face_intercepts_rejects_rays():
-    with pytest.raises(DomainError):
-        face_intercepts(Face(Point2(F(1), F(0)), X_INFINITY))
 
 
 # ---------------------------------------------------------------------------
@@ -410,28 +379,31 @@ def test_construction_idempotent(s):
 @given(support_sets)
 def test_slopes_strictly_decrease(s):
     p = poly(*s)
-    slopes = [slope(f) for f in faces(p)]
+    slopes = [slope(f) for f in compact_faces(p)]
+    assert all(v > 0 for v in slopes)
     for a, b in zip(slopes, slopes[1:]):
         assert a > b
 
 
 def boundary_height(p, x):
-    """Oracle for membership: least y with (x, y) in the polytope, +inf if
-    x < x_min.  Piecewise-linear interpolation along the compact faces."""
-    if x < p.x_min:
-        return POS_INF
+    """Oracle for membership: least y with (x, y) in the polytope, None if
+    x lies left of the first vertex.  Piecewise-linear interpolation along
+    the compact faces."""
+    if x < p.vertices[0].x:
+        return None
     for f in compact_faces(p):
         if f.left.x <= x <= f.right.x:
             t = (x - f.left.x) / (f.right.x - f.left.x)
             return f.left.y + t * (f.right.y - f.left.y)
-    return p.y_min
+    return p.vertices[-1].y
 
 
 @settings(max_examples=200, derandomize=True)
 @given(support_sets, frac, frac)
 def test_contains_matches_boundary_oracle(s, px, py):
     p = poly(*s)
-    expected = boundary_height(p, px) <= py
+    height = boundary_height(p, px)
+    expected = height is not None and height <= py
     assert contains(p, Point2(px, py)) == expected
 
 

@@ -7,7 +7,7 @@ from functools import reduce
 import pytest
 
 from germ.errors import DomainError, InputError
-from germ.exactgeom import minkowski_sum
+from germ.exactgeom import minkowski_sum, support_value
 from germ.germs import (
     DivisorGerm,
     contact_along_curve,
@@ -15,7 +15,6 @@ from germ.germs import (
     curve_parametrization,
     divisor,
     local_intersection,
-    newton_intersection_bound,
     newton_polytope,
     newton_polytope_of_poly,
     nondegeneracy_check,
@@ -23,7 +22,6 @@ from germ.germs import (
     render_divisor,
 )
 from germ.polys import Poly, parse_poly, render_poly
-from germ.scalars import POS_INF
 
 
 def pp(text, variables=("x", "y")):
@@ -214,16 +212,17 @@ def test_degenerate_shared_parallel_factor():
 
 def test_curve_orient_axis():
     c = curve_orient(pp("y"))
-    assert c.swapped and c.b_invariant == POS_INF
+    assert c.swapped and c.oriented_poly() == pp("x")
 
 
 def test_curve_orient_tangent_cubic():
     c = curve_orient(pp("x + y^3"))
-    assert not c.swapped and c.b_invariant == 3
+    assert not c.swapped and c.oriented_poly() == pp("x + y^3")
 
 
 def test_curve_orient_transverse_line():
-    assert curve_orient(pp("x + y")).b_invariant == 1
+    c = curve_orient(pp("x + y"))
+    assert not c.swapped and c.oriented_poly() == pp("x + y")
 
 
 def test_curve_orient_rejects_singular():
@@ -286,6 +285,22 @@ def test_local_intersection_monomial_family():
 def test_local_intersection_tangent_parabola():
     b = parse_divisor("1*(x^2 + y^3)")
     assert local_intersection(b, curve_orient(pp("y - x^2"))) == 2
+
+
+def newton_intersection_bound(b, c):
+    """Oracle: the combinatorial lower bound for (B . C), the support value
+    of B's Newton diagram at the weight (t, 1) in the curve's oriented
+    frame, with t the tangency order: the least pure y-power of
+    ``c.oriented_poly()``.  An axis curve x = 0 has no pure y-power, and
+    meets B in the height of the diagram's vertex on the y-axis."""
+    oriented = DivisorGerm(tuple((coeff, _transpose(p) if c.swapped else p)
+                                 for coeff, p in b.components))
+    diagram = newton_polytope(oriented)
+    powers = [j for i, j in c.oriented_poly().terms if i == 0]
+    if powers:
+        return support_value(diagram, (min(powers), 1))
+    x, y = diagram.vertices[0]
+    return y if x == 0 else None  # None: C lies on B
 
 
 def test_local_intersection_bound_instance():

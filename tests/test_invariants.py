@@ -23,7 +23,7 @@ from germ.invariants import (
     verify_surface_theorem,
 )
 from germ.polys import Poly, parse_poly
-from germ.scalars import NEG_INF, POS_INF, as_fraction, is_infinite
+from germ.scalars import NEG_INF, as_fraction, is_infinite
 
 
 def binom(lam, m, n):
@@ -121,6 +121,11 @@ def test_mld_not_lc_certificate():
     r = mld_toric(parse_divisor("2*(x)"))
     assert r.value is NEG_INF and not r.attained
     assert toric_log_discrepancy(parse_divisor("2*(x)"), tuple(r.witness)) < 0
+    # the sentinel orders below every rational, equals only itself and
+    # prints as -inf
+    assert NEG_INF < F(-10**9) and F(0) > NEG_INF
+    assert NEG_INF <= NEG_INF and not NEG_INF < NEG_INF
+    assert repr(NEG_INF) == "-inf"
 
 
 def test_mld_witness_attains_value():
@@ -299,8 +304,9 @@ def test_axis_curve_does_not_walk_the_exponent():
 
 def membership_bisection(b, c, steps=64):
     """Oracle: bisect t -> (1,1) in Newton polytope of B + tC."""
-    from germ.exactgeom import Point2, contains, minkowski_sum, scale
+    from germ.exactgeom import Point2, minkowski_sum, scale
     from germ.germs import newton_polytope, newton_polytope_of_poly
+    from test_exactgeom import contains
 
     pb = newton_polytope(b)
     pc = newton_polytope_of_poly(c.poly)
@@ -316,7 +322,7 @@ def membership_bisection(b, c, steps=64):
     while member(hi):
         hi *= 2
         if hi > 64:
-            return lo, POS_INF
+            return lo, None  # no upper bound found
     for _ in range(steps):
         mid = (lo + hi) / 2
         if member(mid):
@@ -340,7 +346,7 @@ def test_lct_membership_matches_bisection():
         res = lct_toric(b, c)
         lo, hi = membership_bisection(b, c)
         assert lo <= res.membership_sup
-        if not is_infinite(hi):
+        if hi is not None:
             assert res.membership_sup <= hi
         checked += 1
     assert checked >= 15

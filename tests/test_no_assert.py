@@ -15,8 +15,10 @@ PACKAGE = Path(germ.errors.__file__).resolve().parent
 #: Defines ``evaluate(expr)``: the repr of a result, or the error it raises.
 EVALUATE = """
 from germ.errors import GermError
+from germ.exactgeom import polytope_from_support, support_value
 from germ.germs import curve_orient, parse_divisor
-from germ.invariants import delta_bound, lct_toric, mld_toric, verify_surface_theorem
+from germ.invariants import (delta_bound, lct_toric, mld_toric, toric_log_discrepancy,
+                             verify_surface_theorem)
 from germ.polys import parse_poly
 
 def evaluate(expr):
@@ -40,6 +42,8 @@ CASES = [
     'curve_orient(parse_poly("y - x^3")), "1/100")',
     'delta_bound("1/2")',
     'delta_bound("1/10000")',
+    'toric_log_discrepancy(parse_divisor("1*(x)"), (1,))',
+    'support_value(polytope_from_support([(1, 1)]), (1,))',
 ]
 
 

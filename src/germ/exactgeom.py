@@ -8,7 +8,7 @@ its weights are finite.  The chain is kept as integer lattice points over
 one positive denominator, in lowest terms, so construction, Minkowski sums,
 support values and normals run in ``int`` arithmetic; two polytopes are
 equal iff their chains are equal.  ``Fraction`` values appear only at the
-edges: the ``vertices`` view, support values and faces.
+edges: the ``vertices`` view and support values; faces are integer normals.
 
 The module also walks the Klein sail of a rational cone in the first
 quadrant: the bounded boundary of the convex hull of the cone's nonzero
@@ -86,19 +86,6 @@ class NewtonPolytope:
     def __repr__(self) -> str:
         pts = ", ".join(f"({v.x}, {v.y})" for v in self.vertices)
         return f"NewtonPolytope[{pts}]"
-
-
-@dataclass(frozen=True)
-class Face:
-    """Compact boundary face between two consecutive vertices of a chain."""
-
-    left: Point2
-    right: Point2
-
-    def __post_init__(self) -> None:
-        l, r = self.left, self.right
-        if not (isinstance(l, Point2) and isinstance(r, Point2) and l.x < r.x and l.y > r.y):
-            raise InputError("face needs points with left.x < right.x and left.y > right.y")
 
 
 class Weight(NamedTuple):
@@ -279,7 +266,7 @@ def _edges(p: NewtonPolytope, k: int) -> "list[IntVec]":
 
 
 # ---------------------------------------------------------------------------
-# support values and compact faces
+# support values and face normals
 
 
 def support_value(polytope: NewtonPolytope, w: Sequence[object]) -> Fraction:
@@ -296,16 +283,6 @@ def support_value(polytope: NewtonPolytope, w: Sequence[object]) -> Fraction:
     # <(n1/d1, n2/d2), v/den> = <(n1*d2, n2*d1), v> / (d1*d2*den)
     n1, d1, n2, d2 = w1.numerator, w1.denominator, w2.numerator, w2.denominator
     return Fraction(polytope.lattice_min((n1 * d2, n2 * d1)), d1 * d2 * polytope.den)
-
-
-def compact_faces(polytope: NewtonPolytope) -> list[Face]:
-    vs = polytope.vertices
-    return [Face(a, b) for a, b in zip(vs, vs[1:])]
-
-
-def slope(face: Face) -> Fraction:
-    """(q1 - q2)/(p2 - p1) for the face from (p1, q1) to (p2, q2): positive."""
-    return (face.left.y - face.right.y) / (face.right.x - face.left.x)
 
 
 def face_normals(polytope: NewtonPolytope) -> list[IntVec]:

@@ -8,7 +8,8 @@ the multiplicity of B along a curve C and the local intersection of the
 C-free part of B with C, both read off one walk of x-derivatives along a
 sparse power-series parametrization of C in its oriented frame, and the
 Newton-nondegeneracy certificate that marks inputs whose toric invariants
-are exact.
+are exact, read off the branches' initial forms along the face normals of
+the divisor's one Newton polygon.
 
 Polynomials (not power series) keep every computation exact and decidable.
 Only the germ of a curve at the origin matters: a curve polynomial may
@@ -23,25 +24,21 @@ from functools import reduce
 
 from .errors import DomainError, GermError, InputError
 from .exactgeom import (
-    Face,
+    IntVec,
     NewtonPolytope,
-    compact_faces,
+    face_normals,
     minkowski_sum,
     point,
     polytope_from_support,
     scale,
-    slope,
 )
 from .polys import (
     Poly,
-    parse_poly,
     parse_weighted_terms,
-    render_poly,
     render_weighted_terms,
     series_mul,
     uni_coprime,
     uni_is_squarefree,
-    uni_trim,
 )
 
 __all__ = [
@@ -161,15 +158,15 @@ def newton_polytope(b: DivisorGerm) -> NewtonPolytope:
 class NondegeneracyReport:
     """Outcome of the Newton-nondegeneracy test.
 
-    The test is sufficient, not necessary: every compact face form of every
-    branch must be squarefree off the axes, and branches with parallel
-    compact faces must have coprime face forms.  A ``degenerate`` verdict
-    carries the offending component indices and face.
+    The test is sufficient, not necessary: along the normal of each compact
+    face of the Newton polygon, every branch's initial form must be squarefree
+    off the axes and the forms of different branches coprime.  A ``degenerate``
+    verdict carries the offending components and the primitive inner ``normal``.
     """
 
     nondegenerate: bool
     component_indices: "tuple[int, ...]" = ()
-    face: Face | None = None
+    normal: IntVec | None = None
     reason: str = ""
 
     @property
@@ -177,45 +174,40 @@ class NondegeneracyReport:
         return "nondegenerate" if self.nondegenerate else "degenerate"
 
 
-def _face_form(p: Poly, face: Face) -> "list[Fraction]":
-    """Dehomogenized restriction of ``p`` to a compact face of its diagram.
-
-    With primitive normal (a, b), lattice points of the face are spaced by
-    the direction (b, -a); the coefficient at step k becomes the u^k
-    coefficient of a univariate polynomial.
-    """
-    s = slope(face)
-    a, b = s.numerator, s.denominator
-    left = face.left
-    coeffs: dict[int, Fraction] = {}
-    for (i, j), c in p.terms.items():
-        if a * i + b * j == a * left.x + b * left.y:  # on the face line
-            coeffs[int((i - left.x) / b)] = c  # b divides i - left.x: gcd(a, b) = 1
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
-    return uni_trim(out)
+def _initial_form(p: Poly, n: IntVec) -> "list[Fraction]":
+    """The terms of ``p`` of least <n, e> for a positive primitive normal n,
+    as a polynomial in u: they lie on a line of direction (n2, -n1), so the
+    term at x-exponent i is the u^((i - i0) // n2) coefficient, i0 the least i."""
+    n1, n2 = n
+    level = min(n1 * i + n2 * j for i, j in p.terms)
+    on_face = {i: c for (i, j), c in p.terms.items() if n1 * i + n2 * j == level}
+    return [on_face.get(i, Fraction(0)) for i in range(min(on_face), max(on_face) + 1, n2)]
 
 
 def nondegeneracy_check(b: DivisorGerm) -> NondegeneracyReport:
     if b.is_empty:
         raise InputError("empty divisor")
-    per_face: "list[tuple[int, Face, tuple[int, int], list[Fraction]]]" = []
-    for idx, (_, p) in enumerate(b.components):
-        for face in compact_faces(newton_polytope_of_poly(p)):
-            s = slope(face)
-            form = _face_form(p, face)
-            if not uni_is_squarefree(form):
-                return NondegeneracyReport(
-                    False, (idx,), face, "face form is not squarefree"
-                )
-            per_face.append((idx, face, (s.numerator, s.denominator), form))
-    for n, (i, face_i, normal_i, form_i) in enumerate(per_face):
-        for j, face_j, normal_j, form_j in per_face[n + 1:]:
-            if i != j and normal_i == normal_j and not uni_coprime(form_i, form_j):
-                return NondegeneracyReport(
-                    False, (i, j), face_i, "parallel face forms share a factor"
-                )
+    return _nondegeneracy(b, face_normals(newton_polytope(b)))
+
+
+def _nondegeneracy(b: DivisorGerm, normals: "list[IntVec]") -> NondegeneracyReport:
+    """The test along ``normals``, which must hold the compact-face normals
+    of b's polygon, the union of its branches'; along any other normal every
+    initial form is one term, which passes."""
+    forms = [{n: f for n in normals if len(f := _initial_form(p, n)) > 1}
+             for _, p in b.components]
+    for i, fi in enumerate(forms):
+        for n, f in fi.items():
+            if not uni_is_squarefree(f):
+                return NondegeneracyReport(False, (i,), n, "face form is not squarefree")
+    for i, fi in enumerate(forms):
+        for n, f in fi.items():
+            for j in range(i + 1, len(forms)):
+                g = forms[j].get(n)
+                if g is not None and not uni_coprime(f, g):
+                    return NondegeneracyReport(
+                        False, (i, j), n, "parallel face forms share a factor"
+                    )
     return NondegeneracyReport(True)
 
 

@@ -48,10 +48,10 @@ from .exactgeom import (
 from .germs import (
     DivisorGerm,
     SmoothCurveGerm,
+    _nondegeneracy,
     contact_along_curve,
     newton_polytope,
     newton_polytope_of_poly,
-    nondegeneracy_check,
 )
 from .scalars import Extended, NEG_INF, as_fraction
 
@@ -255,8 +255,9 @@ def _lct(b: DivisorGerm, c: SmoothCurveGerm, pb: NewtonPolytope, mult: Fraction)
     cap = 1 - mult
     value = min(membership, cap)
     witness: IntVec | str = best_w if membership <= cap else "cap"
+    # the compact-face normals of B + value*C are among the candidates
     extended = b + DivisorGerm(((value, c.poly),)) if value > 0 else b
-    exact = nondegeneracy_check(extended).nondegenerate
+    exact = _nondegeneracy(extended, candidates[2:]).nondegenerate
     return LctResult(membership, cap, value, witness, exact)
 
 
@@ -397,7 +398,7 @@ def verify_surface_theorem(
     # The lct certifies B + lct*C nondegenerate, and then B is too: the
     # nondegeneracy test passes on every subset of the branches it passes on.
     lct = _lct(b, c, pb, mult) if not failed else None
-    nondeg = (lct is not None and lct.exact) or nondegeneracy_check(b).nondegenerate
+    nondeg = (lct is not None and lct.exact) or _nondegeneracy(b, face_normals(pb)).nondegenerate
     if not nondeg:
         failed.append("newton nondegeneracy")
         lct = None

@@ -33,10 +33,6 @@ NEG_INF = _NegInf()
 Extended = Union[Fraction, _NegInf]
 
 
-def is_infinite(value: object) -> bool:
-    return value is NEG_INF
-
-
 #: A signed integer, ``p/q`` or a plain decimal.  Exponent notation is left
 #: out: ``"1e-1000000"`` is ten characters but a million-digit number.
 _RATIONAL_TEXT = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")

@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 from germ.errors import InputError
 from germ.exactgeom import (
     Cone2,
-    Face,
     NewtonPolytope,
     Point2,
-    compact_faces,
     cone,
     face_normals,
     _boundary_neighbour,
@@ -25,7 +23,6 @@ from germ.exactgeom import (
     point,
     polytope_from_support,
     scale,
-    slope,
     support_value,
 )
 
@@ -69,10 +66,6 @@ def test_chain_invariants_enforced():
         NewtonPolytope((Point2(F(0), F(2)), Point2(F(1), F(1)), Point2(F(2), F(0))))
     with pytest.raises(InputError):
         NewtonPolytope((Point2(F(1), F(1)), Point2(F(0), F(2))))
-    with pytest.raises(InputError):
-        Face(Point2(F(1), F(0)), Point2(F(0), F(1)))
-    with pytest.raises(InputError):
-        Face((0, 1), (1, 0))  # a face joins chain points, not bare pairs
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +161,6 @@ def test_contains_origin_false():
 
 def test_contains_vertex_itself():
     assert contains(poly((1, 1)), Point2(F(1), F(1)))
-
-
-# ---------------------------------------------------------------------------
-# slopes
-
-
-def test_slope_values():
-    assert slope(Face(Point2(F(0), F(3)), Point2(F(1), F(1)))) == 2
-    for m, n in [(2, 3), (4, 4), (6, 1)]:
-        assert slope(Face(Point2(F(0), F(n)), Point2(F(m), F(0)))) == F(n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +362,7 @@ def test_construction_idempotent(s):
 @given(support_sets)
 def test_slopes_strictly_decrease(s):
     p = poly(*s)
-    slopes = [slope(f) for f in compact_faces(p)]
+    slopes = [F(n1, n2) for n1, n2 in face_normals(p)]
     assert all(v > 0 for v in slopes)
     for a, b in zip(slopes, slopes[1:]):
         assert a > b
@@ -389,13 +372,14 @@ def boundary_height(p, x):
     """Oracle for membership: least y with (x, y) in the polytope, None if
     x lies left of the first vertex.  Piecewise-linear interpolation along
     the compact faces."""
-    if x < p.vertices[0].x:
+    vs = p.vertices
+    if x < vs[0].x:
         return None
-    for f in compact_faces(p):
-        if f.left.x <= x <= f.right.x:
-            t = (x - f.left.x) / (f.right.x - f.left.x)
-            return f.left.y + t * (f.right.y - f.left.y)
-    return p.vertices[-1].y
+    for left, right in zip(vs, vs[1:]):
+        if left.x <= x <= right.x:
+            t = (x - left.x) / (right.x - left.x)
+            return left.y + t * (right.y - left.y)
+    return vs[-1].y
 
 
 @settings(max_examples=200, derandomize=True)

@@ -21,7 +21,8 @@ from germ.germs import (
     parse_divisor,
     render_divisor,
 )
-from germ.polys import Poly, parse_poly, render_poly
+from germ.invariants import lct_toric, verify_surface_theorem
+from germ.polys import Poly, parse_poly, render_poly, uni_coprime, uni_is_squarefree
 
 
 def pp(text, variables=("x", "y")):
@@ -186,6 +187,7 @@ def test_nondegenerate_square_face_form():
     report = nondegeneracy_check(parse_divisor("3/4*(x^2 + 2*x*y + y^2)"))
     assert not report.nondegenerate
     assert report.component_indices == (0,)
+    assert report.normal == (1, 1)
     assert "squarefree" in report.reason
 
 
@@ -204,6 +206,111 @@ def test_degenerate_shared_parallel_factor():
     # both have the face direction of slope 1 and share the root u = 1
     assert not report.nondegenerate
     assert report.component_indices == (0, 1)
+    assert report.normal == (1, 1)
+
+
+def reference_face_forms(p):
+    """Oracle: the face forms of one branch read off its own polygon, keyed
+    by the rational slope of each compact face, left to right.  With slope
+    a/b in lowest terms the lattice points of a face lie b apart in x, and
+    the term at x-exponent i is the u^((i - left.x)/b) coefficient."""
+    vs = newton_polytope_of_poly(p).vertices
+    forms = {}
+    for left, right in zip(vs, vs[1:]):
+        s = (left.y - right.y) / (right.x - left.x)
+        a, b = s.numerator, s.denominator
+        coeffs = {int((i - left.x) / b): c for (i, j), c in p.terms.items()
+                  if a * i + b * j == a * left.x + b * left.y}
+        form = [F(0)] * (max(coeffs) + 1)
+        for k, c in coeffs.items():
+            form[k] = c
+        forms[s] = form
+    return forms
+
+
+def reference_nondegeneracy(b):
+    """Oracle: the per-branch test, as (verdict, component indices).  Every
+    face form of every branch must be squarefree, then the forms of
+    parallel faces of different branches must be coprime."""
+    per_face = []
+    for idx, (_, p) in enumerate(b.components):
+        for s, form in reference_face_forms(p).items():
+            if not uni_is_squarefree(form):
+                return False, (idx,)
+            per_face.append((idx, s, form))
+    for n, (i, s_i, f_i) in enumerate(per_face):
+        for j, s_j, f_j in per_face[n + 1:]:
+            if i != j and s_i == s_j and not uni_coprime(f_i, f_j):
+                return False, (i, j)
+    return True, ()
+
+
+def _names_failing_face(b, report):
+    """Whether the report's normal and components name a face that fails in
+    the oracle: one form that is not squarefree, or two that share a factor."""
+    n1, n2 = report.normal
+    forms = [reference_face_forms(b.components[i][1]).get(F(n1, n2))
+             for i in report.component_indices]
+    if any(f is None for f in forms):
+        return False
+    if len(forms) == 1:
+        return not uni_is_squarefree(forms[0])
+    return not uni_coprime(*forms)
+
+
+def _small_branch(rng, degree, constant=0):
+    """A polynomial of total degree <= degree with the given constant term;
+    coefficients +-1, +-2, so forms fail squarefreeness by accident too."""
+    terms = {(0, 0): F(constant)}
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randint(0, degree)
+        terms[(i, rng.randint(int(i == 0), degree - i))] = F(rng.choice([-2, -1, 1, 2]))
+    return Poly.from_terms(2, terms)
+
+
+def _nondegeneracy_case(rng):
+    """1-3 branches of degree <= 5.  About a quarter are built degenerate:
+    a branch q^2 * unit, or two branches q * r1 and q * r2 sharing q."""
+    branches = [_small_branch(rng, 5) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.25:
+        # two incomparable terms with coefficient 3 survive the sum: q has an edge
+        q = pp(rng.choice(["3*x + 3*y", "3*x - 3*y^2", "3*x^2 + 3*y"])) + _small_branch(rng, 2)
+        if rng.random() < 0.5:
+            unit = _small_branch(rng, 1, constant=rng.choice([1, -2]))
+            branches[0] = _mul(_mul(q, q), unit)
+        else:
+            r1, r2 = (_small_branch(rng, 3, constant=rng.choice([0, 1])) for _ in range(2))
+            branches[:2] = [_mul(q, r1), _mul(q, r2)]
+        rng.shuffle(branches)
+    return DivisorGerm(tuple((F(rng.randint(1, 6), 12), p) for p in branches))
+
+
+def test_nondegeneracy_matches_per_branch_reference():
+    """The test along the normals of the one Newton polygon agrees with the
+    per-branch reference on verdict and components and names a failing
+    face; lct_toric's ``exact`` and verify_surface_theorem's
+    ``nondegenerate`` agree with the reference on B + lct*C and on B."""
+    rng = random.Random(37)
+    curves = [curve_orient(pp(t)) for t in ["y", "x", "y - x^2", "x + y^3", "x - 2*y"]]
+    degenerate = exact_checked = 0
+    for _ in range(2000):
+        b = _nondegeneracy_case(rng)
+        report = nondegeneracy_check(b)
+        verdict, indices = reference_nondegeneracy(b)
+        assert (report.nondegenerate, report.component_indices) == (verdict, indices)
+        if not verdict:
+            degenerate += 1
+            assert _names_failing_face(b, report)
+        c = rng.choice(curves)
+        assert verify_surface_theorem(b, c, "1/3").nondegenerate == verdict
+        try:
+            res = lct_toric(b, c)
+        except DomainError:  # not lc before adding C
+            continue
+        extended = b + DivisorGerm(((res.value, c.poly),)) if res.value > 0 else b
+        assert res.exact == reference_nondegeneracy(extended)[0]
+        exact_checked += 1
+    assert degenerate > 400 and exact_checked > 900
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from germ.invariants import (
     verify_surface_theorem,
 )
 from germ.polys import Poly, parse_poly
-from germ.scalars import NEG_INF, as_fraction, is_infinite
+from germ.scalars import NEG_INF, as_fraction
 
 
 def binom(lam, m, n):
@@ -133,7 +133,7 @@ def test_mld_witness_attains_value():
     for _ in range(80):
         b = _random_divisor(rng)
         r = mld_toric(b)
-        if is_infinite(r.value):
+        if r.value is NEG_INF:
             assert toric_log_discrepancy(b, tuple(r.witness)) < 0
         else:
             assert toric_log_discrepancy(b, tuple(r.witness)) == r.value
@@ -146,7 +146,7 @@ def test_mld_brute_force_agreement():
     for _ in range(90):
         b = _random_divisor(rng)
         r = mld_toric(b)
-        if is_infinite(r.value):
+        if r.value is NEG_INF:
             continue
         assert r.value == brute_mld(b, bound=40)
         checked += 1
@@ -302,6 +302,28 @@ def test_axis_curve_does_not_walk_the_exponent():
     assert rep.applicable and rep.passed and rep.lct == res
 
 
+def test_one_polytope_per_branch_per_analysis(monkeypatch):
+    """lct_toric builds B's and C's polygons once each, and verify one per
+    branch of B and one of C: the nondegeneracy test reads those."""
+    import germ.germs
+
+    calls = []
+    build = germ.germs.polytope_from_support
+
+    def counting(support):
+        calls.append(1)
+        return build(support)
+
+    monkeypatch.setattr(germ.germs, "polytope_from_support", counting)
+    lct_toric(parse_divisor("1/4*(x^3000 + y^2)"), curve_orient(parse_poly("y")))
+    assert len(calls) == 2
+    calls.clear()
+    verify_surface_theorem(
+        parse_divisor("1/3*(x^2 + y^3) + 1/4*(y - x^2) + 1/5*(x^3 - y^2)"),
+        curve_orient(parse_poly("y - x^5")), "1/5")
+    assert len(calls) == 4
+
+
 def membership_bisection(b, c, steps=64):
     """Oracle: bisect t -> (1,1) in Newton polytope of B + tC."""
     from germ.exactgeom import Point2, minkowski_sum, scale
@@ -340,7 +362,7 @@ def test_lct_membership_matches_bisection():
         if b.max_coefficient() > 1:
             continue
         r = mld_toric(b)
-        if is_infinite(r.value) or r.value < 0:
+        if r.value is NEG_INF or r.value < 0:
             continue
         c = curve_orient(parse_poly(rng.choice(["y", "x", "y - x^2", "x + y^3"])))
         res = lct_toric(b, c)

@@ -57,6 +57,38 @@ def test_package_has_no_assert_statement():
     assert not found, f"assert statements in the package: {found}"
 
 
+def _names_in(annotation):
+    """The names an annotation reads, inside string annotations too."""
+    for sub in ast.walk(annotation):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield from _names_in(ast.parse(sub.value, mode="eval"))
+        elif isinstance(sub, ast.Name):
+            yield sub.id
+
+
+def test_package_imports_are_used():
+    """Every name an import binds in the package or the tests is read: as a
+    name, or inside a string annotation such as ``"list[IntVec]"``."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+                used.update(_names_in(node.annotation))
+            elif isinstance(node, ast.FunctionDef) and node.returns:
+                used.update(_names_in(node.returns))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}: {name}")
+    assert not unused, f"imported but never used: {unused}"
+
+
 def test_optimized_interpreter_gives_the_same_answers():
     namespace: dict = {}
     exec(EVALUATE, namespace)

@@ -1,14 +1,15 @@
-"""Exact 2-D Newton polytope engine over the rationals, run on integers.
+"""Exact 2-D Newton polytope engine on integer lattice points.
 
 A Newton polytope here is the region ``conv(S) + Q`` where ``S`` is a
-finite set of points in the closed first quadrant ``Q``.  It is stored
-canonically as the chain of its vertices, ordered with x strictly increasing
-and y strictly decreasing; its faces are the compact edges of the chain, and
-its weights are finite.  The chain is kept as integer lattice points over
-one positive denominator, in lowest terms, so construction, Minkowski sums,
-support values and normals run in ``int`` arithmetic; two polytopes are
-equal iff their chains are equal.  ``Fraction`` values appear only at the
-edges: the ``vertices`` view and support values; faces are integer normals.
+finite set of points in the closed first quadrant ``Q``.  It is built from
+a polynomial's exponents, pairs of non-negative integers; rational polytopes
+arise only as dilates (:func:`scale`) and Minkowski sums of those.  It is
+stored canonically as the chain of its vertices, ordered with x strictly
+increasing and y strictly decreasing: integer lattice points over one
+positive denominator, in lowest terms, so two polytopes are equal iff their
+fields are.  Construction, Minkowski sums, the support function
+:meth:`NewtonPolytope.lattice_min` and the face normals run in ``int``
+arithmetic; ``Fraction`` values appear only in the ``vertices`` view.
 
 The module also walks the Klein sail of a rational cone in the first
 quadrant: the bounded boundary of the convex hull of the cone's nonzero
@@ -16,8 +17,7 @@ lattice points, whose lattice points are the cone's Hilbert basis.  The
 walk jumps one whole sail edge per step with one floor division, so a cone
 of determinant d costs O(log d) steps (Oda, *Convex Bodies and Algebraic
 Geometry*, 1.6; Fulton, *Introduction to Toric Varieties*, 2.6), with no
-search bounds.  :func:`hilbert_runs` is that walk; :func:`hilbert_basis`
-only expands its runs into points.
+search bounds.  :func:`hilbert_runs` is that walk.
 """
 
 from __future__ import annotations
@@ -37,14 +37,6 @@ class Point2(NamedTuple):
     y: Fraction
 
 
-def point(x: object, y: object) -> Point2:
-    """Build a first-quadrant point with exact coordinates."""
-    px, py = as_fraction(x), as_fraction(y)
-    if px < 0 or py < 0:
-        raise InputError(f"point ({px}, {py}) is outside the first quadrant")
-    return Point2(px, py)
-
-
 def as_pair(v: object) -> "tuple[object, object]":
     """The two entries of a tuple or list of length 2."""
     if not isinstance(v, (tuple, list)) or len(v) != 2:
@@ -55,21 +47,42 @@ def as_pair(v: object) -> "tuple[object, object]":
 IntVec = tuple[int, int]
 
 
-@dataclass(frozen=True, init=False)
+def _lattice_point(v: object) -> IntVec:
+    """The pair v of non-negative integers, such as an exponent pair."""
+    x, y = as_pair(v)
+    if not (isinstance(x, int) and isinstance(y, int)) or x < 0 or y < 0:
+        raise InputError(f"{v!r} is not a pair of non-negative integers")
+    return (x, y)
+
+
+@dataclass(frozen=True)
 class NewtonPolytope:
     """Vertex chain of ``conv(points) + first quadrant``, no redundancy.
 
-    The vertices are ``lattice[i] / den``: integer points over one positive
-    denominator, with the gcd of ``den`` and every coordinate equal to 1, so
-    equal polytopes have equal fields.  The constructor takes and validates
-    a chain of rational points; the engine's own results are checked alike.
+    The vertices are ``lattice[i] / den``: non-negative integer points over
+    one positive integer denominator.  Construction checks that they form a
+    chain, x increasing and y decreasing and strictly convex, and reduces
+    it to lowest terms (the gcd of ``den`` and every coordinate is 1), so
+    equal polytopes have equal fields.
     """
 
     lattice: tuple[IntVec, ...]
-    den: int
+    den: int = 1
 
-    def __init__(self, vertices: Sequence[Point2]) -> None:
-        _set_chain(self, *_clear_denominators(vertices))
+    def __post_init__(self) -> None:
+        if not isinstance(self.lattice, Iterable):
+            raise InputError(f"expected a sequence of vertices, got {self.lattice!r}")
+        lattice, den = tuple(map(_lattice_point, self.lattice)), self.den
+        if not isinstance(den, int) or den < 1:
+            raise InputError(f"denominator {den!r} is not a positive integer")
+        if den != 1:
+            g = gcd(den, *(c for v in lattice for c in v))
+            if g != 1:
+                den //= g
+                lattice = tuple((x // g, y // g) for x, y in lattice)
+        _check_chain(lattice)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "den", den)
 
     @property
     def vertices(self) -> tuple[Point2, ...]:
@@ -126,25 +139,11 @@ def cone(g1: Sequence[int], g2: Sequence[int]) -> Cone2:
 # construction
 
 
-def _clear_denominators(points: Iterable[Sequence[object]]) -> "tuple[list[IntVec], int]":
-    """Integer numerators of the points over their least common denominator."""
-    if not isinstance(points, Iterable):
-        raise InputError(f"expected a sequence of points, got {points!r}")
-    fracs = [(as_fraction(x), as_fraction(y)) for x, y in map(as_pair, points)]
-    den = lcm(*(c.denominator for v in fracs for c in v))
-    return [(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
-            for x, y in fracs], den
-
-
-def _check_chain(lattice: Sequence[IntVec], den: int) -> None:
-    """Raise unless the points form a valid chain: nonempty, in the first
-    quadrant, x increasing and y decreasing, strictly convex."""
+def _check_chain(lattice: Sequence[IntVec]) -> None:
+    """Raise unless the points form a valid chain: nonempty, x increasing
+    and y decreasing, strictly convex."""
     if not lattice:
         raise InputError("polytope needs at least one vertex")
-    for x, y in lattice:
-        if x < 0 or y < 0:
-            raise InputError(f"vertex ({Fraction(x, den)}, {Fraction(y, den)}) "
-                             "outside the first quadrant")
     for a, b in zip(lattice, lattice[1:]):
         if not (a[0] < b[0] and a[1] > b[1]):
             raise InputError("vertices must have x increasing, y decreasing")
@@ -153,42 +152,18 @@ def _check_chain(lattice: Sequence[IntVec], den: int) -> None:
             raise InputError("boundary must be strictly convex (no collinear vertex)")
 
 
-def _set_chain(p: NewtonPolytope, lattice: Sequence[IntVec], den: int) -> NewtonPolytope:
-    """Give p the checked chain ``lattice[i] / den``, in lowest terms: the
-    one place where a polytope's fields are set."""
-    if den != 1:
-        g = gcd(den, *(c for v in lattice for c in v))
-        if g != 1:
-            den //= g
-            lattice = [(x // g, y // g) for x, y in lattice]
-    _check_chain(lattice, den)
-    object.__setattr__(p, "lattice", tuple(lattice))
-    object.__setattr__(p, "den", den)
-    return p
-
-
-def _polytope(lattice: Sequence[IntVec], den: int) -> NewtonPolytope:
-    """The polytope with vertices ``lattice[i] / den``, without the
-    rational round trip of the public constructor."""
-    return _set_chain(object.__new__(NewtonPolytope), lattice, den)
-
-
-def polytope_from_support(support: Iterable[Sequence[object]]) -> NewtonPolytope:
+def polytope_from_support(support: Iterable[Sequence[int]]) -> NewtonPolytope:
     """Vertex chain of ``conv(union of p + first quadrant)`` over the support.
 
-    The points may be ``Point2`` values or plain pairs, such as the integer
-    exponent pairs of a polynomial.  Dominated points (some other point is
-    <= componentwise) and collinear points are eliminated, so the result is
-    canonical.
+    The support is pairs of non-negative integers, such as the exponents of
+    a polynomial.  Dominated points (some other point is <= componentwise)
+    and collinear points are eliminated, so the result is canonical.
     """
-    lattice, den = _clear_denominators(support)
-    if not lattice:
+    if not isinstance(support, Iterable):
+        raise InputError(f"expected a sequence of points, got {support!r}")
+    pts = sorted(set(map(_lattice_point, support)))
+    if not pts:
         raise InputError("empty support")
-    pts = sorted(set(lattice))
-    for x, y in pts:
-        if x < 0 or y < 0:
-            raise InputError(f"support point ({Fraction(x, den)}, {Fraction(y, den)}) "
-                             "outside the first quadrant")
 
     # Pareto staircase: among equal x keep min y, then require y to drop.
     frontier: list[IntVec] = []
@@ -203,7 +178,7 @@ def polytope_from_support(support: Iterable[Sequence[object]]) -> NewtonPolytope
         while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
             chain.pop()
         chain.append(p)
-    return _polytope(chain, den)
+    return NewtonPolytope(tuple(chain))
 
 
 def _cross(a: IntVec, b: IntVec, c: IntVec) -> int:
@@ -217,8 +192,8 @@ def scale(polytope: NewtonPolytope, c: object) -> NewtonPolytope:
     if factor <= 0:
         raise InputError(f"scale factor must be positive, got {factor}")
     n = factor.numerator
-    return _polytope([(x * n, y * n) for x, y in polytope.lattice],
-                     polytope.den * factor.denominator)
+    return NewtonPolytope(tuple((x * n, y * n) for x, y in polytope.lattice),
+                          polytope.den * factor.denominator)
 
 
 def minkowski_sum(p: NewtonPolytope, q: NewtonPolytope) -> NewtonPolytope:
@@ -256,7 +231,7 @@ def minkowski_sum(p: NewtonPolytope, q: NewtonPolytope) -> NewtonPolytope:
             j += 1
         x, y = x + dx, y + dy
         chain.append((x, y))
-    return _polytope(chain, den)
+    return NewtonPolytope(tuple(chain), den)
 
 
 def _edges(p: NewtonPolytope, k: int) -> "list[IntVec]":
@@ -266,23 +241,7 @@ def _edges(p: NewtonPolytope, k: int) -> "list[IntVec]":
 
 
 # ---------------------------------------------------------------------------
-# support values and face normals
-
-
-def support_value(polytope: NewtonPolytope, w: Sequence[object]) -> Fraction:
-    """min over the polytope of <w, .>, i.e. min over its vertices.
-
-    The weight is a pair of rationals in the closed first quadrant, not both
-    zero.
-    """
-    w1, w2 = map(as_fraction, as_pair(w))
-    if w1 < 0 or w2 < 0:
-        raise InputError(f"weight {w} has a negative coordinate")
-    if w1 == 0 and w2 == 0:
-        raise InputError("weight must be nonzero")
-    # <(n1/d1, n2/d2), v/den> = <(n1*d2, n2*d1), v> / (d1*d2*den)
-    n1, d1, n2, d2 = w1.numerator, w1.denominator, w2.numerator, w2.denominator
-    return Fraction(polytope.lattice_min((n1 * d2, n2 * d1)), d1 * d2 * polytope.den)
+# face normals
 
 
 def face_normals(polytope: NewtonPolytope) -> list[IntVec]:
@@ -302,9 +261,7 @@ def face_normals(polytope: NewtonPolytope) -> list[IntVec]:
 
 def _primitive(v: Sequence[int]) -> IntVec:
     """Primitive generator of the ray of a nonzero first-quadrant vector."""
-    a, b = as_pair(v)
-    if not (isinstance(a, int) and isinstance(b, int)) or a < 0 or b < 0:
-        raise InputError(f"cone generator {v!r} is not a first-quadrant integer vector")
+    a, b = _lattice_point(v)
     g = gcd(a, b)
     if g == 0:
         raise InputError("cone generator cannot be zero")
@@ -354,16 +311,6 @@ def hilbert_runs(c: Cone2) -> list[Run]:
         u = run.point(run.count)
         d = _det(u, v)
     return runs
-
-
-def hilbert_basis(c: Cone2) -> list[IntVec]:
-    """Minimal generating set of the monoid of lattice points of the cone,
-    in order from one generator to the other: the lattice points of the
-    runs of :func:`hilbert_runs`, each shared endpoint once.  Consecutive
-    sail points span unimodular cones, so these are exactly the
-    irreducible elements."""
-    runs = hilbert_runs(c)
-    return [runs[0].start] + [r.point(j) for r in runs for j in range(1, r.count + 1)]
 
 
 def _boundary_neighbour(u: IntVec, v: IntVec, d: int) -> IntVec:

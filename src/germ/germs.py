@@ -28,7 +28,6 @@ from .exactgeom import (
     NewtonPolytope,
     face_normals,
     minkowski_sum,
-    point,
     polytope_from_support,
     scale,
 )
@@ -143,7 +142,7 @@ def _transpose(p: Poly) -> Poly:
 def newton_polytope_of_poly(p: Poly) -> NewtonPolytope:
     if p.is_zero:
         raise InputError("zero polynomial has no Newton polytope")
-    return polytope_from_support([point(i, j) for (i, j) in p.terms])
+    return polytope_from_support(p.terms)
 
 
 def newton_polytope(b: DivisorGerm) -> NewtonPolytope:
@@ -168,10 +167,6 @@ class NondegeneracyReport:
     component_indices: "tuple[int, ...]" = ()
     normal: IntVec | None = None
     reason: str = ""
-
-    @property
-    def verdict(self) -> str:
-        return "nondegenerate" if self.nondegenerate else "degenerate"
 
 
 def _initial_form(p: Poly, n: IntVec) -> "list[Fraction]":

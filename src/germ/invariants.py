@@ -15,7 +15,7 @@ for a returned value; the lct compares its few candidate ratios as
   smallest discrepancy/contact ratio over a complete finite candidate set
   of weights, capped by the curve's own coefficient room,
 * the explicit fibration bound delta(eps) = sup_n (eps - 1/n)/(n - 1), in
-  closed form, and the distance-to-integer approximation step behind it,
+  closed form,
 * the surface-theorem checker, which builds the Newton polytope, the mld
   scan and the contact of B with C once and hands them to the lct.
 
@@ -43,7 +43,6 @@ from .exactgeom import (
     face_normals,
     hilbert_runs,
     make_weight,
-    support_value,
 )
 from .germs import (
     DivisorGerm,
@@ -59,14 +58,12 @@ __all__ = [
     "MldResult",
     "LctResult",
     "BoundResult",
-    "DirichletTrace",
     "SurfaceTheoremReport",
     "toric_log_discrepancy",
     "mld_toric",
     "lct_toric",
     "verify_surface_theorem",
     "delta_bound",
-    "dirichlet_k",
 ]
 
 
@@ -243,10 +240,10 @@ def _lct(b: DivisorGerm, c: SmoothCurveGerm, pb: NewtonPolytope, mult: Fraction)
 
     best: "tuple[Fraction, IntVec] | None" = None
     for w in candidates:
-        den = support_value(pc, w)
-        if den == 0:
+        contact = pc.lattice_min(w)  # pc.den is 1: C's exponents are integers
+        if contact == 0:
             continue
-        ratio = Fraction(_discrepancy(pb, w), pb.den) / den
+        ratio = Fraction(_discrepancy(pb, w), pb.den * contact)
         if best is None or ratio < best[0]:
             best = (ratio, w)
     # never None: C passes through the origin, so an axis weight or the
@@ -295,53 +292,6 @@ def delta_bound(epsilon: object) -> BoundResult:
     if h(n + 1) > h(n):
         n += 1
     return BoundResult(eps, h(n), n)
-
-
-# ---------------------------------------------------------------------------
-# distance-to-integer approximation
-
-
-@dataclass(frozen=True)
-class DirichletTrace:
-    """Remainder recursion certifying a small multiple of q near an integer.
-
-    r_{-1} = 1, r_0 = q mod 1, r_{i-2} = b_i r_{i-1} + r_i; numerators
-    a_{-1} = 0, a_0 = 1, a_i = a_{i-2} + b_i a_{i-1}.  The recursion stops
-    at the first m with r_m <= delta, and k = a_m then satisfies
-    dist(k q, Z) <= delta with k <= ceil(1/delta) - 1.
-    """
-
-    q: Fraction
-    delta: Fraction
-    remainders: "tuple[Fraction, ...]"   # r_{-1} .. r_m
-    partial_quotients: "tuple[int, ...]"  # b_1 .. b_m
-    numerators: "tuple[int, ...]"        # a_{-1} .. a_m
-    k: int
-
-    def distance(self) -> Fraction:
-        """min(frac(k q), 1 - frac(k q))."""
-        frac = self.k * self.q - math.floor(self.k * self.q)
-        return min(frac, 1 - frac)
-
-
-def dirichlet_k(q: object, delta: object) -> DirichletTrace:
-    qq = as_fraction(q)
-    d = as_fraction(delta)
-    if not 0 < d < 1:
-        raise InputError("delta must lie strictly between 0 and 1")
-    r0 = qq - math.floor(qq)
-    remainders = [Fraction(1), r0]
-    numerators = [0, 1]
-    quotients: list[int] = []
-    while remainders[-1] > d:
-        r_prev, r_last = remainders[-2], remainders[-1]
-        step = int(r_prev // r_last)
-        quotients.append(step)
-        remainders.append(r_prev - step * r_last)
-        numerators.append(numerators[-2] + step * numerators[-1])
-    return DirichletTrace(
-        qq, d, tuple(remainders), tuple(quotients), tuple(numerators), numerators[-1]
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -375,29 +375,23 @@ def uni_derivative(c: Uni) -> Uni:
     return uni_trim([c[i] * i for i in range(1, len(c))])
 
 
-def uni_divmod(a: Uni, b: Uni) -> tuple[Uni, Uni]:
-    if not b:
-        raise InputError("univariate division by zero")
-    rem = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+def _uni_rem(a: Uni, b: Uni) -> Uni:
+    """The remainder of a on division by b, which must be trimmed and nonzero."""
+    rem = uni_trim(list(a))
     inv = 1 / b[-1]
-    while len(rem) >= len(b) and uni_trim(rem):
-        if len(rem) < len(b):
-            break
+    while len(rem) >= len(b):
         k = len(rem) - len(b)
         factor = rem[-1] * inv
-        q[k] = factor
         for i, bc in enumerate(b):
             rem[k + i] -= factor * bc
-        rem.pop()
-        uni_trim(rem)
-    return uni_trim(q), uni_trim(rem)
+        uni_trim(rem)  # the top coefficient is now exactly 0
+    return rem
 
 
 def uni_gcd(a: Uni, b: Uni) -> Uni:
     x, y = uni_trim(list(a)), uni_trim(list(b))
     while y:
-        x, y = y, uni_divmod(x, y)[1]
+        x, y = y, _uni_rem(x, y)
     if x:
         lead = x[-1]
         x = [c / lead for c in x]

@@ -11,11 +11,10 @@ from fractions import Fraction
 import pytest
 
 from germ.errors import GermError, InputError
-from germ.exactgeom import NewtonPolytope, cone, polytope_from_support, support_value
+from germ.exactgeom import NewtonPolytope, cone, polytope_from_support
 from germ.germs import curve_orient, local_intersection, nondegeneracy_check, parse_divisor
 from germ.invariants import (
     delta_bound,
-    dirichlet_k,
     lct_toric,
     mld_toric,
     toric_log_discrepancy,
@@ -71,7 +70,6 @@ def test_public_entry_points_raise_only_germ_errors():
         g = _run(parse_poly, _mangled(rng, _poly_text(rng, lead, rng.random() < 0.1)))
         c = _run(curve_orient, g) if g is not None else None
         _run(delta_bound, eps)
-        _run(dirichlet_k, rng.choice(SANE_EPS + INVALID_EPS), eps)
         if b is None:
             continue
         _run(mld_toric, b)
@@ -84,16 +82,17 @@ def test_public_entry_points_raise_only_germ_errors():
 
 def test_malformed_weights_points_and_generators_raise_input_error():
     b = parse_divisor("1*(x)")
-    p = polytope_from_support([(1, 1)])
     cases = [
         lambda: toric_log_discrepancy(b, (1,)),
         lambda: toric_log_discrepancy(b, None),
         lambda: toric_log_discrepancy(b, (1, 2, 3)),
-        lambda: support_value(p, (1,)),
+        lambda: polytope_from_support([(Fraction(1, 2), 0)]),
+        lambda: polytope_from_support([(1.0, 0)]),
         lambda: polytope_from_support([(1,)]),
         lambda: cone((1.5, 0), (1, 0)),
         lambda: cone((1, 0), (0, "a")),
         lambda: NewtonPolytope(None),
+        lambda: NewtonPolytope(((0, 1),), 0),
     ]
     for case in cases:
         with pytest.raises(InputError):

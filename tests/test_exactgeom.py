@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -17,18 +17,28 @@ from germ.exactgeom import (
     cone,
     face_normals,
     _boundary_neighbour,
-    hilbert_basis,
     hilbert_runs,
     minkowski_sum,
-    point,
     polytope_from_support,
     scale,
-    support_value,
 )
 
 
 def poly(*pts):
-    return polytope_from_support([point(x, y) for x, y in pts])
+    """The polygon of rational points: the integer one of their numerators
+    over a common denominator d, scaled by 1/d."""
+    fracs = [(F(x), F(y)) for x, y in pts]
+    d = lcm(*(c.denominator for v in fracs for c in v))
+    return scale(polytope_from_support([(int(x * d), int(y * d)) for x, y in fracs]), F(1, d))
+
+
+def support(p, w):
+    """The least <w, v> over p for a rational weight w: the support function
+    is positively homogeneous, so it is lattice_min at the integer weight
+    d*w over d*den, d the weight's common denominator."""
+    w1, w2 = F(w[0]), F(w[1])
+    d = lcm(w1.denominator, w2.denominator)
+    return F(p.lattice_min((int(w1 * d), int(w2 * d))), p.den * d)
 
 
 def verts(p):
@@ -63,9 +73,9 @@ def test_from_support_empty_errors():
 
 def test_chain_invariants_enforced():
     with pytest.raises(InputError):
-        NewtonPolytope((Point2(F(0), F(2)), Point2(F(1), F(1)), Point2(F(2), F(0))))
+        NewtonPolytope(((0, 2), (1, 1), (2, 0)))
     with pytest.raises(InputError):
-        NewtonPolytope((Point2(F(1), F(1)), Point2(F(0), F(2))))
+        NewtonPolytope(((1, 1), (0, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -116,35 +126,29 @@ def test_support_value_direct_min():
     p = poly((0, 3), (1, 1), (4, 0))
     # oracle: evaluate <w, v> on each vertex by hand
     assert min(0 + 3, 1 + 1, 4 + 0) == 2
-    assert support_value(p, (1, 1)) == 2
+    assert F(p.lattice_min((1, 1)), p.den) == 2
 
 
 def test_support_value_two_vertex():
     for m, n in [(2, 3), (5, 1)]:
-        assert support_value(poly((m, 0), (0, n)), (1, 1)) == min(m, n)
+        p = poly((m, 0), (0, n))
+        assert F(p.lattice_min((1, 1)), p.den) == min(m, n)
 
 
 def test_support_value_axis_weight():
-    assert support_value(poly((0, 3), (2, 0)), (0, 1)) == 0
-
-
-def test_support_value_rejects_bad_weights():
-    p = poly((1, 1))
-    with pytest.raises(InputError):
-        support_value(p, (0, 0))
-    with pytest.raises(InputError):
-        support_value(p, (-1, 2))
+    p = poly((0, 3), (2, 0))
+    assert F(p.lattice_min((0, 1)), p.den) == 0
 
 
 def contains(polytope, p):
     """Oracle: membership of a point in ``conv(vertices) + quadrant``, as
-    <w, p> >= support_value for every compact-face normal and both axis
+    <w, p> >= the support value for every compact-face normal and both axis
     directions."""
     vs = polytope.vertices
     if p.x < vs[0].x or p.y < vs[-1].y:
         return False
     for n1, n2 in face_normals(polytope):
-        if n1 * p.x + n2 * p.y < support_value(polytope, (n1, n2)):
+        if n1 * p.x + n2 * p.y < F(polytope.lattice_min((n1, n2)), polytope.den):
             return False
     return True
 
@@ -206,6 +210,13 @@ def brute_irreducibles(c, bound):
         if not reducible:
             out.append(v)
     return set(out)
+
+
+def hilbert_basis(c):
+    """The Hilbert basis of the cone in order from one generator to the
+    other: the lattice points of its runs, each shared endpoint once."""
+    runs = hilbert_runs(c)
+    return [runs[0].start] + [r.point(j) for r in runs for j in range(1, r.count + 1)]
 
 
 def test_hilbert_smooth_cone():
@@ -339,7 +350,7 @@ weights = st.tuples(
 @given(support_sets, support_sets, weights)
 def test_minkowski_support_additivity(s1, s2, w):
     p, q = poly(*s1), poly(*s2)
-    assert support_value(minkowski_sum(p, q), w) == support_value(p, w) + support_value(q, w)
+    assert support(minkowski_sum(p, q), w) == support(p, w) + support(q, w)
 
 
 @settings(max_examples=200, derandomize=True)
@@ -347,15 +358,15 @@ def test_minkowski_support_additivity(s1, s2, w):
 def test_minkowski_matches_pairwise_hull(s1, s2):
     # oracle: hull of all pairwise vertex sums
     p, q = poly(*s1), poly(*s2)
-    sums = [point(a.x + b.x, a.y + b.y) for a in p.vertices for b in q.vertices]
-    assert minkowski_sum(p, q) == polytope_from_support(sums)
+    sums = [(a.x + b.x, a.y + b.y) for a in p.vertices for b in q.vertices]
+    assert minkowski_sum(p, q) == poly(*sums)
 
 
 @settings(max_examples=200, derandomize=True)
 @given(support_sets)
 def test_construction_idempotent(s):
     p = poly(*s)
-    assert polytope_from_support(p.vertices) == p
+    assert poly(*p.vertices) == p
 
 
 @settings(max_examples=200, derandomize=True)
@@ -396,8 +407,8 @@ def test_contains_matches_boundary_oracle(s, px, py):
 def test_contains_support_duality(s, px, py):
     p = poly(*s)
     pt = Point2(px, py)
-    normals = [(F(a), F(b)) for a, b in face_normals(p)] + [(F(1), F(0)), (F(0), F(1))]
-    dual = all(w[0] * px + w[1] * py >= support_value(p, w) for w in normals)
+    normals = face_normals(p) + [(1, 0), (0, 1)]
+    dual = all(w[0] * px + w[1] * py >= F(p.lattice_min(w), p.den) for w in normals)
     assert contains(p, pt) == dual
 
 
@@ -453,9 +464,9 @@ def _is_canonical(p):
 
 
 def test_lattice_engine_matches_fraction_reference():
-    """polytope_from_support, scale, minkowski_sum of operands over different
-    denominators and support_value, against the reference on seeded random
-    supports; every result is in lowest terms."""
+    """polytope_from_support with scale, minkowski_sum of operands over
+    different denominators and lattice_min, against the reference on seeded
+    random supports; every result is in lowest terms."""
     rng = random.Random(71)
     seen = Counter()
     for _ in range(1500):
@@ -463,7 +474,7 @@ def test_lattice_engine_matches_fraction_reference():
         if rng.random() < 0.3:  # a dilate of s1: every edge has a parallel partner
             k = F(rng.randint(1, 9), rng.randint(1, 9))
             s2 = [(x * k, y * k) for x, y in s1]
-        p, q = polytope_from_support(s1), polytope_from_support(s2)
+        p, q = poly(*s1), poly(*s2)
         c1, c2 = reference_chain(s1), reference_chain(s2)
         assert p.vertices == c1 and q.vertices == c2
         factor = F(rng.randint(1, 10**6), rng.randint(1, 12))
@@ -475,8 +486,8 @@ def test_lattice_engine_matches_fraction_reference():
         for _ in range(3):
             w = (F(rng.randint(0, 40), rng.randint(1, 6)), F(rng.randint(1, 40), rng.randint(1, 6)))
             w = w if rng.random() < 0.5 else w[::-1]
-            assert support_value(p, w) == reference_support(c1, w)
-            assert support_value(total, w) == reference_support(total.vertices, w)
+            assert support(p, w) == reference_support(c1, w)
+            assert support(total, w) == reference_support(total.vertices, w)
         assert all(_is_canonical(r) for r in (p, q, scaled, total))
         seen["integer"] += p.den == 1
         seen["fractional"] += p.den > 1
@@ -490,15 +501,16 @@ def test_lattice_form_is_canonical():
     however they were built."""
     rng = random.Random(73)
     for _ in range(400):
-        p = polytope_from_support(_random_support(rng))
+        p = poly(*_random_support(rng))
         a = F(rng.randint(1, 10**9), rng.randint(1, 10**9))
         assert scale(scale(p, a), 1 / a) == p
-        rebuilt = NewtonPolytope(p.vertices)
+        k = rng.randint(1, 10**6)  # the same chain, not in lowest terms
+        rebuilt = NewtonPolytope(tuple((k * x, k * y) for x, y in p.lattice), k * p.den)
         assert rebuilt == p and hash(rebuilt) == hash(p)
         assert (rebuilt.lattice, rebuilt.den) == (p.lattice, p.den)
         doubled = minkowski_sum(p, p)
         assert doubled == scale(p, 2) and hash(doubled) == hash(scale(p, 2))
     assert polytope_from_support([(2, 0), (0, 2)]).den == 1
-    half = polytope_from_support([(F(1, 2), 0), (0, F(3, 2))])
+    half = poly((F(1, 2), 0), (0, F(3, 2)))
     assert (half.lattice, half.den) == (((0, 3), (1, 0)), 2)
     assert scale(half, 2).den == 1

@@ -1,13 +1,14 @@
 """Tests for parsing, germ data, multiplicities and local intersections."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 from functools import reduce
 
 import pytest
 
 from germ.errors import DomainError, InputError
-from germ.exactgeom import minkowski_sum, support_value
+from germ.exactgeom import minkowski_sum
 from germ.germs import (
     DivisorGerm,
     contact_along_curve,
@@ -313,6 +314,46 @@ def test_nondegeneracy_matches_per_branch_reference():
     assert degenerate > 400 and exact_checked > 900
 
 
+def _uni_product(unit, factors):
+    """unit * prod f^e over the (f, e) in ``factors``, as a dense list in u."""
+    out = [unit]
+    for f, e in factors:
+        for _ in range(e):
+            out = [sum(out[i - k] * c for k, c in enumerate(f) if 0 <= i - k < len(out))
+                   for i in range(len(out) + len(f) - 1)]
+    return out
+
+
+def test_uni_squarefree_and_coprime_match_factorizations():
+    """Oracle for the univariate helpers the nondegeneracy test rests on:
+    on a unit times distinct irreducible factors u - r (r a nonzero
+    rational) and u^2 + k (k > 0), each to a power e, the product is
+    squarefree iff every e is 1, and two products are coprime iff they
+    share no factor."""
+    rng = random.Random(47)
+    roots = {F(n, d) for n in (-3, -2, -1, 1, 2, 5) for d in (1, 2, 3)}
+    irreducible = sorted([(-r, F(1)) for r in roots]
+                         + [(k, F(0), F(1)) for k in (F(1), F(2), F(1, 3), F(5))])
+    seen = Counter()
+    for _ in range(3000):
+        pool = rng.sample(irreducible, rng.randint(1, 6))
+        parts = []
+        for _ in range(2):
+            chosen = rng.sample(pool, rng.randint(0, min(3, len(pool))))
+            parts.append({f: rng.choice([1, 1, 1, 2, 3]) for f in chosen})
+        fa, fb = parts
+        a, b = (_uni_product(F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)), fs.items())
+                for fs in parts)
+        squarefree = all(e == 1 for e in fa.values())
+        coprime = not fa.keys() & fb.keys()
+        assert uni_is_squarefree(a) == squarefree
+        assert uni_is_squarefree(b) == all(e == 1 for e in fb.values())
+        assert uni_coprime(a, b) == coprime == uni_coprime(b, a)
+        seen["squarefree" if squarefree else "not squarefree"] += 1
+        seen["coprime" if coprime else "shared factor"] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 500, seen
+
+
 # ---------------------------------------------------------------------------
 # curve orientation
 
@@ -405,7 +446,7 @@ def newton_intersection_bound(b, c):
     diagram = newton_polytope(oriented)
     powers = [j for i, j in c.oriented_poly().terms if i == 0]
     if powers:
-        return support_value(diagram, (min(powers), 1))
+        return F(diagram.lattice_min((min(powers), 1)), diagram.den)
     x, y = diagram.vertices[0]
     return y if x == 0 else None  # None: C lies on B
 

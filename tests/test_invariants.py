@@ -3,20 +3,20 @@ step, with brute-force oracles for every derived value."""
 
 import random
 import time
+from dataclasses import dataclass
 from fractions import Fraction as F
-from math import ceil, gcd
+from math import ceil, floor, gcd
 
 import pytest
 
 from germ.errors import DomainError, InputError
-from germ.exactgeom import hilbert_basis, make_weight, point, polytope_from_support
+from germ.exactgeom import make_weight
 from germ.germs import curve_orient, divisor, local_intersection, parse_divisor
 from germ.invariants import (
     MldResult,
     _mld,
     _normal_fan_cones,
     delta_bound,
-    dirichlet_k,
     lct_toric,
     mld_toric,
     toric_log_discrepancy,
@@ -24,6 +24,7 @@ from germ.invariants import (
 )
 from germ.polys import Poly, parse_poly
 from germ.scalars import NEG_INF, as_fraction
+from test_exactgeom import hilbert_basis, poly
 
 
 def binom(lam, m, n):
@@ -87,12 +88,10 @@ def test_discrepancy_homogeneity_before_normalization():
         base = toric_log_discrepancy(b, (w1, w2))
         for k in (2, 3, 7):
             # scaled weight evaluated through the raw formula
-            from germ.exactgeom import support_value
             from germ.germs import newton_polytope
 
-            scaled = k * w1 + k * w2 - support_value(
-                newton_polytope(b), (F(k * w1), F(k * w2))
-            )
+            p = newton_polytope(b)
+            scaled = k * w1 + k * w2 - F(p.lattice_min((k * w1, k * w2)), p.den)
             assert scaled == k * base
 
 
@@ -198,10 +197,10 @@ def test_mld_run_walk_matches_full_scan():
     classes = {"attained": 0, "positive": 0, "axis": 0}
     for _ in range(2400):
         top = rng.choice([2, 4, 12])
-        pts = [point(F(rng.randint(0, top * 6), rng.randint(1, 6)),
-                     F(rng.randint(0, top * 6), rng.randint(1, 6)))
+        pts = [(F(rng.randint(0, top * 6), rng.randint(1, 6)),
+                F(rng.randint(0, top * 6), rng.randint(1, 6)))
                for _ in range(rng.randint(1, 5))]
-        p = polytope_from_support(pts)
+        p = poly(*pts)
         expected, kind = full_scan_mld(p)
         assert _mld(p) == expected
         classes[kind] += 1
@@ -447,6 +446,51 @@ def test_surface_bound_small_range():
 
 # ---------------------------------------------------------------------------
 # dirichlet step
+
+
+@dataclass(frozen=True)
+class DirichletTrace:
+    """Remainder recursion certifying a small multiple of q near an integer.
+
+    r_{-1} = 1, r_0 = q mod 1, r_{i-2} = b_i r_{i-1} + r_i; numerators
+    a_{-1} = 0, a_0 = 1, a_i = a_{i-2} + b_i a_{i-1}.  The recursion stops
+    at the first m with r_m <= delta, and k = a_m then satisfies
+    dist(k q, Z) <= delta with k <= ceil(1/delta) - 1.
+    """
+
+    q: F
+    delta: F
+    remainders: "tuple[F, ...]"          # r_{-1} .. r_m
+    partial_quotients: "tuple[int, ...]"  # b_1 .. b_m
+    numerators: "tuple[int, ...]"        # a_{-1} .. a_m
+    k: int
+
+    def distance(self) -> F:
+        """min(frac(k q), 1 - frac(k q))."""
+        frac = self.k * self.q - floor(self.k * self.q)
+        return min(frac, 1 - frac)
+
+
+def dirichlet_k(q, delta):
+    """The approximation step of the proof of the bound: the recursion of
+    :class:`DirichletTrace` for q and delta."""
+    qq = as_fraction(q)
+    d = as_fraction(delta)
+    if not 0 < d < 1:
+        raise InputError("delta must lie strictly between 0 and 1")
+    r0 = qq - floor(qq)
+    remainders = [F(1), r0]
+    numerators = [0, 1]
+    quotients = []
+    while remainders[-1] > d:
+        r_prev, r_last = remainders[-2], remainders[-1]
+        step = int(r_prev // r_last)
+        quotients.append(step)
+        remainders.append(r_prev - step * r_last)
+        numerators.append(numerators[-2] + step * numerators[-1])
+    return DirichletTrace(
+        qq, d, tuple(remainders), tuple(quotients), tuple(numerators), numerators[-1]
+    )
 
 
 def check_trace(trace):

@@ -14,8 +14,9 @@ PACKAGE = Path(germ.errors.__file__).resolve().parent
 
 #: Defines ``evaluate(expr)``: the repr of a result, or the error it raises.
 EVALUATE = """
+from fractions import Fraction
 from germ.errors import GermError
-from germ.exactgeom import polytope_from_support, support_value
+from germ.exactgeom import polytope_from_support
 from germ.germs import curve_orient, parse_divisor
 from germ.invariants import (delta_bound, lct_toric, mld_toric, toric_log_discrepancy,
                              verify_surface_theorem)
@@ -43,7 +44,7 @@ CASES = [
     'delta_bound("1/2")',
     'delta_bound("1/10000")',
     'toric_log_discrepancy(parse_divisor("1*(x)"), (1,))',
-    'support_value(polytope_from_support([(1, 1)]), (1,))',
+    'polytope_from_support([(Fraction(1, 2), 0)])',
 ]
 
 

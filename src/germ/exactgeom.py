@@ -130,11 +130,6 @@ class Cone2:
                 raise InputError(f"generator {g} is not primitive")
 
 
-def cone(g1: Sequence[int], g2: Sequence[int]) -> Cone2:
-    """Build a cone from (possibly imprimitive) integer generators."""
-    return Cone2(_primitive(g1), _primitive(g2))
-
-
 # ---------------------------------------------------------------------------
 # construction
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 
 from .errors import DomainError, GermError, InputError
 from .exactgeom import (
@@ -93,13 +94,13 @@ def divisor(components: "list[tuple[object, Poly]]") -> DivisorGerm:
     return DivisorGerm(tuple((Fraction(c), p) for c, p in components))  # type: ignore[arg-type]
 
 
-def parse_divisor(text: str, variables: "tuple[str, str]" = ("x", "y")) -> DivisorGerm:
+def parse_divisor(text: str) -> DivisorGerm:
     """Parse ``coeff*(poly) + coeff*(poly) + ...``, order preserved."""
-    return DivisorGerm(tuple(parse_weighted_terms(text, variables)))
+    return DivisorGerm(tuple(parse_weighted_terms(text)))
 
 
-def render_divisor(b: DivisorGerm, variables: "tuple[str, str]" = ("x", "y")) -> str:
-    return render_weighted_terms(b.components, variables)
+def render_divisor(b: DivisorGerm) -> str:
+    return render_weighted_terms(b.components)
 
 
 @dataclass(frozen=True)
@@ -169,16 +170,6 @@ class NondegeneracyReport:
     reason: str = ""
 
 
-def _initial_form(p: Poly, n: IntVec) -> "list[Fraction]":
-    """The terms of ``p`` of least <n, e> for a positive primitive normal n,
-    as a polynomial in u: they lie on a line of direction (n2, -n1), so the
-    term at x-exponent i is the u^((i - i0) // n2) coefficient, i0 the least i."""
-    n1, n2 = n
-    level = min(n1 * i + n2 * j for i, j in p.terms)
-    on_face = {i: c for (i, j), c in p.terms.items() if n1 * i + n2 * j == level}
-    return [on_face.get(i, Fraction(0)) for i in range(min(on_face), max(on_face) + 1, n2)]
-
-
 def nondegeneracy_check(b: DivisorGerm) -> NondegeneracyReport:
     if b.is_empty:
         raise InputError("empty divisor")
@@ -188,9 +179,19 @@ def nondegeneracy_check(b: DivisorGerm) -> NondegeneracyReport:
 def _nondegeneracy(b: DivisorGerm, normals: "list[IntVec]") -> NondegeneracyReport:
     """The test along ``normals``, which must hold the compact-face normals
     of b's polygon, the union of its branches'; along any other normal every
-    initial form is one term, which passes."""
-    forms = [{n: f for n in normals if len(f := _initial_form(p, n)) > 1}
-             for _, p in b.components]
+    initial form is one term, which passes.  A face form f(u), f(0) != 0,
+    steps by the gcd k of every branch's exponent gaps on the face: f(u^k)
+    is squarefree, or shares a factor with g(u^k), iff f is, or does with g."""
+    forms: "list[dict[IntVec, list[Fraction]]]" = [{} for _ in b.components]
+    for n1, n2 in normals:
+        faces = []  # each branch's terms of least n1*i + n2*j, keyed by i
+        for _, p in b.components:
+            level = min(n1 * i + n2 * j for i, j in p.terms)
+            faces.append({i: c for (i, j), c in p.terms.items() if n1 * i + n2 * j == level})
+        step = gcd(*(i - min(f) for f in faces for i in f))
+        for fi, f in zip(forms, faces):
+            if len(f) > 1:
+                fi[n1, n2] = [f.get(i, Fraction(0)) for i in range(min(f), max(f) + 1, step)]
     for i, fi in enumerate(forms):
         for n, f in fi.items():
             if not uni_is_squarefree(f):
@@ -220,7 +221,7 @@ def curve_parametrization(g: Poly, order: int) -> "dict[int, Fraction]":
     lin = g.coefficient((1, 0))
     if lin == 0 or g.constant_term() != 0:
         raise InputError("curve needs an x-linear term and must pass through the origin")
-    rest = g - Poly(2, {(1, 0): lin})
+    rest = Poly(2, {e: c for e, c in g.terms.items() if e != (1, 0)})
     psi: dict[int, Fraction] = {}
     for _ in range(order + 1):
         new = {k: -v / lin for k, v in _on_curve(rest, psi, order).items()}

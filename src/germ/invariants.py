@@ -17,7 +17,8 @@ for a returned value; the lct compares its few candidate ratios as
 * the explicit fibration bound delta(eps) = sup_n (eps - 1/n)/(n - 1), in
   closed form,
 * the surface-theorem checker, which builds the Newton polytope, the mld
-  scan and the contact of B with C once and hands them to the lct.
+  scan, the contact of B with C and B's nondegeneracy once, and passes
+  only exact thresholds (hypothesis "B + lct*C newton nondegenerate").
 
 The mld and lct values are upper bounds for the true birational invariants
 in general; they are exact on Newton-nondegenerate inputs, which callers
@@ -39,7 +40,6 @@ from .exactgeom import (
     Run,
     Weight,
     as_pair,
-    cone,
     face_normals,
     hilbert_runs,
     make_weight,
@@ -105,8 +105,8 @@ class MldResult:
 def _normal_fan_cones(p: NewtonPolytope) -> "list[Cone2]":
     """Maximal cones of the normal fan of the polytope inside the first
     quadrant, left to right; the discrepancy form is linear on each."""
-    rays: list[IntVec] = [(1, 0)] + face_normals(p) + [(0, 1)]
-    return [cone(a, b) for a, b in zip(rays, rays[1:])]
+    rays: list[IntVec] = [(1, 0)] + face_normals(p) + [(0, 1)]  # primitive already
+    return [Cone2(a, b) for a, b in zip(rays, rays[1:])]
 
 
 def mld_toric(b: DivisorGerm) -> MldResult:
@@ -226,12 +226,13 @@ def lct_toric(b: DivisorGerm, c: SmoothCurveGerm) -> LctResult:
     if mld.value < 0:  # NEG_INF orders below every rational
         raise DomainError("pair not lc before adding C")
     mult, _ = contact_along_curve(b, c)
-    return _lct(b, c, pb, mult)
+    return _lct(b, c, pb, mult, _nondegeneracy(b, face_normals(pb)).nondegenerate)
 
 
-def _lct(b: DivisorGerm, c: SmoothCurveGerm, pb: NewtonPolytope, mult: Fraction) -> LctResult:
+def _lct(b: DivisorGerm, c: SmoothCurveGerm, pb: NewtonPolytope, mult: Fraction,
+         nondegenerate: bool) -> LctResult:
     """Threshold of an lc pair with coefficients at most one, given the
-    Newton polytope ``pb`` of B and mult_C B."""
+    Newton polytope ``pb`` of B, mult_C B and whether B is nondegenerate."""
     pc = newton_polytope_of_poly(c.poly)
     candidates: list[IntVec] = [(1, 0), (0, 1)]
     for n in face_normals(pb) + face_normals(pc):
@@ -252,9 +253,12 @@ def _lct(b: DivisorGerm, c: SmoothCurveGerm, pb: NewtonPolytope, mult: Fraction)
     cap = 1 - mult
     value = min(membership, cap)
     witness: IntVec | str = best_w if membership <= cap else "cap"
-    # the compact-face normals of B + value*C are among the candidates
+    # C is smooth: its polygon has at most one compact face, whose form is
+    # linear, so along every other normal C's form is one term and B + value*C
+    # passes iff B does.  B + value*C is nondegenerate iff B is and it passes
+    # along C's face normals.
     extended = b + DivisorGerm(((value, c.poly),)) if value > 0 else b
-    exact = _nondegeneracy(extended, candidates[2:]).nondegenerate
+    exact = nondegenerate and _nondegeneracy(extended, face_normals(pc)).nondegenerate
     return LctResult(membership, cap, value, witness, exact)
 
 
@@ -304,11 +308,14 @@ class SurfaceTheoremReport:
 
     The hypotheses: the germ is epsilon-lc, the curve's multiplicity inside
     B is at most 1 - epsilon, the C-free part meets the curve with local
-    intersection at most 2, every coefficient of B is at most 1, and B is
-    Newton-nondegenerate.  When they all hold, the threshold must be at
-    least the exact delta(eps) = sup_{n >= 2} (eps - 1/n)/(n - 1) of
-    :func:`delta_bound`; a failed hypothesis makes the check inapplicable
-    rather than failed, and is named in ``failed_hypotheses``.
+    intersection at most 2, every coefficient of B is at most 1, and B and
+    B + lct*C are Newton-nondegenerate, which makes the toric lct exact.
+    When they all hold, the threshold must be at least the exact
+    delta(eps) = sup_{n >= 2} (eps - 1/n)/(n - 1) of :func:`delta_bound`;
+    a failed hypothesis makes the check inapplicable rather than failed,
+    and is named in ``failed_hypotheses``.  So the checker passes only
+    exact thresholds; an inexact ``lct`` is kept to explain a failed
+    "B + lct*C newton nondegenerate".
     """
 
     epsilon: Fraction
@@ -329,6 +336,7 @@ def verify_surface_theorem(
     c: SmoothCurveGerm,
     epsilon: object,
 ) -> SurfaceTheoremReport:
+    """The surface theorem's check on B and C; passes only exact thresholds."""
     eps = as_fraction(epsilon)
     if eps <= 0:
         raise InputError("epsilon must be positive")
@@ -345,16 +353,16 @@ def verify_surface_theorem(
         failed.append("(B' . C) <= 2")
     if b.max_coefficient() > 1:
         failed.append("coefficients <= 1")
-    # The lct certifies B + lct*C nondegenerate, and then B is too: the
-    # nondegeneracy test passes on every subset of the branches it passes on.
-    lct = _lct(b, c, pb, mult) if not failed else None
-    nondeg = (lct is not None and lct.exact) or _nondegeneracy(b, face_normals(pb)).nondegenerate
+    nondeg = _nondegeneracy(b, face_normals(pb)).nondegenerate
     if not nondeg:
         failed.append("newton nondegeneracy")
-        lct = None
+    lct = _lct(b, c, pb, mult, nondeg) if not failed else None
+    # an inexact value is only an upper bound of the threshold: it checks nothing
+    if lct is not None and not lct.exact:
+        failed.append("B + lct*C newton nondegenerate")
 
     bound = delta_bound(eps)
-    passed = (lct.value >= bound.delta) if lct is not None else None
+    passed = lct.value >= bound.delta if not failed else None
     return SurfaceTheoremReport(
         eps,
         mld,

@@ -4,16 +4,19 @@ A polynomial in ``n`` variables is a mapping from exponent tuples to nonzero
 ``Fraction`` coefficients; a truncated power series is the same kind of
 sparse mapping, from exponents below the truncation order.
 
-The accepted expression grammar (whitespace insignificant)::
+The parser reads polynomials in x and y.  Its grammar is regular, and
+whitespace may stand between any two tokens::
 
     poly     :=  ['+'|'-'] monomial (('+'|'-') monomial)*
-    monomial :=  rational ('*' factors)?  |  factors
-    factors  :=  factor ('*' factor)*
-    factor   :=  var ('^' positive-integer)?
-    rational :=  integer ('/' positive-integer)?
+    monomial :=  rational | [rational '*'] factor ('*' (factor | rational))*
+    factor   :=  name ['^' integer]           (name x or y; integer >= 1)
+    rational :=  integer ['/' integer]        (unsigned; denominator != 0)
+    divisor  :=  ['-'] rational '*' '(' poly ')' ('+' ['-'] rational '*' '(' poly ')')*
 
-An explicit '*' is required between a coefficient and a variable and between
-variables, which keeps the grammar unambiguous.
+A name is ``[A-Za-z_][A-Za-z_0-9]*``, and any name but x or y is an error.
+An explicit '*' joins the items of a monomial, and a rational leads it only
+before a factor: ``x*2*y`` parses, ``2*3*x`` does not.  A divisor's '-'
+parses so that the divisor can name the non-positive coefficient.
 """
 
 from __future__ import annotations
@@ -34,27 +37,6 @@ class Poly:
 
     nvars: int
     terms: Mapping[Exponent, Fraction] = field(default_factory=dict)
-
-    # construction -----------------------------------------------------
-
-    @staticmethod
-    def from_terms(nvars: int, terms: Mapping[Exponent, object]) -> "Poly":
-        clean: dict[Exponent, Fraction] = {}
-        for exp, c in terms.items():
-            if len(exp) != nvars or any(e < 0 or not isinstance(e, int) for e in exp):
-                raise InputError(f"bad exponent tuple {exp} for {nvars} variables")
-            coeff = Fraction(c)
-            if coeff != 0:
-                clean[exp] = clean.get(exp, Fraction(0)) + coeff
-                if clean[exp] == 0:
-                    del clean[exp]
-        return Poly(nvars, clean)
-
-    @staticmethod
-    def zero(nvars: int) -> "Poly":
-        return Poly(nvars, {})
-
-    # predicates and views ----------------------------------------------
 
     @property
     def is_zero(self) -> bool:
@@ -85,220 +67,108 @@ class Poly:
         names = tuple(f"x{i}" for i in range(self.nvars))
         return f"Poly({render_poly(self, names)!r})"
 
-    # arithmetic ---------------------------------------------------------
-
-    def _require_same(self, other: "Poly") -> None:
-        if self.nvars != other.nvars:
-            raise InputError("polynomials have different variable counts")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._require_same(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, Fraction(0)) + c
-            if s == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-        return Poly(self.nvars, out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
 
 # ---------------------------------------------------------------------------
 # parsing
+#
+# _MONOMIAL, _HEAD and _CLOSE are matched at one position each and consume
+# their own leading whitespace; _ITEM then reads the values out of a matched
+# monomial.  A sign, '/', '^', '*' or '(' stands between any two \s* that
+# one match can reach, so no two of them can split one whitespace run: a
+# failed match backtracks over each run once, and a parse is linear in the
+# length of the text (Python 3.10 has no possessive quantifiers to say so).
+
+_RATIONAL = r"(\d+)(?:\s*/\s*(\d+))?"
+_FACTOR = r"([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(\d+))?"
+_ITEM = re.compile(f"{_RATIONAL}|{_FACTOR}")
+_MONOMIAL = re.compile(
+    rf"\s*(?:(?P<sign>[+-])\s*)?(?P<body>(?:{_RATIONAL}\s*\*\s*)?{_FACTOR}"
+    rf"(?:\s*\*\s*(?:{_FACTOR}|{_RATIONAL}))*|{_RATIONAL})?"
+)
+_HEAD = re.compile(rf"\s*(-\s*)?{_RATIONAL}\s*\*\s*\(")
+_CLOSE = re.compile(r"\s*\)\s*(\+)?")
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
+def _error(text: str, pos: int, expected: str) -> InputError:
+    at = len(text) - len(text[pos:].lstrip())
+    found = repr(text[at]) if at < len(text) else "end of input"
+    return InputError(f"syntax error at position {at}: expected {expected}, found {found}")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise InputError(f"syntax error at position {at}: unexpected {stripped[0]!r}")
-        if m.group(1) is not None:
-            tokens.append(("int", m.group(1), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2), m.start(2)))
-        else:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _integer(m: re.Match, group: int) -> int:
+    try:
+        return int(m.group(group))
+    except ValueError as exc:  # more digits than int() converts from text
+        raise InputError(f"number at position {m.start(group)} is too long: {exc}") from None
 
 
-class _Parser:
-    def __init__(self, text: str, variables: Sequence[str]) -> None:
-        if len(set(variables)) != len(variables):
-            raise InputError("variable names must be distinct")
-        self.text = text
-        self.variables = tuple(variables)
-        self.index = {name: i for i, name in enumerate(variables)}
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _rational(m: re.Match, group: int) -> Fraction:
+    """The rational of a match of _RATIONAL whose numerator is ``group``."""
+    den = 1 if m.group(group + 1) is None else _integer(m, group + 1)
+    if den == 0:
+        raise InputError(f"syntax error at position {m.start(group + 1)}: zero denominator")
+    return Fraction(_integer(m, group), den)
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str) -> "InputError":
-        kind, value, at = self.peek()
-        what = "end of input" if kind == "end" else repr(value)
-        return InputError(f"syntax error at position {at}: {message}, found {what}")
-
-    def expect_op(self, op: str) -> None:
-        kind, value, _ = self.peek()
-        if kind != "op" or value != op:
-            raise self.fail(f"expected {op!r}")
-        self.next()
-
-    # rational := ['-'] integer ('/' positive-integer)?
-    def parse_rational(self) -> Fraction:
-        sign = 1
-        if self.peek()[:2] == ("op", "-"):
-            self.next()
-            sign = -1
-        kind, value, _ = self.peek()
-        if kind != "int":
-            raise self.fail("expected an integer")
-        self.next()
-        num = int(value)
-        if self.peek()[:2] == ("op", "/"):
-            self.next()
-            kind, value, _ = self.peek()
-            if kind != "int":
-                raise self.fail("expected a denominator")
-            self.next()
-            den = int(value)
-            if den == 0:
-                raise self.fail("zero denominator")
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
-
-    # factor := var ('^' positive-integer)?
-    def parse_factor(self) -> Exponent:
-        kind, value, at = self.peek()
-        if kind != "name":
-            raise self.fail("expected a variable name")
-        if value not in self.index:
-            raise InputError(
-                f"syntax error at position {at}: unknown variable {value!r}"
-                f" (declared: {', '.join(self.variables)})"
-            )
-        self.next()
-        exp = [0] * len(self.variables)
-        power = 1
-        if self.peek()[:2] == ("op", "^"):
-            self.next()
-            kind, v, _ = self.peek()
-            if kind != "int" or int(v) < 1:
-                raise self.fail("expected a positive integer exponent")
-            self.next()
-            power = int(v)
-        exp[self.index[value]] = power
-        return tuple(exp)
-
-    # monomial := rational ('*' factors)? | factors
-    def parse_monomial(self) -> tuple[Fraction, Exponent]:
-        nvars = len(self.variables)
-        coeff = Fraction(1)
-        exp = (0,) * nvars
-        kind = self.peek()[0]
-        if kind == "int":
-            coeff = self.parse_rational()
-            if self.peek()[:2] != ("op", "*"):
-                return coeff, exp  # constant monomial
-            self.next()
-        elif kind != "name":
-            raise self.fail("expected a monomial")
-        exp = _exp_add(exp, self.parse_factor())
-        while self.peek()[:2] == ("op", "*"):
-            self.next()
-            kind = self.peek()[0]
-            if kind == "int":
-                coeff *= self.parse_rational()
+def _scan_poly(text: str, pos: int) -> "tuple[Poly, int]":
+    """The polynomial at ``pos`` and where it stops: at the end of the text,
+    or before the first thing after a monomial that is not a sign."""
+    terms: dict[Exponent, Fraction] = {}
+    first = True
+    while True:
+        m = _MONOMIAL.match(text, pos)
+        if not first and m["sign"] is None:
+            return Poly(2, terms), pos
+        if m["body"] is None:
+            raise _error(text, m.end(), "a monomial")
+        coeff, exp = Fraction(-1 if m["sign"] == "-" else 1), [0, 0]
+        for item in _ITEM.finditer(text, m.start("body"), m.end("body")):
+            if item[3] is None:
+                coeff *= _rational(item, 1)
+            elif item[3] not in ("x", "y"):
+                raise InputError(f"syntax error at position {item.start(3)}: "
+                                 f"unknown variable {item[3]!r} (use x and y)")
             else:
-                exp = _exp_add(exp, self.parse_factor())
-        return coeff, exp
-
-    # poly := ['+'|'-'] monomial (('+'|'-') monomial)*
-    def parse_poly(self) -> Poly:
-        terms: dict[Exponent, Fraction] = {}
-        sign = Fraction(1)
-        if self.peek()[:2] == ("op", "+"):
-            self.next()
-        elif self.peek()[:2] == ("op", "-"):
-            self.next()
-            sign = Fraction(-1)
-        while True:
-            coeff, exp = self.parse_monomial()
-            c = terms.get(exp, Fraction(0)) + sign * coeff
-            if c == 0:
-                terms.pop(exp, None)
-            else:
-                terms[exp] = c
-            kind, value, _ = self.peek()
-            if (kind, value) == ("op", "+"):
-                sign = Fraction(1)
-                self.next()
-            elif (kind, value) == ("op", "-"):
-                sign = Fraction(-1)
-                self.next()
-            else:
-                return Poly(len(self.variables), terms)
-
-    def at_end(self) -> bool:
-        return self.peek()[0] == "end"
+                power = 1 if item[4] is None else _integer(item, 4)
+                if power < 1:
+                    raise InputError(f"syntax error at position {item.start(4)}: "
+                                     "exponent must be a positive integer")
+                exp["xy".index(item[3])] += power
+        key = tuple(exp)
+        terms[key] = terms.get(key, Fraction(0)) + coeff
+        if terms[key] == 0:
+            del terms[key]
+        pos, first = m.end(), False
 
 
-def _exp_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def parse_poly(text: str, variables: Sequence[str] = ("x", "y")) -> Poly:
-    """Parse a polynomial expression with exact rational coefficients."""
-    parser = _Parser(text, variables)
-    p = parser.parse_poly()
-    if not parser.at_end():
-        raise parser.fail("trailing input after polynomial")
+def parse_poly(text: str) -> Poly:
+    """Parse a polynomial in x and y with exact rational coefficients."""
+    p, pos = _scan_poly(text, 0)
+    if text[pos:].strip():
+        raise _error(text, pos, "'+', '-' or end of input")
     return p
 
 
-def parse_weighted_terms(
-    text: str, variables: Sequence[str] = ("x", "y")
-) -> list[tuple[Fraction, Poly]]:
+def parse_weighted_terms(text: str) -> list[tuple[Fraction, Poly]]:
     """Parse ``rational*(poly) + rational*(poly) + ...`` into (coeff, poly)
     pairs, order preserved."""
-    parser = _Parser(text, variables)
     out: list[tuple[Fraction, Poly]] = []
+    pos = 0
     while True:
-        coeff = parser.parse_rational()
-        parser.expect_op("*")
-        parser.expect_op("(")
-        p = parser.parse_poly()
-        parser.expect_op(")")
+        head = _HEAD.match(text, pos)
+        if head is None:
+            raise _error(text, pos, "a coefficient and '*('")
+        coeff = -_rational(head, 2) if head[1] else _rational(head, 2)
+        p, pos = _scan_poly(text, head.end())
+        close = _CLOSE.match(text, pos)
+        if close is None:
+            raise _error(text, pos, "')'")
         out.append((coeff, p))
-        if parser.peek()[:2] == ("op", "+"):
-            parser.next()
-            continue
-        if not parser.at_end():
-            raise parser.fail("expected '+' or end of divisor expression")
-        return out
+        pos = close.end()
+        if close[1] is None:
+            if pos < len(text):
+                raise _error(text, pos, "'+' or end of input")
+            return out
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +203,8 @@ def render_poly(p: Poly, variables: Sequence[str] = ("x", "y")) -> str:
     return " ".join(parts)
 
 
-def render_weighted_terms(
-    pairs: Iterable[tuple[Fraction, Poly]], variables: Sequence[str] = ("x", "y")
-) -> str:
-    return " + ".join(f"{c}*({render_poly(p, variables)})" for c, p in pairs)
+def render_weighted_terms(pairs: Iterable[tuple[Fraction, Poly]]) -> str:
+    return " + ".join(f"{c}*({render_poly(p)})" for c, p in pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,8 @@ def as_fraction(value: object) -> Fraction:
                 return Fraction(value.strip())
         except ZeroDivisionError:
             pass
+        except ValueError as exc:  # more digits than int() converts from text
+            raise InputError(f"rational number too long: {exc}") from None
         raise InputError(
             f"not a rational number: {value!r} (use an integer, p/q or a plain decimal)"
         )

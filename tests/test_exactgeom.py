@@ -14,9 +14,9 @@ from germ.exactgeom import (
     Cone2,
     NewtonPolytope,
     Point2,
-    cone,
     face_normals,
     _boundary_neighbour,
+    _primitive,
     hilbert_runs,
     minkowski_sum,
     polytope_from_support,
@@ -210,6 +210,12 @@ def brute_irreducibles(c, bound):
         if not reducible:
             out.append(v)
     return set(out)
+
+
+def cone(g1, g2):
+    """The cone of two nonzero first-quadrant integer vectors, each made
+    primitive."""
+    return Cone2(_primitive(g1), _primitive(g2))
 
 
 def hilbert_basis(c):

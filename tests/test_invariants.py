@@ -22,13 +22,14 @@ from germ.invariants import (
     toric_log_discrepancy,
     verify_surface_theorem,
 )
-from germ.polys import Poly, parse_poly
+from germ.polys import parse_poly
 from germ.scalars import NEG_INF, as_fraction
 from test_exactgeom import hilbert_basis, poly
+from test_germs import from_terms
 
 
 def binom(lam, m, n):
-    return divisor([(lam, Poly.from_terms(2, {(m, 0): 1, (0, n): 1}))])
+    return divisor([(lam, from_terms({(m, 0): 1, (0, n): 1}))])
 
 
 def brute_binomial_mld(lam, m, n, bound=100):
@@ -216,7 +217,7 @@ def _random_divisor(rng):
             if exp == (0, 0):
                 continue
             terms[exp] = F(rng.randint(1, 5), rng.randint(1, 5))
-        p = Poly.from_terms(2, terms)
+        p = from_terms(terms)
         if p.is_zero:
             continue
         comps.append((F(rng.randint(1, 10), 10), p))
@@ -647,3 +648,19 @@ def test_surface_theorem_curve_with_unit_factor():
     b = parse_divisor("1/2*(x) + 1/3*(y - x^2)")
     rep = verify_surface_theorem(b, curve_orient(parse_poly("x + x*y")), "1/4")
     assert rep.mult == F(1, 2) and rep.reduced_intersection == F(1, 3)
+
+
+def test_surface_theorem_passes_only_exact_thresholds():
+    """1/6*(x^4 + (y - x)^4) + 1/4*(y - x) against y - x - x^2 is the germ
+    1/6*(x^4 + y^4) + 1/4*y against y - x^2 sheared by y -> y - x.  B stays
+    nondegenerate, but B + lct*C does not, so the toric lct 1 is only an
+    upper bound of the true 11/12: the check is inapplicable, not passed."""
+    b = parse_divisor("1/6*(2*x^4 - 4*x^3*y + 6*x^2*y^2 - 4*x*y^3 + y^4) + 1/4*(y - x)")
+    rep = verify_surface_theorem(b, curve_orient(parse_poly("y - x - x^2")), "1/2")
+    assert rep.nondegenerate and rep.failed_hypotheses == ("B + lct*C newton nondegenerate",)
+    assert not rep.applicable and rep.passed is None
+    assert rep.lct.value == 1 and not rep.lct.exact
+    unsheared = verify_surface_theorem(parse_divisor("1/6*(x^4 + y^4) + 1/4*(y)"),
+                                       curve_orient(parse_poly("y - x^2")), "1/2")
+    assert unsheared.applicable and unsheared.passed
+    assert unsheared.lct.value == F(11, 12) and unsheared.lct.exact

@@ -90,6 +90,35 @@ def test_package_imports_are_used():
     assert not unused, f"imported but never used: {unused}"
 
 
+def test_library_definitions_have_a_shipped_caller():
+    """Every top-level function and class and every non-dunder method of the
+    package is named in the package or in bench/, as a name or an
+    attribute, or is listed in an ``__all__``: code that only the tests
+    reach belongs in the tests."""
+    paths = sorted(PACKAGE.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in paths + sorted((PACKAGE.parents[1] / "bench").glob("*.py"))}
+    named = set()
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            named.update(ast.literal_eval(node.value))
+    defined = []
+    for path in paths:
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(path.name, f"{node.name}.{sub.name}", sub.name) for sub in node.body
+                            if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__")]
+    unused = [f"{file}: {qualified}" for file, qualified, name in defined if name not in named]
+    assert not unused, f"defined but never named outside the tests: {unused}"
+
+
 def test_optimized_interpreter_gives_the_same_answers():
     namespace: dict = {}
     exec(EVALUATE, namespace)

@@ -4,12 +4,21 @@ A divisor germ is a finite positive rational combination of polynomial
 branches through the origin; a smooth curve germ is a single polynomial
 with nonzero linear part.  This module extracts their Newton data and
 computes the purely local quantities the invariant layer builds on:
-the multiplicity of B along a curve C and the local intersection of the
-C-free part of B with C, both read off one walk of x-derivatives along a
-sparse power-series parametrization of C in its oriented frame, and the
-Newton-nondegeneracy certificate that marks inputs whose toric invariants
-are exact, read off the branches' initial forms along the face normals of
-the divisor's one Newton polygon.
+
+- the multiplicity of B along a curve C and the local intersection of the
+  C-free part of B with C, both read off one walk of x-derivatives along
+  the root x = psi(t) of C in its oriented frame.  The walk runs on series
+  kept as ``int`` numerators over one denominator, with no ``Fraction`` per
+  coefficient.  psi is lifted by Newton's iteration, doubling its order
+  each pass, and powers of psi come by repeated squaring, skipped at once
+  when their valuation passes the truncation.  An exact polynomial root is read once at the Bezout order;
+  any other psi stops each series at the first doubled order below which
+  it is not 0;
+- the Newton-nondegeneracy certificate that marks inputs whose toric
+  invariants are exact, read off the branches' initial forms along the
+  face normals of the divisor's one Newton polygon.  Binomial forms are
+  decided on their exponents and coefficients; only forms of three or more
+  terms go through a dense gcd.
 
 Polynomials (not power series) keep every computation exact and decidable.
 Only the germ of a curve at the origin matters: a curve polynomial may
@@ -21,9 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
+from typing import NamedTuple
 
-from .errors import DomainError, GermError, InputError
+from .errors import DomainError, InputError
 from .exactgeom import (
     IntVec,
     NewtonPolytope,
@@ -181,8 +191,10 @@ def _nondegeneracy(b: DivisorGerm, normals: "list[IntVec]") -> NondegeneracyRepo
     of b's polygon, the union of its branches'; along any other normal every
     initial form is one term, which passes.  A face form f(u), f(0) != 0,
     steps by the gcd k of every branch's exponent gaps on the face: f(u^k)
-    is squarefree, or shares a factor with g(u^k), iff f is, or does with g."""
-    forms: "list[dict[IntVec, list[Fraction]]]" = [{} for _ in b.components]
+    is squarefree, or shares a factor with g(u^k), iff f is, or does with g.
+    Forms are sparse, u-exponent -> coefficient; a binomial is squarefree,
+    and only forms of three or more terms go through the dense ``uni_*``."""
+    forms: "list[dict[IntVec, dict[int, Fraction]]]" = [{} for _ in b.components]
     for n1, n2 in normals:
         faces = []  # each branch's terms of least n1*i + n2*j, keyed by i
         for _, p in b.components:
@@ -191,71 +203,194 @@ def _nondegeneracy(b: DivisorGerm, normals: "list[IntVec]") -> NondegeneracyRepo
         step = gcd(*(i - min(f) for f in faces for i in f))
         for fi, f in zip(forms, faces):
             if len(f) > 1:
-                fi[n1, n2] = [f.get(i, Fraction(0)) for i in range(min(f), max(f) + 1, step)]
+                low = min(f)
+                fi[n1, n2] = {(i - low) // step: c for i, c in f.items()}
     for i, fi in enumerate(forms):
         for n, f in fi.items():
-            if not uni_is_squarefree(f):
+            if len(f) > 2 and not uni_is_squarefree(_dense(f)):
                 return NondegeneracyReport(False, (i,), n, "face form is not squarefree")
     for i, fi in enumerate(forms):
         for n, f in fi.items():
             for j in range(i + 1, len(forms)):
                 g = forms[j].get(n)
-                if g is not None and not uni_coprime(f, g):
+                if g is not None and _share_factor(f, g):
                     return NondegeneracyReport(
                         False, (i, j), n, "parallel face forms share a factor"
                     )
     return NondegeneracyReport(True)
 
 
+def _dense(f: "dict[int, Fraction]") -> "list[Fraction]":
+    return [f.get(i, Fraction(0)) for i in range(max(f) + 1)]
+
+
+def _share_factor(f: "dict[int, Fraction]", g: "dict[int, Fraction]") -> bool:
+    """Whether two face forms with nonzero constant terms share a factor.
+
+    Binomials are decided on their exponents, as gcd(m, k) reduces: with
+    e = gcd(m, k), c0 + c1*u^m and d0 + d1*u^k share a root iff their roots
+    a = -c0/c1 of u^m and b = -d0/d1 of u^k have a^(k/e) = b^(m/e).  Then
+    w = a^s * b^(-t), for s*m - t*k = e, has w^(m/e) = a and w^(k/e) = b,
+    and any e-th root of w is a root of both.
+    """
+    if len(f) > 2 or len(g) > 2:
+        return not uni_coprime(_dense(f), _dense(g))
+    (m, c1), (k, d1) = max(f.items()), max(g.items())
+    e = gcd(m, k)
+    return _powers_agree(-f[0] / c1, k // e, -g[0] / d1, m // e)
+
+
+def _powers_agree(a: Fraction, k: int, b: Fraction, m: int) -> bool:
+    """a^k == b^m for nonzero rationals a, b and coprime k, m >= 1, in time
+    polynomial in their bit sizes.  |a|^k = |b|^m with k, m coprime forces
+    |a| = r^m and |b| = r^k for a rational r > 0; when r != 1 the larger of
+    |a|'s numerator and denominator is at least 2^m, which bounds m by its
+    bit length, and likewise k by b's."""
+    if (a < 0 and k % 2 == 1) != (b < 0 and m % 2 == 1):
+        return False
+    a, b = abs(a), abs(b)
+    if a == 1 or b == 1:
+        return a == b
+    if m >= max(a.numerator, a.denominator).bit_length():
+        return False
+    if k >= max(b.numerator, b.denominator).bit_length():
+        return False
+    return a**k == b**m
+
+
 # ---------------------------------------------------------------------------
 # multiplicities and intersections
 
 
-def curve_parametrization(g: Poly, order: int) -> "dict[int, Fraction]":
-    """Sparse series psi, truncated below ``order``, with g(psi(t), t) = 0.
+# The series are exact rational series kept as ``int`` numerators over one
+# ``int`` denominator, in the frame of the oriented curve itself, so sizes
+# follow the true coefficients: the root of 3*x + 2*y^k is -2/3*t^k over the
+# denominator 3, whatever k.  Polynomials enter with their denominators cleared,
+# which scales a branch, its x-derivatives and their values on the curve by a
+# constant: zeros and valuations do not change.
+
+IntTerms = dict[tuple[int, int], int]
+
+
+class Series(NamedTuple):
+    """``num`` / ``den``: exponent -> nonzero ``int`` numerator, over one
+    nonzero ``int`` denominator."""
+
+    num: "dict[int, int]"
+    den: int
+
+
+def _integer_terms(p: Poly) -> IntTerms:
+    """D * p, D the lcm of p's denominators."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+
+
+def _d_dx(p: IntTerms) -> IntTerms:
+    return {(i - 1, j): i * c for (i, j), c in p.items() if i}
+
+
+def _reduced(num: "dict[int, int]", den: int) -> Series:
+    common = gcd(den, *num.values())
+    return Series({k: v // common for k, v in num.items() if v}, den // common)
+
+
+def _product(a: Series, b: Series, order: int) -> Series:
+    return Series(series_mul(a.num, b.num, order), a.den * b.den)
+
+
+def _difference(a: Series, b: Series) -> Series:
+    num = {k: v * b.den for k, v in a.num.items()}
+    for k, v in b.num.items():
+        num[k] = num.get(k, 0) - v * a.den
+    return _reduced(num, a.den * b.den)
+
+
+_ONE = Series({0: 1}, 1)
+
+
+class CurveLift(NamedTuple):
+    """The root x = psi(t) of a curve whose cleared terms are ``h``.  Either
+    psi is known below ``order``, with ``inverse`` = 1/h_x(psi, t) below
+    ``order``, or ``exact``: psi is a polynomial with h(psi, t) = 0."""
+
+    h: IntTerms
+    order: int
+    psi: Series
+    inverse: Series
+    exact: bool
+
+
+def curve_parametrization(g: Poly, order: int, lift: "CurveLift | None" = None) -> CurveLift:
+    """The root x = psi(t) of g, known below ``order`` or exact.
 
     ``g`` is in ``curve_orient``'s frame: through the origin, with x-linear
-    coefficient lin != 0.  Each exact pass psi -> -(g - lin*x)(psi, t) / lin
-    gains an order; psi is fixed iff the residual g(psi, t) = lin*(psi - new) is 0.
+    coefficient lin != 0.  The first guess is psi = -(the x-free part of g)
+    / lin; if g vanishes on it, psi is exact.  Otherwise Newton's iteration
+    lifts psi from psi = 0 below t^1, where inverse = 1/lin, doubling the
+    order each pass (Brent and Kung, JACM 1978):
+        psi <- psi - inverse*g(psi, t),
+        inverse <- inverse*(2 - g_x(psi, t)*inverse),
+    both truncated at the new order.  A pass whose residual g(psi, t) is 0
+    below it tests whether psi is exact.  Given ``lift``, the lifting goes
+    on from it, so each lift is made once.
     """
-    lin = g.coefficient((1, 0))
-    if lin == 0 or g.constant_term() != 0:
-        raise InputError("curve needs an x-linear term and must pass through the origin")
-    rest = Poly(2, {e: c for e, c in g.terms.items() if e != (1, 0)})
-    psi: dict[int, Fraction] = {}
-    for _ in range(order + 1):
-        new = {k: -v / lin for k, v in _on_curve(rest, psi, order).items()}
-        if new == psi:
-            return psi
-        psi = new
-    raise GermError("curve parametrization did not converge")
+    if lift is None:
+        if g.coefficient((1, 0)) == 0 or g.constant_term() != 0:
+            raise InputError("curve needs an x-linear term and must pass through the origin")
+        h = _integer_terms(g)
+        guess = _reduced({j: -c for (i, j), c in h.items() if i == 0}, h[1, 0])
+        if _is_root(h, guess):
+            return CurveLift(h, order, guess, _ONE, True)
+        lift = CurveLift(h, 1, Series({}, 1), Series({0: 1}, h[1, 0]), False)
+    h, known, psi, inverse, exact = lift
+    dh = _d_dx(h)
+    while not exact and known < order:
+        known = min(2 * known, order)
+        residual = _on_curve(h, psi, known)
+        exact = not residual.num and _is_root(h, psi)
+        if not exact:
+            psi = _difference(psi, _product(inverse, residual, known))
+            excess = _difference(_product(_on_curve(dh, psi, known), inverse, known), _ONE)
+            inverse = _difference(inverse, _product(inverse, excess, known))
+    return CurveLift(h, known, psi, inverse, exact)
 
 
-def _on_curve(p: Poly, psi: "dict[int, Fraction]", order: int) -> "dict[int, Fraction]":
-    """p(psi(t), t) below ``order`` by Horner's rule in x; y = t is a shift.
+def _is_root(h: IntTerms, psi: Series) -> bool:
+    """h(psi(t), t) = 0 for a polynomial psi, evaluated to its full degree."""
+    top = max(psi.num, default=0)
+    return not _on_curve(h, psi, max(i * top + j for i, j in h) + 1).num
 
-    psi(0) = 0, so ``order`` products with psi empty any series, and the
-    products stop once the series is empty (at once when psi = 0).
-    """
-    out: dict[int, Fraction] = {}
-    top = max((i for i, _ in p.terms), default=0)
-    for (i, j), c in sorted(p.terms.items(), reverse=True):
+
+def _on_curve(p: IntTerms, psi: Series, order: int) -> Series:
+    """p(psi(t), t) below ``order`` by Horner's rule in x; y = t is a shift."""
+    out = Series({}, 1)
+    top = max((i for i, _ in p), default=0)
+    for (i, j), c in sorted(p.items(), reverse=True):
         out = _times_psi(out, psi, order, top - i)
         top = i
-        out[j] = out.get(j, 0) + c
-    out = _times_psi(out, psi, order, top)
-    return {k: v for k, v in out.items() if v and k < order}
+        if j < order and (v := out.num.get(j, 0) + c * out.den):
+            out.num[j] = v
+        else:
+            out.num.pop(j, None)
+    return _times_psi(out, psi, order, top)
 
 
-def _times_psi(
-    s: "dict[int, Fraction]", psi: "dict[int, Fraction]", order: int, k: int
-) -> "dict[int, Fraction]":
-    """s * psi^k below ``order``."""
-    for _ in range(min(k, order)):
-        if not s:
-            break
-        s = series_mul(s, psi, order)
-    return s
+def _times_psi(s: Series, psi: Series, order: int, k: int) -> Series:
+    """s * psi^k below ``order``, psi^k by repeated squaring, and 0 at once
+    when val(s) + k*val(psi) >= order: psi(0) = 0."""
+    if not s.num or not k:
+        return s
+    if not psi.num or min(s.num) + k * min(psi.num) >= order:
+        return Series({}, 1)
+    bound = order - min(s.num)  # the powers of psi matter only below this
+    while True:
+        if k & 1:
+            s = _product(s, psi, order)
+        k >>= 1
+        if not k or not s.num:
+            return s
+        psi = _product(psi, psi, bound)
 
 
 def contact_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, Fraction]":
@@ -272,22 +407,44 @@ def contact_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, 
     derivative that is not 0 on C meets it in at most the product of the
     degrees, so a series that is 0 below n = max deg B * deg C + 2 is 0 on C.
     The walk stops by the (deg_x p)-th derivative, a nonzero polynomial in y.
+
+    The series are ``int`` numerators over one denominator (see
+    ``curve_parametrization``).  An exact psi is read once below n.  Any
+    other psi is lifted along the orders 2, 4, 8, ..., n, each lift made once
+    and shared by every branch and derivative, and a series stops at the
+    first of these orders below which it is not 0: its lowest term is then
+    found, and n is reached only by series that are 0 on C.
     """
     if b.is_empty:
         return Fraction(0), Fraction(0)
     max_deg = max(p.total_degree() for _, p in b.components)
     n = max_deg * c.poly.total_degree() + 2
-    psi = curve_parametrization(c.oriented_poly(), n)
+    g = c.oriented_poly()
+    lifts = [curve_parametrization(g, 2)]
     mult = inter = Fraction(0)
     for coeff, p in b.components:
-        p = _transpose(p) if c.swapped else p
+        q = _integer_terms(_transpose(p) if c.swapped else p)
         k = 0
-        while not (values := _on_curve(p, psi, n)):
-            p = Poly(2, {(i - 1, j): i * v for (i, j), v in p.terms.items() if i})
+        while not (values := _first_values(q, g, lifts, n)):
+            q = _d_dx(q)
             k += 1
         mult += coeff * k
         inter += coeff * min(values)
     return mult, inter
+
+
+def _first_values(p: IntTerms, g: Poly, lifts: "list[CurveLift]", n: int) -> "dict[int, int]":
+    """The numerators of p on the curve below the first order of the lifts
+    at which it is not 0, or below n; ``lifts`` is extended in place, one
+    doubling at a time."""
+    i = 0
+    while not (lifts[i].exact or lifts[i].order >= n):
+        if values := _on_curve(p, lifts[i].psi, lifts[i].order).num:
+            return values
+        i += 1
+        if i == len(lifts):
+            lifts.append(curve_parametrization(g, min(2 * lifts[-1].order, n), lifts[-1]))
+    return _on_curve(p, lifts[i].psi, n).num
 
 
 def local_intersection(b: DivisorGerm, c: SmoothCurveGerm) -> Fraction:

@@ -289,13 +289,11 @@ def delta_bound(epsilon: object) -> BoundResult:
         raise InputError("epsilon must be positive")
     p, q = eps.numerator, eps.denominator
     n = 2 if p >= q else max(2, (q + math.isqrt(q * (q - p))) // p)
-
-    def h(k: int) -> Fraction:
-        return (eps - Fraction(1, k)) / (k - 1)
-
-    if h(n + 1) > h(n):
+    # h(n) = (p*n - q)/(q*n*(n - 1)), so h(n + 1) > h(n) iff
+    # (p*(n + 1) - q)*(n - 1) > (p*n - q)*(n + 1), with q*n*(n - 1)*(n + 1) > 0
+    if (p * (n + 1) - q) * (n - 1) > (p * n - q) * (n + 1):
         n += 1
-    return BoundResult(eps, h(n), n)
+    return BoundResult(eps, Fraction(p * n - q, q * n * (n - 1)), n)
 
 
 # ---------------------------------------------------------------------------

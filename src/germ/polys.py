@@ -1,8 +1,9 @@
 """Exact sparse polynomials over the rationals, plus the expression parser.
 
 A polynomial in ``n`` variables is a mapping from exponent tuples to nonzero
-``Fraction`` coefficients; a truncated power series is the same kind of
-sparse mapping, from exponents below the truncation order.
+``Fraction`` coefficients; a truncated power series is a sparse mapping from
+exponents below the truncation order to nonzero coefficients, which the
+series code keeps as ``int``.
 
 The parser reads polynomials in x and y.  Its grammar is regular, and
 whitespace may stand between any two tokens::
@@ -175,6 +176,13 @@ def parse_weighted_terms(text: str) -> list[tuple[Fraction, Poly]]:
 # rendering (canonical, re-parseable)
 
 
+def _text(value: "int | Fraction") -> str:
+    try:
+        return str(value)
+    except ValueError as exc:  # more digits than str() converts to text
+        raise InputError(f"number is too long to render: {exc}") from None
+
+
 def render_poly(p: Poly, variables: Sequence[str] = ("x", "y")) -> str:
     if len(variables) != p.nvars:
         raise InputError("wrong number of variable names")
@@ -188,14 +196,14 @@ def render_poly(p: Poly, variables: Sequence[str] = ("x", "y")) -> str:
             if e == 1:
                 factors.append(name)
             elif e > 1:
-                factors.append(f"{name}^{e}")
+                factors.append(f"{name}^{_text(e)}")
         mag = abs(coeff)
         if not factors:
-            body = str(mag)
+            body = _text(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([str(mag)] + factors)
+            body = "*".join([_text(mag)] + factors)
         if not parts:
             parts.append(body if coeff > 0 else f"-{body}")
         else:
@@ -204,14 +212,14 @@ def render_poly(p: Poly, variables: Sequence[str] = ("x", "y")) -> str:
 
 
 def render_weighted_terms(pairs: Iterable[tuple[Fraction, Poly]]) -> str:
-    return " + ".join(f"{c}*({render_poly(p)})" for c, p in pairs)
+    return " + ".join(f"{_text(c)}*({render_poly(p)})" for c, p in pairs)
 
 
 # ---------------------------------------------------------------------------
 # sparse truncated power series (exponent -> nonzero coefficient)
 
 
-def series_mul(a: dict[int, Fraction], b: dict[int, Fraction], order: int) -> dict[int, Fraction]:
+def series_mul(a: dict[int, int], b: dict[int, int], order: int) -> dict[int, int]:
     """Product truncated below ``order``; zero terms are never stored or visited."""
     terms = sorted(b.items())
     out: dict[int, Fraction] = {}

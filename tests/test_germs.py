@@ -5,11 +5,12 @@ import time
 from collections import Counter
 from fractions import Fraction as F
 from functools import reduce
+from math import gcd
 
 import pytest
 
 from germ.errors import DomainError, InputError
-from germ.exactgeom import minkowski_sum
+from germ.exactgeom import face_normals, minkowski_sum
 from germ.germs import (
     DivisorGerm,
     contact_along_curve,
@@ -128,6 +129,16 @@ def test_parse_render_round_trip():
         if p.is_zero:
             continue
         assert parse_poly(render_poly(p)) == p
+
+
+def test_render_rejects_numbers_past_the_str_limit():
+    """A product of two 3000-digit factors has 6000 digits, past Python's
+    str(int) limit: rendering raises InputError and names the limit."""
+    text = "9" * 3000 + "*x*" + "9" * 3000
+    with pytest.raises(InputError, match="limit"):
+        repr(parse_poly(text))
+    with pytest.raises(InputError, match="limit"):
+        render_divisor(parse_divisor(f"1*({text})"))
 
 
 def _ws(rng):
@@ -444,6 +455,70 @@ def test_nondegeneracy_matches_per_branch_reference():
     assert degenerate > 400 and exact_checked > 900
 
 
+def dense_nondegeneracy(b):
+    """Oracle: the test along the one polygon's normals with every face form
+    dense, stepped by the gcd of the face's exponent gaps, through the
+    ``uni_*`` helpers: (verdict, component indices, normal)."""
+    normals = face_normals(newton_polytope(b))
+    forms = [{} for _ in b.components]
+    for n1, n2 in normals:
+        faces = []
+        for _, p in b.components:
+            level = min(n1 * i + n2 * j for i, j in p.terms)
+            faces.append({i: c for (i, j), c in p.terms.items() if n1 * i + n2 * j == level})
+        step = gcd(*(i - min(f) for f in faces for i in f))
+        for fi, f in zip(forms, faces):
+            if len(f) > 1:
+                fi[n1, n2] = [f.get(i, F(0)) for i in range(min(f), max(f) + 1, step)]
+    for i, fi in enumerate(forms):
+        for n, f in fi.items():
+            if not uni_is_squarefree(f):
+                return False, (i,), n
+    for i, fi in enumerate(forms):
+        for n, f in fi.items():
+            for j in range(i + 1, len(forms)):
+                g = forms[j].get(n)
+                if g is not None and not uni_coprime(f, g):
+                    return False, (i, j), n
+    return True, (), None
+
+
+def _binomial(rng, normal, steps, root):
+    """A branch x^i0*y^j0 * (x^(n2*steps) - root*y^(n1*steps)), times a unit
+    constant: one compact face, along ``normal``, whose form is
+    const*(u^steps - root) in u = x^n2/y^n1."""
+    n1, n2 = normal
+    i0, j0 = rng.choice([(0, 0), (0, 0), (1, 0), (0, 2), (3, 1)])
+    unit = F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+    return Poly(2, {(i0 + n2 * steps, j0): unit, (i0, j0 + n1 * steps): -unit * root})
+
+
+def test_sparse_binomial_forms_match_dense_oracle():
+    """On pairs of binomial branches along one normal, with u-degrees up to
+    10^3, the sparse verdict equals the dense one.  About half the pairs are
+    built to share a root: u^(d*m) - w^m and u^(d*k) - w^k share the d-th
+    roots of w."""
+    rng = random.Random(61)
+    seen = Counter()
+    for _ in range(150):
+        normal = rng.choice([(1, 1), (1, 2), (2, 1), (2, 3), (3, 5)])
+        d = rng.choice([1, 1, 2, 3, 6])
+        m, k = (rng.randint(1, 1000 // (d * max(normal))) for _ in range(2))
+        w = F(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 5]))
+        a, b = w ** m, w ** k
+        if rng.random() < 0.5:
+            b *= rng.choice([-1, 2, F(1, 3)])
+        pair = [_binomial(rng, normal, d * m, a), _binomial(rng, normal, d * k, b)]
+        if rng.random() < 0.3:
+            pair.append(_small_branch(rng, 3))
+        germ = DivisorGerm(tuple((F(1, 4), q) for q in pair))
+        report = nondegeneracy_check(germ)
+        expected = dense_nondegeneracy(germ)
+        assert (report.nondegenerate, report.component_indices, report.normal) == expected
+        seen["nondegenerate" if expected[0] else "shared factor"] += 1
+    assert min(seen.values()) >= 40, seen
+
+
 def _uni_product(unit, factors):
     """unit * prod f^e over the (f, e) in ``factors``, as a dense list in u."""
     out = [unit]
@@ -617,6 +692,123 @@ def test_curve_parametrization_needs_x_linear_term_at_origin():
     for text in ["y + x^2", "y", "x^2 + y^2", "1 + x"]:
         with pytest.raises(InputError):
             curve_parametrization(pp(text), 6)
+
+
+def _series_product(a, b, order):
+    out = {}
+    for i, ca in a.items():
+        for j, cb in b.items():
+            if i + j < order:
+                out[i + j] = out.get(i + j, 0) + ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
+def _horner_on_curve(p, psi, order):
+    """p(psi(t), t) below ``order`` in Fractions, by Horner's rule in x with
+    one product per power of x."""
+    out = {}
+    top = max((i for i, _ in p.terms), default=0)
+    for (i, j), c in sorted(p.terms.items(), reverse=True):
+        for _ in range(top - i):
+            out = _series_product(out, psi, order)
+        top = i
+        out[j] = out.get(j, 0) + c
+    for _ in range(top):
+        out = _series_product(out, psi, order)
+    return {k: v for k, v in out.items() if v and k < order}
+
+
+def reference_contact(b, c):
+    """Oracle: (mult_C B, (B' . C), psi) from the fixed-point parametrization
+    psi -> -(g - lin*x)(psi, t)/lin, one order per pass, and the walk of
+    x-derivatives in Fractions at the Bezout order max deg B * deg C + 2."""
+    n = max(p.total_degree() for _, p in b.components) * c.poly.total_degree() + 2
+    g = c.oriented_poly()
+    lin = g.coefficient((1, 0))
+    rest = Poly(2, {e: v for e, v in g.terms.items() if e != (1, 0)})
+    psi = {}
+    for _ in range(n + 1):
+        new = {k: -v / lin for k, v in _horner_on_curve(rest, psi, n).items()}
+        if new == psi:
+            break
+        psi = new
+    else:
+        raise AssertionError("fixed-point parametrization did not converge")
+    mult = inter = F(0)
+    for coeff, p in b.components:
+        p = _transpose(p) if c.swapped else p
+        k = 0
+        while not (values := _horner_on_curve(p, psi, n)):
+            p = Poly(2, {(i - 1, j): i * v for (i, j), v in p.terms.items() if i})
+            k += 1
+        mult += coeff * k
+        inter += coeff * min(values)
+    return mult, inter, psi
+
+
+def _rational_curve(rng):
+    """A smooth curve lin*x + (terms of degree 1 or 2 in x, y) with rational
+    coefficients and lin in a set whose cleared value is rarely +-1; the x^2
+    and x*y terms make its root a dense series."""
+    lin = rng.choice([F(3, 2), F(-5, 3), F(4, 7), F(6), F(-2, 9)])
+    terms = {(1, 0): lin}
+    for exp in [(0, 1), (0, 2), (2, 0), (1, 1), (0, 3), (2, 1)]:
+        if rng.random() < 0.6:
+            terms[exp] = F(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 4]))
+    return from_terms(terms)
+
+
+def test_contact_matches_fixed_point_oracle():
+    """The Newton-lifted walk on int numerators, with its early stop, equals
+    the fixed-point, Fraction evaluator on rational curves whose cleared
+    x-linear coefficient L is not +-1 and whose roots are dense, as given and
+    transposed, with contained components; and the lifted root is the
+    oracle's psi below the order it is known to, over a reduced denominator."""
+    rng = random.Random(67)
+    seen = Counter()
+    for _ in range(60):
+        g = _rational_curve(rng)
+        parts = [(F(rng.randint(1, 6), 6), _random_branch(rng, 0, 4), 0)
+                 for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.4:
+            parts.append((F(1, 3), _random_branch(rng, rng.choice([0, 1]), 2), rng.choice([1, 2])))
+        b = DivisorGerm(tuple((coeff, _mul(_power(g, k), q)) for coeff, q, k in parts))
+        for germ, curve in [(b, curve_orient(g)), (DivisorGerm(tuple(
+                (coeff, _transpose(p)) for coeff, p in b.components)), curve_orient(_transpose(g)))]:
+            mult, inter, psi = reference_contact(germ, curve)
+            assert contact_along_curve(germ, curve) == (mult, inter)
+            n = max(p.total_degree() for _, p in germ.components) * curve.poly.total_degree() + 2
+            lift = curve_parametrization(curve.oriented_poly(), n)
+            known = n if lift.exact else lift.order
+            assert {k: F(v, lift.psi.den) for k, v in lift.psi.num.items() if k < known} \
+                == {k: v for k, v in psi.items() if k < known}
+            # reduced: psi's coefficients below t^k have denominators dividing L^(2k - 1)
+            assert lift.h[1, 0] ** (2 * known) % lift.psi.den == 0
+            seen["L != +-1" if abs(lift.h[1, 0]) != 1 else "L +-1"] += 1
+            seen["exact" if lift.exact else "lifted"] += 1
+            seen["contained" if mult else "free"] += 1
+    assert seen["L != +-1"] > 90 and seen["lifted"] > 75 and seen["contained"] > 30, seen
+
+
+def test_series_cost_follows_bit_size():
+    """The cases that hung the per-order evaluator: a power 10^6 of an exact
+    root (each square is one term) and the mirror pair, whose root is a dense
+    series that the early stop lifts only to order 4; and huge powers of y
+    against curves with x-linear coefficient 3/2, whose coefficients stay
+    small because the series keep one denominator in the curve's own frame."""
+    cases = [
+        ("1/2*(y^1000000 + x)", "y - x^2", (0, F(1, 2))),
+        ("1/2*(y^1000000 + x)", "y - 2*x^2", (0, F(1, 2))),
+        ("1/2*(y^60 + x^3)", "x + y + x^2", (0, F(3, 2))),
+        ("1/2*(x^60 + y^3)", "y + x + y^2", (0, F(3, 2))),
+        ("1/2*(y^1000000000 + x)", "3/2*x + y", (0, F(1, 2))),
+        ("1/2*(x + y^2)", "3/2*x + y^1000000000", (0, F(1))),
+        ("1/2*(3/2*x + y^1000000000)", "3/2*x + y^1000000000", (F(1, 2), 0)),
+    ]
+    for b, c, expected in cases:
+        start = time.perf_counter()
+        assert contact_along_curve(parse_divisor(b), curve_orient(pp(c))) == expected
+        assert time.perf_counter() - start < 0.5
 
 
 def _transpose(p):

@@ -41,6 +41,20 @@ CASES = [
     'curve_orient(parse_poly("y - x^2")), "1/4")',
     'verify_surface_theorem(parse_divisor("1/2*(y - x^3 + x^40)"), '
     'curve_orient(parse_poly("y - x^3")), "1/100")',
+    'verify_surface_theorem(parse_divisor("1/2*(y^1000000 + x)"), '
+    'curve_orient(parse_poly("y - 2*x^2")), "1/3")',
+    'verify_surface_theorem(parse_divisor("1/2*(y^60 + x^3)"), '
+    'curve_orient(parse_poly("x + y + x^2")), "1/3")',
+    'verify_surface_theorem(parse_divisor("1/2*(x^60 + y^3)"), '
+    'curve_orient(parse_poly("y + x + y^2")), "1/3")',
+    'lct_toric(parse_divisor("1/3*(x^2 + y^3) + 1/4*(x*y - y^2)"), '
+    'curve_orient(parse_poly("3/2*x + y^2 + x*y")))',
+    'verify_surface_theorem(parse_divisor("1/3*(x^2 + y^3) + 1/4*(3/2*x^2 + x*y^2 + x^2*y)"), '
+    'curve_orient(parse_poly("3/2*x + y^2 + x*y")), "1/5")',
+    'verify_surface_theorem(parse_divisor("1/3*(x^4 - 4*y^2) + 1/3*(x^2 - 2*y)"), '
+    'curve_orient(parse_poly("x")), "1/4")',
+    'verify_surface_theorem(parse_divisor("1/3*(x^6 - 8*y^3) + 1/3*(x^2 + 2*y)"), '
+    'curve_orient(parse_poly("x")), "1/4")',
     'delta_bound("1/2")',
     'delta_bound("1/10000")',
     'toric_log_discrepancy(parse_divisor("1*(x)"), (1,))',

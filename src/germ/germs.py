@@ -7,18 +7,24 @@ computes the purely local quantities the invariant layer builds on:
 
 - the multiplicity of B along a curve C and the local intersection of the
   C-free part of B with C, both read off one walk of x-derivatives along
-  the root x = psi(t) of C in its oriented frame.  The walk runs on series
-  kept as ``int`` numerators over one denominator, with no ``Fraction`` per
-  coefficient.  psi is lifted by Newton's iteration, doubling its order
-  each pass, and powers of psi come by repeated squaring, skipped at once
-  when their valuation passes the truncation.  An exact polynomial root is read once at the Bezout order;
-  any other psi stops each series at the first doubled order below which
-  it is not 0;
+  the root x = psi(t) of C in its oriented frame.  When psi is exact and
+  one term (a/den)*t^e or 0, as on y, x + y and y - x^k, each derivative
+  is evaluated by substitution: its terms land at t^(i*e + j), are summed
+  group by group in increasing order, and the first nonzero group is the
+  answer, so no power of psi past it is built.  Any other psi goes
+  through Horner's rule on series kept as ``int`` numerators over one
+  denominator, with no ``Fraction`` per coefficient.  That psi is lifted
+  by Newton's iteration, doubling its order each pass, and powers of psi
+  come by repeated squaring, skipped at once when their valuation passes
+  the truncation.  An exact polynomial root is read once at the Bezout
+  order; any other psi stops each series at the first doubled order below
+  which it is not 0;
 - the Newton-nondegeneracy certificate that marks inputs whose toric
   invariants are exact, read off the branches' initial forms along the
   face normals of the divisor's one Newton polygon.  Binomial forms are
   decided on their exponents and coefficients; only forms of three or more
-  terms go through a dense gcd.
+  terms go through a dense gcd, and only up to ``DENSE_FORM_LIMIT``
+  entries.
 
 Polynomials (not power series) keep every computation exact and decidable.
 Only the germ of a curve at the origin matters: a curve polynomial may
@@ -30,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import groupby
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -43,6 +50,7 @@ from .exactgeom import (
     scale,
 )
 from .polys import (
+    ZERO,
     Poly,
     parse_weighted_terms,
     render_weighted_terms,
@@ -96,8 +104,13 @@ class DivisorGerm:
     def is_empty(self) -> bool:
         return not self.components
 
+    @property
+    def branches(self) -> "list[Poly]":
+        """The branch polynomials, in order, without their coefficients."""
+        return [p for _, p in self.components]
+
     def max_coefficient(self) -> Fraction:
-        return max((c for c, _ in self.components), default=Fraction(0))
+        return max((c for c, _ in self.components), default=ZERO)
 
 
 def divisor(components: "list[tuple[object, Poly]]") -> DivisorGerm:
@@ -183,21 +196,23 @@ class NondegeneracyReport:
 def nondegeneracy_check(b: DivisorGerm) -> NondegeneracyReport:
     if b.is_empty:
         raise InputError("empty divisor")
-    return _nondegeneracy(b, face_normals(newton_polytope(b)))
+    return _nondegeneracy(b.branches, face_normals(newton_polytope(b)))
 
 
-def _nondegeneracy(b: DivisorGerm, normals: "list[IntVec]") -> NondegeneracyReport:
-    """The test along ``normals``, which must hold the compact-face normals
-    of b's polygon, the union of its branches'; along any other normal every
-    initial form is one term, which passes.  A face form f(u), f(0) != 0,
-    steps by the gcd k of every branch's exponent gaps on the face: f(u^k)
-    is squarefree, or shares a factor with g(u^k), iff f is, or does with g.
-    Forms are sparse, u-exponent -> coefficient; a binomial is squarefree,
-    and only forms of three or more terms go through the dense ``uni_*``."""
-    forms: "list[dict[IntVec, dict[int, Fraction]]]" = [{} for _ in b.components]
+def _nondegeneracy(branches: "list[Poly]", normals: "list[IntVec]") -> NondegeneracyReport:
+    """The test on the branch polynomials of a divisor along ``normals``,
+    which must hold the compact-face normals of its polygon, the union of
+    its branches'; along any other normal every initial form is one term,
+    which passes.  A face form f(u), f(0) != 0, steps by the gcd k of every
+    branch's exponent gaps on the face: f(u^k) is squarefree, or shares a
+    factor with g(u^k), iff f is, or does with g.  Forms are sparse,
+    u-exponent -> coefficient; a binomial is squarefree, and only forms of
+    three or more terms go through the dense ``uni_*``, up to
+    ``DENSE_FORM_LIMIT`` entries."""
+    forms: "list[dict[IntVec, dict[int, Fraction]]]" = [{} for _ in branches]
     for n1, n2 in normals:
         faces = []  # each branch's terms of least n1*i + n2*j, keyed by i
-        for _, p in b.components:
+        for p in branches:
             level = min(n1 * i + n2 * j for i, j in p.terms)
             faces.append({i: c for (i, j), c in p.terms.items() if n1 * i + n2 * j == level})
         step = gcd(*(i - min(f) for f in faces for i in f))
@@ -220,8 +235,17 @@ def _nondegeneracy(b: DivisorGerm, normals: "list[IntVec]") -> NondegeneracyRepo
     return NondegeneracyReport(True)
 
 
+#: The longest dense list, in entries, that a face form of three or more
+#: terms, or a form paired with one, becomes for the ``uni_*`` gcd, whose
+#: Fraction Euclid is quadratic in the length.
+DENSE_FORM_LIMIT = 1024
+
+
 def _dense(f: "dict[int, Fraction]") -> "list[Fraction]":
-    return [f.get(i, Fraction(0)) for i in range(max(f) + 1)]
+    if max(f) >= DENSE_FORM_LIMIT:
+        raise InputError(f"a face form of u-degree {max(f)} would be a dense list past "
+                         f"the limit of {DENSE_FORM_LIMIT} entries")
+    return [f.get(i, ZERO) for i in range(max(f) + 1)]
 
 
 def _share_factor(f: "dict[int, Fraction]", g: "dict[int, Fraction]") -> bool:
@@ -357,9 +381,32 @@ def curve_parametrization(g: Poly, order: int, lift: "CurveLift | None" = None) 
 
 
 def _is_root(h: IntTerms, psi: Series) -> bool:
-    """h(psi(t), t) = 0 for a polynomial psi, evaluated to its full degree."""
-    top = max(psi.num, default=0)
+    """h(psi(t), t) = 0 for a polynomial psi: by substitution when psi is
+    one term or 0, else evaluated to its full degree."""
+    if len(psi.num) <= 1:
+        return _substituted_order(h, psi) is None
+    top = max(psi.num)
     return not _on_curve(h, psi, max(i * top + j for i, j in h) + 1).num
+
+
+def _substituted_order(p: IntTerms, psi: Series) -> "int | None":
+    """The order of p(psi(t), t) for psi = (a/den)*t^e or 0, None if it is 0.
+
+    The term c*x^i*y^j lands at t^(i*e + j) with the value c*(a/den)^i.  The
+    terms are visited in increasing i*e + j and each group is summed, scaled
+    by den^hi / a^lo for its least and largest i, so the walk builds no power
+    of psi past the answer's order, and none for a group of one term."""
+    if not psi.num:  # only the x-free terms survive
+        return min((j for i, j in p if not i), default=None)
+    ((e, a),) = psi.num.items()
+    den = psi.den
+    for k, group in groupby(sorted((i * e + j, i, c) for (i, j), c in p.items()),
+                            key=lambda term: term[0]):
+        group = list(group)
+        lo, hi = group[0][1], group[-1][1]
+        if len(group) == 1 or sum(c * a ** (i - lo) * den ** (hi - i) for _, i, c in group):
+            return k
+    return None
 
 
 def _on_curve(p: IntTerms, psi: Series, order: int) -> Series:
@@ -408,43 +455,53 @@ def contact_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, 
     degrees, so a series that is 0 below n = max deg B * deg C + 2 is 0 on C.
     The walk stops by the (deg_x p)-th derivative, a nonzero polynomial in y.
 
-    The series are ``int`` numerators over one denominator (see
-    ``curve_parametrization``).  An exact psi is read once below n.  Any
-    other psi is lifted along the orders 2, 4, 8, ..., n, each lift made once
-    and shared by every branch and derivative, and a series stops at the
-    first of these orders below which it is not 0: its lowest term is then
-    found, and n is reached only by series that are 0 on C.
+    An exact psi of one term or 0 is substituted, lowest order first (see
+    ``_substituted_order``), with no truncation: the value is a polynomial
+    in t.  Otherwise the series are ``int`` numerators over one denominator
+    (see ``curve_parametrization``).  Any other exact psi is read once below
+    n.  A psi that is not exact is lifted along the orders 2, 4, 8, ..., n,
+    each lift made once and shared by every branch and derivative, and a
+    series stops at the first of these orders below which it is not 0: its
+    lowest term is then found, and n is reached only by series that are 0
+    on C.
     """
+    mult = inter = ZERO
     if b.is_empty:
-        return Fraction(0), Fraction(0)
+        return mult, inter
     max_deg = max(p.total_degree() for _, p in b.components)
     n = max_deg * c.poly.total_degree() + 2
     g = c.oriented_poly()
     lifts = [curve_parametrization(g, 2)]
-    mult = inter = Fraction(0)
     for coeff, p in b.components:
-        q = _integer_terms(_transpose(p) if c.swapped else p)
+        q = _integer_terms(p)
+        if c.swapped:
+            q = {(j, i): v for (i, j), v in q.items()}
         k = 0
-        while not (values := _first_values(q, g, lifts, n)):
+        while (order := _first_order(q, g, lifts, n)) is None:
             q = _d_dx(q)
             k += 1
-        mult += coeff * k
-        inter += coeff * min(values)
+        if k:
+            mult += coeff * k
+        inter += coeff * order
     return mult, inter
 
 
-def _first_values(p: IntTerms, g: Poly, lifts: "list[CurveLift]", n: int) -> "dict[int, int]":
-    """The numerators of p on the curve below the first order of the lifts
-    at which it is not 0, or below n; ``lifts`` is extended in place, one
-    doubling at a time."""
+def _first_order(p: IntTerms, g: Poly, lifts: "list[CurveLift]", n: int) -> "int | None":
+    """The order of p on the curve, None if p is 0 on it.  An exact psi of
+    one term or 0 is substituted; any other psi is read below the first
+    order of the lifts at which p is not 0, or below n, and ``lifts`` is
+    extended in place, one doubling at a time."""
     i = 0
     while not (lifts[i].exact or lifts[i].order >= n):
         if values := _on_curve(p, lifts[i].psi, lifts[i].order).num:
-            return values
+            return min(values)
         i += 1
         if i == len(lifts):
             lifts.append(curve_parametrization(g, min(2 * lifts[-1].order, n), lifts[-1]))
-    return _on_curve(p, lifts[i].psi, n).num
+    lift = lifts[i]
+    if lift.exact and len(lift.psi.num) <= 1:
+        return _substituted_order(p, lift.psi)
+    return min(_on_curve(p, lift.psi, n).num, default=None)
 
 
 def local_intersection(b: DivisorGerm, c: SmoothCurveGerm) -> Fraction:

@@ -3,9 +3,9 @@
 Everything is computed from the vertex chain of the Newton polytope with
 exact arithmetic.  The chain is integer lattice points over one
 denominator (see ``exactgeom``), so the mld scan compares and divides
-integers, den times each log discrepancy, and builds a ``Fraction`` only
-for a returned value; the lct compares its few candidate ratios as
-``Fraction`` values:
+integers, den times each log discrepancy, and the lct compares its few
+candidate ratios by ``int`` cross-multiplication; each builds a
+``Fraction`` only for a returned value:
 
 * log discrepancies of monomial valuations (weighted blow-ups),
 * the minimal log discrepancy over all positive integer weights, found by
@@ -16,9 +16,10 @@ for a returned value; the lct compares its few candidate ratios as
   of weights, capped by the curve's own coefficient room,
 * the explicit fibration bound delta(eps) = sup_n (eps - 1/n)/(n - 1), in
   closed form,
-* the surface-theorem checker, which builds the Newton polytope, the mld
-  scan, the contact of B with C and B's nondegeneracy once, and passes
-  only exact thresholds (hypothesis "B + lct*C newton nondegenerate").
+* the surface-theorem checker, which builds the Newton polytope and its
+  face normals, the mld scan, the contact of B with C and B's
+  nondegeneracy once, and passes only exact thresholds (hypothesis
+  "B + lct*C newton nondegenerate").
 
 The mld and lct values are upper bounds for the true birational invariants
 in general; they are exact on Newton-nondegenerate inputs, which callers
@@ -52,6 +53,7 @@ from .germs import (
     newton_polytope,
     newton_polytope_of_poly,
 )
+from .polys import Poly
 from .scalars import Extended, NEG_INF, as_fraction
 
 __all__ = [
@@ -102,10 +104,11 @@ class MldResult:
     axis_values: "tuple[Fraction, Fraction]"
 
 
-def _normal_fan_cones(p: NewtonPolytope) -> "list[Cone2]":
-    """Maximal cones of the normal fan of the polytope inside the first
-    quadrant, left to right; the discrepancy form is linear on each."""
-    rays: list[IntVec] = [(1, 0)] + face_normals(p) + [(0, 1)]  # primitive already
+def _normal_fan_cones(normals: "list[IntVec]") -> "list[Cone2]":
+    """Maximal cones of the normal fan inside the first quadrant of a
+    polytope whose face normals are ``normals``, left to right; the
+    discrepancy form is linear on each."""
+    rays: list[IntVec] = [(1, 0)] + normals + [(0, 1)]  # primitive already
     return [Cone2(a, b) for a, b in zip(rays, rays[1:])]
 
 
@@ -122,12 +125,14 @@ def mld_toric(b: DivisorGerm) -> MldResult:
     """
     if b.is_empty:
         raise InputError("empty divisor")
-    return _mld(newton_polytope(b))
+    p = newton_polytope(b)
+    return _mld(p, face_normals(p))
 
 
-def _mld(p: NewtonPolytope) -> MldResult:
+def _mld(p: NewtonPolytope, normals: "list[IntVec]") -> MldResult:
     """The first basis element, in fan order, with a negative discrepancy,
-    else the first positive one attaining the least discrepancy.
+    else the first positive one attaining the least discrepancy, on the
+    polytope ``p`` with face normals ``normals``.
 
     Along a run the discrepancy is g0 + j*rate.  Its first negative point
     is j = 0 when g0 < 0, else j = g0 // -rate + 1 if that is a point of
@@ -141,7 +146,7 @@ def _mld(p: NewtonPolytope) -> MldResult:
     den = p.den
     axis_values = (Fraction(g((1, 0)), den), Fraction(g((0, 1)), den))
     best: "tuple[int, IntVec] | None" = None
-    for sector in _normal_fan_cones(p):
+    for sector in _normal_fan_cones(normals):
         runs = hilbert_runs(sector)
         if sector.g1 == (1, 0) and sector.g2 == (0, 1):
             runs.append(Run((1, 1), (0, 0), 0))  # no positive basis element in this fan
@@ -222,43 +227,47 @@ def lct_toric(b: DivisorGerm, c: SmoothCurveGerm) -> LctResult:
     if b.max_coefficient() > 1:
         raise DomainError("coefficient above one")
     pb = newton_polytope(b)
-    mld = _mld(pb)
+    normals = face_normals(pb)
+    mld = _mld(pb, normals)
     if mld.value < 0:  # NEG_INF orders below every rational
         raise DomainError("pair not lc before adding C")
     mult, _ = contact_along_curve(b, c)
-    return _lct(b, c, pb, mult, _nondegeneracy(b, face_normals(pb)).nondegenerate)
+    branches = b.branches
+    return _lct(branches, c, pb, normals, mult, _nondegeneracy(branches, normals).nondegenerate)
 
 
-def _lct(b: DivisorGerm, c: SmoothCurveGerm, pb: NewtonPolytope, mult: Fraction,
-         nondegenerate: bool) -> LctResult:
-    """Threshold of an lc pair with coefficients at most one, given the
-    Newton polytope ``pb`` of B, mult_C B and whether B is nondegenerate."""
+def _lct(branches: "list[Poly]", c: SmoothCurveGerm, pb: NewtonPolytope,
+         normals: "list[IntVec]", mult: Fraction, nondegenerate: bool) -> LctResult:
+    """Threshold of an lc pair with coefficients at most one, given B's
+    branch polynomials, its Newton polytope ``pb`` and that polytope's face
+    ``normals``, mult_C B and whether B is nondegenerate.  The candidate
+    ratios disc/(pb.den * contact) are compared by cross-multiplication."""
     pc = newton_polytope_of_poly(c.poly)
-    candidates: list[IntVec] = [(1, 0), (0, 1)]
-    for n in face_normals(pb) + face_normals(pc):
-        if n not in candidates:
-            candidates.append(n)
-
-    best: "tuple[Fraction, IntVec] | None" = None
-    for w in candidates:
+    c_normals = face_normals(pc)
+    best: "tuple[int, int, IntVec] | None" = None  # the least ratio, first in order
+    for w in [(1, 0), (0, 1)] + normals + c_normals:
         contact = pc.lattice_min(w)  # pc.den is 1: C's exponents are integers
         if contact == 0:
             continue
-        ratio = Fraction(_discrepancy(pb, w), pb.den * contact)
-        if best is None or ratio < best[0]:
-            best = (ratio, w)
+        disc = _discrepancy(pb, w)
+        if best is None or disc * best[1] < best[0] * contact:
+            best = (disc, contact, w)
     # never None: C passes through the origin, so an axis weight or the
     # normal of C's compact face has positive contact with C
-    membership, best_w = best
+    disc, contact, best_w = best
+    membership = Fraction(disc, pb.den * contact)
     cap = 1 - mult
     value = min(membership, cap)
     witness: IntVec | str = best_w if membership <= cap else "cap"
     # C is smooth: its polygon has at most one compact face, whose form is
     # linear, so along every other normal C's form is one term and B + value*C
-    # passes iff B does.  B + value*C is nondegenerate iff B is and it passes
-    # along C's face normals.
-    extended = b + DivisorGerm(((value, c.poly),)) if value > 0 else b
-    exact = nondegenerate and _nondegeneracy(extended, face_normals(pc)).nondegenerate
+    # passes iff B does.  Along a normal of C's that is not B's, every form of
+    # B is one term, and C's binomial passes.  So B + value*C is nondegenerate
+    # iff B is and, when value > 0, it passes along the normals B and C share;
+    # its coefficients do not enter the test.
+    shared = [n for n in c_normals if n in normals] if value > 0 else []
+    exact = nondegenerate and (
+        not shared or _nondegeneracy(branches + [c.poly], shared).nondegenerate)
     return LctResult(membership, cap, value, witness, exact)
 
 
@@ -339,7 +348,8 @@ def verify_surface_theorem(
     if eps <= 0:
         raise InputError("epsilon must be positive")
     pb = newton_polytope(b)
-    mld = _mld(pb)
+    normals = face_normals(pb)
+    mld = _mld(pb, normals)
     mult, inter = contact_along_curve(b, c)
 
     failed = []
@@ -351,10 +361,11 @@ def verify_surface_theorem(
         failed.append("(B' . C) <= 2")
     if b.max_coefficient() > 1:
         failed.append("coefficients <= 1")
-    nondeg = _nondegeneracy(b, face_normals(pb)).nondegenerate
+    branches = b.branches
+    nondeg = _nondegeneracy(branches, normals).nondegenerate
     if not nondeg:
         failed.append("newton nondegeneracy")
-    lct = _lct(b, c, pb, mult, nondeg) if not failed else None
+    lct = _lct(branches, c, pb, normals, mult, nondeg) if not failed else None
     # an inexact value is only an upper bound of the threshold: it checks nothing
     if lct is not None and not lct.exact:
         failed.append("B + lct*C newton nondegenerate")

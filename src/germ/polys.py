@@ -31,6 +31,9 @@ from .errors import InputError
 
 Exponent = tuple[int, ...]
 
+#: The one zero that lookups of absent coefficients return.
+ZERO = Fraction(0)
+
 
 @dataclass(frozen=True, eq=False)
 class Poly:
@@ -44,7 +47,7 @@ class Poly:
         return not self.terms
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return self.terms.get((0,) * self.nvars, ZERO)
 
     def total_degree(self) -> int:
         if self.is_zero:
@@ -52,7 +55,7 @@ class Poly:
         return max(sum(e) for e in self.terms)
 
     def coefficient(self, exp: Exponent) -> Fraction:
-        return self.terms.get(exp, Fraction(0))
+        return self.terms.get(exp, ZERO)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -103,29 +106,33 @@ def _integer(m: re.Match, group: int) -> int:
         raise InputError(f"number at position {m.start(group)} is too long: {exc}") from None
 
 
-def _rational(m: re.Match, group: int) -> Fraction:
-    """The rational of a match of _RATIONAL whose numerator is ``group``."""
+def _rational(m: re.Match, group: int) -> "tuple[int, int]":
+    """Numerator and denominator of a match of _RATIONAL whose numerator is
+    ``group``."""
     den = 1 if m.group(group + 1) is None else _integer(m, group + 1)
     if den == 0:
         raise InputError(f"syntax error at position {m.start(group + 1)}: zero denominator")
-    return Fraction(_integer(m, group), den)
+    return _integer(m, group), den
 
 
 def _scan_poly(text: str, pos: int) -> "tuple[Poly, int]":
     """The polynomial at ``pos`` and where it stops: at the end of the text,
-    or before the first thing after a monomial that is not a sign."""
-    terms: dict[Exponent, Fraction] = {}
+    or before the first thing after a monomial that is not a sign.  Each
+    coefficient is summed as an ``int`` numerator and denominator, and one
+    ``Fraction`` is built per stored term."""
+    terms: dict[Exponent, tuple[int, int]] = {}
     first = True
     while True:
         m = _MONOMIAL.match(text, pos)
         if not first and m["sign"] is None:
-            return Poly(2, terms), pos
+            return Poly(2, {e: Fraction(*c) for e, c in terms.items() if c[0]}), pos
         if m["body"] is None:
             raise _error(text, m.end(), "a monomial")
-        coeff, exp = Fraction(-1 if m["sign"] == "-" else 1), [0, 0]
+        num, den, exp = -1 if m["sign"] == "-" else 1, 1, [0, 0]
         for item in _ITEM.finditer(text, m.start("body"), m.end("body")):
             if item[3] is None:
-                coeff *= _rational(item, 1)
+                n, d = _rational(item, 1)
+                num, den = num * n, den * d
             elif item[3] not in ("x", "y"):
                 raise InputError(f"syntax error at position {item.start(3)}: "
                                  f"unknown variable {item[3]!r} (use x and y)")
@@ -136,9 +143,10 @@ def _scan_poly(text: str, pos: int) -> "tuple[Poly, int]":
                                      "exponent must be a positive integer")
                 exp["xy".index(item[3])] += power
         key = tuple(exp)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-        if terms[key] == 0:
-            del terms[key]
+        if key in terms:
+            n, d = terms[key]
+            num, den = (n + num, d) if d == den else (n * den + num * d, d * den)
+        terms[key] = num, den
         pos, first = m.end(), False
 
 
@@ -159,7 +167,8 @@ def parse_weighted_terms(text: str) -> list[tuple[Fraction, Poly]]:
         head = _HEAD.match(text, pos)
         if head is None:
             raise _error(text, pos, "a coefficient and '*('")
-        coeff = -_rational(head, 2) if head[1] else _rational(head, 2)
+        num, den = _rational(head, 2)
+        coeff = Fraction(-num if head[1] else num, den)
         p, pos = _scan_poly(text, head.end())
         close = _CLOSE.match(text, pos)
         if close is None:
@@ -222,7 +231,7 @@ def render_weighted_terms(pairs: Iterable[tuple[Fraction, Poly]]) -> str:
 def series_mul(a: dict[int, int], b: dict[int, int], order: int) -> dict[int, int]:
     """Product truncated below ``order``; zero terms are never stored or visited."""
     terms = sorted(b.items())
-    out: dict[int, Fraction] = {}
+    out: dict[int, int] = {}
     for i, ca in a.items():
         for j, cb in terms:
             if i + j >= order:

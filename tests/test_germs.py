@@ -12,6 +12,7 @@ import pytest
 from germ.errors import DomainError, InputError
 from germ.exactgeom import face_normals, minkowski_sum
 from germ.germs import (
+    DENSE_FORM_LIMIT,
     DivisorGerm,
     contact_along_curve,
     curve_orient,
@@ -80,6 +81,8 @@ def test_parse_poly_cancellation():
 
 def test_parse_poly_rational_coefficients():
     assert dict(pp("1/2*x - 3/4*y").terms) == {(1, 0): F(1, 2), (0, 1): F(-3, 4)}
+    # repeated monomials sum over equal and unequal denominators, as products
+    assert dict(pp("1/2*x + 1/3*x + y*1/6 - 2/3*y*1/4").terms) == {(1, 0): F(5, 6)}
 
 
 def test_parse_poly_errors_carry_position():
@@ -347,6 +350,21 @@ def test_nondegeneracy_cost_follows_terms_not_exponents():
         assert time.perf_counter() - start < 1
     assert nondegeneracy_check(b).nondegenerate
     assert verify_surface_theorem(b, y, "1/2").nondegenerate
+
+
+def test_dense_face_forms_stop_at_the_limit():
+    """A face form of three or more terms whose dense list would pass
+    DENSE_FORM_LIMIT entries raises an InputError naming the limit at
+    once, in the test and in the theorem check; one just inside is decided."""
+    b = parse_divisor("1/2*(x^1000000000 + x^999999999*y + y^1000000000)")
+    y = curve_orient(pp("y"))
+    for run in (lambda: nondegeneracy_check(b), lambda: verify_surface_theorem(b, y, "1/2")):
+        start = time.perf_counter()
+        with pytest.raises(InputError, match=f"limit of {DENSE_FORM_LIMIT} entries"):
+            run()
+        assert time.perf_counter() - start < 1
+    m = DENSE_FORM_LIMIT - 1
+    assert nondegeneracy_check(parse_divisor(f"1/2*(x^{m} + x^{m - 1}*y + y^{m})")).nondegenerate
 
 
 def reference_face_forms(p):
@@ -795,7 +813,9 @@ def test_series_cost_follows_bit_size():
     root (each square is one term) and the mirror pair, whose root is a dense
     series that the early stop lifts only to order 4; and huge powers of y
     against curves with x-linear coefficient 3/2, whose coefficients stay
-    small because the series keep one denominator in the curve's own frame."""
+    small because the series keep one denominator in the curve's own frame;
+    and a huge power of x on a one-term root, where substitution stops at
+    the y term and never raises -3 to that power."""
     cases = [
         ("1/2*(y^1000000 + x)", "y - x^2", (0, F(1, 2))),
         ("1/2*(y^1000000 + x)", "y - 2*x^2", (0, F(1, 2))),
@@ -804,11 +824,56 @@ def test_series_cost_follows_bit_size():
         ("1/2*(y^1000000000 + x)", "3/2*x + y", (0, F(1, 2))),
         ("1/2*(x + y^2)", "3/2*x + y^1000000000", (0, F(1))),
         ("1/2*(3/2*x + y^1000000000)", "3/2*x + y^1000000000", (F(1, 2), 0)),
+        ("1/2*(x^1000000000 + y)", "x + 3*y", (0, F(1, 2))),
     ]
     for b, c, expected in cases:
         start = time.perf_counter()
         assert contact_along_curve(parse_divisor(b), curve_orient(pp(c))) == expected
         assert time.perf_counter() - start < 0.5
+
+
+def _monomial_root_curve(rng):
+    """a*x + b*y^k with a, b not +-1, whose root -(b/a)*t^k is one term over
+    a denominator, or an axis, whose root is 0."""
+    if rng.random() < 0.25:
+        return pp(rng.choice(["x", "y"]))
+    a = rng.choice([F(3, 2), F(-2), F(5, 3), F(-4, 7), F(6)])
+    b = rng.choice([F(-3), F(2, 5), F(7, 2), F(-5, 4), F(9)])
+    return from_terms({(1, 0): a, (0, rng.randint(1, 4)): b})
+
+
+def test_substitution_matches_fixed_point_oracle():
+    """Curves whose root is one exact term or 0 are read by substitution.
+    Seeded branches, contained components, and branches lam*g + (terms
+    above the curve's order), whose lowest group cancels on the curve as
+    y - x^3 + x^m does on y - x^3, give the fixed-point Fraction oracle's
+    answer, as given and transposed."""
+    rng = random.Random(71)
+    seen = Counter()
+    for _ in range(150):
+        g = _monomial_root_curve(rng)
+        k = max(j for _, j in g.terms)  # the root's order: x = psi(t) ~ t^k
+        parts = [(F(rng.randint(1, 6), 6), _random_branch(rng, 0, 4), 0)
+                 for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.5:
+            lam = F(rng.choice([-3, 2, 5]), rng.choice([1, 2]))
+            above = {(0, rng.randint(k + 1, k + 8)): F(rng.choice([-2, 3])),
+                     (rng.randint(2, 4), rng.randint(0, 2)): F(rng.choice([-1, 5, 7]))}
+            parts.append((F(1, 4), _add(from_terms(above), g, lam), 0))
+            seen["cancelling"] += 1
+        if rng.random() < 0.4:
+            parts.append((F(1, 3), _random_branch(rng, rng.choice([0, 1]), 2), rng.choice([1, 2])))
+        b = DivisorGerm(tuple((coeff, _mul(_power(g, j), q)) for coeff, q, j in parts))
+        b_t = DivisorGerm(tuple((coeff, _transpose(p)) for coeff, p in b.components))
+        for germ, curve in [(b, curve_orient(g)), (b_t, curve_orient(_transpose(g)))]:
+            lift = curve_parametrization(curve.oriented_poly(), 2)
+            assert lift.exact and len(lift.psi.num) <= 1
+            mult, inter, _ = reference_contact(germ, curve)
+            assert contact_along_curve(germ, curve) == (mult, inter)
+            seen["swapped" if curve.swapped else "as given"] += 1
+            seen["contained" if mult else "free"] += 1
+            seen["axis" if not lift.psi.num else "one term"] += 1
+    assert min(seen.values()) > 40, seen
 
 
 def _transpose(p):

@@ -3,6 +3,7 @@ step, with brute-force oracles for every derived value."""
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
 from math import ceil, floor, gcd
@@ -10,7 +11,7 @@ from math import ceil, floor, gcd
 import pytest
 
 from germ.errors import DomainError, InputError
-from germ.exactgeom import make_weight
+from germ.exactgeom import face_normals, make_weight
 from germ.germs import curve_orient, divisor, local_intersection, parse_divisor
 from germ.invariants import (
     MldResult,
@@ -164,7 +165,7 @@ def full_scan_mld(p):
 
     axis_values = (g((1, 0)), g((0, 1)))
     best = None
-    for sector in _normal_fan_cones(p):
+    for sector in _normal_fan_cones(face_normals(p)):
         basis = hilbert_basis(sector)
         if sector.g1 == (1, 0) and sector.g2 == (0, 1):
             basis = basis + [(1, 1)]
@@ -203,7 +204,7 @@ def test_mld_run_walk_matches_full_scan():
                for _ in range(rng.randint(1, 5))]
         p = poly(*pts)
         expected, kind = full_scan_mld(p)
-        assert _mld(p) == expected
+        assert _mld(p, face_normals(p)) == expected
         classes[kind] += 1
     assert min(classes.values()) >= 100, classes
 
@@ -269,6 +270,9 @@ def test_lct_coefficient_cap_engages():
     res = lct_toric(parse_divisor("1/2*(y)"), curve_orient(parse_poly("y")))
     assert res.coefficient_cap == F(1, 2)
     assert res.value == F(1, 2)
+    # at value 0 no C is added: B alone, nondegenerate, makes the value exact
+    res = lct_toric(parse_divisor("1*(y - x^2)"), curve_orient(parse_poly("y - x^2")))
+    assert (res.value, res.witness_weight, res.exact) == (0, "cap", True)
 
 
 def test_lct_precondition_errors():
@@ -304,24 +308,40 @@ def test_axis_curve_does_not_walk_the_exponent():
 
 def test_one_polytope_per_branch_per_analysis(monkeypatch):
     """lct_toric builds B's and C's polygons once each, and verify one per
-    branch of B and one of C: the nondegeneracy test reads those."""
+    branch of B and one of C: the nondegeneracy test reads those.  Each
+    takes the face normals of B's polygon and of C's once, and clears the
+    denominators of each branch and of C once."""
     import germ.germs
+    import germ.invariants
+    from germ.germs import newton_polytope, newton_polytope_of_poly
 
-    calls = []
-    build = germ.germs.polytope_from_support
+    cases = [
+        (lct_toric, parse_divisor("1/4*(x^3000 + y^2)"), parse_poly("y"), ()),
+        (verify_surface_theorem,
+         parse_divisor("1/3*(x^2 + y^3) + 1/4*(y - x^2) + 1/5*(x^3 - y^2)"),
+         parse_poly("y - x^5"), ("1/5",)),
+    ]
+    polygons = [(newton_polytope(b), newton_polytope_of_poly(c)) for _, b, c, _ in cases]
+    built, normals, cleared = [], [], []
 
-    def counting(support):
-        calls.append(1)
-        return build(support)
+    def counting(record, f):
+        def wrapped(arg):
+            record.append(arg)
+            return f(arg)
+        return wrapped
 
-    monkeypatch.setattr(germ.germs, "polytope_from_support", counting)
-    lct_toric(parse_divisor("1/4*(x^3000 + y^2)"), curve_orient(parse_poly("y")))
-    assert len(calls) == 2
-    calls.clear()
-    verify_surface_theorem(
-        parse_divisor("1/3*(x^2 + y^3) + 1/4*(y - x^2) + 1/5*(x^3 - y^2)"),
-        curve_orient(parse_poly("y - x^5")), "1/5")
-    assert len(calls) == 4
+    monkeypatch.setattr(germ.germs, "polytope_from_support",
+                        counting(built, germ.germs.polytope_from_support))
+    monkeypatch.setattr(germ.invariants, "face_normals",
+                        counting(normals, germ.invariants.face_normals))
+    monkeypatch.setattr(germ.germs, "_integer_terms", counting(cleared, germ.germs._integer_terms))
+    for (run, b, c, extra), (pb, pc) in zip(cases, polygons):
+        for record in (built, normals, cleared):
+            record.clear()
+        run(b, curve_orient(c), *extra)
+        assert len(built) == len(b.components) + 1
+        assert Counter(normals) == Counter([pb, pc])
+        assert len(cleared) == len(b.components) + 1
 
 
 def membership_bisection(b, c, steps=64):

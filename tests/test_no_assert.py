@@ -17,7 +17,7 @@ EVALUATE = """
 from fractions import Fraction
 from germ.errors import GermError
 from germ.exactgeom import polytope_from_support
-from germ.germs import curve_orient, parse_divisor
+from germ.germs import contact_along_curve, curve_orient, nondegeneracy_check, parse_divisor
 from germ.invariants import (delta_bound, lct_toric, mld_toric, toric_log_discrepancy,
                              verify_surface_theorem)
 from germ.polys import parse_poly
@@ -55,6 +55,9 @@ CASES = [
     'curve_orient(parse_poly("x")), "1/4")',
     'verify_surface_theorem(parse_divisor("1/3*(x^6 - 8*y^3) + 1/3*(x^2 + 2*y)"), '
     'curve_orient(parse_poly("x")), "1/4")',
+    'nondegeneracy_check(parse_divisor("1/2*(x^1000000000 + x^999999999*y + y^1000000000)"))',
+    'contact_along_curve(parse_divisor("1/2*(x^1000000000 + y)"), '
+    'curve_orient(parse_poly("x + 3*y")))',
     'delta_bound("1/2")',
     'delta_bound("1/10000")',
     'toric_log_discrepancy(parse_divisor("1*(x)"), (1,))',

@@ -13,12 +13,12 @@ computes the purely local quantities the invariant layer builds on:
   group by group in increasing order, and the first nonzero group is the
   answer, so no power of psi past it is built.  Any other psi goes
   through Horner's rule on series kept as ``int`` numerators over one
-  denominator, with no ``Fraction`` per coefficient.  That psi is lifted
-  by Newton's iteration, doubling its order each pass, and powers of psi
+  denominator, with no ``Fraction`` per coefficient, and powers of psi
   come by repeated squaring, skipped at once when their valuation passes
-  the truncation.  An exact polynomial root is read once at the Bezout
-  order; any other psi stops each series at the first doubled order below
-  which it is not 0;
+  the truncation.  Such a psi is read at the orders 2, 4, 8, ... up to
+  the Bezout order, lifted by Newton's iteration to each unless it is an
+  exact polynomial, and each series stops at the first of these orders
+  below which it is not 0;
 - the Newton-nondegeneracy certificate that marks inputs whose toric
   invariants are exact, read off the branches' initial forms along the
   face normals of the divisor's one Newton polygon.  Binomial forms are
@@ -90,8 +90,6 @@ class DivisorGerm:
         for coeff, p in self.components:
             if coeff <= 0:
                 raise InputError(f"non-positive coefficient {coeff}")
-            if p.nvars != 2:
-                raise InputError("divisor components must be bivariate")
             if p.is_zero:
                 raise InputError("zero polynomial cannot define a component")
             if p.constant_term() != 0:
@@ -145,8 +143,6 @@ class SmoothCurveGerm:
 
 def curve_orient(g: Poly) -> SmoothCurveGerm:
     """Validate smoothness and compute the orientation data of a curve."""
-    if g.nvars != 2:
-        raise InputError("curve polynomial must be bivariate")
     if g.is_zero or g.constant_term() != 0:
         raise InputError("curve does not pass through the origin")
     cx, cy = g.coefficient((1, 0)), g.coefficient((0, 1))
@@ -156,7 +152,7 @@ def curve_orient(g: Poly) -> SmoothCurveGerm:
 
 
 def _transpose(p: Poly) -> Poly:
-    return Poly(2, {(j, i): c for (i, j), c in p.terms.items()})
+    return Poly({(j, i): c for (i, j), c in p.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +330,10 @@ _ONE = Series({0: 1}, 1)
 
 
 class CurveLift(NamedTuple):
-    """The root x = psi(t) of a curve whose cleared terms are ``h``.  Either
-    psi is known below ``order``, with ``inverse`` = 1/h_x(psi, t) below
-    ``order``, or ``exact``: psi is a polynomial with h(psi, t) = 0."""
+    """The root x = psi(t) of a curve whose cleared terms are ``h``, to be
+    read below ``order``.  Either psi is known below ``order``, with
+    ``inverse`` = 1/h_x(psi, t) below ``order``, or ``exact``: psi is a
+    polynomial with h(psi, t) = 0, known at every order."""
 
     h: IntTerms
     order: int
@@ -357,7 +354,8 @@ def curve_parametrization(g: Poly, order: int, lift: "CurveLift | None" = None) 
         inverse <- inverse*(2 - g_x(psi, t)*inverse),
     both truncated at the new order.  A pass whose residual g(psi, t) is 0
     below it tests whether psi is exact.  Given ``lift``, the lifting goes
-    on from it, so each lift is made once.
+    on from it, so each lift is made once; an exact ``lift`` only has its
+    order raised, with no pass.
     """
     if lift is None:
         if g.coefficient((1, 0)) == 0 or g.constant_term() != 0:
@@ -377,7 +375,7 @@ def curve_parametrization(g: Poly, order: int, lift: "CurveLift | None" = None) 
             psi = _difference(psi, _product(inverse, residual, known))
             excess = _difference(_product(_on_curve(dh, psi, known), inverse, known), _ONE)
             inverse = _difference(inverse, _product(inverse, excess, known))
-    return CurveLift(h, known, psi, inverse, exact)
+    return CurveLift(h, order if exact else known, psi, inverse, exact)
 
 
 def _is_root(h: IntTerms, psi: Series) -> bool:
@@ -393,9 +391,11 @@ def _substituted_order(p: IntTerms, psi: Series) -> "int | None":
     """The order of p(psi(t), t) for psi = (a/den)*t^e or 0, None if it is 0.
 
     The term c*x^i*y^j lands at t^(i*e + j) with the value c*(a/den)^i.  The
-    terms are visited in increasing i*e + j and each group is summed, scaled
-    by den^hi / a^lo for its least and largest i, so the walk builds no power
-    of psi past the answer's order, and none for a group of one term."""
+    terms are visited in increasing i*e + j, and the walk stops at the first
+    group that does not cancel.  A group of one term never does; one of two
+    is decided by ``_powers_agree`` in time polynomial in bit size; a larger
+    one is summed, scaled by den^hi / a^lo for its least and largest i, so
+    no power of psi past the answer's order is built."""
     if not psi.num:  # only the x-free terms survive
         return min((j for i, j in p if not i), default=None)
     ((e, a),) = psi.num.items()
@@ -403,8 +403,11 @@ def _substituted_order(p: IntTerms, psi: Series) -> "int | None":
     for k, group in groupby(sorted((i * e + j, i, c) for (i, j), c in p.items()),
                             key=lambda term: term[0]):
         group = list(group)
-        lo, hi = group[0][1], group[-1][1]
-        if len(group) == 1 or sum(c * a ** (i - lo) * den ** (hi - i) for _, i, c in group):
+        (_, lo, c0), (_, hi, c1) = group[0], group[-1]
+        if len(group) == 2:  # c0*r^lo + c1*r^hi = 0, r = a/den, iff r^(hi - lo) = -c0/c1
+            if not _powers_agree(Fraction(a, den), hi - lo, Fraction(-c0, c1), 1):
+                return k
+        elif len(group) == 1 or sum(c * a ** (i - lo) * den ** (hi - i) for _, i, c in group):
             return k
     return None
 
@@ -458,12 +461,11 @@ def contact_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, 
     An exact psi of one term or 0 is substituted, lowest order first (see
     ``_substituted_order``), with no truncation: the value is a polynomial
     in t.  Otherwise the series are ``int`` numerators over one denominator
-    (see ``curve_parametrization``).  Any other exact psi is read once below
-    n.  A psi that is not exact is lifted along the orders 2, 4, 8, ..., n,
-    each lift made once and shared by every branch and derivative, and a
-    series stops at the first of these orders below which it is not 0: its
-    lowest term is then found, and n is reached only by series that are 0
-    on C.
+    (see ``curve_parametrization``), and psi, exact or not, is read along
+    the orders 2, 4, 8, ..., n, each lift made once and shared by every
+    branch and derivative.  A series stops at the first of these orders
+    below which it is not 0: its lowest term is then found, and n is
+    reached only by series that are 0 on C.
     """
     mult = inter = ZERO
     if b.is_empty:
@@ -488,20 +490,21 @@ def contact_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, 
 
 def _first_order(p: IntTerms, g: Poly, lifts: "list[CurveLift]", n: int) -> "int | None":
     """The order of p on the curve, None if p is 0 on it.  An exact psi of
-    one term or 0 is substituted; any other psi is read below the first
-    order of the lifts at which p is not 0, or below n, and ``lifts`` is
-    extended in place, one doubling at a time."""
+    one term or 0 is substituted.  Any other psi, exact or lifted, is read
+    below each lift's order in turn, up to n, and the first nonzero read
+    answers; ``lifts`` is extended in place, one doubling at a time."""
     i = 0
-    while not (lifts[i].exact or lifts[i].order >= n):
-        if values := _on_curve(p, lifts[i].psi, lifts[i].order).num:
+    while True:
+        lift = lifts[i]
+        if lift.exact and len(lift.psi.num) <= 1:
+            return _substituted_order(p, lift.psi)
+        if values := _on_curve(p, lift.psi, lift.order).num:
             return min(values)
+        if lift.order >= n:
+            return None
         i += 1
         if i == len(lifts):
-            lifts.append(curve_parametrization(g, min(2 * lifts[-1].order, n), lifts[-1]))
-    lift = lifts[i]
-    if lift.exact and len(lift.psi.num) <= 1:
-        return _substituted_order(p, lift.psi)
-    return min(_on_curve(p, lift.psi, n).num, default=None)
+            lifts.append(curve_parametrization(g, min(2 * lift.order, n), lift))
 
 
 def local_intersection(b: DivisorGerm, c: SmoothCurveGerm) -> Fraction:

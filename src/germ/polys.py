@@ -1,9 +1,9 @@
 """Exact sparse polynomials over the rationals, plus the expression parser.
 
-A polynomial in ``n`` variables is a mapping from exponent tuples to nonzero
-``Fraction`` coefficients; a truncated power series is a sparse mapping from
-exponents below the truncation order to nonzero coefficients, which the
-series code keeps as ``int``.
+A polynomial in x and y is a mapping from exponent pairs (i, j), for
+x^i*y^j, to nonzero ``Fraction`` coefficients; a truncated power series is a
+sparse mapping from exponents below the truncation order to nonzero
+coefficients, which the series code keeps as ``int``.
 
 The parser reads polynomials in x and y.  Its grammar is regular, and
 whitespace may stand between any two tokens::
@@ -23,13 +23,13 @@ parses so that the divisor can name the non-positive coefficient.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import InputError
 
-Exponent = tuple[int, ...]
+Exponent = tuple[int, int]
 
 #: The one zero that lookups of absent coefficients return.
 ZERO = Fraction(0)
@@ -37,17 +37,17 @@ ZERO = Fraction(0)
 
 @dataclass(frozen=True, eq=False)
 class Poly:
-    """Immutable sparse polynomial; zero coefficients are never stored."""
+    """Immutable sparse polynomial in x and y; zero coefficients are never
+    stored."""
 
-    nvars: int
-    terms: Mapping[Exponent, Fraction] = field(default_factory=dict)
+    terms: Mapping[Exponent, Fraction]
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, ZERO)
+        return self.terms.get((0, 0), ZERO)
 
     def total_degree(self) -> int:
         if self.is_zero:
@@ -58,18 +58,13 @@ class Poly:
         return self.terms.get(exp, ZERO)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Poly)
-            and self.nvars == other.nvars
-            and dict(self.terms) == dict(other.terms)
-        )
+        return isinstance(other, Poly) and dict(self.terms) == dict(other.terms)
 
     def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
-        names = tuple(f"x{i}" for i in range(self.nvars))
-        return f"Poly({render_poly(self, names)!r})"
+        return f"Poly({render_poly(self)!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +120,7 @@ def _scan_poly(text: str, pos: int) -> "tuple[Poly, int]":
     while True:
         m = _MONOMIAL.match(text, pos)
         if not first and m["sign"] is None:
-            return Poly(2, {e: Fraction(*c) for e, c in terms.items() if c[0]}), pos
+            return Poly({e: Fraction(*c) for e, c in terms.items() if c[0]}), pos
         if m["body"] is None:
             raise _error(text, m.end(), "a monomial")
         num, den, exp = -1 if m["sign"] == "-" else 1, 1, [0, 0]
@@ -192,16 +187,14 @@ def _text(value: "int | Fraction") -> str:
         raise InputError(f"number is too long to render: {exc}") from None
 
 
-def render_poly(p: Poly, variables: Sequence[str] = ("x", "y")) -> str:
-    if len(variables) != p.nvars:
-        raise InputError("wrong number of variable names")
+def render_poly(p: Poly) -> str:
     if p.is_zero:
         return "0"
     parts: list[str] = []
     for exp in sorted(p.terms, key=lambda e: (sum(e), tuple(-v for v in e))):
         coeff = p.terms[exp]
         factors = []
-        for name, e in zip(variables, exp):
+        for name, e in zip("xy", exp):
             if e == 1:
                 factors.append(name)
             elif e > 1:
@@ -252,10 +245,6 @@ def uni_trim(c: Uni) -> Uni:
     return c
 
 
-def uni_degree(c: Uni) -> int:
-    return len(c) - 1  # -1 for the zero polynomial
-
-
 def uni_derivative(c: Uni) -> Uni:
     return uni_trim([c[i] * i for i in range(1, len(c))])
 
@@ -274,21 +263,19 @@ def _uni_rem(a: Uni, b: Uni) -> Uni:
 
 
 def uni_gcd(a: Uni, b: Uni) -> Uni:
+    """A gcd of a and b, trimmed, up to a nonzero constant factor."""
     x, y = uni_trim(list(a)), uni_trim(list(b))
     while y:
         x, y = y, _uni_rem(x, y)
-    if x:
-        lead = x[-1]
-        x = [c / lead for c in x]
     return x
 
 
 def uni_is_squarefree(c: Uni) -> bool:
-    """gcd with the derivative is constant (degree <= 0)."""
+    """gcd with the derivative is constant: at most one entry long."""
     if not c:
         return False
-    return uni_degree(uni_gcd(c, uni_derivative(c))) <= 0
+    return len(uni_gcd(c, uni_derivative(c))) <= 1
 
 
 def uni_coprime(a: Uni, b: Uni) -> bool:
-    return uni_degree(uni_gcd(a, b)) <= 0
+    return len(uni_gcd(a, b)) <= 1

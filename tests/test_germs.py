@@ -43,11 +43,11 @@ def pp(text):
 def from_terms(terms):
     """The bivariate polynomial of an exponent -> coefficient mapping,
     zero coefficients dropped."""
-    return Poly(2, {exp: F(c) for exp, c in terms.items() if c != 0})
+    return Poly({exp: F(c) for exp, c in terms.items() if c != 0})
 
 
-ZERO = Poly(2, {})
-ONE = Poly(2, {(0, 0): F(1)})
+ZERO = Poly({})
+ONE = Poly({(0, 0): F(1)})
 
 
 def _add(p, q, k=1):
@@ -63,7 +63,7 @@ def _mul(p, q):
     or multiplies polynomials, only the oracles and generators here do."""
     out = ZERO
     for (i1, j1), c1 in p.terms.items():
-        out = _add(out, Poly(2, {(i1 + i2, j1 + j2): c1 * c2 for (i2, j2), c2 in q.terms.items()}))
+        out = _add(out, Poly({(i1 + i2, j1 + j2): c1 * c2 for (i2, j2), c2 in q.terms.items()}))
     return out
 
 
@@ -200,7 +200,7 @@ def test_parse_reads_back_varied_surface_forms():
                      F(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 6))
                      for _ in range(rng.randint(1, 5))}
             texts.append(_poly_text(rng, terms))
-            polys.append(Poly(2, terms))
+            polys.append(Poly(terms))
             assert parse_poly(texts[-1]) == polys[-1], texts[-1]
         coeffs = [F(rng.randint(1, 9), rng.randint(1, 9)), F(-rng.randint(0, 9), rng.randint(1, 9))]
         heads = [_rational_text(rng, coeffs[0]), f"-{_ws(rng)}{_rational_text(rng, -coeffs[1])}"]
@@ -508,7 +508,7 @@ def _binomial(rng, normal, steps, root):
     n1, n2 = normal
     i0, j0 = rng.choice([(0, 0), (0, 0), (1, 0), (0, 2), (3, 1)])
     unit = F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
-    return Poly(2, {(i0 + n2 * steps, j0): unit, (i0, j0 + n1 * steps): -unit * root})
+    return Poly({(i0 + n2 * steps, j0): unit, (i0, j0 + n1 * steps): -unit * root})
 
 
 def test_sparse_binomial_forms_match_dense_oracle():
@@ -743,7 +743,7 @@ def reference_contact(b, c):
     n = max(p.total_degree() for _, p in b.components) * c.poly.total_degree() + 2
     g = c.oriented_poly()
     lin = g.coefficient((1, 0))
-    rest = Poly(2, {e: v for e, v in g.terms.items() if e != (1, 0)})
+    rest = Poly({e: v for e, v in g.terms.items() if e != (1, 0)})
     psi = {}
     for _ in range(n + 1):
         new = {k: -v / lin for k, v in _horner_on_curve(rest, psi, n).items()}
@@ -757,7 +757,7 @@ def reference_contact(b, c):
         p = _transpose(p) if c.swapped else p
         k = 0
         while not (values := _horner_on_curve(p, psi, n)):
-            p = Poly(2, {(i - 1, j): i * v for (i, j), v in p.terms.items() if i})
+            p = Poly({(i - 1, j): i * v for (i, j), v in p.terms.items() if i})
             k += 1
         mult += coeff * k
         inter += coeff * min(values)
@@ -815,7 +815,13 @@ def test_series_cost_follows_bit_size():
     against curves with x-linear coefficient 3/2, whose coefficients stay
     small because the series keep one denominator in the curve's own frame;
     and a huge power of x on a one-term root, where substitution stops at
-    the y term and never raises -3 to that power."""
+    the y term and never raises -3 to that power, or where one group holds
+    x^N and y^(2N) on x = 2*t^2 and 2^N is never built.  An exact root of
+    two terms is read at the orders 2, 4, 8, ..., with no Newton pass: a
+    huge power of x stops at the y term of x + 3*y + y^2, and a branch
+    (x + 3*y + y^2)*(1 + y^N) on (1 + y)*(x + 3*y + y^2), whose root -3*t -
+    t^2 is found exact at order 8, is read to its Bezout order in steps
+    that follow N's bit size."""
     cases = [
         ("1/2*(y^1000000 + x)", "y - x^2", (0, F(1, 2))),
         ("1/2*(y^1000000 + x)", "y - 2*x^2", (0, F(1, 2))),
@@ -825,6 +831,11 @@ def test_series_cost_follows_bit_size():
         ("1/2*(x + y^2)", "3/2*x + y^1000000000", (0, F(1))),
         ("1/2*(3/2*x + y^1000000000)", "3/2*x + y^1000000000", (F(1, 2), 0)),
         ("1/2*(x^1000000000 + y)", "x + 3*y", (0, F(1, 2))),
+        ("1/2*(x^300000000 + y^600000000)", "x - 2*y^2", (0, F(300000000))),
+        ("1/2*(x^2000 + y)", "x + 3*y + y^2", (0, F(1, 2))),
+        ("1/2*(x^1000000000 + y)", "x + 3*y + y^2", (0, F(1, 2))),
+        ("1/2*(x + 3*y + y^2 + x*y^1000000000 + 3*y^1000000001 + y^1000000002)",
+         "x + x*y + 3*y + 4*y^2 + y^3", (F(1, 2), 0)),
     ]
     for b, c, expected in cases:
         start = time.perf_counter()
@@ -877,7 +888,7 @@ def test_substitution_matches_fixed_point_oracle():
 
 
 def _transpose(p):
-    return Poly(2, {(j, i): c for (i, j), c in p.terms.items()})
+    return Poly({(j, i): c for (i, j), c in p.terms.items()})
 
 
 def _power(p, k):
@@ -895,7 +906,7 @@ def _graph_oracle(components, u, a):
         d = max(j for _, j in p.terms)
         q = ZERO
         for (i, j), c in p.terms.items():
-            q = _add(q, _mul(_mul(Poly(2, {(i, 0): c}), _power(a, j)), _power(u, d - j)))
+            q = _add(q, _mul(_mul(Poly({(i, 0): c}), _power(a, j)), _power(u, d - j)))
         if q.is_zero:
             return None
         total += coeff * min(i for i, _ in q.terms)
@@ -919,15 +930,18 @@ def _random_branch(rng, constant, degree):
 def test_local_intersection_matches_graph_oracle():
     """Branches c^k * q, with k = 0 or a contained component with k = 1, 2
     and q sometimes a unit, against mult_C B = sum coeff*k and the graph
-    oracle of the q's, as given and transposed."""
+    oracle of the q's, as given and transposed.  Enough curves have an exact
+    root of two or more terms, with and without contained components, that
+    the read of such roots at doubling orders is checked too."""
     rng = random.Random(31)
     seen = set()
+    exact_roots = Counter()
     checked = 0
     for _ in range(250):
         u = _random_x_poly(rng, rng.randint(0, 2), rng.choice([-1, 1, 2]))
         a = _random_x_poly(rng, rng.randint(1, 3), 0)
         if rng.random() < 0.5:  # tangent to the x-axis: swapped as given
-            a = _add(a, Poly(2, {(1, 0): a.coefficient((1, 0))}), -1)
+            a = _add(a, Poly({(1, 0): a.coefficient((1, 0))}), -1)
         g = _add(_mul(u, pp("y")), a, -1)
         parts = [(F(rng.randint(1, 6), 6), _random_branch(rng, 0, 6), 0)
                  for _ in range(rng.randint(1, 2))]
@@ -942,6 +956,9 @@ def test_local_intersection_matches_graph_oracle():
         b_t = DivisorGerm(tuple((coeff, _transpose(p)) for coeff, p in b.components))
         for divisor_germ, curve in [(b, curve_orient(g)), (b_t, curve_orient(_transpose(g)))]:
             seen.update((curve.swapped, k) for _, _, k in parts)
+            lift = curve_parametrization(curve.oriented_poly(), 2)
+            if lift.exact and len(lift.psi.num) > 1:
+                exact_roots["contained" if mult else "free"] += 1
             assert contact_along_curve(divisor_germ, curve) == (mult, expected)
             if mult:
                 with pytest.raises(DomainError, match="truncation"):
@@ -950,4 +967,5 @@ def test_local_intersection_matches_graph_oracle():
                 assert local_intersection(divisor_germ, curve) == expected
         checked += 1
     assert seen == {(swapped, k) for swapped in (False, True) for k in (0, 1, 2)}
+    assert sum(exact_roots.values()) >= 40 and exact_roots["contained"] >= 10, exact_roots
     assert checked > 200

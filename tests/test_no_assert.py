@@ -58,6 +58,10 @@ CASES = [
     'nondegeneracy_check(parse_divisor("1/2*(x^1000000000 + x^999999999*y + y^1000000000)"))',
     'contact_along_curve(parse_divisor("1/2*(x^1000000000 + y)"), '
     'curve_orient(parse_poly("x + 3*y")))',
+    'contact_along_curve(parse_divisor("1/2*(x^2000 + y)"), '
+    'curve_orient(parse_poly("x + 3*y + y^2")))',
+    'contact_along_curve(parse_divisor("1/2*(x^300000000 + y^600000000)"), '
+    'curve_orient(parse_poly("x - 2*y^2")))',
     'delta_bound("1/2")',
     'delta_bound("1/10000")',
     'toric_log_discrepancy(parse_divisor("1*(x)"), (1,))',

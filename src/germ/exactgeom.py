@@ -9,32 +9,26 @@ increasing and y strictly decreasing: integer lattice points over one
 positive denominator, in lowest terms, so two polytopes are equal iff their
 fields are.  Construction, Minkowski sums, the support function
 :meth:`NewtonPolytope.lattice_min` and the face normals run in ``int``
-arithmetic; ``Fraction`` values appear only in the ``vertices`` view.
+arithmetic, and no ``Fraction`` is built.
 
-The module also walks the Klein sail of a rational cone in the first
-quadrant: the bounded boundary of the convex hull of the cone's nonzero
-lattice points, whose lattice points are the cone's Hilbert basis.  The
-walk jumps one whole sail edge per step with one floor division, so a cone
-of determinant d costs O(log d) steps (Oda, *Convex Bodies and Algebraic
-Geometry*, 1.6; Fulton, *Introduction to Toric Varieties*, 2.6), with no
-search bounds.  :func:`hilbert_runs` is that walk.
+The module also walks the Klein sail of a cone of the normal fan: the
+bounded boundary of the convex hull of the cone's nonzero lattice points,
+whose lattice points are the cone's Hilbert basis.  The walk jumps one
+whole sail edge per step with one floor division, so a cone of determinant
+d costs O(log d) steps (Oda, *Convex Bodies and Algebraic Geometry*, 1.6;
+Fulton, *Introduction to Toric Varieties*, 2.6), with no search bounds.
+:func:`_hilbert_runs` is that walk.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import InputError
 from .scalars import as_fraction
-
-
-class Point2(NamedTuple):
-    x: Fraction
-    y: Fraction
 
 
 def as_pair(v: object) -> "tuple[object, object]":
@@ -84,50 +78,20 @@ class NewtonPolytope:
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "den", den)
 
-    @property
-    def vertices(self) -> tuple[Point2, ...]:
-        """The chain as exact rational points."""
-        d = self.den
-        return tuple(Point2(Fraction(x, d), Fraction(y, d)) for x, y in self.lattice)
-
     def lattice_min(self, w: IntVec) -> int:
         """den times the support value of the integer weight w: the least
         <w, v> over the lattice vertices."""
         w1, w2 = w
         return min(w1 * x + w2 * y for x, y in self.lattice)
 
-    def __repr__(self) -> str:
-        pts = ", ".join(f"({v.x}, {v.y})" for v in self.vertices)
-        return f"NewtonPolytope[{pts}]"
 
-
-class Weight(NamedTuple):
-    """Primitive positive integer weight of a monomial valuation."""
-
-    w1: int
-    w2: int
-
-
-def make_weight(w1: int, w2: int) -> Weight:
+def make_weight(w1: int, w2: int) -> IntVec:
+    """The primitive positive integer weight (w1, w2) of a monomial valuation."""
     if not (isinstance(w1, int) and isinstance(w2, int)) or w1 < 1 or w2 < 1:
         raise InputError(f"weight ({w1}, {w2}) must be a pair of positive integers")
     if gcd(w1, w2) != 1:
         raise InputError(f"weight ({w1}, {w2}) is not primitive")
-    return Weight(w1, w2)
-
-
-@dataclass(frozen=True)
-class Cone2:
-    """Rational cone in the closed first quadrant, spanned by two primitive
-    integer vectors (equal generators give a single ray)."""
-
-    g1: IntVec
-    g2: IntVec
-
-    def __post_init__(self) -> None:
-        for g in (self.g1, self.g2):
-            if _primitive(g) != tuple(g):
-                raise InputError(f"generator {g} is not primitive")
+    return (w1, w2)
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +218,6 @@ def face_normals(polytope: NewtonPolytope) -> list[IntVec]:
 # Hilbert bases
 
 
-def _primitive(v: Sequence[int]) -> IntVec:
-    """Primitive generator of the ray of a nonzero first-quadrant vector."""
-    a, b = _lattice_point(v)
-    g = gcd(a, b)
-    if g == 0:
-        raise InputError("cone generator cannot be zero")
-    return (a // g, b // g)
-
-
 def _det(u: IntVec, v: IntVec) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
@@ -278,25 +233,20 @@ class Run(NamedTuple):
         return (self.start[0] + j * self.step[0], self.start[1] + j * self.step[1])
 
 
-def hilbert_runs(c: Cone2) -> list[Run]:
-    """The Klein sail of the cone as runs, from one generator to the other.
+def _hilbert_runs(u: IntVec, v: IntVec) -> list[Run]:
+    """The Klein sail of the cone spanned by u and v as runs, from u to v.
 
-    Consecutive runs share an endpoint; a single ray is one run of count 0.
-    From ``u`` the sail goes to its neighbour ``w`` toward ``v`` (the
-    minimal lattice point with det(u, w) = 1 inside the cone), and with
+    u and v must be primitive first-quadrant vectors with det(u, v) > 0, as
+    consecutive rays of a normal fan are.  Consecutive runs share an
+    endpoint.  From ``u`` the sail goes to its neighbour ``w`` toward ``v``
+    (the minimal lattice point with det(u, w) = 1 inside the cone), and with
     step = w - u every u + j*step has neighbour u + (j + 1)*step while that
     point stays in the cone: det(u + j*step, v) = d - j*det(v, step), where
     d = det(u, v) and det(v, step) = d - det(w, v) lies in [1, d].  So the
     run has count d // det(v, step), and det(end, v) = d mod det(v, step)
     is below d/2: at most log2(d) + 1 runs reach det = 0, at v.
     """
-    u, v = c.g1, c.g2
     d = _det(u, v)
-    if d == 0:
-        return [Run(u, (0, 0), 0)]  # single ray (generators equal after primitivization)
-    if d < 0:
-        u, v = v, u
-        d = -d
     runs: list[Run] = []
     while d > 0:
         w = _boundary_neighbour(u, v, d)
@@ -312,25 +262,17 @@ def _boundary_neighbour(u: IntVec, v: IntVec, d: int) -> IntVec:
     """Lattice point adjacent to ``u`` on the hull boundary toward ``v``.
 
     Solutions of det(u, z) = 1 form the line z0 + t*u; the neighbour is the
-    solution with minimal t lying inside cone(u, v).
+    solution with minimal t lying inside cone(u, v).  With u = (a, b)
+    primitive, z0 = ((a*y - 1) / b, y) for y the inverse of a mod b, and
+    z0 = (0, 1) for u = (1, 0).
     """
     a, b = u
-    alpha, beta = _extended_gcd(a, b)  # a*alpha + b*beta == 1
-    z0 = (-beta, alpha)
+    if b == 0:
+        z0 = (0, 1)
+    else:
+        y = pow(a, -1, b)
+        z0 = ((a * y - 1) // b, y)
     # need det(z, v) >= 0:  t >= -det(z0, v) / d
     t_min = -(_det(z0, v) // d)
     return (z0[0] + t_min * a, z0[1] + t_min * b)
-
-
-def _extended_gcd(a: int, b: int) -> IntVec:
-    """(x, y) with a*x + b*y = gcd(a, b), for a, b >= 0 coprime here."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_x, x = x, old_x - qq * x
-        old_y, y = y, old_y - qq * y
-    return (old_x, old_y)
 

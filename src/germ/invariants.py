@@ -35,14 +35,12 @@ from math import gcd
 
 from .errors import DomainError, GermError, InputError
 from .exactgeom import (
-    Cone2,
     IntVec,
     NewtonPolytope,
     Run,
-    Weight,
+    _hilbert_runs,
     as_pair,
     face_normals,
-    hilbert_runs,
     make_weight,
 )
 from .germs import (
@@ -91,25 +89,17 @@ def toric_log_discrepancy(b: DivisorGerm, w: "tuple[int, int]") -> Fraction:
 class MldResult:
     """Infimum of toric log discrepancies over positive integer weights.
 
-    ``witness`` attains the value when ``attained`` is true; for value
-    -inf it is a weight certifying a negative discrepancy.  ``axis_values``
-    are the discrepancies of the two axis directions (1,0), (0,1), which
-    are excluded from the infimum (their centers are curves, not the
-    origin) and reported for diagnostics only.
+    ``witness`` is a primitive positive pair (w1, w2) that attains the value
+    when ``attained`` is true and, for value -inf, certifies a negative
+    discrepancy.  ``axis_values`` are the discrepancies of the two axis
+    directions (1,0), (0,1), which are excluded from the infimum (their
+    centers are curves, not the origin) and reported for diagnostics only.
     """
 
     value: Extended
-    witness: Weight
+    witness: IntVec
     attained: bool
     axis_values: "tuple[Fraction, Fraction]"
-
-
-def _normal_fan_cones(normals: "list[IntVec]") -> "list[Cone2]":
-    """Maximal cones of the normal fan inside the first quadrant of a
-    polytope whose face normals are ``normals``, left to right; the
-    discrepancy form is linear on each."""
-    rays: list[IntVec] = [(1, 0)] + normals + [(0, 1)]  # primitive already
-    return [Cone2(a, b) for a, b in zip(rays, rays[1:])]
 
 
 def mld_toric(b: DivisorGerm) -> MldResult:
@@ -146,9 +136,10 @@ def _mld(p: NewtonPolytope, normals: "list[IntVec]") -> MldResult:
     den = p.den
     axis_values = (Fraction(g((1, 0)), den), Fraction(g((0, 1)), den))
     best: "tuple[int, IntVec] | None" = None
-    for sector in _normal_fan_cones(normals):
-        runs = hilbert_runs(sector)
-        if sector.g1 == (1, 0) and sector.g2 == (0, 1):
+    rays: list[IntVec] = [(1, 0)] + normals + [(0, 1)]
+    for u, v in zip(rays, rays[1:]):
+        runs = _hilbert_runs(u, v)
+        if not normals:
             runs.append(Run((1, 1), (0, 0), 0))  # no positive basis element in this fan
         for run in runs:
             g0 = g(run.start)
@@ -232,6 +223,8 @@ def lct_toric(b: DivisorGerm, c: SmoothCurveGerm) -> LctResult:
     if mld.value < 0:  # NEG_INF orders below every rational
         raise DomainError("pair not lc before adding C")
     mult, _ = contact_along_curve(b, c)
+    if mult > 1:  # C has coefficient above one in B
+        raise DomainError("pair not lc before adding C")
     branches = b.branches
     return _lct(branches, c, pb, normals, mult, _nondegeneracy(branches, normals).nondegenerate)
 

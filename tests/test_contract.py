@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from germ.errors import GermError, InputError
-from germ.exactgeom import Cone2, NewtonPolytope, polytope_from_support
+from germ.exactgeom import NewtonPolytope, polytope_from_support
 from germ.germs import curve_orient, local_intersection, nondegeneracy_check, parse_divisor
 from germ.invariants import (
     delta_bound,
@@ -89,8 +89,6 @@ def test_malformed_weights_points_and_generators_raise_input_error():
         lambda: polytope_from_support([(Fraction(1, 2), 0)]),
         lambda: polytope_from_support([(1.0, 0)]),
         lambda: polytope_from_support([(1,)]),
-        lambda: Cone2((1.5, 0), (1, 0)),
-        lambda: Cone2((1, 0), (0, "a")),
         lambda: NewtonPolytope(None),
         lambda: NewtonPolytope(((0, 1),), 0),
         # more digits than int() converts from text

@@ -6,18 +6,14 @@ from fractions import Fraction as F
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from germ.errors import InputError
 from germ.exactgeom import (
-    Cone2,
     NewtonPolytope,
-    Point2,
+    _hilbert_runs,
     face_normals,
-    _boundary_neighbour,
-    _primitive,
-    hilbert_runs,
     minkowski_sum,
     polytope_from_support,
     scale,
@@ -41,8 +37,9 @@ def support(p, w):
     return F(p.lattice_min((int(w1 * d), int(w2 * d))), p.den * d)
 
 
-def verts(p):
-    return [(v.x, v.y) for v in p.vertices]
+def vertices(p):
+    """The chain as exact rational points (x, y)."""
+    return [(F(x, p.den), F(y, p.den)) for x, y in p.lattice]
 
 
 # ---------------------------------------------------------------------------
@@ -50,20 +47,20 @@ def verts(p):
 
 
 def test_from_support_three_term_cusp():
-    assert verts(poly((4, 0), (1, 1), (0, 3))) == [(0, 3), (1, 1), (4, 0)]
+    assert vertices(poly((4, 0), (1, 1), (0, 3))) == [(0, 3), (1, 1), (4, 0)]
 
 
 def test_from_support_drops_collinear():
-    assert verts(poly((2, 0), (1, 1), (0, 2))) == [(0, 2), (2, 0)]
+    assert vertices(poly((2, 0), (1, 1), (0, 2))) == [(0, 2), (2, 0)]
 
 
 def test_from_support_two_point_hull():
     for m, n in [(1, 1), (3, 5), (7, 2)]:
-        assert verts(poly((m, 0), (0, n))) == [(0, n), (m, 0)]
+        assert vertices(poly((m, 0), (0, n))) == [(0, n), (m, 0)]
 
 
 def test_from_support_drops_dominated():
-    assert verts(poly((0, 1), (1, 2), (2, 2), (1, 1))) == [(0, 1)]
+    assert vertices(poly((0, 1), (1, 2), (2, 2), (1, 1))) == [(0, 1)]
 
 
 def test_from_support_empty_errors():
@@ -83,7 +80,7 @@ def test_chain_invariants_enforced():
 
 
 def test_scale_pointwise():
-    assert verts(scale(poly((0, 3), (2, 0)), F(3, 4))) == [(0, F(9, 4)), (F(3, 2), 0)]
+    assert vertices(scale(poly((0, 3), (2, 0)), F(3, 4))) == [(0, F(9, 4)), (F(3, 2), 0)]
 
 
 def test_scale_identity():
@@ -92,7 +89,7 @@ def test_scale_identity():
 
 
 def test_scale_half():
-    assert verts(scale(poly((0, 2), (2, 0)), F(1, 2))) == [(0, 1), (1, 0)]
+    assert vertices(scale(poly((0, 2), (2, 0)), F(1, 2))) == [(0, 1), (1, 0)]
 
 
 def test_scale_rejects_nonpositive():
@@ -105,7 +102,7 @@ def test_scale_rejects_nonpositive():
 def test_minkowski_figure_example():
     p = poly((0, 3), (1, 1), (4, 0))
     q = poly((0, 2), (2, 0))
-    assert verts(minkowski_sum(p, q)) == [(0, 5), (1, 3), (3, 1), (6, 0)]
+    assert vertices(minkowski_sum(p, q)) == [(0, 5), (1, 3), (3, 1), (6, 0)]
 
 
 def test_minkowski_identity_element():
@@ -115,7 +112,7 @@ def test_minkowski_identity_element():
 
 def test_minkowski_doubling():
     p = poly((0, 5), (3, 0))
-    assert verts(minkowski_sum(p, p)) == [(0, 10), (6, 0)]
+    assert vertices(minkowski_sum(p, p)) == [(0, 10), (6, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -140,31 +137,31 @@ def test_support_value_axis_weight():
     assert F(p.lattice_min((0, 1)), p.den) == 0
 
 
-def contains(polytope, p):
+def contains(polytope, point):
     """Oracle: membership of a point in ``conv(vertices) + quadrant``, as
     <w, p> >= the support value for every compact-face normal and both axis
     directions."""
-    vs = polytope.vertices
-    if p.x < vs[0].x or p.y < vs[-1].y:
+    vs, (px, py) = vertices(polytope), point
+    if px < vs[0][0] or py < vs[-1][1]:
         return False
     for n1, n2 in face_normals(polytope):
-        if n1 * p.x + n2 * p.y < F(polytope.lattice_min((n1, n2)), polytope.den):
+        if n1 * px + n2 * py < F(polytope.lattice_min((n1, n2)), polytope.den):
             return False
     return True
 
 
 def test_contains_scaled_square_example():
     p = scale(poly((2, 0), (1, 1), (0, 2)), F(3, 4))
-    assert verts(p) == [(0, F(3, 2)), (F(3, 2), 0)]
-    assert contains(p, Point2(F(1), F(1)))
+    assert vertices(p) == [(0, F(3, 2)), (F(3, 2), 0)]
+    assert contains(p, (F(1), F(1)))
 
 
 def test_contains_origin_false():
-    assert not contains(poly((0, 3), (2, 0)), Point2(F(0), F(0)))
+    assert not contains(poly((0, 3), (2, 0)), (F(0), F(0)))
 
 
 def test_contains_vertex_itself():
-    assert contains(poly((1, 1)), Point2(F(1), F(1)))
+    assert contains(poly((1, 1)), (F(1), F(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,19 +171,14 @@ def test_contains_vertex_itself():
 def cone_lattice_points(c, bound):
     """Oracle: all nonzero lattice points of the cone with both coordinates
     <= bound, by brute enumeration."""
-    u, v = c.g1, c.g2
-    if _det(u, v) < 0:
-        u, v = v, u
+    u, v = c
     out = []
     for x in range(bound + 1):
         for y in range(bound + 1):
             if x == 0 and y == 0:
                 continue
             p = (x, y)
-            if _det(u, v) == 0:
-                if _det(u, p) == 0 and (p[0] * u[0] + p[1] * u[1]) > 0:
-                    out.append(p)
-            elif _det(u, p) >= 0 and _det(p, v) >= 0:
+            if _det(u, p) >= 0 and _det(p, v) >= 0:
                 out.append(p)
     return out
 
@@ -213,15 +205,16 @@ def brute_irreducibles(c, bound):
 
 
 def cone(g1, g2):
-    """The cone of two nonzero first-quadrant integer vectors, each made
-    primitive."""
-    return Cone2(_primitive(g1), _primitive(g2))
+    """The cone of two non-parallel nonzero first-quadrant integer vectors:
+    its primitive generators (u, v), ordered so that det(u, v) > 0."""
+    u, v = ((a // gcd(a, b), b // gcd(a, b)) for a, b in (g1, g2))
+    return (u, v) if _det(u, v) > 0 else (v, u)
 
 
 def hilbert_basis(c):
-    """The Hilbert basis of the cone in order from one generator to the
-    other: the lattice points of its runs, each shared endpoint once."""
-    runs = hilbert_runs(c)
+    """The Hilbert basis of the cone (u, v) in order from u to v: the
+    lattice points of its runs, each shared endpoint once."""
+    runs = _hilbert_runs(*c)
     return [runs[0].start] + [r.point(j) for r in runs for j in range(1, r.count + 1)]
 
 
@@ -243,36 +236,35 @@ def test_hilbert_sliver_cone():
     assert set(hilbert_basis(c)) == expected
 
 
-def test_hilbert_single_ray():
-    assert hilbert_basis(cone((2, 4), (1, 2))) == [(1, 2)]
-
-
-def test_hilbert_rejects_outside_quadrant():
-    with pytest.raises(InputError):
-        cone((1, -1), (0, 1))
-
-
 def test_hilbert_generators_normalized():
     assert set(hilbert_basis(cone((4, 2), (2, 4)))) == {(2, 1), (1, 1), (1, 2)}
 
 
-def test_hilbert_cone_rejects_imprimitive_generator():
-    with pytest.raises(InputError, match="primitive"):
-        Cone2((2, 0), (0, 1))
+def boundary_neighbour(u, v, d):
+    """Oracle: the lattice point next to u on the sail toward v.  The
+    extended Euclid algorithm gives a*alpha + b*beta = 1 for u = (a, b), so
+    z0 = (-beta, alpha) has det(u, z0) = 1; the neighbour is the first
+    z0 + t*u with det(z, v) >= 0."""
+    a, b = u
+    old_r, r, old_x, x, old_y, y = a, b, 1, 0, 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    z0 = (-old_y, old_x)
+    t = -(_det(z0, v) // d)
+    return (z0[0] + t * a, z0[1] + t * b)
 
 
 def stepwise_basis(c):
     """Oracle: the sail walk one lattice point at a time, each the boundary
     neighbour of the last, with no jump along an edge."""
-    u, v = c.g1, c.g2
+    u, v = c
     d = _det(u, v)
-    if d == 0:
-        return [u]
-    if d < 0:
-        u, v, d = v, u, -d
     out = [u]
     while d > 1:
-        u = _boundary_neighbour(u, v, d)
+        u = boundary_neighbour(u, v, d)
         out.append(u)
         d = _det(u, v)
     return out + [v]
@@ -288,11 +280,9 @@ def _unimodular_pair(rng):
 
 
 def _random_generators(rng):
-    kind = rng.random()
-    if kind < 0.1:  # single ray, given imprimitive
-        g, k = (rng.randint(0, 9), rng.randint(1, 9)), rng.randint(1, 4)
-        return g, (k * g[0], k * g[1])
-    if kind < 0.25:
+    """Two non-parallel generators, given imprimitive at times and in either
+    order, or a det-1 pair."""
+    if rng.random() < 0.15:
         return _unimodular_pair(rng)
     top = rng.choice([6, 40, 300])
 
@@ -301,42 +291,40 @@ def _random_generators(rng):
             pass
         return g
 
-    return gen(), gen()
+    while _det(g1 := gen(), g2 := gen()) == 0:
+        pass
+    return g1, g2
 
 
 def test_hilbert_runs_expand_to_stepwise_walk():
-    """On random cones, single rays, det 1 and both generator orders, the
-    runs expand in order to the one-point-at-a-time walk, each run is one
-    maximal edge of unimodular steps, and there are at most log2(d) + 1."""
+    """On random cones, det 1 among them, the runs expand in order to the
+    one-point-at-a-time walk, each run is one maximal edge of unimodular
+    steps, and there are at most log2(d) + 1."""
     rng = random.Random(61)
     seen = set()
     for _ in range(3000):
-        g1, g2 = _random_generators(rng)
-        for c in (cone(g1, g2), cone(g2, g1)):
-            runs = hilbert_runs(c)
-            basis = hilbert_basis(c)
-            assert basis == stepwise_basis(c)
-            d = abs(_det(c.g1, c.g2))
-            seen.add(min(d, 2))
-            if d == 0:
-                assert runs == [(c.g1, (0, 0), 0)]
-                continue
-            assert {basis[0], basis[-1]} == {c.g1, c.g2}
-            assert len(runs) <= d.bit_length()
-            for r, nxt in zip(runs, runs[1:]):
-                assert nxt.start == r.point(r.count) and nxt.step != r.step
-            for r in runs:
-                assert r.count >= 1 and _det(r.start, r.step) == 1
-    assert seen == {0, 1, 2}
+        c = cone(*_random_generators(rng))
+        runs = _hilbert_runs(*c)
+        basis = hilbert_basis(c)
+        assert basis == stepwise_basis(c)
+        d = _det(*c)
+        seen.add(min(d, 2))
+        assert (basis[0], basis[-1]) == c
+        assert len(runs) <= d.bit_length()
+        for r, nxt in zip(runs, runs[1:]):
+            assert nxt.start == r.point(r.count) and nxt.step != r.step
+        for r in runs:
+            assert r.count >= 1 and _det(r.start, r.step) == 1
+    assert seen == {1, 2}
 
 
 def test_hilbert_runs_deep_cone():
     # determinant 10^9, one edge; and a Fibonacci cone, whose sail turns often
-    assert hilbert_runs(cone((1, 0), (1, 10**9))) == [((1, 0), (0, 1), 10**9)]
+    assert _hilbert_runs((1, 0), (1, 10**9)) == [((1, 0), (0, 1), 10**9)]
     a, b = 1, 1
     while b < 10**12:
         a, b = b, a + b
-    runs = hilbert_runs(cone((1, 0), (a, b)))
+    runs = _hilbert_runs((1, 0), (a, b))
     assert len(runs) <= b.bit_length()
     assert runs[-1].point(runs[-1].count) == (a, b)
 
@@ -364,7 +352,7 @@ def test_minkowski_support_additivity(s1, s2, w):
 def test_minkowski_matches_pairwise_hull(s1, s2):
     # oracle: hull of all pairwise vertex sums
     p, q = poly(*s1), poly(*s2)
-    sums = [(a.x + b.x, a.y + b.y) for a in p.vertices for b in q.vertices]
+    sums = [(ax + bx, ay + by) for ax, ay in vertices(p) for bx, by in vertices(q)]
     assert minkowski_sum(p, q) == poly(*sums)
 
 
@@ -372,7 +360,7 @@ def test_minkowski_matches_pairwise_hull(s1, s2):
 @given(support_sets)
 def test_construction_idempotent(s):
     p = poly(*s)
-    assert poly(*p.vertices) == p
+    assert poly(*vertices(p)) == p
 
 
 @settings(max_examples=200, derandomize=True)
@@ -389,14 +377,13 @@ def boundary_height(p, x):
     """Oracle for membership: least y with (x, y) in the polytope, None if
     x lies left of the first vertex.  Piecewise-linear interpolation along
     the compact faces."""
-    vs = p.vertices
-    if x < vs[0].x:
+    vs = vertices(p)
+    if x < vs[0][0]:
         return None
-    for left, right in zip(vs, vs[1:]):
-        if left.x <= x <= right.x:
-            t = (x - left.x) / (right.x - left.x)
-            return left.y + t * (right.y - left.y)
-    return vs[-1].y
+    for (lx, ly), (rx, ry) in zip(vs, vs[1:]):
+        if lx <= x <= rx:
+            return ly + (x - lx) / (rx - lx) * (ry - ly)
+    return vs[-1][1]
 
 
 @settings(max_examples=200, derandomize=True)
@@ -405,17 +392,16 @@ def test_contains_matches_boundary_oracle(s, px, py):
     p = poly(*s)
     height = boundary_height(p, px)
     expected = height is not None and height <= py
-    assert contains(p, Point2(px, py)) == expected
+    assert contains(p, (px, py)) == expected
 
 
 @settings(max_examples=200, derandomize=True)
 @given(support_sets, frac, frac)
 def test_contains_support_duality(s, px, py):
     p = poly(*s)
-    pt = Point2(px, py)
     normals = face_normals(p) + [(1, 0), (0, 1)]
     dual = all(w[0] * px + w[1] * py >= F(p.lattice_min(w), p.den) for w in normals)
-    assert contains(p, pt) == dual
+    assert contains(p, (px, py)) == dual
 
 
 @settings(max_examples=100, derandomize=True)
@@ -424,6 +410,7 @@ def test_contains_support_duality(s, px, py):
     st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(lambda g: g != (0, 0)),
 )
 def test_hilbert_matches_brute_force(g1, g2):
+    assume(_det(g1, g2) != 0)
     c = cone(g1, g2)
     assert set(hilbert_basis(c)) == brute_irreducibles(c, 18)
 
@@ -433,27 +420,27 @@ def test_hilbert_matches_brute_force(g1, g2):
 
 
 def reference_chain(points):
-    """Oracle: the staircase and monotone chain on ``Point2`` values, in
-    ``Fraction`` arithmetic, with no denominator cleared."""
+    """Oracle: the staircase and monotone chain on ``Fraction`` points, with
+    no denominator cleared."""
     frontier = []
-    for p in sorted(set(Point2(F(x), F(y)) for x, y in points)):
-        if frontier and (frontier[-1].x == p.x or p.y >= frontier[-1].y):
+    for p in sorted(set((F(x), F(y)) for x, y in points)):
+        if frontier and (frontier[-1][0] == p[0] or p[1] >= frontier[-1][1]):
             continue
         frontier.append(p)
     chain = []
     for p in frontier:
         while len(chain) >= 2:
-            a, b = chain[-2], chain[-1]
-            if (b.x - a.x) * (p.y - b.y) - (b.y - a.y) * (p.x - b.x) > 0:
+            (ax, ay), (bx, by) = chain[-2], chain[-1]
+            if (bx - ax) * (p[1] - by) - (by - ay) * (p[0] - bx) > 0:
                 break
             chain.pop()
         chain.append(p)
-    return tuple(chain)
+    return chain
 
 
 def reference_support(chain, w):
     """Oracle: the least <w, v> over the vertices, in ``Fraction``."""
-    return min(F(w[0]) * v.x + F(w[1]) * v.y for v in chain)
+    return min(F(w[0]) * x + F(w[1]) * y for x, y in chain)
 
 
 def _random_support(rng):
@@ -482,18 +469,18 @@ def test_lattice_engine_matches_fraction_reference():
             s2 = [(x * k, y * k) for x, y in s1]
         p, q = poly(*s1), poly(*s2)
         c1, c2 = reference_chain(s1), reference_chain(s2)
-        assert p.vertices == c1 and q.vertices == c2
+        assert vertices(p) == c1 and vertices(q) == c2
         factor = F(rng.randint(1, 10**6), rng.randint(1, 12))
         scaled = scale(p, factor)
-        assert scaled.vertices == tuple(Point2(v.x * factor, v.y * factor) for v in c1)
+        assert vertices(scaled) == [(x * factor, y * factor) for x, y in c1]
         total = minkowski_sum(p, q)
-        assert total.vertices == reference_chain(
-            [(a.x + b.x, a.y + b.y) for a in c1 for b in c2])
+        assert vertices(total) == reference_chain(
+            [(ax + bx, ay + by) for ax, ay in c1 for bx, by in c2])
         for _ in range(3):
             w = (F(rng.randint(0, 40), rng.randint(1, 6)), F(rng.randint(1, 40), rng.randint(1, 6)))
             w = w if rng.random() < 0.5 else w[::-1]
             assert support(p, w) == reference_support(c1, w)
-            assert support(total, w) == reference_support(total.vertices, w)
+            assert support(total, w) == reference_support(vertices(total), w)
         assert all(_is_canonical(r) for r in (p, q, scaled, total))
         seen["integer"] += p.den == 1
         seen["fractional"] += p.den > 1

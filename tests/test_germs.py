@@ -34,6 +34,7 @@ from germ.polys import (
     uni_coprime,
     uni_is_squarefree,
 )
+from test_exactgeom import vertices
 
 
 def pp(text):
@@ -246,17 +247,17 @@ def test_parse_time_is_linear_in_whitespace_runs():
 
 def test_newton_polytope_scaled_binomial():
     b = parse_divisor("3/4*(x^2 + y^3)")
-    assert [(v.x, v.y) for v in newton_polytope(b).vertices] == [(0, F(9, 4)), (F(3, 2), 0)]
+    assert vertices(newton_polytope(b)) == [(0, F(9, 4)), (F(3, 2), 0)]
 
 
 def test_newton_polytope_cusp_figure():
     b = parse_divisor("1*(x^4 + x*y + y^3)")
-    assert [(v.x, v.y) for v in newton_polytope(b).vertices] == [(0, 3), (1, 1), (4, 0)]
+    assert vertices(newton_polytope(b)) == [(0, 3), (1, 1), (4, 0)]
 
 
 def test_newton_polytope_sum_figure():
     b = parse_divisor("1*(x^4 + x*y + y^3) + 1*(x^2 + y^2)")
-    assert [(v.x, v.y) for v in newton_polytope(b).vertices] == [
+    assert vertices(newton_polytope(b)) == [
         (0, 5),
         (1, 3),
         (3, 1),
@@ -371,14 +372,15 @@ def reference_face_forms(p):
     """Oracle: the face forms of one branch read off its own polygon, keyed
     by the rational slope of each compact face, left to right.  With slope
     a/b in lowest terms the lattice points of a face lie b apart in x, and
-    the term at x-exponent i is the u^((i - left.x)/b) coefficient."""
-    vs = newton_polytope_of_poly(p).vertices
+    the term at x-exponent i is the u^((i - lx)/b) coefficient, (lx, ly)
+    the face's left vertex."""
+    vs = vertices(newton_polytope_of_poly(p))
     forms = {}
-    for left, right in zip(vs, vs[1:]):
-        s = (left.y - right.y) / (right.x - left.x)
+    for (lx, ly), (rx, ry) in zip(vs, vs[1:]):
+        s = (ly - ry) / (rx - lx)
         a, b = s.numerator, s.denominator
-        coeffs = {int((i - left.x) / b): c for (i, j), c in p.terms.items()
-                  if a * i + b * j == a * left.x + b * left.y}
+        coeffs = {int((i - lx) / b): c for (i, j), c in p.terms.items()
+                  if a * i + b * j == a * lx + b * ly}
         form = [F(0)] * (max(coeffs) + 1)
         for k, c in coeffs.items():
             form[k] = c
@@ -670,7 +672,7 @@ def newton_intersection_bound(b, c):
     powers = [j for i, j in c.oriented_poly().terms if i == 0]
     if powers:
         return F(diagram.lattice_min((min(powers), 1)), diagram.den)
-    x, y = diagram.vertices[0]
+    x, y = vertices(diagram)[0]
     return y if x == 0 else None  # None: C lies on B
 
 

@@ -16,7 +16,6 @@ from germ.germs import curve_orient, divisor, local_intersection, parse_divisor
 from germ.invariants import (
     MldResult,
     _mld,
-    _normal_fan_cones,
     delta_bound,
     lct_toric,
     mld_toric,
@@ -25,7 +24,7 @@ from germ.invariants import (
 )
 from germ.polys import parse_poly
 from germ.scalars import NEG_INF, as_fraction
-from test_exactgeom import hilbert_basis, poly
+from test_exactgeom import _det, hilbert_basis, poly, vertices
 from test_germs import from_terms
 
 
@@ -161,13 +160,17 @@ def full_scan_mld(p):
     an axis element, certified from the sector's first positive element)."""
 
     def g(v):
-        return v[0] + v[1] - min(v[0] * q.x + v[1] * q.y for q in p.vertices)
+        return v[0] + v[1] - min(v[0] * x + v[1] * y for x, y in vertices(p))
 
     axis_values = (g((1, 0)), g((0, 1)))
     best = None
-    for sector in _normal_fan_cones(face_normals(p)):
-        basis = hilbert_basis(sector)
-        if sector.g1 == (1, 0) and sector.g2 == (0, 1):
+    rays = [(1, 0)] + face_normals(p) + [(0, 1)]
+    # the walk's precondition: primitive rays, each pair in order with det >= 1
+    assert all(min(r) >= 0 and gcd(*r) == 1 for r in rays)
+    for u, v in zip(rays, rays[1:]):
+        assert _det(u, v) >= 1
+        basis = hilbert_basis((u, v))
+        if (u, v) == ((1, 0), (0, 1)):
             basis = basis + [(1, 1)]
         for h in basis:
             value = g(h)
@@ -280,6 +283,12 @@ def test_lct_precondition_errors():
         lct_toric(parse_divisor("2*(x)"), curve_orient(parse_poly("y")))
     with pytest.raises(DomainError, match="not lc"):
         lct_toric(parse_divisor("1*(x^2*y^2)"), curve_orient(parse_poly("y")))
+    # B is degenerate with toric mld 0, but mult_C B = 3/2: C has
+    # coefficient above one in B
+    b = parse_divisor("3/4*(y - x^2) + 3/4*(y - x^2)")
+    assert mld_toric(b).value == 0
+    with pytest.raises(DomainError, match="not lc before adding C"):
+        lct_toric(b, curve_orient(parse_poly("y - x^2")))
 
 
 def test_lct_deep_cone_closed_form():
@@ -346,13 +355,13 @@ def test_one_polytope_per_branch_per_analysis(monkeypatch):
 
 def membership_bisection(b, c, steps=64):
     """Oracle: bisect t -> (1,1) in Newton polytope of B + tC."""
-    from germ.exactgeom import Point2, minkowski_sum, scale
+    from germ.exactgeom import minkowski_sum, scale
     from germ.germs import newton_polytope, newton_polytope_of_poly
     from test_exactgeom import contains
 
     pb = newton_polytope(b)
     pc = newton_polytope_of_poly(c.poly)
-    one = Point2(F(1), F(1))
+    one = (F(1), F(1))
 
     def member(t):
         region = pb if t == 0 else minkowski_sum(pb, scale(pc, t))

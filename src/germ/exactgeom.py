@@ -124,16 +124,13 @@ def polytope_from_support(support: Iterable[Sequence[int]]) -> NewtonPolytope:
     if not pts:
         raise InputError("empty support")
 
-    # Pareto staircase: among equal x keep min y, then require y to drop.
-    frontier: list[IntVec] = []
-    for p in pts:
-        if frontier and (frontier[-1][0] == p[0] or p[1] >= frontier[-1][1]):
-            continue  # same x with larger y, or dominated by an earlier point
-        frontier.append(p)
-
-    # Lower convex hull of the staircase (monotone chain).
+    # Lower convex hull (monotone chain) of the Pareto staircase.  The last
+    # chain vertex is the last point so far that no other dominates, so a
+    # point whose y does not drop below it (same x, or dominated) is skipped.
     chain: list[IntVec] = []
-    for p in frontier:
+    for p in pts:
+        if chain and p[1] >= chain[-1][1]:
+            continue
         while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
             chain.pop()
         chain.append(p)

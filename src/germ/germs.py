@@ -33,7 +33,7 @@ carry factors that do not vanish there, such as x + x*y for {x = 0}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import groupby
@@ -64,7 +64,6 @@ __all__ = [
     "SmoothCurveGerm",
     "NondegeneracyReport",
     "parse_divisor",
-    "divisor",
     "newton_polytope",
     "newton_polytope_of_poly",
     "nondegeneracy_check",
@@ -79,14 +78,15 @@ __all__ = [
 class DivisorGerm:
     """B = sum of coeff_i * (poly_i = 0) with positive rational coefficients.
 
-    Every branch polynomial vanishes at the origin.  The empty divisor is
-    allowed (it arises when all components of B lie on a curve that gets
-    removed); operations that need Newton data reject it.
+    B has at least one component, and every branch polynomial is nonzero
+    and vanishes at the origin.
     """
 
     components: tuple[tuple[Fraction, Poly], ...]
 
     def __post_init__(self) -> None:
+        if not self.components:
+            raise InputError("divisor needs at least one component")
         for coeff, p in self.components:
             if coeff <= 0:
                 raise InputError(f"non-positive coefficient {coeff}")
@@ -95,24 +95,13 @@ class DivisorGerm:
             if p.constant_term() != 0:
                 raise InputError("component does not pass through the origin")
 
-    def __add__(self, other: "DivisorGerm") -> "DivisorGerm":
-        return DivisorGerm(self.components + other.components)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.components
-
     @property
     def branches(self) -> "list[Poly]":
         """The branch polynomials, in order, without their coefficients."""
         return [p for _, p in self.components]
 
     def max_coefficient(self) -> Fraction:
-        return max((c for c, _ in self.components), default=ZERO)
-
-
-def divisor(components: "list[tuple[object, Poly]]") -> DivisorGerm:
-    return DivisorGerm(tuple((Fraction(c), p) for c, p in components))  # type: ignore[arg-type]
+        return max(c for c, _ in self.components)
 
 
 def parse_divisor(text: str) -> DivisorGerm:
@@ -128,27 +117,33 @@ def render_divisor(b: DivisorGerm) -> str:
 class SmoothCurveGerm:
     """Curve germ smooth at the origin, in its original coordinates.
 
-    ``swapped`` records whether the two coordinates are exchanged to give
-    ``oriented_poly()`` a nonzero x-linear term.  That orientation is the
+    Construction checks that ``poly`` passes through the origin with a
+    nonzero linear part, and derives ``swapped``: whether the two
+    coordinates are exchanged to give ``oriented_poly()`` a nonzero x-linear
+    term, i.e. whether ``poly`` has none.  That orientation is the
     parametrization frame: ``oriented_poly()`` is solved for x as a power
     series in y.
     """
 
     poly: Poly
-    swapped: bool
+    swapped: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        g = self.poly
+        if g.is_zero or g.constant_term() != 0:
+            raise InputError("curve does not pass through the origin")
+        cx, cy = g.coefficient((1, 0)), g.coefficient((0, 1))
+        if cx == 0 and cy == 0:
+            raise InputError("curve is singular at the origin (zero linear part)")
+        object.__setattr__(self, "swapped", cx == 0)
 
     def oriented_poly(self) -> Poly:
         return _transpose(self.poly) if self.swapped else self.poly
 
 
 def curve_orient(g: Poly) -> SmoothCurveGerm:
-    """Validate smoothness and compute the orientation data of a curve."""
-    if g.is_zero or g.constant_term() != 0:
-        raise InputError("curve does not pass through the origin")
-    cx, cy = g.coefficient((1, 0)), g.coefficient((0, 1))
-    if cx == 0 and cy == 0:
-        raise InputError("curve is singular at the origin (zero linear part)")
-    return SmoothCurveGerm(g, cx == 0)
+    """The smooth curve germ {g = 0}, oriented; see ``SmoothCurveGerm``."""
+    return SmoothCurveGerm(g)
 
 
 def _transpose(p: Poly) -> Poly:
@@ -160,15 +155,11 @@ def _transpose(p: Poly) -> Poly:
 
 
 def newton_polytope_of_poly(p: Poly) -> NewtonPolytope:
-    if p.is_zero:
-        raise InputError("zero polynomial has no Newton polytope")
     return polytope_from_support(p.terms)
 
 
 def newton_polytope(b: DivisorGerm) -> NewtonPolytope:
     """Coefficient-weighted Minkowski combination of the branch polytopes."""
-    if b.is_empty:
-        raise InputError("empty divisor has no Newton polytope")
     parts = [scale(newton_polytope_of_poly(p), coeff) for coeff, p in b.components]
     return reduce(minkowski_sum, parts)
 
@@ -190,8 +181,6 @@ class NondegeneracyReport:
 
 
 def nondegeneracy_check(b: DivisorGerm) -> NondegeneracyReport:
-    if b.is_empty:
-        raise InputError("empty divisor")
     return _nondegeneracy(b.branches, face_normals(newton_polytope(b)))
 
 
@@ -342,14 +331,15 @@ class CurveLift(NamedTuple):
     exact: bool
 
 
-def curve_parametrization(g: Poly, order: int, lift: "CurveLift | None" = None) -> CurveLift:
-    """The root x = psi(t) of g, known below ``order`` or exact.
+def curve_parametrization(c: SmoothCurveGerm, order: int,
+                          lift: "CurveLift | None" = None) -> CurveLift:
+    """The root x = psi(t) of g = ``c.oriented_poly()``, below ``order`` or exact.
 
-    ``g`` is in ``curve_orient``'s frame: through the origin, with x-linear
-    coefficient lin != 0.  The first guess is psi = -(the x-free part of g)
-    / lin; if g vanishes on it, psi is exact.  Otherwise Newton's iteration
-    lifts psi from psi = 0 below t^1, where inverse = 1/lin, doubling the
-    order each pass (Brent and Kung, JACM 1978):
+    ``SmoothCurveGerm`` puts g in this frame: through the origin, with
+    x-linear coefficient lin != 0.  The first guess is psi = -(the x-free
+    part of g) / lin; if g vanishes on it, psi is exact.  Otherwise Newton's
+    iteration lifts psi from psi = 0 below t^1, where inverse = 1/lin,
+    doubling the order each pass (Brent and Kung, JACM 1978):
         psi <- psi - inverse*g(psi, t),
         inverse <- inverse*(2 - g_x(psi, t)*inverse),
     both truncated at the new order.  A pass whose residual g(psi, t) is 0
@@ -358,9 +348,7 @@ def curve_parametrization(g: Poly, order: int, lift: "CurveLift | None" = None) 
     order raised, with no pass.
     """
     if lift is None:
-        if g.coefficient((1, 0)) == 0 or g.constant_term() != 0:
-            raise InputError("curve needs an x-linear term and must pass through the origin")
-        h = _integer_terms(g)
+        h = _integer_terms(c.oriented_poly())
         guess = _reduced({j: -c for (i, j), c in h.items() if i == 0}, h[1, 0])
         if _is_root(h, guess):
             return CurveLift(h, order, guess, _ONE, True)
@@ -468,18 +456,15 @@ def contact_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, 
     reached only by series that are 0 on C.
     """
     mult = inter = ZERO
-    if b.is_empty:
-        return mult, inter
     max_deg = max(p.total_degree() for _, p in b.components)
     n = max_deg * c.poly.total_degree() + 2
-    g = c.oriented_poly()
-    lifts = [curve_parametrization(g, 2)]
+    lifts = [curve_parametrization(c, 2)]
     for coeff, p in b.components:
         q = _integer_terms(p)
         if c.swapped:
             q = {(j, i): v for (i, j), v in q.items()}
         k = 0
-        while (order := _first_order(q, g, lifts, n)) is None:
+        while (order := _first_order(q, c, lifts, n)) is None:
             q = _d_dx(q)
             k += 1
         if k:
@@ -488,7 +473,8 @@ def contact_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, 
     return mult, inter
 
 
-def _first_order(p: IntTerms, g: Poly, lifts: "list[CurveLift]", n: int) -> "int | None":
+def _first_order(p: IntTerms, c: SmoothCurveGerm, lifts: "list[CurveLift]",
+                 n: int) -> "int | None":
     """The order of p on the curve, None if p is 0 on it.  An exact psi of
     one term or 0 is substituted.  Any other psi, exact or lifted, is read
     below each lift's order in turn, up to n, and the first nonzero read
@@ -504,7 +490,7 @@ def _first_order(p: IntTerms, g: Poly, lifts: "list[CurveLift]", n: int) -> "int
             return None
         i += 1
         if i == len(lifts):
-            lifts.append(curve_parametrization(g, min(2 * lift.order, n), lift))
+            lifts.append(curve_parametrization(c, min(2 * lift.order, n), lift))
 
 
 def local_intersection(b: DivisorGerm, c: SmoothCurveGerm) -> Fraction:

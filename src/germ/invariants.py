@@ -113,8 +113,6 @@ def mld_toric(b: DivisorGerm) -> MldResult:
     remaining positive candidates (plus (1,1) when the fan is the whole
     quadrant) realize the infimum.
     """
-    if b.is_empty:
-        raise InputError("empty divisor")
     p = newton_polytope(b)
     return _mld(p, face_normals(p))
 
@@ -172,15 +170,13 @@ def _positive_points(run: Run) -> range:
 
 def _positive_negative_witness(g, axis: IntVec, runs: "list[Run]") -> IntVec:
     """Positive weight with negative discrepancy, built by pushing the
-    first positive point of the sector far in the negative axis direction."""
+    first positive point of the sector far in the negative axis direction.
+    g is linear on the sector and g(axis) < 0, so partner + k*axis is
+    negative for every k > g(partner) / -g(axis); the push takes the least
+    such k >= 1."""
     partner = next(r.point(js[0]) for r in runs if (js := _positive_points(r)))
-    p0 = (axis[0] + partner[0], axis[1] + partner[1])
-    if g(p0) >= 0:
-        rate = g((p0[0] + axis[0], p0[1] + axis[1])) - g(p0)
-        if rate >= 0:
-            raise GermError(f"axis direction {axis} does not lower the discrepancy")
-        steps = g(p0) // -rate + 1
-        p0 = (p0[0] + steps * axis[0], p0[1] + steps * axis[1])
+    steps = max(1, g(partner) // -g(axis) + 1)
+    p0 = (partner[0] + steps * axis[0], partner[1] + steps * axis[1])
     d = gcd(p0[0], p0[1])
     w = (p0[0] // d, p0[1] // d)
     if g(w) >= 0 or not _is_positive(w):
@@ -213,8 +209,6 @@ class LctResult:
 
 
 def lct_toric(b: DivisorGerm, c: SmoothCurveGerm) -> LctResult:
-    if b.is_empty:
-        raise InputError("empty divisor")
     if b.max_coefficient() > 1:
         raise DomainError("coefficient above one")
     pb = newton_polytope(b)
@@ -337,9 +331,8 @@ def verify_surface_theorem(
     epsilon: object,
 ) -> SurfaceTheoremReport:
     """The surface theorem's check on B and C; passes only exact thresholds."""
-    eps = as_fraction(epsilon)
-    if eps <= 0:
-        raise InputError("epsilon must be positive")
+    bound = delta_bound(epsilon)
+    eps = bound.epsilon
     pb = newton_polytope(b)
     normals = face_normals(pb)
     mld = _mld(pb, normals)
@@ -363,7 +356,6 @@ def verify_surface_theorem(
     if lct is not None and not lct.exact:
         failed.append("B + lct*C newton nondegenerate")
 
-    bound = delta_bound(eps)
     passed = lct.value >= bound.delta if not failed else None
     return SurfaceTheoremReport(
         eps,

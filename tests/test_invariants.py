@@ -12,7 +12,7 @@ import pytest
 
 from germ.errors import DomainError, InputError
 from germ.exactgeom import face_normals, make_weight
-from germ.germs import curve_orient, divisor, local_intersection, parse_divisor
+from germ.germs import DivisorGerm, curve_orient, local_intersection, parse_divisor
 from germ.invariants import (
     MldResult,
     _mld,
@@ -29,7 +29,7 @@ from test_germs import from_terms
 
 
 def binom(lam, m, n):
-    return divisor([(lam, from_terms({(m, 0): 1, (0, n): 1}))])
+    return DivisorGerm(((F(lam), from_terms({(m, 0): 1, (0, n): 1})),))
 
 
 def brute_binomial_mld(lam, m, n, bound=100):
@@ -227,7 +227,7 @@ def _random_divisor(rng):
         comps.append((F(rng.randint(1, 10), 10), p))
     if not comps:
         comps = [(F(1, 2), parse_poly("x + y"))]
-    return divisor(comps)
+    return DivisorGerm(tuple(comps))
 
 
 def test_mld_deep_cone_attained():
@@ -442,6 +442,10 @@ def test_delta_bound_monotone_on_grid():
 def test_delta_bound_rejects_nonpositive():
     with pytest.raises(InputError):
         delta_bound(0)
+    b, c = parse_divisor("1/2*(x^2+y^2)"), curve_orient(parse_poly("y"))
+    for eps in ["0", "-1/3"]:
+        with pytest.raises(InputError, match="epsilon must be positive"):
+            verify_surface_theorem(b, c, eps)
 
 
 def test_exponent_notation_is_rejected_at_once():

@@ -1,15 +1,16 @@
 """Exact 2-D Newton polytope engine on integer lattice points.
 
 A Newton polytope here is the region ``conv(S) + Q`` where ``S`` is a
-finite set of points in the closed first quadrant ``Q``.  It is built from
-a polynomial's exponents, pairs of non-negative integers; rational polytopes
-arise only as dilates (:func:`scale`) and Minkowski sums of those.  It is
-stored canonically as the chain of its vertices, ordered with x strictly
-increasing and y strictly decreasing: integer lattice points over one
-positive denominator, in lowest terms, so two polytopes are equal iff their
-fields are.  Construction, Minkowski sums, the support function
-:meth:`NewtonPolytope.lattice_min` and the face normals run in ``int``
-arithmetic, and no ``Fraction`` is built.
+finite set of points in the closed first quadrant ``Q``: the exponents of
+one polynomial, pairs of non-negative integers.  It is stored canonically
+as the chain of its vertices, ordered with x strictly increasing and y
+strictly decreasing, so two polytopes are equal iff their fields are.
+There are no rational polytopes, dilates or sums here: a weighted sum of
+polygons is kept as its summands, whose support functions add and whose
+normal fans refine each other (Ziegler, *Lectures on Polytopes*, ch. 7), so
+:func:`face_normals` takes any number of polygons.  Construction, the
+support function :meth:`NewtonPolytope.lattice_min` and the face normals
+run in ``int`` arithmetic, and no ``Fraction`` is built.
 
 The module also walks the Klein sail of a cone of the normal fan: the
 bounded boundary of the convex hull of the cone's nonzero lattice points,
@@ -24,11 +25,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from math import gcd, lcm
+from functools import cmp_to_key
+from math import gcd
 from typing import NamedTuple
 
 from .errors import InputError
-from .scalars import as_fraction
 
 
 def as_pair(v: object) -> "tuple[object, object]":
@@ -53,36 +54,25 @@ def _lattice_point(v: object) -> IntVec:
 class NewtonPolytope:
     """Vertex chain of ``conv(points) + first quadrant``, no redundancy.
 
-    The vertices are ``lattice[i] / den``: non-negative integer points over
-    one positive integer denominator.  Construction checks that they form a
-    chain, x increasing and y decreasing and strictly convex, and reduces
-    it to lowest terms (the gcd of ``den`` and every coordinate is 1), so
-    equal polytopes have equal fields.
+    The vertices are non-negative integer points.  Construction checks that
+    they form a chain, x increasing and y decreasing and strictly convex,
+    so equal polytopes have equal fields.
     """
 
     lattice: tuple[IntVec, ...]
-    den: int = 1
 
     def __post_init__(self) -> None:
         if not isinstance(self.lattice, Iterable):
             raise InputError(f"expected a sequence of vertices, got {self.lattice!r}")
-        lattice, den = tuple(map(_lattice_point, self.lattice)), self.den
-        if not isinstance(den, int) or den < 1:
-            raise InputError(f"denominator {den!r} is not a positive integer")
-        if den != 1:
-            g = gcd(den, *(c for v in lattice for c in v))
-            if g != 1:
-                den //= g
-                lattice = tuple((x // g, y // g) for x, y in lattice)
+        lattice = tuple(map(_lattice_point, self.lattice))
         _check_chain(lattice)
         object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "den", den)
 
     def lattice_min(self, w: IntVec) -> int:
-        """den times the support value of the integer weight w: the least
-        <w, v> over the lattice vertices."""
+        """The support value of the integer weight w: the least <w, v> over
+        the vertices."""
         w1, w2 = w
-        return min(w1 * x + w2 * y for x, y in self.lattice)
+        return min([w1 * x + w2 * y for x, y in self.lattice])
 
 
 def make_weight(w1: int, w2: int) -> IntVec:
@@ -142,73 +132,26 @@ def _cross(a: IntVec, b: IntVec, c: IntVec) -> int:
     return (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
 
 
-def scale(polytope: NewtonPolytope, c: object) -> NewtonPolytope:
-    """Dilate by a positive rational factor (pointwise on vertices)."""
-    factor = as_fraction(c)
-    if factor <= 0:
-        raise InputError(f"scale factor must be positive, got {factor}")
-    n = factor.numerator
-    return NewtonPolytope(tuple((x * n, y * n) for x, y in polytope.lattice),
-                          polytope.den * factor.denominator)
-
-
-def minkowski_sum(p: NewtonPolytope, q: NewtonPolytope) -> NewtonPolytope:
-    """Minkowski sum of two Newton polytopes.
-
-    The boundary of the sum is the boundary edges of both summands glued in
-    order of decreasing slope, starting from the sum of the two topmost
-    vertices; parallel edges merge into a single longer face.  Both chains
-    go over the lcm of the two denominators; each summand's edges are
-    already in slope order, so one merge by cross-multiplication glues them.
-    """
-    den = lcm(p.den, q.den)
-    kp, kq = den // p.den, den // q.den
-    a, b = _edges(p, kp), _edges(q, kq)
-    x = kp * p.lattice[0][0] + kq * q.lattice[0][0]
-    y = kp * p.lattice[0][1] + kq * q.lattice[0][1]
-    chain = [(x, y)]
-    i = j = 0
-    while i < len(a) or j < len(b):
-        # edges (dx, dy) have dx > 0 > dy, and the steeper has the smaller
-        # dy/dx: order < 0 takes a[i], order > 0 takes b[j] and order == 0
-        # merges the parallel pair
-        if j == len(b):
-            order = -1
-        elif i == len(a):
-            order = 1
-        else:
-            order = a[i][1] * b[j][0] - b[j][1] * a[i][0]
-        dx = dy = 0
-        if order <= 0:
-            dx, dy = a[i]
-            i += 1
-        if order >= 0:
-            dx, dy = dx + b[j][0], dy + b[j][1]
-            j += 1
-        x, y = x + dx, y + dy
-        chain.append((x, y))
-    return NewtonPolytope(tuple(chain), den)
-
-
-def _edges(p: NewtonPolytope, k: int) -> "list[IntVec]":
-    """The boundary edges of the chain, times k, left to right."""
-    vs = p.lattice
-    return [(k * (b[0] - a[0]), k * (b[1] - a[1])) for a, b in zip(vs, vs[1:])]
-
-
 # ---------------------------------------------------------------------------
 # face normals
 
 
-def face_normals(polytope: NewtonPolytope) -> list[IntVec]:
-    """Primitive inner normals of the compact faces, left to right."""
-    out: list[IntVec] = []
-    vs = polytope.lattice
-    for a, b in zip(vs, vs[1:]):
-        n1, n2 = a[1] - b[1], b[0] - a[0]
-        g = gcd(n1, n2)
-        out.append((n1 // g, n2 // g))
-    return out
+#: Sort key of a normal fan's rays: u comes before v iff det(u, v) > 0.
+_FAN_ORDER = cmp_to_key(lambda u, v: _det(v, u))
+
+
+def face_normals(*polygons: NewtonPolytope) -> list[IntVec]:
+    """Primitive inner normals of the compact faces of the polygons' sum,
+    left to right: the union of each polygon's, from the steepest face to
+    the flattest, so consecutive normals u, v have det(u, v) > 0."""
+    out: set[IntVec] = set()
+    for polygon in polygons:
+        vs = polygon.lattice
+        for a, b in zip(vs, vs[1:]):
+            n1, n2 = a[1] - b[1], b[0] - a[0]
+            g = gcd(n1, n2)
+            out.add((n1 // g, n2 // g))
+    return sorted(out, key=_FAN_ORDER)
 
 
 # ---------------------------------------------------------------------------

@@ -5,23 +5,27 @@ branches through the origin; a smooth curve germ is a single polynomial
 with nonzero linear part.  This module extracts their Newton data and
 computes the purely local quantities the invariant layer builds on:
 
+- the Newton diagram of B, kept as its weighted branch polygons
+  (``NewtonDiagram``);
 - the multiplicity of B along a curve C and the local intersection of the
   C-free part of B with C, both read off one walk of x-derivatives along
   the root x = psi(t) of C in its oriented frame.  When psi is exact and
   one term (a/den)*t^e or 0, as on y, x + y and y - x^k, each derivative
   is evaluated by substitution: its terms land at t^(i*e + j), are summed
   group by group in increasing order, and the first nonzero group is the
-  answer, so no power of psi past it is built.  Any other psi goes
-  through Horner's rule on series kept as ``int`` numerators over one
-  denominator, with no ``Fraction`` per coefficient, and powers of psi
-  come by repeated squaring, skipped at once when their valuation passes
-  the truncation.  Such a psi is read at the orders 2, 4, 8, ... up to
-  the Bezout order, lifted by Newton's iteration to each unless it is an
-  exact polynomial, and each series stops at the first of these orders
-  below which it is not 0;
+  answer, so no power of psi past it is built.  For any other psi the
+  lowest group is first decided the same way at psi's leading term; a
+  group that cancels there sends the derivative through Horner's rule on
+  series kept as ``int`` numerators over one denominator, with no
+  ``Fraction`` per coefficient, and powers of psi come by repeated
+  squaring, skipped at once when their valuation passes the truncation.
+  Such a psi is read at the orders 2, 4, 8, ... up to the Bezout order,
+  lifted by Newton's iteration to each unless it is an exact polynomial,
+  and each series stops at the first of these orders below which it is
+  not 0;
 - the Newton-nondegeneracy certificate that marks inputs whose toric
   invariants are exact, read off the branches' initial forms along the
-  face normals of the divisor's one Newton polygon.  Binomial forms are
+  compact-face normals of the divisor's Newton diagram.  Binomial forms are
   decided on their exponents and coefficients; only forms of three or more
   terms go through a dense gcd, and only up to ``DENSE_FORM_LIMIT``
   entries.
@@ -35,20 +39,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from itertools import groupby
 from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import DomainError, InputError
-from .exactgeom import (
-    IntVec,
-    NewtonPolytope,
-    face_normals,
-    minkowski_sum,
-    polytope_from_support,
-    scale,
-)
+from .exactgeom import IntVec, NewtonPolytope, face_normals, polytope_from_support
 from .polys import (
     ZERO,
     Poly,
@@ -63,6 +59,7 @@ __all__ = [
     "DivisorGerm",
     "SmoothCurveGerm",
     "NondegeneracyReport",
+    "NewtonDiagram",
     "parse_divisor",
     "newton_polytope",
     "newton_polytope_of_poly",
@@ -158,10 +155,31 @@ def newton_polytope_of_poly(p: Poly) -> NewtonPolytope:
     return polytope_from_support(p.terms)
 
 
-def newton_polytope(b: DivisorGerm) -> NewtonPolytope:
-    """Coefficient-weighted Minkowski combination of the branch polytopes."""
-    parts = [scale(newton_polytope_of_poly(p), coeff) for coeff, p in b.components]
-    return reduce(minkowski_sum, parts)
+class NewtonDiagram(NamedTuple):
+    """Newt(B) = (1/den) * sum of weights[i] * polygons[i], kept as its
+    summands: ``polygons[i]`` is the integer Newton polygon of branch i and
+    ``weights[i]`` = den * coeff_i, den the lcm of the coefficients'
+    denominators.  The support function of the sum is the sum of theirs,
+    and its compact-face normals are ``face_normals(*polygons)``."""
+
+    weights: "tuple[int, ...]"
+    polygons: "tuple[NewtonPolytope, ...]"
+    den: int
+
+    def lattice_min(self, w: IntVec) -> int:
+        """den times the support value of the integer weight w."""
+        total = 0
+        for n, p in zip(self.weights, self.polygons):
+            total += n * p.lattice_min(w)
+        return total
+
+
+def newton_polytope(b: DivisorGerm) -> NewtonDiagram:
+    """The coefficient-weighted sum of the branch polygons, as its summands."""
+    den = lcm(*(coeff.denominator for coeff, _ in b.components))
+    return NewtonDiagram(tuple(coeff.numerator * (den // coeff.denominator)
+                               for coeff, _ in b.components),
+                         tuple(newton_polytope_of_poly(p) for p in b.branches), den)
 
 
 @dataclass(frozen=True)
@@ -181,12 +199,12 @@ class NondegeneracyReport:
 
 
 def nondegeneracy_check(b: DivisorGerm) -> NondegeneracyReport:
-    return _nondegeneracy(b.branches, face_normals(newton_polytope(b)))
+    return _nondegeneracy(b.branches, face_normals(*newton_polytope(b).polygons))
 
 
 def _nondegeneracy(branches: "list[Poly]", normals: "list[IntVec]") -> NondegeneracyReport:
     """The test on the branch polynomials of a divisor along ``normals``,
-    which must hold the compact-face normals of its polygon, the union of
+    which must hold the compact-face normals of its diagram, the union of
     its branches'; along any other normal every initial form is one term,
     which passes.  A face form f(u), f(0) != 0, steps by the gcd k of every
     branch's exponent gaps on the face: f(u^k) is squarefree, or shares a
@@ -448,11 +466,14 @@ def contact_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, 
 
     An exact psi of one term or 0 is substituted, lowest order first (see
     ``_substituted_order``), with no truncation: the value is a polynomial
-    in t.  Otherwise the series are ``int`` numerators over one denominator
-    (see ``curve_parametrization``), and psi, exact or not, is read along
-    the orders 2, 4, 8, ..., n, each lift made once and shared by every
-    branch and derivative.  A series stops at the first of these orders
-    below which it is not 0: its lowest term is then found, and n is
+    in t.  Any other psi has the leading term -(g_0v/g_10)*t^v, v the least
+    y-power of the x-free part of g, and a series whose terms of least
+    i*v + j do not cancel there has that order, found before any lift (see
+    ``_leading_order``).  Otherwise the series are ``int`` numerators over
+    one denominator (see ``curve_parametrization``), and psi, exact or not,
+    is read along the orders 2, 4, 8, ..., n, each lift made once and shared
+    by every branch and derivative.  A series stops at the first of these
+    orders below which it is not 0: its lowest term is then found, and n is
     reached only by series that are 0 on C.
     """
     mult = inter = ZERO
@@ -476,9 +497,16 @@ def contact_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, 
 def _first_order(p: IntTerms, c: SmoothCurveGerm, lifts: "list[CurveLift]",
                  n: int) -> "int | None":
     """The order of p on the curve, None if p is 0 on it.  An exact psi of
-    one term or 0 is substituted.  Any other psi, exact or lifted, is read
-    below each lift's order in turn, up to n, and the first nonzero read
-    answers; ``lifts`` is extended in place, one doubling at a time."""
+    one term or 0 is substituted.  For any other psi, p's lowest group at
+    psi's leading term is tried first (``_leading_order``); if it cancels,
+    psi, exact or lifted, is read below each lift's order in turn, up to n,
+    and the first nonzero read answers; ``lifts`` is extended in place, one
+    doubling at a time."""
+    lift = lifts[0]
+    if not (lift.exact and len(lift.psi.num) <= 1):
+        order = _leading_order(p, lift.h)
+        if order is not None:
+            return order
     i = 0
     while True:
         lift = lifts[i]
@@ -491,6 +519,17 @@ def _first_order(p: IntTerms, c: SmoothCurveGerm, lifts: "list[CurveLift]",
         i += 1
         if i == len(lifts):
             lifts.append(curve_parametrization(c, min(2 * lift.order, n), lift))
+
+
+def _leading_order(p: IntTerms, h: IntTerms) -> "int | None":
+    """The order of p on the curve h = 0 if its terms of least i*v + j do
+    not cancel at psi's leading term -(h_0v/h_10)*t^v, v the least y-power
+    of h's x-free part, else None: c*x^i*y^j starts at t^(i*v + j).  The
+    group is decided as ``_substituted_order`` decides it."""
+    v = min(j for i, j in h if not i)
+    low = min(i * v + j for i, j in p)
+    group = {(i, j): c for (i, j), c in p.items() if i * v + j == low}
+    return _substituted_order(group, Series({v: -h[0, v]}, h[1, 0]))
 
 
 def local_intersection(b: DivisorGerm, c: SmoothCurveGerm) -> Fraction:

@@ -1,11 +1,14 @@
 """Singularity invariants of divisor germs via their Newton data.
 
-Everything is computed from the vertex chain of the Newton polytope with
-exact arithmetic.  The chain is integer lattice points over one
-denominator (see ``exactgeom``), so the mld scan compares and divides
-integers, den times each log discrepancy, and the lct compares its few
-candidate ratios by ``int`` cross-multiplication; each builds a
-``Fraction`` only for a returned value:
+Everything is computed from the Newton diagram of B with exact arithmetic.
+The diagram is kept as its summands: the integer Newton polygon of each
+branch with the integer weight den * coeff, den the lcm of the coefficient
+denominators (see ``germs.NewtonDiagram``).  Its support function is the
+weighted sum of the branches' and its face normals are the union of
+theirs, so the mld scan compares and divides integers, den times each log
+discrepancy, and the lct compares its few candidate ratios by ``int``
+cross-multiplication; each builds a ``Fraction`` only for a returned
+value:
 
 * log discrepancies of monomial valuations (weighted blow-ups),
 * the minimal log discrepancy over all positive integer weights, found by
@@ -16,7 +19,7 @@ candidate ratios by ``int`` cross-multiplication; each builds a
   of weights, capped by the curve's own coefficient room,
 * the explicit fibration bound delta(eps) = sup_n (eps - 1/n)/(n - 1), in
   closed form,
-* the surface-theorem checker, which builds the Newton polytope and its
+* the surface-theorem checker, which builds the Newton diagram and its
   face normals, the mld scan, the contact of B with C and B's
   nondegeneracy once, and passes only exact thresholds (hypothesis
   "B + lct*C newton nondegenerate").
@@ -36,7 +39,6 @@ from math import gcd
 from .errors import DomainError, GermError, InputError
 from .exactgeom import (
     IntVec,
-    NewtonPolytope,
     Run,
     _hilbert_runs,
     as_pair,
@@ -45,6 +47,7 @@ from .exactgeom import (
 )
 from .germs import (
     DivisorGerm,
+    NewtonDiagram,
     SmoothCurveGerm,
     _nondegeneracy,
     contact_along_curve,
@@ -71,10 +74,10 @@ __all__ = [
 # log discrepancies
 
 
-def _discrepancy(p: NewtonPolytope, v: IntVec) -> int:
-    """The log discrepancy v1 + v2 - min over the vertices of <v, vertex>
-    of the weight v, times the polytope's denominator: an integer form,
-    linear on each normal-fan cone."""
+def _discrepancy(p: NewtonDiagram, v: IntVec) -> int:
+    """The log discrepancy v1 + v2 - min over the diagram of <v, point> of
+    the weight v, times the diagram's denominator: an integer form, linear
+    on each normal-fan cone."""
     return (v[0] + v[1]) * p.den - p.lattice_min(v)
 
 
@@ -114,13 +117,13 @@ def mld_toric(b: DivisorGerm) -> MldResult:
     quadrant) realize the infimum.
     """
     p = newton_polytope(b)
-    return _mld(p, face_normals(p))
+    return _mld(p, face_normals(*p.polygons))
 
 
-def _mld(p: NewtonPolytope, normals: "list[IntVec]") -> MldResult:
+def _mld(p: NewtonDiagram, normals: "list[IntVec]") -> MldResult:
     """The first basis element, in fan order, with a negative discrepancy,
     else the first positive one attaining the least discrepancy, on the
-    polytope ``p`` with face normals ``normals``.
+    diagram ``p`` with face normals ``normals``.
 
     Along a run the discrepancy is g0 + j*rate.  Its first negative point
     is j = 0 when g0 < 0, else j = g0 // -rate + 1 if that is a point of
@@ -212,7 +215,7 @@ def lct_toric(b: DivisorGerm, c: SmoothCurveGerm) -> LctResult:
     if b.max_coefficient() > 1:
         raise DomainError("coefficient above one")
     pb = newton_polytope(b)
-    normals = face_normals(pb)
+    normals = face_normals(*pb.polygons)
     mld = _mld(pb, normals)
     if mld.value < 0:  # NEG_INF orders below every rational
         raise DomainError("pair not lc before adding C")
@@ -223,17 +226,17 @@ def lct_toric(b: DivisorGerm, c: SmoothCurveGerm) -> LctResult:
     return _lct(branches, c, pb, normals, mult, _nondegeneracy(branches, normals).nondegenerate)
 
 
-def _lct(branches: "list[Poly]", c: SmoothCurveGerm, pb: NewtonPolytope,
+def _lct(branches: "list[Poly]", c: SmoothCurveGerm, pb: NewtonDiagram,
          normals: "list[IntVec]", mult: Fraction, nondegenerate: bool) -> LctResult:
     """Threshold of an lc pair with coefficients at most one, given B's
-    branch polynomials, its Newton polytope ``pb`` and that polytope's face
+    branch polynomials, its Newton diagram ``pb`` and that diagram's face
     ``normals``, mult_C B and whether B is nondegenerate.  The candidate
     ratios disc/(pb.den * contact) are compared by cross-multiplication."""
     pc = newton_polytope_of_poly(c.poly)
     c_normals = face_normals(pc)
     best: "tuple[int, int, IntVec] | None" = None  # the least ratio, first in order
     for w in [(1, 0), (0, 1)] + normals + c_normals:
-        contact = pc.lattice_min(w)  # pc.den is 1: C's exponents are integers
+        contact = pc.lattice_min(w)
         if contact == 0:
             continue
         disc = _discrepancy(pb, w)
@@ -334,7 +337,7 @@ def verify_surface_theorem(
     bound = delta_bound(epsilon)
     eps = bound.epsilon
     pb = newton_polytope(b)
-    normals = face_normals(pb)
+    normals = face_normals(*pb.polygons)
     mld = _mld(pb, normals)
     mult, inter = contact_along_curve(b, c)
 

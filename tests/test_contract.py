@@ -90,7 +90,7 @@ def test_malformed_weights_points_and_generators_raise_input_error():
         lambda: polytope_from_support([(1.0, 0)]),
         lambda: polytope_from_support([(1,)]),
         lambda: NewtonPolytope(None),
-        lambda: NewtonPolytope(((0, 1),), 0),
+        lambda: NewtonPolytope(((0, 1), (1, 1))),
         # more digits than int() converts from text
         lambda: parse_poly("1" * 5000 + "*x"),
         lambda: parse_poly("x^" + "1" * 5000),

@@ -10,36 +10,37 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from germ.errors import InputError
-from germ.exactgeom import (
-    NewtonPolytope,
-    _hilbert_runs,
-    face_normals,
-    minkowski_sum,
-    polytope_from_support,
-    scale,
-)
+from germ.exactgeom import NewtonPolytope, _hilbert_runs, face_normals, polytope_from_support
 
 
 def poly(*pts):
-    """The polygon of rational points: the integer one of their numerators
-    over a common denominator d, scaled by 1/d."""
-    fracs = [(F(x), F(y)) for x, y in pts]
-    d = lcm(*(c.denominator for v in fracs for c in v))
-    return scale(polytope_from_support([(int(x * d), int(y * d)) for x, y in fracs]), F(1, d))
+    """The polygon of integer points."""
+    return polytope_from_support(pts)
 
 
 def support(p, w):
     """The least <w, v> over p for a rational weight w: the support function
     is positively homogeneous, so it is lattice_min at the integer weight
-    d*w over d*den, d the weight's common denominator."""
+    d*w over d, d the weight's common denominator."""
     w1, w2 = F(w[0]), F(w[1])
     d = lcm(w1.denominator, w2.denominator)
-    return F(p.lattice_min((int(w1 * d), int(w2 * d))), p.den * d)
+    return F(p.lattice_min((int(w1 * d), int(w2 * d))), d)
 
 
 def vertices(p):
     """The chain as exact rational points (x, y)."""
-    return [(F(x, p.den), F(y, p.den)) for x, y in p.lattice]
+    return [(F(x), F(y)) for x, y in p.lattice]
+
+
+def minkowski_hull(parts):
+    """Oracle: the polygon of sum n_i * P_i over (n_i, P_i) in ``parts``, n_i
+    positive integers, as the hull of every sum of n_i-scaled vertices, one
+    from each summand, taken one summand at a time."""
+    sums = [(0, 0)]
+    for n, p in parts:
+        sums = polytope_from_support([(x + n * a, y + n * b) for x, y in sums
+                                      for a, b in p.lattice]).lattice
+    return NewtonPolytope(sums)
 
 
 # ---------------------------------------------------------------------------
@@ -76,43 +77,28 @@ def test_chain_invariants_enforced():
 
 
 # ---------------------------------------------------------------------------
-# scale / minkowski
-
-
-def test_scale_pointwise():
-    assert vertices(scale(poly((0, 3), (2, 0)), F(3, 4))) == [(0, F(9, 4)), (F(3, 2), 0)]
-
-
-def test_scale_identity():
-    p = poly((0, 3), (1, 1), (4, 0))
-    assert scale(p, 1) == p
-
-
-def test_scale_half():
-    assert vertices(scale(poly((0, 2), (2, 0)), F(1, 2))) == [(0, 1), (1, 0)]
-
-
-def test_scale_rejects_nonpositive():
-    with pytest.raises(InputError):
-        scale(poly((1, 1)), 0)
-    with pytest.raises(InputError):
-        scale(poly((1, 1)), F(-1, 2))
+# Minkowski sums, kept as their summands
 
 
 def test_minkowski_figure_example():
     p = poly((0, 3), (1, 1), (4, 0))
     q = poly((0, 2), (2, 0))
-    assert vertices(minkowski_sum(p, q)) == [(0, 5), (1, 3), (3, 1), (6, 0)]
+    total = minkowski_hull([(1, p), (1, q)])
+    assert vertices(total) == [(0, 5), (1, 3), (3, 1), (6, 0)]
+    assert face_normals(p, q) == face_normals(total) == [(2, 1), (1, 1), (1, 3)]
 
 
 def test_minkowski_identity_element():
     p = poly((0, 3), (1, 1), (4, 0))
-    assert minkowski_sum(p, poly((0, 0))) == p
+    origin = poly((0, 0))
+    assert minkowski_hull([(1, p), (1, origin)]) == p
+    assert face_normals(p, origin) == face_normals(p)
 
 
 def test_minkowski_doubling():
     p = poly((0, 5), (3, 0))
-    assert vertices(minkowski_sum(p, p)) == [(0, 10), (6, 0)]
+    assert vertices(minkowski_hull([(2, p)])) == [(0, 10), (6, 0)]
+    assert face_normals(p, p) == face_normals(p) == [(5, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -123,18 +109,18 @@ def test_support_value_direct_min():
     p = poly((0, 3), (1, 1), (4, 0))
     # oracle: evaluate <w, v> on each vertex by hand
     assert min(0 + 3, 1 + 1, 4 + 0) == 2
-    assert F(p.lattice_min((1, 1)), p.den) == 2
+    assert p.lattice_min((1, 1)) == 2
 
 
 def test_support_value_two_vertex():
     for m, n in [(2, 3), (5, 1)]:
         p = poly((m, 0), (0, n))
-        assert F(p.lattice_min((1, 1)), p.den) == min(m, n)
+        assert p.lattice_min((1, 1)) == min(m, n)
 
 
 def test_support_value_axis_weight():
     p = poly((0, 3), (2, 0))
-    assert F(p.lattice_min((0, 1)), p.den) == 0
+    assert p.lattice_min((0, 1)) == 0
 
 
 def contains(polytope, point):
@@ -145,15 +131,16 @@ def contains(polytope, point):
     if px < vs[0][0] or py < vs[-1][1]:
         return False
     for n1, n2 in face_normals(polytope):
-        if n1 * px + n2 * py < F(polytope.lattice_min((n1, n2)), polytope.den):
+        if n1 * px + n2 * py < polytope.lattice_min((n1, n2)):
             return False
     return True
 
 
 def test_contains_scaled_square_example():
-    p = scale(poly((2, 0), (1, 1), (0, 2)), F(3, 4))
-    assert vertices(p) == [(0, F(3, 2)), (F(3, 2), 0)]
-    assert contains(p, (F(1), F(1)))
+    # (3/4) * conv{(2, 0), (1, 1), (0, 2)} holds (1, 1) iff 3 times it holds (4, 4)
+    p = minkowski_hull([(3, poly((2, 0), (1, 1), (0, 2)))])
+    assert vertices(p) == [(0, 6), (6, 0)]
+    assert contains(p, (F(4), F(4)))
 
 
 def test_contains_origin_false():
@@ -333,7 +320,8 @@ def test_hilbert_runs_deep_cone():
 # properties
 
 frac = st.fractions(min_value=0, max_value=12, max_denominator=6)
-support_sets = st.lists(st.tuples(frac, frac), min_size=1, max_size=7)
+coord = st.integers(min_value=0, max_value=72)
+support_sets = st.lists(st.tuples(coord, coord), min_size=1, max_size=7)
 weights = st.tuples(
     st.fractions(min_value=0, max_value=9, max_denominator=5),
     st.fractions(min_value=0, max_value=9, max_denominator=5),
@@ -344,23 +332,22 @@ weights = st.tuples(
 @given(support_sets, support_sets, weights)
 def test_minkowski_support_additivity(s1, s2, w):
     p, q = poly(*s1), poly(*s2)
-    assert support(minkowski_sum(p, q), w) == support(p, w) + support(q, w)
+    assert support(minkowski_hull([(1, p), (1, q)]), w) == support(p, w) + support(q, w)
 
 
 @settings(max_examples=200, derandomize=True)
 @given(support_sets, support_sets)
 def test_minkowski_matches_pairwise_hull(s1, s2):
-    # oracle: hull of all pairwise vertex sums
+    # the compact-face normals of a sum are the union of the summands'
     p, q = poly(*s1), poly(*s2)
-    sums = [(ax + bx, ay + by) for ax, ay in vertices(p) for bx, by in vertices(q)]
-    assert minkowski_sum(p, q) == poly(*sums)
+    assert face_normals(p, q) == face_normals(minkowski_hull([(1, p), (1, q)]))
 
 
 @settings(max_examples=200, derandomize=True)
 @given(support_sets)
 def test_construction_idempotent(s):
     p = poly(*s)
-    assert poly(*vertices(p)) == p
+    assert poly(*p.lattice) == p
 
 
 @settings(max_examples=200, derandomize=True)
@@ -371,6 +358,18 @@ def test_slopes_strictly_decrease(s):
     assert all(v > 0 for v in slopes)
     for a, b in zip(slopes, slopes[1:]):
         assert a > b
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.lists(support_sets, min_size=1, max_size=4))
+def test_face_normals_of_several_polygons_form_a_fan(supports):
+    """The normals of several polygons are the union of each one's, primitive
+    and ordered so that consecutive ones u, v have det(u, v) > 0."""
+    polygons = [poly(*s) for s in supports]
+    normals = face_normals(*polygons)
+    assert set(normals) == {n for p in polygons for n in face_normals(p)}
+    assert all(min(n) >= 1 and gcd(*n) == 1 for n in normals)
+    assert all(_det(u, v) > 0 for u, v in zip(normals, normals[1:]))
 
 
 def boundary_height(p, x):
@@ -400,7 +399,7 @@ def test_contains_matches_boundary_oracle(s, px, py):
 def test_contains_support_duality(s, px, py):
     p = poly(*s)
     normals = face_normals(p) + [(1, 0), (0, 1)]
-    dual = all(w[0] * px + w[1] * py >= F(p.lattice_min(w), p.den) for w in normals)
+    dual = all(w[0] * px + w[1] * py >= p.lattice_min(w) for w in normals)
     assert contains(p, (px, py)) == dual
 
 
@@ -443,67 +442,63 @@ def reference_support(chain, w):
     return min(F(w[0]) * x + F(w[1]) * y for x, y in chain)
 
 
+def reference_normals(chain):
+    """Oracle: the primitive inner normals of a ``Fraction`` chain's faces,
+    left to right."""
+    out = []
+    for (ax, ay), (bx, by) in zip(chain, chain[1:]):
+        slope = (ay - by) / (bx - ax)
+        out.append((slope.numerator, slope.denominator))
+    return out
+
+
 def _random_support(rng):
-    """Up to six points with a shared denominator in 1..12 and numerators up
-    to 10^12, or small ones so that domination and collinearity occur."""
-    den = rng.choice([1, rng.randint(1, 12)])
+    """Up to six integer points with coordinates up to 10^12, or small ones
+    so that domination and collinearity occur."""
     top = rng.choice([6, 60, 10**12])
-    return [(F(rng.randint(0, top), den), F(rng.randint(0, top), rng.randint(1, 12)))
-            for _ in range(rng.randint(1, 6))]
-
-
-def _is_canonical(p):
-    return p.den >= 1 and gcd(p.den, *(c for v in p.lattice for c in v)) == 1
+    return [(rng.randint(0, top), rng.randint(0, top)) for _ in range(rng.randint(1, 6))]
 
 
 def test_lattice_engine_matches_fraction_reference():
-    """polytope_from_support with scale, minkowski_sum of operands over
-    different denominators and lattice_min, against the reference on seeded
-    random supports; every result is in lowest terms."""
+    """polytope_from_support, face_normals of two polygons and the weighted
+    sum of their lattice_min, against the reference on the ``Fraction``
+    points (n1*v1 + n2*v2)/d of seeded random supports."""
     rng = random.Random(71)
     seen = Counter()
     for _ in range(1500):
         s1, s2 = _random_support(rng), _random_support(rng)
         if rng.random() < 0.3:  # a dilate of s1: every edge has a parallel partner
-            k = F(rng.randint(1, 9), rng.randint(1, 9))
+            k = rng.randint(1, 9)
             s2 = [(x * k, y * k) for x, y in s1]
         p, q = poly(*s1), poly(*s2)
         c1, c2 = reference_chain(s1), reference_chain(s2)
         assert vertices(p) == c1 and vertices(q) == c2
-        factor = F(rng.randint(1, 10**6), rng.randint(1, 12))
-        scaled = scale(p, factor)
-        assert vertices(scaled) == [(x * factor, y * factor) for x, y in c1]
-        total = minkowski_sum(p, q)
-        assert vertices(total) == reference_chain(
-            [(ax + bx, ay + by) for ax, ay in c1 for bx, by in c2])
+        n1, n2, d = rng.randint(1, 10**6), rng.randint(1, 12), rng.randint(1, 12)
+        total = reference_chain([((n1 * ax + n2 * bx) / d, (n1 * ay + n2 * by) / d)
+                                 for ax, ay in c1 for bx, by in c2])
+        assert face_normals(p, q) == reference_normals(total)
         for _ in range(3):
             w = (F(rng.randint(0, 40), rng.randint(1, 6)), F(rng.randint(1, 40), rng.randint(1, 6)))
             w = w if rng.random() < 0.5 else w[::-1]
             assert support(p, w) == reference_support(c1, w)
-            assert support(total, w) == reference_support(vertices(total), w)
-        assert all(_is_canonical(r) for r in (p, q, scaled, total))
-        seen["integer"] += p.den == 1
-        seen["fractional"] += p.den > 1
-        seen["unequal denominators"] += p.den != q.den
-        seen["parallel edges"] += len(total.lattice) < len(p.lattice) + len(q.lattice) - 1
+            assert (n1 * support(p, w) + n2 * support(q, w)) / d == reference_support(total, w)
+        seen["one vertex"] += len(c1) == 1
+        seen["several faces"] += len(total) > 3
+        seen["parallel edges"] += len(total) < len(c1) + len(c2) - 1
     assert min(seen.values()) >= 50, seen
 
 
 def test_lattice_form_is_canonical():
-    """Lowest terms, scaling round trips, and equal chains hash alike
-    however they were built."""
+    """Equal chains are equal and hash alike however they were built: from
+    the vertices alone, or with dominated and collinear points added."""
     rng = random.Random(73)
     for _ in range(400):
         p = poly(*_random_support(rng))
-        a = F(rng.randint(1, 10**9), rng.randint(1, 10**9))
-        assert scale(scale(p, a), 1 / a) == p
-        k = rng.randint(1, 10**6)  # the same chain, not in lowest terms
-        rebuilt = NewtonPolytope(tuple((k * x, k * y) for x, y in p.lattice), k * p.den)
+        rebuilt = NewtonPolytope(p.lattice)
+        padded = poly(*p.lattice, *((x + 1, y) for x, y in p.lattice),
+                      *(((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
+                        for a, b in zip(p.lattice, p.lattice[1:])
+                        if (a[0] + b[0]) % 2 == 0 and (a[1] + b[1]) % 2 == 0))
         assert rebuilt == p and hash(rebuilt) == hash(p)
-        assert (rebuilt.lattice, rebuilt.den) == (p.lattice, p.den)
-        doubled = minkowski_sum(p, p)
-        assert doubled == scale(p, 2) and hash(doubled) == hash(scale(p, 2))
-    assert polytope_from_support([(2, 0), (0, 2)]).den == 1
-    half = poly((F(1, 2), 0), (0, F(3, 2)))
-    assert (half.lattice, half.den) == (((0, 3), (1, 0)), 2)
-    assert scale(half, 2).den == 1
+        assert padded == p and hash(padded) == hash(p)
+    assert polytope_from_support([(2, 0), (1, 1), (0, 2)]).lattice == ((0, 2), (2, 0))

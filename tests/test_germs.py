@@ -5,12 +5,12 @@ import time
 from collections import Counter
 from fractions import Fraction as F
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from germ.errors import DomainError, InputError
-from germ.exactgeom import face_normals, minkowski_sum
+from germ.exactgeom import face_normals
 from germ.germs import (
     DENSE_FORM_LIMIT,
     DivisorGerm,
@@ -34,7 +34,7 @@ from germ.polys import (
     uni_coprime,
     uni_is_squarefree,
 )
-from test_exactgeom import vertices
+from test_exactgeom import minkowski_hull, vertices
 
 
 def pp(text):
@@ -252,19 +252,45 @@ def test_parse_time_is_linear_in_whitespace_runs():
 # Newton data
 
 
+def summed_hull(b):
+    """Oracle: den * Newt(B) as one integer polygon, the hull of every sum
+    of den*coeff_i-scaled branch vertices, and den, the lcm of the
+    coefficients' denominators."""
+    den = lcm(*(coeff.denominator for coeff, _ in b.components))
+    return minkowski_hull([(int(coeff * den), newton_polytope_of_poly(p))
+                           for coeff, p in b.components]), den
+
+
+def diagram_vertices(b, rng=None):
+    """Newt(B)'s vertices from the oracle, after checking the diagram
+    against it: the same den and face normals, and the same support values
+    at those normals, at both axes and, given ``rng``, at random weights."""
+    pb = newton_polytope(b)
+    hull, den = summed_hull(b)
+    normals = face_normals(*pb.polygons)
+    assert pb.den == den and normals == face_normals(hull)
+    weights = normals + [(1, 0), (0, 1)]
+    if rng is not None:
+        weights += [(rng.randint(0, 50), rng.randint(0, 50)) for _ in range(8)]
+    for w in weights:
+        assert pb.lattice_min(w) == hull.lattice_min(w)
+    return [(F(x, den), F(y, den)) for x, y in hull.lattice]
+
+
 def test_newton_polytope_scaled_binomial():
     b = parse_divisor("3/4*(x^2 + y^3)")
-    assert vertices(newton_polytope(b)) == [(0, F(9, 4)), (F(3, 2), 0)]
+    assert newton_polytope(b) == ((3,), (newton_polytope_of_poly(pp("x^2 + y^3")),), 4)
+    assert diagram_vertices(b) == [(0, F(9, 4)), (F(3, 2), 0)]
 
 
 def test_newton_polytope_cusp_figure():
     b = parse_divisor("1*(x^4 + x*y + y^3)")
-    assert vertices(newton_polytope(b)) == [(0, 3), (1, 1), (4, 0)]
+    assert diagram_vertices(b) == [(0, 3), (1, 1), (4, 0)]
 
 
 def test_newton_polytope_sum_figure():
     b = parse_divisor("1*(x^4 + x*y + y^3) + 1*(x^2 + y^2)")
-    assert vertices(newton_polytope(b)) == [
+    assert diagram_vertices(b) == [
         (0, 5),
         (1, 3),
         (3, 1),
@@ -272,13 +298,44 @@ def test_newton_polytope_sum_figure():
     ]
 
 
+def test_newton_diagram_weights_over_the_lcm():
+    """Each branch weighs den * coeff, den the lcm of the coefficients'
+    denominators, and the branch polygons stay as they are."""
+    b = parse_divisor("1/2*(x) + 1/3*(y) + 5/4*(x^2 + y^3)")
+    pb = newton_polytope(b)
+    assert (pb.weights, pb.den) == ((6, 4, 15), 12)
+    assert pb.polygons == tuple(newton_polytope_of_poly(p) for p in b.branches)
+    assert face_normals(*pb.polygons) == [(3, 2)]
+    assert F(pb.lattice_min((3, 2)), pb.den) == F(3, 2) + F(2, 3) + F(5, 4) * 6
+
+
+def test_newton_diagram_matches_summed_vertex_hull():
+    """On seeded divisors of one to four branches, with coefficients over
+    unequal denominators, the diagram's normals and support values match
+    the hull of the summed scaled vertices."""
+    rng = random.Random(17)
+    sizes = Counter()
+    for _ in range(400):
+        b = _random_divisor(rng, branches=4)
+        comps = tuple((F(rng.randint(1, 12), rng.randint(1, 12)), p) for _, p in b.components)
+        diagram_vertices(DivisorGerm(comps), rng)
+        sizes[len(comps)] += 1
+    assert sorted(sizes) == [1, 2, 3, 4] and min(sizes.values()) >= 50, sizes
+
+
 def test_newton_polytope_concat_additivity():
+    """The diagram of B1 + B2 has the summands of both, and its support
+    function is the sum of theirs."""
     rng = random.Random(11)
     for _ in range(60):
         b1 = _random_divisor(rng)
         b2 = _random_divisor(rng)
-        b = DivisorGerm(b1.components + b2.components)
-        assert newton_polytope(b) == minkowski_sum(newton_polytope(b1), newton_polytope(b2))
+        p1, p2 = newton_polytope(b1), newton_polytope(b2)
+        p = newton_polytope(DivisorGerm(b1.components + b2.components))
+        assert p.polygons == p1.polygons + p2.polygons
+        for w in face_normals(*p.polygons) + [(1, 0), (0, 1), (2, 3)]:
+            assert F(p.lattice_min(w), p.den) == \
+                F(p1.lattice_min(w), p1.den) + F(p2.lattice_min(w), p2.den)
 
 
 def test_newton_polytope_unit_invariance():
@@ -290,9 +347,9 @@ def test_newton_polytope_unit_invariance():
         assert newton_polytope(scaled) == newton_polytope(b)
 
 
-def _random_divisor(rng):
+def _random_divisor(rng, branches=3):
     comps = []
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(rng.randint(1, branches)):
         terms = {}
         for _ in range(rng.randint(1, 4)):
             exp = (rng.randint(0, 5), rng.randint(0, 5))
@@ -487,7 +544,7 @@ def dense_nondegeneracy(b):
     """Oracle: the test along the one polygon's normals with every face form
     dense, stepped by the gcd of the face's exponent gaps, through the
     ``uni_*`` helpers: (verdict, component indices, normal)."""
-    normals = face_normals(newton_polytope(b))
+    normals = face_normals(summed_hull(b)[0])
     forms = [{} for _ in b.components]
     for n1, n2 in normals:
         faces = []
@@ -680,7 +737,7 @@ def newton_intersection_bound(b, c):
     powers = [j for i, j in c.oriented_poly().terms if i == 0]
     if powers:
         return F(diagram.lattice_min((min(powers), 1)), diagram.den)
-    x, y = vertices(diagram)[0]
+    x, y = diagram_vertices(oriented)[0]
     return y if x == 0 else None  # None: C lies on B
 
 
@@ -831,7 +888,9 @@ def test_series_cost_follows_bit_size():
     huge power of x stops at the y term of x + 3*y + y^2, and a branch
     (x + 3*y + y^2)*(1 + y^N) on (1 + y)*(x + 3*y + y^2), whose root -3*t -
     t^2 is found exact at order 8, is read to its Bezout order in steps
-    that follow N's bit size."""
+    that follow N's bit size.  A root that is neither exact nor one term,
+    -t^2/(3/2 + t), meets x^N*y at its leading term -2/3*t^2, in order
+    2N + 1, with no lift."""
     cases = [
         ("1/2*(y^1000000 + x)", "y - x^2", (0, F(1, 2))),
         ("1/2*(y^1000000 + x)", "y - 2*x^2", (0, F(1, 2))),
@@ -846,11 +905,37 @@ def test_series_cost_follows_bit_size():
         ("1/2*(x^1000000000 + y)", "x + 3*y + y^2", (0, F(1, 2))),
         ("1/2*(x + 3*y + y^2 + x*y^1000000000 + 3*y^1000000001 + y^1000000002)",
          "x + x*y + 3*y + 4*y^2 + y^3", (F(1, 2), 0)),
+        ("1*(x^160*y)", "3/2*x + y^2 + x*y", (0, F(321))),
+        ("1*(x^1000000000*y)", "3/2*x + y^2 + x*y", (0, F(2000000001))),
     ]
     for b, c, expected in cases:
         start = time.perf_counter()
         assert contact_along_curve(parse_divisor(b), curve_orient(pp(c))) == expected
         assert time.perf_counter() - start < 0.5
+
+
+def test_leading_term_decides_before_any_lift(monkeypatch):
+    """On a root that is neither exact nor one term, a lowest group that
+    does not cancel at the leading term answers with the first lift only;
+    one that cancels goes on to the series.  3/2*x + y^2 cancels at
+    psi = -2/3*t^2 + ..., and its order 3 on 3/2*x + y^2 + x*y is
+    I(3/2*x + y^2, x*y) = 2 + 1."""
+    import germ.germs
+
+    lifts = []
+
+    def counting(c, order, lift=None):
+        lifts.append(order)
+        return curve_parametrization(c, order, lift)
+
+    monkeypatch.setattr(germ.germs, "curve_parametrization", counting)
+    c = curve_orient(pp("3/2*x + y^2 + x*y"))
+    cases = [("1*(x^7*y) + 1/2*(y^3 - x)", (0, F(16)), 1),
+             ("1*(3/2*x + y^2)", (0, F(3)), 2)]
+    for b, expected, count in cases:
+        lifts.clear()
+        assert contact_along_curve(parse_divisor(b), c) == expected
+        assert len(lifts) == count, lifts
 
 
 def _monomial_root_curve(rng):

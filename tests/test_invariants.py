@@ -6,13 +6,19 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
 import pytest
 
 from germ.errors import DomainError, InputError
 from germ.exactgeom import face_normals, make_weight
-from germ.germs import DivisorGerm, curve_orient, local_intersection, parse_divisor
+from germ.germs import (
+    DivisorGerm,
+    NewtonDiagram,
+    curve_orient,
+    local_intersection,
+    parse_divisor,
+)
 from germ.invariants import (
     MldResult,
     _mld,
@@ -153,14 +159,15 @@ def test_mld_brute_force_agreement():
     assert checked >= 20
 
 
-def full_scan_mld(p):
+def full_scan_mld(p, den):
     """Oracle: the scan of every Hilbert-basis element of every normal-fan
-    cone that the run walk replaced, with the class of its answer:
-    "attained", "positive" (-inf at a positive element) or "axis" (-inf at
-    an axis element, certified from the sector's first positive element)."""
+    cone that the run walk replaced, on the polygon p / den, with the class
+    of its answer: "attained", "positive" (-inf at a positive element) or
+    "axis" (-inf at an axis element, certified from the sector's first
+    positive element)."""
 
     def g(v):
-        return v[0] + v[1] - min(v[0] * x + v[1] * y for x, y in vertices(p))
+        return v[0] + v[1] - min(v[0] * x + v[1] * y for x, y in vertices(p)) / den
 
     axis_values = (g((1, 0)), g((0, 1)))
     best = None
@@ -197,17 +204,17 @@ def _push_along_axis(g, axis, partner):
 
 
 def test_mld_run_walk_matches_full_scan():
-    """Field for field, witness included, on random rational polytopes."""
+    """Field for field, witness included, on random integer polygons over
+    a random denominator."""
     rng = random.Random(67)
     classes = {"attained": 0, "positive": 0, "axis": 0}
     for _ in range(2400):
         top = rng.choice([2, 4, 12])
-        pts = [(F(rng.randint(0, top * 6), rng.randint(1, 6)),
-                F(rng.randint(0, top * 6), rng.randint(1, 6)))
+        pts = [(rng.randint(0, top * 6), rng.randint(0, top * 6))
                for _ in range(rng.randint(1, 5))]
-        p = poly(*pts)
-        expected, kind = full_scan_mld(p)
-        assert _mld(p, face_normals(p)) == expected
+        p, den = poly(*pts), rng.randint(1, 6)
+        expected, kind = full_scan_mld(p, den)
+        assert _mld(NewtonDiagram((1,), (p,), den), face_normals(p)) == expected
         classes[kind] += 1
     assert min(classes.values()) >= 100, classes
 
@@ -334,9 +341,9 @@ def test_one_polytope_per_branch_per_analysis(monkeypatch):
     built, normals, cleared = [], [], []
 
     def counting(record, f):
-        def wrapped(arg):
-            record.append(arg)
-            return f(arg)
+        def wrapped(*args):
+            record.append(args)
+            return f(*args)
         return wrapped
 
     monkeypatch.setattr(germ.germs, "polytope_from_support",
@@ -349,23 +356,24 @@ def test_one_polytope_per_branch_per_analysis(monkeypatch):
             record.clear()
         run(b, curve_orient(c), *extra)
         assert len(built) == len(b.components) + 1
-        assert Counter(normals) == Counter([pb, pc])
+        assert Counter(normals) == Counter([pb.polygons, (pc,)])
         assert len(cleared) == len(b.components) + 1
 
 
 def membership_bisection(b, c, steps=64):
-    """Oracle: bisect t -> (1,1) in Newton polytope of B + tC."""
-    from germ.exactgeom import minkowski_sum, scale
-    from germ.germs import newton_polytope, newton_polytope_of_poly
-    from test_exactgeom import contains
+    """Oracle: bisect t -> (1,1) in Newton polytope of B + tC.  With D the
+    lcm of the denominators of t and of B's coefficients, (1, 1) lies in it
+    iff (D, D) lies in the hull of the sums of D*coeff-scaled vertices."""
+    from germ.germs import newton_polytope_of_poly
+    from test_exactgeom import contains, minkowski_hull
 
-    pb = newton_polytope(b)
-    pc = newton_polytope_of_poly(c.poly)
-    one = (F(1), F(1))
+    parts = [(coeff, newton_polytope_of_poly(p)) for coeff, p in b.components]
 
     def member(t):
-        region = pb if t == 0 else minkowski_sum(pb, scale(pc, t))
-        return contains(region, one)
+        scaled = parts + ([(t, newton_polytope_of_poly(c.poly))] if t else [])
+        d = lcm(*(k.denominator for k, _ in scaled))
+        region = minkowski_hull([(int(k * d), q) for k, q in scaled])
+        return contains(region, (F(d), F(d)))
 
     if not member(0):
         return F(0), F(0)

@@ -62,6 +62,8 @@ CASES = [
     'curve_orient(parse_poly("x + 3*y + y^2")))',
     'contact_along_curve(parse_divisor("1/2*(x^300000000 + y^600000000)"), '
     'curve_orient(parse_poly("x - 2*y^2")))',
+    'contact_along_curve(parse_divisor("1*(x^1000000000*y)"), '
+    'curve_orient(parse_poly("3/2*x + y^2 + x*y")))',
     'mld_toric(parse_divisor("1/2*(x)"))',
     'lct_toric(parse_divisor("3/4*(y - x^2) + 3/4*(y - x^2)"), '
     'curve_orient(parse_poly("y - x^2")))',

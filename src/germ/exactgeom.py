@@ -9,8 +9,10 @@ There are no rational polytopes, dilates or sums here: a weighted sum of
 polygons is kept as its summands, whose support functions add and whose
 normal fans refine each other (Ziegler, *Lectures on Polytopes*, ch. 7), so
 :func:`face_normals` takes any number of polygons.  Construction, the
-support function :meth:`NewtonPolytope.lattice_min` and the face normals
-run in ``int`` arithmetic, and no ``Fraction`` is built.
+support function, read at :meth:`NewtonPolytope.vertex`, and the face
+normals run in ``int`` arithmetic, and no ``Fraction`` is built.  Points
+are checked once, where they enter: the hull of a checked support is
+built without a second check.
 
 The module also walks the Klein sail of a cone of the normal fan: the
 bounded boundary of the convex hull of the cone's nonzero lattice points,
@@ -68,11 +70,16 @@ class NewtonPolytope:
         _check_chain(lattice)
         object.__setattr__(self, "lattice", lattice)
 
+    def vertex(self, w: IntVec) -> IntVec:
+        """A vertex with the least <w, .>, unique for positive w normal to no face."""
+        w1, w2 = w
+        return min(self.lattice, key=lambda v: w1 * v[0] + w2 * v[1])
+
     def lattice_min(self, w: IntVec) -> int:
         """The support value of the integer weight w: the least <w, v> over
         the vertices."""
-        w1, w2 = w
-        return min([w1 * x + w2 * y for x, y in self.lattice])
+        x, y = self.vertex(w)
+        return w[0] * x + w[1] * y
 
 
 def make_weight(w1: int, w2: int) -> IntVec:
@@ -124,7 +131,9 @@ def polytope_from_support(support: Iterable[Sequence[int]]) -> NewtonPolytope:
         while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
             chain.pop()
         chain.append(p)
-    return NewtonPolytope(tuple(chain))
+    polygon = object.__new__(NewtonPolytope)  # the hull is a valid chain
+    object.__setattr__(polygon, "lattice", tuple(chain))
+    return polygon
 
 
 def _cross(a: IntVec, b: IntVec, c: IntVec) -> int:

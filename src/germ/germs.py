@@ -9,20 +9,11 @@ computes the purely local quantities the invariant layer builds on:
   (``NewtonDiagram``);
 - the multiplicity of B along a curve C and the local intersection of the
   C-free part of B with C, both read off one walk of x-derivatives along
-  the root x = psi(t) of C in its oriented frame.  When psi is exact and
-  one term (a/den)*t^e or 0, as on y, x + y and y - x^k, each derivative
-  is evaluated by substitution: its terms land at t^(i*e + j), are summed
-  group by group in increasing order, and the first nonzero group is the
-  answer, so no power of psi past it is built.  For any other psi the
-  lowest group is first decided the same way at psi's leading term; a
-  group that cancels there sends the derivative through Horner's rule on
-  series kept as ``int`` numerators over one denominator, with no
-  ``Fraction`` per coefficient, and powers of psi come by repeated
-  squaring, skipped at once when their valuation passes the truncation.
-  Such a psi is read at the orders 2, 4, 8, ... up to the Bezout order,
-  lifted by Newton's iteration to each unless it is an exact polynomial,
-  and each series stops at the first of these orders below which it is
-  not 0;
+  the root x = psi(t) of C in its oriented frame: by substitution, group
+  by group, when psi is exact and one term, as on y, x + y and y - x^k;
+  else first at psi's leading term, and past that on series kept as
+  ``int`` numerators over one denominator, read at the orders 2, 4, 8, ...
+  up to the Bezout order (``contact_along_curve``);
 - the Newton-nondegeneracy certificate that marks inputs whose toric
   invariants are exact, read off the branches' initial forms along the
   compact-face normals of the divisor's Newton diagram.  Binomial forms are
@@ -89,16 +80,13 @@ class DivisorGerm:
                 raise InputError(f"non-positive coefficient {coeff}")
             if p.is_zero:
                 raise InputError("zero polynomial cannot define a component")
-            if p.constant_term() != 0:
+            if (0, 0) in p.terms:  # zero coefficients are never stored
                 raise InputError("component does not pass through the origin")
 
     @property
     def branches(self) -> "list[Poly]":
         """The branch polynomials, in order, without their coefficients."""
         return [p for _, p in self.components]
-
-    def max_coefficient(self) -> Fraction:
-        return max(c for c, _ in self.components)
 
 
 def parse_divisor(text: str) -> DivisorGerm:
@@ -116,35 +104,27 @@ class SmoothCurveGerm:
 
     Construction checks that ``poly`` passes through the origin with a
     nonzero linear part, and derives ``swapped``: whether the two
-    coordinates are exchanged to give ``oriented_poly()`` a nonzero x-linear
-    term, i.e. whether ``poly`` has none.  That orientation is the
-    parametrization frame: ``oriented_poly()`` is solved for x as a power
-    series in y.
+    coordinates are exchanged to give the curve a nonzero x-linear term,
+    i.e. whether ``poly`` has none.  That orientation is the
+    parametrization frame: the oriented polynomial is solved for x as a
+    power series in y.
     """
 
     poly: Poly
     swapped: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        g = self.poly
-        if g.is_zero or g.constant_term() != 0:
+        terms = self.poly.terms  # zero coefficients are never stored
+        if not terms or (0, 0) in terms:
             raise InputError("curve does not pass through the origin")
-        cx, cy = g.coefficient((1, 0)), g.coefficient((0, 1))
-        if cx == 0 and cy == 0:
+        if (1, 0) not in terms and (0, 1) not in terms:
             raise InputError("curve is singular at the origin (zero linear part)")
-        object.__setattr__(self, "swapped", cx == 0)
-
-    def oriented_poly(self) -> Poly:
-        return _transpose(self.poly) if self.swapped else self.poly
+        object.__setattr__(self, "swapped", (1, 0) not in terms)
 
 
 def curve_orient(g: Poly) -> SmoothCurveGerm:
     """The smooth curve germ {g = 0}, oriented; see ``SmoothCurveGerm``."""
     return SmoothCurveGerm(g)
-
-
-def _transpose(p: Poly) -> Poly:
-    return Poly({(j, i): c for (i, j), c in p.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -166,20 +146,32 @@ class NewtonDiagram(NamedTuple):
     polygons: "tuple[NewtonPolytope, ...]"
     den: int
 
+    def vertex(self, w: IntVec) -> IntVec:
+        """den times a vertex of least <w, .>: the weighted sum of each polygon's."""
+        x = y = 0
+        for n, p in zip(self.weights, self.polygons):
+            px, py = p.vertex(w)
+            x += n * px
+            y += n * py
+        return x, y
+
     def lattice_min(self, w: IntVec) -> int:
         """den times the support value of the integer weight w."""
-        total = 0
-        for n, p in zip(self.weights, self.polygons):
-            total += n * p.lattice_min(w)
-        return total
+        x, y = self.vertex(w)
+        return w[0] * x + w[1] * y
+
+
+def _weights(b: DivisorGerm) -> "tuple[tuple[int, ...], int]":
+    """The weights den * coeff_i of B's branches, and den, the lcm of the
+    coefficients' denominators."""
+    den = lcm(*(coeff.denominator for coeff, _ in b.components))
+    return tuple(coeff.numerator * (den // coeff.denominator) for coeff, _ in b.components), den
 
 
 def newton_polytope(b: DivisorGerm) -> NewtonDiagram:
     """The coefficient-weighted sum of the branch polygons, as its summands."""
-    den = lcm(*(coeff.denominator for coeff, _ in b.components))
-    return NewtonDiagram(tuple(coeff.numerator * (den // coeff.denominator)
-                               for coeff, _ in b.components),
-                         tuple(newton_polytope_of_poly(p) for p in b.branches), den)
+    weights, den = _weights(b)
+    return NewtonDiagram(weights, tuple(newton_polytope_of_poly(p) for p in b.branches), den)
 
 
 @dataclass(frozen=True)
@@ -307,10 +299,12 @@ class Series(NamedTuple):
     den: int
 
 
-def _integer_terms(p: Poly) -> IntTerms:
-    """D * p, D the lcm of p's denominators."""
+def _integer_terms(p: Poly, swapped: bool) -> IntTerms:
+    """D * p, D the lcm of p's denominators, with x and y exchanged when
+    ``swapped``."""
     den = lcm(*(c.denominator for c in p.terms.values()))
-    return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    return {(j, i) if swapped else (i, j): c.numerator * (den // c.denominator)
+            for (i, j), c in p.terms.items()}
 
 
 def _d_dx(p: IntTerms) -> IntTerms:
@@ -318,7 +312,8 @@ def _d_dx(p: IntTerms) -> IntTerms:
 
 
 def _reduced(num: "dict[int, int]", den: int) -> Series:
-    common = gcd(den, *num.values())
+    """num / den in lowest terms, with den > 0."""
+    common = gcd(den, *num.values()) * (1 if den > 0 else -1)
     return Series({k: v // common for k, v in num.items() if v}, den // common)
 
 
@@ -351,13 +346,15 @@ class CurveLift(NamedTuple):
 
 def curve_parametrization(c: SmoothCurveGerm, order: int,
                           lift: "CurveLift | None" = None) -> CurveLift:
-    """The root x = psi(t) of g = ``c.oriented_poly()``, below ``order`` or exact.
+    """The root x = psi(t) of the curve's polynomial g, oriented by
+    ``c.swapped``, below ``order`` or exact.
 
     ``SmoothCurveGerm`` puts g in this frame: through the origin, with
     x-linear coefficient lin != 0.  The first guess is psi = -(the x-free
-    part of g) / lin; if g vanishes on it, psi is exact.  Otherwise Newton's
-    iteration lifts psi from psi = 0 below t^1, where inverse = 1/lin,
-    doubling the order each pass (Brent and Kung, JACM 1978):
+    part of g) / lin; it is exact iff g's other terms, lin*x left out, are
+    none or vanish on it.  Otherwise Newton's iteration lifts psi from
+    psi = 0 below t^1, where inverse = 1/lin, doubling the order each pass
+    (Brent and Kung, JACM 1978):
         psi <- psi - inverse*g(psi, t),
         inverse <- inverse*(2 - g_x(psi, t)*inverse),
     both truncated at the new order.  A pass whose residual g(psi, t) is 0
@@ -366,9 +363,10 @@ def curve_parametrization(c: SmoothCurveGerm, order: int,
     order raised, with no pass.
     """
     if lift is None:
-        h = _integer_terms(c.oriented_poly())
-        guess = _reduced({j: -c for (i, j), c in h.items() if i == 0}, h[1, 0])
-        if _is_root(h, guess):
+        h = _integer_terms(c.poly, c.swapped)
+        guess = _reduced({j: -v for (i, j), v in h.items() if not i}, h[1, 0])
+        rest = {e: v for e, v in h.items() if e[0] and e != (1, 0)}
+        if not rest or _is_root(rest, guess):
             return CurveLift(h, order, guess, _ONE, True)
         lift = CurveLift(h, 1, Series({}, 1), Series({0: 1}, h[1, 0]), False)
     h, known, psi, inverse, exact = lift
@@ -394,28 +392,46 @@ def _is_root(h: IntTerms, psi: Series) -> bool:
 
 
 def _substituted_order(p: IntTerms, psi: Series) -> "int | None":
-    """The order of p(psi(t), t) for psi = (a/den)*t^e or 0, None if it is 0.
+    """The order of p(psi(t), t) for psi = (a/den)*t^e or 0, None if it is 0;
+    psi is in lowest terms with den > 0, as ``_reduced`` leaves it.
 
     The term c*x^i*y^j lands at t^(i*e + j) with the value c*(a/den)^i.  The
     terms are visited in increasing i*e + j, and the walk stops at the first
-    group that does not cancel.  A group of one term never does; one of two
-    is decided by ``_powers_agree`` in time polynomial in bit size; a larger
-    one is summed, scaled by den^hi / a^lo for its least and largest i, so
-    no power of psi past the answer's order is built."""
+    group that does not cancel (see ``_vanishes``), so no power of psi past
+    the answer's order is built."""
     if not psi.num:  # only the x-free terms survive
         return min((j for i, j in p if not i), default=None)
     ((e, a),) = psi.num.items()
-    den = psi.den
     for k, group in groupby(sorted((i * e + j, i, c) for (i, j), c in p.items()),
                             key=lambda term: term[0]):
-        group = list(group)
-        (_, lo, c0), (_, hi, c1) = group[0], group[-1]
-        if len(group) == 2:  # c0*r^lo + c1*r^hi = 0, r = a/den, iff r^(hi - lo) = -c0/c1
-            if not _powers_agree(Fraction(a, den), hi - lo, Fraction(-c0, c1), 1):
-                return k
-        elif len(group) == 1 or sum(c * a ** (i - lo) * den ** (hi - i) for _, i, c in group):
+        if not _vanishes([(i, c) for _, i, c in group], a, psi.den):
             return k
     return None
+
+
+def _vanishes(terms: "list[tuple[int, int]]", a: int, den: int) -> bool:
+    """Whether the sum of c*r^i over the (i, c), i increasing, is 0 for
+    r = a/den in lowest terms, den > 0, with no power past the bit sizes.
+    r = +-1 is summed by parity.  Else (reading 1/r at reversed exponents
+    when |a| = 1) a prime p divides a and not den.  Cut where a gap in i
+    reaches the bit size of g = gcd(N, a^bits(N)), N = (cluster sum) *
+    den^(end - i0) / r^i0 for the cluster [i0, end] below it: g holds
+    p^v_p(N), so the first cluster with N != 0 has p-adic valuation
+    i0*v_p(a) + v_p(N) < (i0 + gap)*v_p(a), below every later term's, and
+    the sum is 0 iff every cluster's is."""
+    if abs(a) == 1 == den:
+        return not sum(c * a ** (i % 2) for i, c in terms)
+    if abs(a) == 1:
+        terms, a, den = [(terms[-1][0] - i, c) for i, c in reversed(terms)], a * den, 1
+    total = 0
+    for i, c in terms:
+        if not total:
+            start = last = i
+        elif i - last >= gcd(total, a ** total.bit_length()).bit_length():
+            return False
+        total = total * den ** (i - last) + c * a ** (i - start)
+        last = i
+    return not total
 
 
 def _on_curve(p: IntTerms, psi: Series, order: int) -> Series:
@@ -452,56 +468,58 @@ def _times_psi(s: Series, psi: Series, order: int, k: int) -> Series:
 def contact_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, Fraction]":
     """mult_C B and (B' . C), with B' the C-free part of B, in one walk per branch.
 
-    The curve is x = psi(t), y = t in the frame of ``c.oriented_poly()``, and
-    each branch p, transposed when ``c.swapped``, is evaluated on it with its
-    x-derivatives p, dp/dx, d2p/dx2, ... until one is not 0 on C.  If that is
-    the k-th, the branch adds coeff*k to mult_C B and coeff times the order
-    of that series to (B' . C).  This is exact: dc/dx is a unit on C (its
-    constant term is the x-linear coefficient), so if p = c^k * q near the
-    origin with C not dividing q, then the j-th derivative vanishes on C for
-    j < k and the k-th is k! * (dc/dx)^k * q there, of order (q . C).  A
-    derivative that is not 0 on C meets it in at most the product of the
-    degrees, so a series that is 0 below n = max deg B * deg C + 2 is 0 on C.
-    The walk stops by the (deg_x p)-th derivative, a nonzero polynomial in y.
+    The curve is x = psi(t), y = t in the frame of g, the curve's polynomial
+    transposed when ``c.swapped``.  Each branch p, transposed with it, is
+    evaluated on it with its x-derivatives p, dp/dx, d2p/dx2, ... until one
+    is not 0 on C.  If that is the k-th, the branch adds coeff*k to mult_C B
+    and coeff times the order of that series to (B' . C), both summed as
+    ``int`` numerators over the lcm of B's denominators.  This is exact:
+    dc/dx is a unit on C (its constant term is the x-linear coefficient), so
+    if p = c^k * q near the origin with C not dividing q, then the j-th
+    derivative vanishes on C for j < k and the k-th is k! * (dc/dx)^k * q
+    there, of order (q . C).  A derivative that is not 0 on C meets it in at
+    most the product of the degrees, so a series that is 0 below
+    n = max deg B * deg C + 2 is 0 on C.  The walk stops by the
+    (deg_x p)-th derivative, a nonzero polynomial in y.
 
-    An exact psi of one term or 0 is substituted, lowest order first (see
-    ``_substituted_order``), with no truncation: the value is a polynomial
-    in t.  Any other psi has the leading term -(g_0v/g_10)*t^v, v the least
-    y-power of the x-free part of g, and a series whose terms of least
-    i*v + j do not cancel there has that order, found before any lift (see
-    ``_leading_order``).  Otherwise the series are ``int`` numerators over
-    one denominator (see ``curve_parametrization``), and psi, exact or not,
-    is read along the orders 2, 4, 8, ..., n, each lift made once and shared
-    by every branch and derivative.  A series stops at the first of these
-    orders below which it is not 0: its lowest term is then found, and n is
-    reached only by series that are 0 on C.
+    An exact psi of one term or 0 is substituted (``_substituted_order``),
+    with no truncation.  Any other psi has the leading term -(g_0v/g_10)*t^v,
+    v the least y-power of the x-free part of g, and a series whose terms
+    of least i*v + j do not cancel there has that order, found before any
+    lift (``_leading_order``).  Otherwise psi, exact or not, is read along
+    the orders 2, 4, 8, ..., n (``curve_parametrization``), each lift made
+    once and shared by every branch and derivative; n is computed only once
+    a series is read, and a series stops at the first order where it is not 0.
     """
-    mult = inter = ZERO
-    max_deg = max(p.total_degree() for _, p in b.components)
-    n = max_deg * c.poly.total_degree() + 2
+    weights, den = _weights(b)
+    mult, inter = _contact(b.branches, weights, c)
+    return Fraction(mult, den), Fraction(inter, den)
+
+
+def _contact(branches: "list[Poly]", weights: "tuple[int, ...]",
+             c: SmoothCurveGerm) -> "tuple[int, int]":
+    """den * (mult_C B, (B' . C)), B = sum(weights[i]*(branches[i] = 0))/den."""
+    mult = inter = 0
     lifts = [curve_parametrization(c, 2)]
-    for coeff, p in b.components:
-        q = _integer_terms(p)
-        if c.swapped:
-            q = {(j, i): v for (i, j), v in q.items()}
+    for weight, p in zip(weights, branches):
+        q = _integer_terms(p, c.swapped)
         k = 0
-        while (order := _first_order(q, c, lifts, n)) is None:
+        while (order := _first_order(q, c, lifts, branches)) is None:
             q = _d_dx(q)
             k += 1
-        if k:
-            mult += coeff * k
-        inter += coeff * order
+        mult += weight * k
+        inter += weight * order
     return mult, inter
 
 
 def _first_order(p: IntTerms, c: SmoothCurveGerm, lifts: "list[CurveLift]",
-                 n: int) -> "int | None":
+                 branches: "list[Poly]") -> "int | None":
     """The order of p on the curve, None if p is 0 on it.  An exact psi of
     one term or 0 is substituted.  For any other psi, p's lowest group at
     psi's leading term is tried first (``_leading_order``); if it cancels,
-    psi, exact or lifted, is read below each lift's order in turn, up to n,
-    and the first nonzero read answers; ``lifts`` is extended in place, one
-    doubling at a time."""
+    psi, exact or lifted, is read below each lift's order in turn, up to
+    the Bezout order n of the ``branches`` and C, and the first nonzero read
+    answers; ``lifts`` is extended in place, one doubling at a time."""
     lift = lifts[0]
     if not (lift.exact and len(lift.psi.num) <= 1):
         order = _leading_order(p, lift.h)
@@ -514,6 +532,7 @@ def _first_order(p: IntTerms, c: SmoothCurveGerm, lifts: "list[CurveLift]",
             return _substituted_order(p, lift.psi)
         if values := _on_curve(p, lift.psi, lift.order).num:
             return min(values)
+        n = max(q.total_degree() for q in branches) * c.poly.total_degree() + 2
         if lift.order >= n:
             return None
         i += 1
@@ -529,7 +548,7 @@ def _leading_order(p: IntTerms, h: IntTerms) -> "int | None":
     v = min(j for i, j in h if not i)
     low = min(i * v + j for i, j in p)
     group = {(i, j): c for (i, j), c in p.items() if i * v + j == low}
-    return _substituted_order(group, Series({v: -h[0, v]}, h[1, 0]))
+    return _substituted_order(group, _reduced({v: -h[0, v]}, h[1, 0]))
 
 
 def local_intersection(b: DivisorGerm, c: SmoothCurveGerm) -> Fraction:

@@ -5,14 +5,16 @@ The diagram is kept as its summands: the integer Newton polygon of each
 branch with the integer weight den * coeff, den the lcm of the coefficient
 denominators (see ``germs.NewtonDiagram``).  Its support function is the
 weighted sum of the branches' and its face normals are the union of
-theirs, so the mld scan compares and divides integers, den times each log
-discrepancy, and the lct compares its few candidate ratios by ``int``
-cross-multiplication; each builds a ``Fraction`` only for a returned
-value:
+theirs.  On each fan cone the log discrepancy is one linear form, read
+off the diagram's vertex there (Fulton, *Introduction to Toric
+Varieties*), so the mld scan takes integer dot products, den times each
+log discrepancy; the lct, its cap and the checker's hypotheses compare
+``int`` cross-products, and each builds a ``Fraction`` only for a
+returned value:
 
 * log discrepancies of monomial valuations (weighted blow-ups),
 * the minimal log discrepancy over all positive integer weights, found by
-  minimizing the discrepancy linear form over the endpoints of the
+  minimizing each cone's discrepancy form over the endpoints of the
   Klein-sail runs of the normal-fan cones, O(log det) per cone,
 * the log canonical threshold of a smooth curve through the origin, as the
   smallest discrepancy/contact ratio over a complete finite candidate set
@@ -49,8 +51,8 @@ from .germs import (
     DivisorGerm,
     NewtonDiagram,
     SmoothCurveGerm,
+    _contact,
     _nondegeneracy,
-    contact_along_curve,
     newton_polytope,
     newton_polytope_of_poly,
 )
@@ -125,30 +127,34 @@ def _mld(p: NewtonDiagram, normals: "list[IntVec]") -> MldResult:
     else the first positive one attaining the least discrepancy, on the
     diagram ``p`` with face normals ``normals``.
 
-    Along a run the discrepancy is g0 + j*rate.  Its first negative point
-    is j = 0 when g0 < 0, else j = g0 // -rate + 1 if that is a point of
-    the run; its least positive point is the first one when rate >= 0 and
-    the last one when rate < 0.  All of this is den times the discrepancy,
-    in integers: the scale changes no sign, floor or comparison.
+    On the cone of consecutive rays u, v, with V the one vertex of least
+    <u + v, .>, every w has least <w, .> = <w, V>, so den times the
+    discrepancy is g(w) = (den - V1)*w1 + (den - V2)*w2 there; the first
+    and last cones give the axis values.  Along a run it is g0 + j*rate.
+    Its first negative point is j = 0 when g0 < 0, else j = g0 // -rate + 1
+    if that is a point of the run; its least positive point is the first
+    one when rate >= 0 and the last one when rate < 0.  All of this is in
+    integers: the scale den changes no sign, floor or comparison.
     """
-    def g(v: IntVec) -> int:
-        return _discrepancy(p, v)
-
     den = p.den
-    axis_values = (Fraction(g((1, 0)), den), Fraction(g((0, 1)), den))
-    best: "tuple[int, IntVec] | None" = None
     rays: list[IntVec] = [(1, 0)] + normals + [(0, 1)]
-    for u, v in zip(rays, rays[1:]):
+    cones = [(u, v, p.vertex((u[0] + v[0], u[1] + v[1]))) for u, v in zip(rays, rays[1:])]
+    axis_values = (Fraction(den - cones[0][2][0], den), Fraction(den - cones[-1][2][1], den))
+    best: "tuple[int, IntVec] | None" = None
+    for u, v, (x, y) in cones:
+        a, b = den - x, den - y
         runs = _hilbert_runs(u, v)
         if not normals:
             runs.append(Run((1, 1), (0, 0), 0))  # no positive basis element in this fan
         for run in runs:
-            g0 = g(run.start)
-            rate = g(run.point(1)) - g0  # 0 on a run of count 0, whose step is (0, 0)
+            (s1, s2), (t1, t2) = run.start, run.step
+            g0 = a * s1 + b * s2
+            rate = a * t1 + b * t2  # 0 on a run of count 0, whose step is (0, 0)
             negative = 0 if g0 < 0 else (g0 // -rate + 1 if rate < 0 else run.count + 1)
             if negative <= run.count:
                 h = run.point(negative)
-                witness = h if _is_positive(h) else _positive_negative_witness(g, h, runs)
+                witness = h if _is_positive(h) else _positive_negative_witness(
+                    lambda w: a * w[0] + b * w[1], h, runs)
                 return MldResult(NEG_INF, make_weight(*witness), False, axis_values)
             js = _positive_points(run)
             if js:
@@ -212,26 +218,26 @@ class LctResult:
 
 
 def lct_toric(b: DivisorGerm, c: SmoothCurveGerm) -> LctResult:
-    if b.max_coefficient() > 1:
-        raise DomainError("coefficient above one")
     pb = newton_polytope(b)
+    if max(pb.weights) > pb.den:
+        raise DomainError("coefficient above one")
     normals = face_normals(*pb.polygons)
     mld = _mld(pb, normals)
     if mld.value < 0:  # NEG_INF orders below every rational
         raise DomainError("pair not lc before adding C")
-    mult, _ = contact_along_curve(b, c)
-    if mult > 1:  # C has coefficient above one in B
-        raise DomainError("pair not lc before adding C")
     branches = b.branches
+    mult, _ = _contact(branches, pb.weights, c)
+    if mult > pb.den:  # C has coefficient above one in B
+        raise DomainError("pair not lc before adding C")
     return _lct(branches, c, pb, normals, mult, _nondegeneracy(branches, normals).nondegenerate)
 
 
 def _lct(branches: "list[Poly]", c: SmoothCurveGerm, pb: NewtonDiagram,
-         normals: "list[IntVec]", mult: Fraction, nondegenerate: bool) -> LctResult:
+         normals: "list[IntVec]", mult: int, nondegenerate: bool) -> LctResult:
     """Threshold of an lc pair with coefficients at most one, given B's
     branch polynomials, its Newton diagram ``pb`` and that diagram's face
-    ``normals``, mult_C B and whether B is nondegenerate.  The candidate
-    ratios disc/(pb.den * contact) are compared by cross-multiplication."""
+    ``normals``, pb.den * mult_C B and whether B is nondegenerate.  The
+    ratios disc/(pb.den * contact) and the cap are cross-multiplied."""
     pc = newton_polytope_of_poly(c.poly)
     c_normals = face_normals(pc)
     best: "tuple[int, int, IntVec] | None" = None  # the least ratio, first in order
@@ -245,17 +251,16 @@ def _lct(branches: "list[Poly]", c: SmoothCurveGerm, pb: NewtonDiagram,
     # never None: C passes through the origin, so an axis weight or the
     # normal of C's compact face has positive contact with C
     disc, contact, best_w = best
-    membership = Fraction(disc, pb.den * contact)
-    cap = 1 - mult
-    value = min(membership, cap)
-    witness: IntVec | str = best_w if membership <= cap else "cap"
+    room = pb.den - mult  # pb.den times the cap
+    membership, cap = Fraction(disc, pb.den * contact), Fraction(room, pb.den)
+    value, witness = (membership, best_w) if disc <= room * contact else (cap, "cap")
     # C is smooth: its polygon has at most one compact face, whose form is
     # linear, so along every other normal C's form is one term and B + value*C
     # passes iff B does.  Along a normal of C's that is not B's, every form of
     # B is one term, and C's binomial passes.  So B + value*C is nondegenerate
     # iff B is and, when value > 0, it passes along the normals B and C share;
     # its coefficients do not enter the test.
-    shared = [n for n in c_normals if n in normals] if value > 0 else []
+    shared = [n for n in c_normals if n in normals] if value.numerator > 0 else []
     exact = nondegenerate and (
         not shared or _nondegeneracy(branches + [c.poly], shared).nondegenerate)
     return LctResult(membership, cap, value, witness, exact)
@@ -284,9 +289,9 @@ def delta_bound(epsilon: object) -> BoundResult:
     go to the smallest n.
     """
     eps = as_fraction(epsilon)
-    if eps <= 0:
-        raise InputError("epsilon must be positive")
     p, q = eps.numerator, eps.denominator
+    if p <= 0:
+        raise InputError("epsilon must be positive")
     n = 2 if p >= q else max(2, (q + math.isqrt(q * (q - p))) // p)
     # h(n) = (p*n - q)/(q*n*(n - 1)), so h(n + 1) > h(n) iff
     # (p*(n + 1) - q)*(n - 1) > (p*n - q)*(n + 1), with q*n*(n - 1)*(n + 1) > 0
@@ -339,18 +344,18 @@ def verify_surface_theorem(
     pb = newton_polytope(b)
     normals = face_normals(*pb.polygons)
     mld = _mld(pb, normals)
-    mult, inter = contact_along_curve(b, c)
+    branches = b.branches
+    mult, inter = _contact(branches, pb.weights, c)  # over pb.den
 
     failed = []
     if mld.value < eps:
         failed.append("mld >= epsilon")
-    if mult > 1 - eps:
+    if mult * eps.denominator > (eps.denominator - eps.numerator) * pb.den:
         failed.append("mult_C B <= 1 - epsilon")
-    if inter > 2:
+    if inter > 2 * pb.den:
         failed.append("(B' . C) <= 2")
-    if b.max_coefficient() > 1:
+    if max(pb.weights) > pb.den:
         failed.append("coefficients <= 1")
-    branches = b.branches
     nondeg = _nondegeneracy(branches, normals).nondegenerate
     if not nondeg:
         failed.append("newton nondegeneracy")
@@ -363,8 +368,8 @@ def verify_surface_theorem(
     return SurfaceTheoremReport(
         eps,
         mld,
-        mult,
-        inter,
+        Fraction(mult, pb.den),
+        Fraction(inter, pb.den),
         nondeg,
         tuple(failed),
         not failed,

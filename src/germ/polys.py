@@ -46,16 +46,10 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0, 0), ZERO)
-
     def total_degree(self) -> int:
         if self.is_zero:
             return 0
         return max(sum(e) for e in self.terms)
-
-    def coefficient(self, exp: Exponent) -> Fraction:
-        return self.terms.get(exp, ZERO)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and dict(self.terms) == dict(other.terms)

@@ -33,9 +33,9 @@ NEG_INF = _NegInf()
 Extended = Union[Fraction, _NegInf]
 
 
-#: A signed integer, ``p/q`` or a plain decimal.  Exponent notation is left
-#: out: ``"1e-1000000"`` is ten characters but a million-digit number.
-_RATIONAL_TEXT = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+#: A signed integer, ``p/q`` or a plain decimal, in groups.  Exponent notation
+#: is left out: ``"1e-1000000"`` is ten characters but a million-digit number.
+_RATIONAL_TEXT = re.compile(r"([+-]?)(?=\.?[0-9])([0-9]*)(?:/([0-9]+)|\.([0-9]*))?")
 
 
 def as_fraction(value: object) -> Fraction:
@@ -45,13 +45,16 @@ def as_fraction(value: object) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            if _RATIONAL_TEXT.fullmatch(value.strip()):
-                return Fraction(value.strip())
-        except ZeroDivisionError:
-            pass
-        except ValueError as exc:  # more digits than int() converts from text
-            raise InputError(f"rational number too long: {exc}") from None
+        m = _RATIONAL_TEXT.fullmatch(value.strip())
+        if m is not None:
+            sign, whole, den, decimals = m.groups()
+            scale = 10 ** len(decimals or "")
+            try:
+                p, q = int(whole or 0) * scale + int(decimals or 0), int(den or 1) * scale
+            except ValueError as exc:  # more digits than int() converts from text
+                raise InputError(f"rational number too long: {exc}") from None
+            if q:
+                return Fraction(-p if sign == "-" else p, q)
         raise InputError(
             f"not a rational number: {value!r} (use an integer, p/q or a plain decimal)"
         )

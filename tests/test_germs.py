@@ -15,6 +15,7 @@ from germ.germs import (
     DENSE_FORM_LIMIT,
     DivisorGerm,
     SmoothCurveGerm,
+    _vanishes,
     contact_along_curve,
     curve_orient,
     curve_parametrization,
@@ -357,7 +358,7 @@ def _random_divisor(rng, branches=3):
                 continue
             terms[exp] = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
         p = from_terms(terms)
-        if p.is_zero or p.constant_term() != 0:
+        if p.is_zero or p.terms.get((0, 0), 0) != 0:
             continue
         comps.append((F(rng.randint(1, 8), 8), p))
     if not comps:
@@ -370,7 +371,7 @@ def _random_unit(rng):
     for _ in range(rng.randint(0, 3)):
         terms[(rng.randint(0, 2), rng.randint(0, 2))] = F(rng.randint(-3, 3))
     u = from_terms(terms)
-    if u.constant_term() == 0:
+    if u.terms.get((0, 0), 0) == 0:
         u = _add(u, ONE)
     return u
 
@@ -650,17 +651,17 @@ def test_uni_squarefree_and_coprime_match_factorizations():
 
 def test_curve_orient_axis():
     c = curve_orient(pp("y"))
-    assert c.swapped and c.oriented_poly() == pp("x")
+    assert c.swapped and oriented_poly(c) == pp("x")
 
 
 def test_curve_orient_tangent_cubic():
     c = curve_orient(pp("x + y^3"))
-    assert not c.swapped and c.oriented_poly() == pp("x + y^3")
+    assert not c.swapped and oriented_poly(c) == pp("x + y^3")
 
 
 def test_curve_orient_transverse_line():
     c = curve_orient(pp("x + y"))
-    assert not c.swapped and c.oriented_poly() == pp("x + y")
+    assert not c.swapped and oriented_poly(c) == pp("x + y")
 
 
 def test_curve_orient_rejects_singular():
@@ -729,12 +730,12 @@ def newton_intersection_bound(b, c):
     """Oracle: the combinatorial lower bound for (B . C), the support value
     of B's Newton diagram at the weight (t, 1) in the curve's oriented
     frame, with t the tangency order: the least pure y-power of
-    ``c.oriented_poly()``.  An axis curve x = 0 has no pure y-power, and
+    ``oriented_poly(c)``.  An axis curve x = 0 has no pure y-power, and
     meets B in the height of the diagram's vertex on the y-axis."""
     oriented = DivisorGerm(tuple((coeff, _transpose(p) if c.swapped else p)
                                  for coeff, p in b.components))
     diagram = newton_polytope(oriented)
-    powers = [j for i, j in c.oriented_poly().terms if i == 0]
+    powers = [j for i, j in oriented_poly(c).terms if i == 0]
     if powers:
         return F(diagram.lattice_min((min(powers), 1)), diagram.den)
     x, y = diagram_vertices(oriented)[0]
@@ -808,8 +809,8 @@ def reference_contact(b, c):
     psi -> -(g - lin*x)(psi, t)/lin, one order per pass, and the walk of
     x-derivatives in Fractions at the Bezout order max deg B * deg C + 2."""
     n = max(p.total_degree() for _, p in b.components) * c.poly.total_degree() + 2
-    g = c.oriented_poly()
-    lin = g.coefficient((1, 0))
+    g = oriented_poly(c)
+    lin = g.terms.get((1, 0), 0)
     rest = Poly({e: v for e, v in g.terms.items() if e != (1, 0)})
     psi = {}
     for _ in range(n + 1):
@@ -890,7 +891,11 @@ def test_series_cost_follows_bit_size():
     t^2 is found exact at order 8, is read to its Bezout order in steps
     that follow N's bit size.  A root that is neither exact nor one term,
     -t^2/(3/2 + t), meets x^N*y at its leading term -2/3*t^2, in order
-    2N + 1, with no lift."""
+    2N + 1, with no lift.  A group of three terms, x^N, x^(N/2)*y^N and
+    y^(2N) on x = 2*t^2, is decided in clusters of its exponents, and
+    2^N is never built either; nor is 2^(2^40) for the powers x^(2^k) of
+    one group on x = 2*t, nor 3^N when a group's low terms cancel on
+    x = 2/3*t and x^(N + 1) follows."""
     cases = [
         ("1/2*(y^1000000 + x)", "y - x^2", (0, F(1, 2))),
         ("1/2*(y^1000000 + x)", "y - 2*x^2", (0, F(1, 2))),
@@ -907,6 +912,12 @@ def test_series_cost_follows_bit_size():
          "x + x*y + 3*y + 4*y^2 + y^3", (F(1, 2), 0)),
         ("1*(x^160*y)", "3/2*x + y^2 + x*y", (0, F(321))),
         ("1*(x^1000000000*y)", "3/2*x + y^2 + x*y", (0, F(2000000001))),
+        ("1/2*(x^1000000000 + x^500000000*y^1000000000 + y^2000000000)", "x - 2*y^2",
+         (0, F(1000000000))),
+        ("1*(y^%d + %s)" % (2**40, " + ".join("x^%d*y^%d" % (2**k, 2**40 - 2**k)
+                                              for k in range(40))), "x - 2*y", (0, F(2**40))),
+        ("1*(3*x*y^1000000000 - 2*y^1000000001 + x^1000000001)", "3*x - 2*y",
+         (0, F(1000000001))),
     ]
     for b, c, expected in cases:
         start = time.perf_counter()
@@ -982,8 +993,44 @@ def test_substitution_matches_fixed_point_oracle():
     assert min(seen.values()) > 40, seen
 
 
+def test_group_decision_matches_fraction_sum():
+    """``_vanishes`` decides whether the sum of c*r^i is 0 in clusters of
+    its exponents; the oracle sums it in Fractions.  The groups are
+    (den^k*x^k - a^k)*q, which vanish at r = a/den, with q sparse so that
+    their exponents fall into clusters, some of them moved off 0 by one
+    more term, over r = +-1, r = +-1/den and |a| > 1."""
+    rng = random.Random(83)
+    seen = Counter()
+    for _ in range(800):
+        a, den = rng.choice([-1, 1, -2, 3, 5, -6, 8]), rng.choice([1, 1, 2, 3, 4, 9])
+        common = gcd(a, den)
+        a, den = a // common, den // common
+        k = rng.randint(1, 12)
+        terms = Counter()
+        for _ in range(rng.randint(1, 4)):
+            i, c = rng.randint(0, 40), rng.choice([-3, -1, 1, 2, 5])
+            terms[i + k] += c * den**k
+            terms[i] -= c * a**k
+        if rng.random() < 0.4:
+            terms[rng.randint(0, 60)] += rng.choice([-1, 1, 7])
+        group = sorted((i, c) for i, c in terms.items() if c)
+        if not group:
+            continue
+        expected = sum(c * F(a, den) ** i for i, c in group) == 0
+        assert _vanishes(group, a, den) == expected, (group, a, den)
+        seen["zero" if expected else "not zero"] += 1
+        seen["r = +-1" if abs(a) == 1 == den else "|a| = 1" if abs(a) == 1 else "|a| > 1"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
 def _transpose(p):
     return Poly({(j, i): c for (i, j), c in p.terms.items()})
+
+
+def oriented_poly(c):
+    """The curve's polynomial in its parametrization frame: transposed
+    when ``c.swapped``, so that it has a nonzero x-linear term."""
+    return _transpose(c.poly) if c.swapped else c.poly
 
 
 def _power(p, k):
@@ -1036,7 +1083,7 @@ def test_local_intersection_matches_graph_oracle():
         u = _random_x_poly(rng, rng.randint(0, 2), rng.choice([-1, 1, 2]))
         a = _random_x_poly(rng, rng.randint(1, 3), 0)
         if rng.random() < 0.5:  # tangent to the x-axis: swapped as given
-            a = _add(a, Poly({(1, 0): a.coefficient((1, 0))}), -1)
+            a = _add(a, Poly({(1, 0): a.terms.get((1, 0), 0)}), -1)
         g = _add(_mul(u, pp("y")), a, -1)
         parts = [(F(rng.randint(1, 6), 6), _random_branch(rng, 0, 6), 0)
                  for _ in range(rng.randint(1, 2))]

@@ -159,19 +159,22 @@ def test_mld_brute_force_agreement():
     assert checked >= 20
 
 
-def full_scan_mld(p, den):
+def full_scan_mld(parts, den):
     """Oracle: the scan of every Hilbert-basis element of every normal-fan
-    cone that the run walk replaced, on the polygon p / den, with the class
-    of its answer: "attained", "positive" (-inf at a positive element) or
-    "axis" (-inf at an axis element, certified from the sector's first
-    positive element)."""
+    cone that the run walk replaced, on the diagram (1/den) * the sum of
+    n * polygon over ``parts``, pairs (n, polygon), with the class of its
+    answer: "attained", "positive" (-inf at a positive element) or "axis"
+    (-inf at an axis element, certified from the sector's first positive
+    element).  Each element's discrepancy sums every polygon's weighted
+    least value there, with no vertex of the sum."""
 
     def g(v):
-        return v[0] + v[1] - min(v[0] * x + v[1] * y for x, y in vertices(p)) / den
+        low = sum(n * min(v[0] * x + v[1] * y for x, y in vertices(p)) for n, p in parts)
+        return v[0] + v[1] - F(low, den)
 
     axis_values = (g((1, 0)), g((0, 1)))
     best = None
-    rays = [(1, 0)] + face_normals(p) + [(0, 1)]
+    rays = [(1, 0)] + face_normals(*(p for _, p in parts)) + [(0, 1)]
     # the walk's precondition: primitive rays, each pair in order with det >= 1
     assert all(min(r) >= 0 and gcd(*r) == 1 for r in rays)
     for u, v in zip(rays, rays[1:]):
@@ -204,19 +207,28 @@ def _push_along_axis(g, axis, partner):
 
 
 def test_mld_run_walk_matches_full_scan():
-    """Field for field, witness included, on random integer polygons over
-    a random denominator."""
+    """Field for field, witness included, on diagrams of one to three
+    random integer polygons with random weights over a random
+    denominator: the walk's one vertex per cone against every polygon's
+    weighted least value at every basis element."""
     rng = random.Random(67)
     classes = {"attained": 0, "positive": 0, "axis": 0}
+    sizes = Counter()
     for _ in range(2400):
-        top = rng.choice([2, 4, 12])
-        pts = [(rng.randint(0, top * 6), rng.randint(0, top * 6))
-               for _ in range(rng.randint(1, 5))]
-        p, den = poly(*pts), rng.randint(1, 6)
-        expected, kind = full_scan_mld(p, den)
-        assert _mld(NewtonDiagram((1,), (p,), den), face_normals(p)) == expected
+        parts = []
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            top = rng.choice([2, 4, 12])
+            pts = [(rng.randint(0, top * 6), rng.randint(0, top * 6))
+                   for _ in range(rng.randint(1, 5))]
+            parts.append((rng.randint(1, 3), poly(*pts)))
+        den = rng.randint(1, 6) * sum(n for n, _ in parts)
+        expected, kind = full_scan_mld(parts, den)
+        weights, polygons = zip(*parts)
+        assert _mld(NewtonDiagram(weights, polygons, den), face_normals(*polygons)) == expected
         classes[kind] += 1
+        sizes[len(parts)] += 1
     assert min(classes.values()) >= 100, classes
+    assert min(sizes.values()) >= 400, sizes
 
 
 def _random_divisor(rng):
@@ -396,7 +408,7 @@ def test_lct_membership_matches_bisection():
     checked = 0
     for _ in range(40):
         b = _random_divisor(rng)
-        if b.max_coefficient() > 1:
+        if max(coeff for coeff, _ in b.components) > 1:
             continue
         r = mld_toric(b)
         if r.value is NEG_INF or r.value < 0:
@@ -669,6 +681,19 @@ def test_surface_theorem_hypothesis_filter():
     assert not rep.applicable
     assert "mult_C B <= 1 - epsilon" in rep.failed_hypotheses
     assert rep.passed is None
+
+
+def test_surface_theorem_hypotheses_hold_at_their_bounds():
+    """mult_C B = 1 - eps and (B' . C) = 2 pass, over B's denominator 3;
+    a larger epsilon or intersection fails."""
+    c = curve_orient(parse_poly("y"))
+    rep = verify_surface_theorem(parse_divisor("2/3*(y) + 2/3*(y - x^3)"), c, "1/3")
+    assert (rep.mult, rep.reduced_intersection) == (F(2, 3), 2)
+    assert rep.failed_hypotheses == ("mld >= epsilon",)
+    rep = verify_surface_theorem(parse_divisor("2/3*(y) + 2/3*(y - x^3)"), c, "1/2")
+    assert rep.failed_hypotheses == ("mld >= epsilon", "mult_C B <= 1 - epsilon")
+    rep = verify_surface_theorem(parse_divisor("2/3*(y) + 3/4*(y - x^3)"), c, "1/3")
+    assert rep.failed_hypotheses == ("mld >= epsilon", "(B' . C) <= 2")
 
 
 def test_surface_theorem_checks_exact_bound_for_small_epsilon():

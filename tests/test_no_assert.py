@@ -64,11 +64,17 @@ CASES = [
     'curve_orient(parse_poly("x - 2*y^2")))',
     'contact_along_curve(parse_divisor("1*(x^1000000000*y)"), '
     'curve_orient(parse_poly("3/2*x + y^2 + x*y")))',
+    'contact_along_curve(parse_divisor('
+    '"1/2*(x^1000000000 + x^500000000*y^1000000000 + y^2000000000)"), '
+    'curve_orient(parse_poly("x - 2*y^2")))',
+    'verify_surface_theorem(parse_divisor("1/4*(x^2 + y^3) + 1/5*(x - y^2) + 1/6*(x^3 + y)"), '
+    'curve_orient(parse_poly("y - x^2")), "1/10")',
     'mld_toric(parse_divisor("1/2*(x)"))',
     'lct_toric(parse_divisor("3/4*(y - x^2) + 3/4*(y - x^2)"), '
     'curve_orient(parse_poly("y - x^2")))',
     'delta_bound("1/2")',
     'delta_bound("1/10000")',
+    'delta_bound("1/" + "7" * 5000)',
     'toric_log_discrepancy(parse_divisor("1*(x)"), (1,))',
     'polytope_from_support([(Fraction(1, 2), 0)])',
     'parse_divisor("1*(x - x)")',

@@ -13,7 +13,8 @@ computes the purely local quantities the invariant layer builds on:
   by group, when psi is exact and one term, as on y, x + y and y - x^k;
   else first at psi's leading term, and past that on series kept as
   ``int`` numerators over one denominator, read at the orders 2, 4, 8, ...
-  up to the Bezout order (``contact_along_curve``);
+  up to the Bezout order (``contact_along_curve``), with no evaluation to
+  a degree that exponent values set to decide whether psi is exact;
 - the Newton-nondegeneracy certificate that marks inputs whose toric
   invariants are exact, read off the branches' initial forms along the
   compact-face normals of the divisor's Newton diagram.  Binomial forms are
@@ -335,7 +336,7 @@ class CurveLift(NamedTuple):
     """The root x = psi(t) of a curve whose cleared terms are ``h``, to be
     read below ``order``.  Either psi is known below ``order``, with
     ``inverse`` = 1/h_x(psi, t) below ``order``, or ``exact``: psi is a
-    polynomial with h(psi, t) = 0, known at every order."""
+    polynomial with h(psi, t) = 0 (``curve_parametrization``'s rules)."""
 
     h: IntTerms
     order: int
@@ -351,22 +352,26 @@ def curve_parametrization(c: SmoothCurveGerm, order: int,
 
     ``SmoothCurveGerm`` puts g in this frame: through the origin, with
     x-linear coefficient lin != 0.  The first guess is psi = -(the x-free
-    part of g) / lin; it is exact iff g's other terms, lin*x left out, are
-    none or vanish on it.  Otherwise Newton's iteration lifts psi from
-    psi = 0 below t^1, where inverse = 1/lin, doubling the order each pass
+    part of g) / lin.  Unless it is exact, Newton's iteration lifts psi from
+    psi = 0 below t^1, where inverse = 1/lin, doubling the order k each pass
     (Brent and Kung, JACM 1978):
         psi <- psi - inverse*g(psi, t),
         inverse <- inverse*(2 - g_x(psi, t)*inverse),
-    both truncated at the new order.  A pass whose residual g(psi, t) is 0
-    below it tests whether psi is exact.  Given ``lift``, the lifting goes
-    on from it, so each lift is made once; an exact ``lift`` only has its
-    order raised, with no pass.
+    both truncated at k.  No exactness rule evaluates g(psi, t) to its
+    degree, which exponent values set.  The guess is exact if g has no
+    x-terms but lin*x.  A guess, or a lift with residual g(psi, t) = 0 below
+    k, of one term or 0 is exact iff g cancels on it (``_substituted_order``,
+    in bit-size time); such a lift of more terms is exact if k > max(i*deg
+    psi + j) over g's terms x^i*y^j, as g(psi, t) then has degree below k
+    and is 0 below k.  A guess of two or more terms is not tested.  Given
+    ``lift``, the lifting goes on from it, so each lift is made once; an
+    exact ``lift`` only has its order raised, with no pass.
     """
     if lift is None:
         h = _integer_terms(c.poly, c.swapped)
         guess = _reduced({j: -v for (i, j), v in h.items() if not i}, h[1, 0])
         rest = {e: v for e, v in h.items() if e[0] and e != (1, 0)}
-        if not rest or _is_root(rest, guess):
+        if not rest or len(guess.num) <= 1 and _substituted_order(rest, guess) is None:
             return CurveLift(h, order, guess, _ONE, True)
         lift = CurveLift(h, 1, Series({}, 1), Series({0: 1}, h[1, 0]), False)
     h, known, psi, inverse, exact = lift
@@ -374,21 +379,13 @@ def curve_parametrization(c: SmoothCurveGerm, order: int,
     while not exact and known < order:
         known = min(2 * known, order)
         residual = _on_curve(h, psi, known)
-        exact = not residual.num and _is_root(h, psi)
+        exact = not residual.num and (_substituted_order(h, psi) is None if len(psi.num) <= 1
+                                      else known > max(i * max(psi.num) + j for i, j in h))
         if not exact:
             psi = _difference(psi, _product(inverse, residual, known))
             excess = _difference(_product(_on_curve(dh, psi, known), inverse, known), _ONE)
             inverse = _difference(inverse, _product(inverse, excess, known))
     return CurveLift(h, order if exact else known, psi, inverse, exact)
-
-
-def _is_root(h: IntTerms, psi: Series) -> bool:
-    """h(psi(t), t) = 0 for a polynomial psi: by substitution when psi is
-    one term or 0, else evaluated to its full degree."""
-    if len(psi.num) <= 1:
-        return _substituted_order(h, psi) is None
-    top = max(psi.num)
-    return not _on_curve(h, psi, max(i * top + j for i, j in h) + 1).num
 
 
 def _substituted_order(p: IntTerms, psi: Series) -> "int | None":
@@ -489,7 +486,9 @@ def contact_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, 
     lift (``_leading_order``).  Otherwise psi, exact or not, is read along
     the orders 2, 4, 8, ..., n (``curve_parametrization``), each lift made
     once and shared by every branch and derivative; n is computed only once
-    a series is read, and a series stops at the first order where it is not 0.
+    a series is read, and a series stops at the first order where it is not
+    0.  A polynomial psi is found exact once a lift's order passes the
+    degree of g(psi, t), and is then read as sparse as it is.
     """
     weights, den = _weights(b)
     mult, inter = _contact(b.branches, weights, c)

@@ -1,6 +1,7 @@
 """Tests for parsing, germ data, multiplicities and local intersections."""
 
 import random
+import signal
 import time
 from collections import Counter
 from fractions import Fraction as F
@@ -844,36 +845,90 @@ def _rational_curve(rng):
     return from_terms(terms)
 
 
+def _unit_factor_curve(rng):
+    """(lin*x + b(y)) * u, u a unit at the origin, and deg b: the root
+    -b/lin is a polynomial of one to three terms.  u puts terms past lin*x
+    on the curve, so the first guess misses the root when u has an x-free
+    term past its constant.  Else the guess is the root, decided by
+    substitution when it is one term and left to the lift otherwise."""
+    lin = rng.choice([F(3, 2), F(-5, 3), F(4, 7), F(6), F(1)])
+    powers = rng.sample(range(1, 5), rng.randint(1, 3))
+    terms = {(0, k): F(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3])) for k in powers}
+    terms[1, 0] = lin
+    unit = pp(rng.choice(["1 + y", "1 - 2*x*y", "3 + y^2", "1 + x - y"]))
+    return _mul(from_terms(terms), unit), max(powers)
+
+
+def _oracle_cases(rng, g):
+    """B on g with free branches and, sometimes, a contained one, paired with
+    C = {g = 0}; then both transposed."""
+    parts = [(F(rng.randint(1, 6), 6), _random_branch(rng, 0, 4), 0)
+             for _ in range(rng.randint(1, 2))]
+    if rng.random() < 0.4:
+        parts.append((F(1, 3), _random_branch(rng, rng.choice([0, 1]), 2), rng.choice([1, 2])))
+    b = DivisorGerm(tuple((coeff, _mul(_power(g, k), q)) for coeff, q, k in parts))
+    return [(b, curve_orient(g)), (DivisorGerm(tuple(
+        (coeff, _transpose(p)) for coeff, p in b.components)), curve_orient(_transpose(g)))]
+
+
+def _check_against_oracle(germ, curve):
+    """contact_along_curve equals the oracle, and the lift at the Bezout
+    order n is the oracle's psi below the order it is known to, over a
+    reduced denominator.  Returns mult_C B, that lift and n."""
+    mult, inter, psi = reference_contact(germ, curve)
+    assert contact_along_curve(germ, curve) == (mult, inter)
+    n = max(p.total_degree() for _, p in germ.components) * curve.poly.total_degree() + 2
+    lift = curve_parametrization(curve, n)
+    known = n if lift.exact else lift.order
+    assert {k: F(v, lift.psi.den) for k, v in lift.psi.num.items() if k < known} \
+        == {k: v for k, v in psi.items() if k < known}
+    # reduced: psi's coefficients below t^k have denominators dividing L^(2k - 1)
+    assert lift.h[1, 0] ** (2 * known) % lift.psi.den == 0
+    return mult, lift, n
+
+
 def test_contact_matches_fixed_point_oracle():
     """The Newton-lifted walk on int numerators, with its early stop, equals
     the fixed-point, Fraction evaluator on rational curves whose cleared
     x-linear coefficient L is not +-1 and whose roots are dense, as given and
     transposed, with contained components; and the lifted root is the
-    oracle's psi below the order it is known to, over a reduced denominator."""
+    oracle's psi below the order it is known to, over a reduced denominator.
+
+    A second family is a curve linear in x times a unit, whose root is a
+    polynomial psi that the first guess misses or does not test.  The pass
+    at order n reads psi below n/2 or more, so once n passes 2*deg psi it
+    holds the whole root; once n also passes max(i*deg psi + j) over the
+    curve's terms x^i*y^j, the degree of h(psi(t), t), its zero residual
+    makes the lift exact.  Transposed, such a curve is solved in that frame
+    when b has no y-linear term; else its root is dense, as in the first
+    family, and the case is skipped."""
     rng = random.Random(67)
     seen = Counter()
     for _ in range(60):
-        g = _rational_curve(rng)
-        parts = [(F(rng.randint(1, 6), 6), _random_branch(rng, 0, 4), 0)
-                 for _ in range(rng.randint(1, 2))]
-        if rng.random() < 0.4:
-            parts.append((F(1, 3), _random_branch(rng, rng.choice([0, 1]), 2), rng.choice([1, 2])))
-        b = DivisorGerm(tuple((coeff, _mul(_power(g, k), q)) for coeff, q, k in parts))
-        for germ, curve in [(b, curve_orient(g)), (DivisorGerm(tuple(
-                (coeff, _transpose(p)) for coeff, p in b.components)), curve_orient(_transpose(g)))]:
-            mult, inter, psi = reference_contact(germ, curve)
-            assert contact_along_curve(germ, curve) == (mult, inter)
-            n = max(p.total_degree() for _, p in germ.components) * curve.poly.total_degree() + 2
-            lift = curve_parametrization(curve, n)
-            known = n if lift.exact else lift.order
-            assert {k: F(v, lift.psi.den) for k, v in lift.psi.num.items() if k < known} \
-                == {k: v for k, v in psi.items() if k < known}
-            # reduced: psi's coefficients below t^k have denominators dividing L^(2k - 1)
-            assert lift.h[1, 0] ** (2 * known) % lift.psi.den == 0
+        for germ, curve in _oracle_cases(rng, _rational_curve(rng)):
+            mult, lift, _ = _check_against_oracle(germ, curve)
             seen["L != +-1" if abs(lift.h[1, 0]) != 1 else "L +-1"] += 1
             seen["exact" if lift.exact else "lifted"] += 1
             seen["contained" if mult else "free"] += 1
     assert seen["L != +-1"] > 90 and seen["lifted"] > 75 and seen["contained"] > 30, seen
+    rng = random.Random(71)
+    found = Counter()
+    for _ in range(60):
+        g, top = _unit_factor_curve(rng)
+        for germ, curve in _oracle_cases(rng, g):
+            if oriented_poly(curve).terms != g.terms:  # transposed, not swapped back
+                continue
+            mult, lift, n = _check_against_oracle(germ, curve)
+            if n > max(2 * top, max(i * top + j for i, j in lift.h)):
+                assert lift.exact, (germ, curve)
+                guessed = curve_parametrization(curve, 1).exact
+                found["guessed" if guessed else "found by the lift"] += 1
+                found["contained" if mult else "free"] += 1
+    assert found["found by the lift"] > 60 and found["contained"] > 20, found
+
+
+#: Seconds a bit-size case may run before its timer fails it.
+CAP_S = 5
 
 
 def test_series_cost_follows_bit_size():
@@ -895,7 +950,13 @@ def test_series_cost_follows_bit_size():
     y^(2N) on x = 2*t^2, is decided in clusters of its exponents, and
     2^N is never built either; nor is 2^(2^40) for the powers x^(2^k) of
     one group on x = 2*t, nor 3^N when a group's low terms cancel on
-    x = 2/3*t and x^(N + 1) follows."""
+    x = 2/3*t and x^(N + 1) follows.  The first guess -t^2 - t^3 on
+    x + y^2 + y^3 + x^N*y, or -t - t^2 on x + y + y^2 + x^N, has two terms
+    and is not tested: a test would evaluate h(psi(t), t) to its degree,
+    about N*deg psi.  A root of two or more terms is exact only once a
+    lift's order passes that degree, so these roots are lifted only as far
+    as the branches read them.  Each case runs under a timer that fails it, named,
+    after ``CAP_S`` seconds, so a regression fails instead of hanging."""
     cases = [
         ("1/2*(y^1000000 + x)", "y - x^2", (0, F(1, 2))),
         ("1/2*(y^1000000 + x)", "y - 2*x^2", (0, F(1, 2))),
@@ -918,11 +979,26 @@ def test_series_cost_follows_bit_size():
                                               for k in range(40))), "x - 2*y", (0, F(2**40))),
         ("1*(3*x*y^1000000000 - 2*y^1000000001 + x^1000000001)", "3*x - 2*y",
          (0, F(1000000001))),
+        ("1/2*(y)", "x + y^2 + y^3 + x^1000000000*y", (0, F(1, 2))),
+        ("1/2*(x^2 + y^3)", "x + y + y^2 + x^1000000000", (0, F(1))),
+        ("1/3*(x + y^2 + y^3 + y^5)", "x + y^2 + y^3 + x^1000000000*y", (0, F(5, 3))),
     ]
-    for b, c, expected in cases:
-        start = time.perf_counter()
-        assert contact_along_curve(parse_divisor(b), curve_orient(pp(c))) == expected
-        assert time.perf_counter() - start < 0.5
+
+    def overrun(signum, frame):
+        raise AssertionError(f"no answer within {CAP_S} s: {b} on {c}")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    try:
+        for b, c, expected in cases:
+            signal.setitimer(signal.ITIMER_REAL, CAP_S)
+            try:
+                start = time.perf_counter()
+                assert contact_along_curve(parse_divisor(b), curve_orient(pp(c))) == expected
+                assert time.perf_counter() - start < 0.5
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_leading_term_decides_before_any_lift(monkeypatch):
@@ -1111,3 +1187,16 @@ def test_local_intersection_matches_graph_oracle():
     assert seen == {(swapped, k) for swapped in (False, True) for k in (0, 1, 2)}
     assert sum(exact_roots.values()) >= 40 and exact_roots["contained"] >= 10, exact_roots
     assert checked > 200
+
+
+def test_zero_residual_is_final_only_past_the_degree_bound():
+    """P = -t - t^2 and h = x - P(y) + x^4 - (P(y)^4 - y^8) give h(P, t) = t^8,
+    of degree max(i*deg P + j) = 8.  The pass at order 8 holds P, whose
+    residual is 0 below t^8, but 8 does not pass the degree bound, and the
+    root is -t - t^2 - t^8 + ...: the lift stays inexact, and the branch
+    x - P(y) meets the curve in order 8."""
+    c = curve_orient(pp("x + y + y^2 + x^4 - y^4 - 4*y^5 - 6*y^6 - 4*y^7"))
+    lift = curve_parametrization(c, 8)
+    assert lift.psi.num == {1: -1, 2: -1} and not lift.exact
+    assert curve_parametrization(c, 16, lift).psi.num[8] == -1
+    assert contact_along_curve(parse_divisor("1/2*(x + y + y^2)"), c) == (0, F(4))

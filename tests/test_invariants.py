@@ -1,12 +1,11 @@
-"""Tests for discrepancies, mld/lct, the delta bound and the approximation
-step, with brute-force oracles for every derived value."""
+"""Tests for discrepancies, mld/lct and the delta bound, with brute-force
+oracles for every derived value."""
 
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction as F
-from math import ceil, floor, gcd, lcm
+from math import ceil, gcd, lcm
 
 import pytest
 
@@ -496,100 +495,6 @@ def test_bound_floor_examples():
 
 def test_surface_bound_small_range():
     assert (delta_bound(F(1, 3)).delta, delta_bound(F(1, 3)).witness_n) == (F(1, 30), 5)
-
-
-# ---------------------------------------------------------------------------
-# dirichlet step
-
-
-@dataclass(frozen=True)
-class DirichletTrace:
-    """Remainder recursion certifying a small multiple of q near an integer.
-
-    r_{-1} = 1, r_0 = q mod 1, r_{i-2} = b_i r_{i-1} + r_i; numerators
-    a_{-1} = 0, a_0 = 1, a_i = a_{i-2} + b_i a_{i-1}.  The recursion stops
-    at the first m with r_m <= delta, and k = a_m then satisfies
-    dist(k q, Z) <= delta with k <= ceil(1/delta) - 1.
-    """
-
-    q: F
-    delta: F
-    remainders: "tuple[F, ...]"          # r_{-1} .. r_m
-    partial_quotients: "tuple[int, ...]"  # b_1 .. b_m
-    numerators: "tuple[int, ...]"        # a_{-1} .. a_m
-    k: int
-
-    def distance(self) -> F:
-        """min(frac(k q), 1 - frac(k q))."""
-        frac = self.k * self.q - floor(self.k * self.q)
-        return min(frac, 1 - frac)
-
-
-def dirichlet_k(q, delta):
-    """The approximation step of the proof of the bound: the recursion of
-    :class:`DirichletTrace` for q and delta."""
-    qq = as_fraction(q)
-    d = as_fraction(delta)
-    if not 0 < d < 1:
-        raise InputError("delta must lie strictly between 0 and 1")
-    r0 = qq - floor(qq)
-    remainders = [F(1), r0]
-    numerators = [0, 1]
-    quotients = []
-    while remainders[-1] > d:
-        r_prev, r_last = remainders[-2], remainders[-1]
-        step = int(r_prev // r_last)
-        quotients.append(step)
-        remainders.append(r_prev - step * r_last)
-        numerators.append(numerators[-2] + step * numerators[-1])
-    return DirichletTrace(
-        qq, d, tuple(remainders), tuple(quotients), tuple(numerators), numerators[-1]
-    )
-
-
-def check_trace(trace):
-    rs, bs, as_ = trace.remainders, trace.partial_quotients, trace.numerators
-    assert rs[0] == 1 and as_[0] == 0 and as_[1] == 1
-    for i in range(1, len(bs) + 1):
-        assert rs[i - 1] == bs[i - 1] * rs[i] + rs[i + 1]
-        assert 0 <= rs[i + 1] < rs[i]
-        assert as_[i + 1] == as_[i - 1] + bs[i - 1] * as_[i]
-    assert rs[-1] <= trace.delta
-    if len(rs) >= 3 or rs[1] > trace.delta:
-        assert rs[-2] > trace.delta
-    assert trace.k == as_[-1]
-    assert trace.k <= ceil(1 / trace.delta) - 1
-    assert trace.distance() <= trace.delta
-
-
-def test_dirichlet_examples():
-    t = dirichlet_k(F(3, 7), F(1, 3))
-    assert t.k == 2 and t.partial_quotients == (2,) and t.remainders[-1] == F(1, 7)
-    assert t.distance() == F(1, 7)
-    check_trace(t)
-
-    t = dirichlet_k(5, F(1, 2))
-    assert t.k == 1
-    check_trace(t)
-
-    t = dirichlet_k(F(1, 2), F(2, 5))
-    assert t.k == 2 and t.distance() == 0
-    check_trace(t)
-
-
-def test_dirichlet_exhaustive_small():
-    for q_den in range(1, 25):
-        for q_num in range(0, q_den + 1):
-            for d_den in range(2, 8):
-                t = dirichlet_k(F(q_num, q_den), F(1, d_den))
-                check_trace(t)
-
-
-def test_dirichlet_rejects_bad_delta():
-    with pytest.raises(InputError):
-        dirichlet_k(F(1, 2), 1)
-    with pytest.raises(InputError):
-        dirichlet_k(F(1, 2), 0)
 
 
 # ---------------------------------------------------------------------------

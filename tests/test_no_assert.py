@@ -64,6 +64,8 @@ CASES = [
     'curve_orient(parse_poly("x - 2*y^2")))',
     'contact_along_curve(parse_divisor("1*(x^1000000000*y)"), '
     'curve_orient(parse_poly("3/2*x + y^2 + x*y")))',
+    'contact_along_curve(parse_divisor("1/2*(y)"), '
+    'curve_orient(parse_poly("x + y^2 + y^3 + x^1000000000*y")))',
     'contact_along_curve(parse_divisor('
     '"1/2*(x^1000000000 + x^500000000*y^1000000000 + y^2000000000)"), '
     'curve_orient(parse_poly("x - 2*y^2")))',

@@ -554,6 +554,6 @@ def local_intersection(b: DivisorGerm, c: SmoothCurveGerm) -> Fraction:
     """(B . C) at the origin, for B with no component on C."""
     mult, inter = contact_along_curve(b, c)
     if mult:
-        raise DomainError("C lies on a branch: its series is 0 below the Bezout truncation")
+        raise DomainError("C is a component of B")
     return inter
 

@@ -6,8 +6,9 @@ branch with the integer weight den * coeff, den the lcm of the coefficient
 denominators (see ``germs.NewtonDiagram``).  Its support function is the
 weighted sum of the branches' and its face normals are the union of
 theirs.  On each fan cone the log discrepancy is one linear form, read
-off the diagram's vertex there (Fulton, *Introduction to Toric
-Varieties*), so the mld scan takes integer dot products, den times each
+off the diagram's one vertex there (Fulton, *Introduction to Toric
+Varieties*): the fan's cones and those vertices are built once per
+analysis.  So the mld scan takes integer dot products, den times each
 log discrepancy; the lct, its cap and the checker's hypotheses compare
 ``int`` cross-products, and each builds a ``Fraction`` only for a
 returned value:
@@ -18,11 +19,15 @@ returned value:
   Klein-sail runs of the normal-fan cones, O(log det) per cone,
 * the log canonical threshold of a smooth curve through the origin, as the
   smallest discrepancy/contact ratio over a complete finite candidate set
-  of weights, capped by the curve's own coefficient room,
+  of weights, capped by the curve's own coefficient room.  A form linear
+  on each cone is >= 0 on the quadrant iff it is at the fan's rays, so
+  B is lc exactly when no ray has a negative discrepancy: the lct reads
+  lc-ness, and its candidates at B's rays, off the cone forms with no
+  sail walk,
 * the explicit fibration bound delta(eps) = sup_n (eps - 1/n)/(n - 1), in
   closed form,
-* the surface-theorem checker, which builds the Newton diagram and its
-  face normals, the mld scan, the contact of B with C and B's
+* the surface-theorem checker, which builds the Newton diagram, its face
+  normals and fan cones, the mld scan, the contact of B with C and B's
   nondegeneracy once, and passes only exact thresholds (hypothesis
   "B + lct*C newton nondegenerate").
 
@@ -119,32 +124,54 @@ def mld_toric(b: DivisorGerm) -> MldResult:
     quadrant) realize the infimum.
     """
     p = newton_polytope(b)
-    return _mld(p, face_normals(*p.polygons))
+    return _mld(p.den, _cones(p, face_normals(*p.polygons)))
 
 
-def _mld(p: NewtonDiagram, normals: "list[IntVec]") -> MldResult:
+Cone = tuple[IntVec, IntVec, IntVec]
+
+
+def _cones(p: NewtonDiagram, normals: "list[IntVec]") -> "list[Cone]":
+    """The normal fan of the diagram ``p`` with face normals ``normals``:
+    its cones (u, v, V) of consecutive rays u, v from (1, 0) to (0, 1), V
+    being the one vertex of least <u + v, .>, times p.den.
+
+    Every w in the cone has least <w, .> = <w, V>, so den times the log
+    discrepancy is the one form g(w) = (den - V1)*w1 + (den - V2)*w2 there.
+    """
+    rays: list[IntVec] = [(1, 0)] + normals + [(0, 1)]
+    return [(u, v, p.vertex((u[0] + v[0], u[1] + v[1]))) for u, v in zip(rays, rays[1:])]
+
+
+def _ray_values(den: int, cones: "list[Cone]") -> "dict[IntVec, int]":
+    """den times the log discrepancy at each ray of the fan, read off the
+    form of a cone holding it: (1, 0), (0, 1), then the face normals in fan
+    order, the order in which ``_lct`` breaks ties.  Each form is linear on
+    its cone, so the pair is lc exactly when no value is negative."""
+    values = {(1, 0): den - cones[0][2][0], (0, 1): den - cones[-1][2][1]}
+    for u, _, (x, y) in cones[1:]:
+        values[u] = (den - x) * u[0] + (den - y) * u[1]
+    return values
+
+
+def _mld(den: int, cones: "list[Cone]") -> MldResult:
     """The first basis element, in fan order, with a negative discrepancy,
     else the first positive one attaining the least discrepancy, on the
-    diagram ``p`` with face normals ``normals``.
+    normal-fan ``cones`` of a diagram with denominator ``den``.
 
-    On the cone of consecutive rays u, v, with V the one vertex of least
-    <u + v, .>, every w has least <w, .> = <w, V>, so den times the
-    discrepancy is g(w) = (den - V1)*w1 + (den - V2)*w2 there; the first
-    and last cones give the axis values.  Along a run it is g0 + j*rate.
-    Its first negative point is j = 0 when g0 < 0, else j = g0 // -rate + 1
-    if that is a point of the run; its least positive point is the first
-    one when rate >= 0 and the last one when rate < 0.  All of this is in
-    integers: the scale den changes no sign, floor or comparison.
+    On each cone den times the discrepancy is one form g (see ``_cones``);
+    the first and last cones give the axis values.  Along a run it is
+    g0 + j*rate.  Its first negative point is j = 0 when g0 < 0, else
+    j = g0 // -rate + 1 if that is a point of the run; its least positive
+    point is the first one when rate >= 0 and the last one when rate < 0.
+    All of this is in integers: the scale den changes no sign, floor or
+    comparison.
     """
-    den = p.den
-    rays: list[IntVec] = [(1, 0)] + normals + [(0, 1)]
-    cones = [(u, v, p.vertex((u[0] + v[0], u[1] + v[1]))) for u, v in zip(rays, rays[1:])]
     axis_values = (Fraction(den - cones[0][2][0], den), Fraction(den - cones[-1][2][1], den))
     best: "tuple[int, IntVec] | None" = None
     for u, v, (x, y) in cones:
         a, b = den - x, den - y
         runs = _hilbert_runs(u, v)
-        if not normals:
+        if len(cones) == 1:
             runs.append(Run((1, 1), (0, 0), 0))  # no positive basis element in this fan
         for run in runs:
             (s1, s2), (t1, t2) = run.start, run.step
@@ -218,34 +245,51 @@ class LctResult:
 
 
 def lct_toric(b: DivisorGerm, c: SmoothCurveGerm) -> LctResult:
+    """The log canonical threshold of the smooth curve C against B.
+
+    B must have every coefficient at most one, else ``DomainError``
+    "coefficient above one".  Then (X, B) must be lc at the origin: den
+    times the log discrepancy is one linear form on each cone of B's
+    normal fan, so B is lc exactly when it is >= 0 at every ray of the fan,
+    (1, 0), B's face normals and (0, 1).  A negative value, or C itself
+    carrying a coefficient mult_C B above one in B, raises ``DomainError``
+    "pair not lc before adding C", in that order.  The threshold is the
+    least discrepancy/contact ratio over the fan's rays and C's face
+    normals, capped by 1 - mult_C B, the room left on C's own coefficient
+    (see ``LctResult``).
+    """
     pb = newton_polytope(b)
     if max(pb.weights) > pb.den:
         raise DomainError("coefficient above one")
     normals = face_normals(*pb.polygons)
-    mld = _mld(pb, normals)
-    if mld.value < 0:  # NEG_INF orders below every rational
+    rays = _ray_values(pb.den, _cones(pb, normals))
+    if min(rays.values()) < 0:
         raise DomainError("pair not lc before adding C")
     branches = b.branches
     mult, _ = _contact(branches, pb.weights, c)
     if mult > pb.den:  # C has coefficient above one in B
         raise DomainError("pair not lc before adding C")
-    return _lct(branches, c, pb, normals, mult, _nondegeneracy(branches, normals).nondegenerate)
+    return _lct(branches, c, pb, rays, mult, _nondegeneracy(branches, normals).nondegenerate)
 
 
 def _lct(branches: "list[Poly]", c: SmoothCurveGerm, pb: NewtonDiagram,
-         normals: "list[IntVec]", mult: int, nondegenerate: bool) -> LctResult:
+         rays: "dict[IntVec, int]", mult: int, nondegenerate: bool) -> LctResult:
     """Threshold of an lc pair with coefficients at most one, given B's
-    branch polynomials, its Newton diagram ``pb`` and that diagram's face
-    ``normals``, pb.den * mult_C B and whether B is nondegenerate.  The
-    ratios disc/(pb.den * contact) and the cap are cross-multiplied."""
+    branch polynomials, its Newton diagram ``pb``, the map ``rays`` from
+    each ray of that diagram's normal fan to pb.den times its discrepancy
+    (see ``_ray_values``), pb.den * mult_C B and whether B is
+    nondegenerate.  Only C's face normals that are not rays of B's fan
+    need a discrepancy of their own.  The ratios disc/(pb.den * contact)
+    and the cap are cross-multiplied."""
     pc = newton_polytope_of_poly(c.poly)
     c_normals = face_normals(pc)
+    candidates = list(rays.items()) + [
+        (n, _discrepancy(pb, n)) for n in c_normals if n not in rays]
     best: "tuple[int, int, IntVec] | None" = None  # the least ratio, first in order
-    for w in [(1, 0), (0, 1)] + normals + c_normals:
+    for w, disc in candidates:
         contact = pc.lattice_min(w)
         if contact == 0:
             continue
-        disc = _discrepancy(pb, w)
         if best is None or disc * best[1] < best[0] * contact:
             best = (disc, contact, w)
     # never None: C passes through the origin, so an axis weight or the
@@ -260,7 +304,7 @@ def _lct(branches: "list[Poly]", c: SmoothCurveGerm, pb: NewtonDiagram,
     # B is one term, and C's binomial passes.  So B + value*C is nondegenerate
     # iff B is and, when value > 0, it passes along the normals B and C share;
     # its coefficients do not enter the test.
-    shared = [n for n in c_normals if n in normals] if value.numerator > 0 else []
+    shared = [n for n in c_normals if n in rays] if value.numerator > 0 else []
     exact = nondegenerate and (
         not shared or _nondegeneracy(branches + [c.poly], shared).nondegenerate)
     return LctResult(membership, cap, value, witness, exact)
@@ -343,7 +387,8 @@ def verify_surface_theorem(
     eps = bound.epsilon
     pb = newton_polytope(b)
     normals = face_normals(*pb.polygons)
-    mld = _mld(pb, normals)
+    cones = _cones(pb, normals)
+    mld = _mld(pb.den, cones)
     branches = b.branches
     mult, inter = _contact(branches, pb.weights, c)  # over pb.den
 
@@ -359,7 +404,7 @@ def verify_surface_theorem(
     nondeg = _nondegeneracy(branches, normals).nondegenerate
     if not nondeg:
         failed.append("newton nondegeneracy")
-    lct = _lct(branches, c, pb, normals, mult, nondeg) if not failed else None
+    lct = _lct(branches, c, pb, _ray_values(pb.den, cones), mult, nondeg) if not failed else None
     # an inexact value is only an upper bound of the threshold: it checks nothing
     if lct is not None and not lct.exact:
         failed.append("B + lct*C newton nondegenerate")

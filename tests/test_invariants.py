@@ -16,11 +16,16 @@ from germ.germs import (
     NewtonDiagram,
     curve_orient,
     local_intersection,
+    newton_polytope,
+    newton_polytope_of_poly,
     parse_divisor,
 )
 from germ.invariants import (
     MldResult,
+    _cones,
+    _discrepancy,
     _mld,
+    _ray_values,
     delta_bound,
     lct_toric,
     mld_toric,
@@ -94,8 +99,6 @@ def test_discrepancy_homogeneity_before_normalization():
         base = toric_log_discrepancy(b, (w1, w2))
         for k in (2, 3, 7):
             # scaled weight evaluated through the raw formula
-            from germ.germs import newton_polytope
-
             p = newton_polytope(b)
             scaled = k * w1 + k * w2 - F(p.lattice_min((k * w1, k * w2)), p.den)
             assert scaled == k * base
@@ -223,11 +226,42 @@ def test_mld_run_walk_matches_full_scan():
         den = rng.randint(1, 6) * sum(n for n, _ in parts)
         expected, kind = full_scan_mld(parts, den)
         weights, polygons = zip(*parts)
-        assert _mld(NewtonDiagram(weights, polygons, den), face_normals(*polygons)) == expected
+        diagram = NewtonDiagram(weights, polygons, den)
+        assert _mld(den, _cones(diagram, face_normals(*polygons))) == expected
         classes[kind] += 1
         sizes[len(parts)] += 1
     assert min(classes.values()) >= 100, classes
     assert min(sizes.values()) >= 400, sizes
+
+
+def test_lc_is_read_off_the_fan_rays():
+    """On diagrams of one to three random integer polygons with random
+    weights over a random denominator, each ray value read off the cone
+    forms is the discrepancy at that ray, in the order (1, 0), (0, 1),
+    then the face normals, and the mld scan finds a negative discrepancy
+    exactly when some ray value is negative: each form is linear on its
+    cone, whose rays span it."""
+    rng = random.Random(83)
+    kinds = Counter()
+    for _ in range(1500):
+        parts = []
+        for _ in range(rng.randint(1, 3)):
+            top = rng.choice([2, 3, 6, 40])
+            pts = [(rng.randint(0, top), rng.randint(0, top)) for _ in range(rng.randint(1, 4))]
+            parts.append((rng.randint(1, 3), poly(*([q for q in pts if q != (0, 0)] or [(1, 0)]))))
+        weights, polygons = zip(*parts)
+        den = rng.randint(1, 3) * sum(weights)
+        diagram = NewtonDiagram(weights, polygons, den)
+        normals = face_normals(*polygons)
+        cones = _cones(diagram, normals)
+        values = _ray_values(den, cones)
+        assert list(values) == [(1, 0), (0, 1)] + normals
+        assert all(value == _discrepancy(diagram, ray) for ray, value in values.items())
+        least = min(values.values())
+        assert (_mld(den, cones).value is NEG_INF) == (least < 0)
+        kinds["not lc" if least < 0 else "lc"] += 1
+        kinds["least 0"] += least == 0
+    assert kinds["lc"] >= 300 and kinds["not lc"] >= 300 and kinds["least 0"] >= 50, kinds
 
 
 def _random_divisor(rng):
@@ -307,6 +341,17 @@ def test_lct_precondition_errors():
     assert mld_toric(b).value == 0
     with pytest.raises(DomainError, match="not lc before adding C"):
         lct_toric(b, curve_orient(parse_poly("y - x^2")))
+    # not lc at one ray only: the normal (3, 2), then the axis (0, 1) with
+    # exactly 0 at the normal (1, 1)
+    for text, values in [("1*(x^2 + y^3)", {(1, 0): 1, (0, 1): 1, (3, 2): -1}),
+                         ("2/3*(y) + 2/3*(x*y + y^2)", {(1, 0): 3, (0, 1): -1, (1, 1): 0})]:
+        pb = newton_polytope(parse_divisor(text))
+        assert _ray_values(pb.den, _cones(pb, face_normals(*pb.polygons))) == values
+        with pytest.raises(DomainError, match="not lc before adding C"):
+            lct_toric(parse_divisor(text), curve_orient(parse_poly("x")))
+    # lc with a least ray value of exactly 0, on the axis (0, 1)
+    assert lct_toric(parse_divisor("1/3*(y) + 2/3*(x*y + y^2)"),
+                     curve_orient(parse_poly("x"))).value >= 0
 
 
 def test_lct_deep_cone_closed_form():
@@ -340,7 +385,6 @@ def test_one_polytope_per_branch_per_analysis(monkeypatch):
     denominators of each branch and of C once."""
     import germ.germs
     import germ.invariants
-    from germ.germs import newton_polytope, newton_polytope_of_poly
 
     cases = [
         (lct_toric, parse_divisor("1/4*(x^3000 + y^2)"), parse_poly("y"), ()),
@@ -371,11 +415,50 @@ def test_one_polytope_per_branch_per_analysis(monkeypatch):
         assert len(cleared) == len(b.components) + 1
 
 
+def test_lct_reads_lc_off_the_fan_rays(monkeypatch):
+    """lct_toric walks no Klein sail, and it and verify take one vertex of
+    B's diagram per cone of B's normal fan, plus one per face normal of C
+    that B does not have: every other discrepancy is read off the cone
+    forms."""
+    import germ.invariants
+
+    cases = [
+        (lct_toric, "1/4*(x^3000 + y^2)", "y", ()),
+        (lct_toric, "1/3*(x^2 + y^3) + 1/4*(x*y - y^2)", "3/2*x + y^2 + x*y", ()),
+        (verify_surface_theorem, "1/3*(x^2 + y^3) + 1/4*(y - x^2) + 1/5*(x^3 - y^2)",
+         "y - x^5", ("1/5",)),
+        (verify_surface_theorem, "1/3*(x^2 + y^3) + 1/4*(x - y^2)", "y^2 - 2*x", ("1/5",)),
+    ]
+    walks, sweeps = [], []
+
+    def counting(record, f):
+        def wrapped(*args):
+            record.append(args)
+            return f(*args)
+        return wrapped
+
+    monkeypatch.setattr(germ.invariants, "_hilbert_runs",
+                        counting(walks, germ.invariants._hilbert_runs))
+    monkeypatch.setattr(NewtonDiagram, "vertex", counting(sweeps, NewtonDiagram.vertex))
+    c_only = Counter()
+    for run, b, c, extra in cases:
+        b, c = parse_divisor(b), curve_orient(parse_poly(c))
+        normals = face_normals(*newton_polytope(b).polygons)
+        own = len([n for n in face_normals(newton_polytope_of_poly(c.poly)) if n not in normals])
+        walks.clear()
+        sweeps.clear()
+        result = run(b, c, *extra)
+        assert (run is verify_surface_theorem) == bool(walks)
+        assert getattr(result, "lct", result) is not None
+        assert len(sweeps) == len(normals) + 1 + own
+        c_only[own] += 1
+    assert c_only[0] >= 2 and c_only[1] >= 2, c_only
+
+
 def membership_bisection(b, c, steps=64):
     """Oracle: bisect t -> (1,1) in Newton polytope of B + tC.  With D the
     lcm of the denominators of t and of B's coefficients, (1, 1) lies in it
     iff (D, D) lies in the hull of the sums of D*coeff-scaled vertices."""
-    from germ.germs import newton_polytope_of_poly
     from test_exactgeom import contains, minkowski_hull
 
     parts = [(coeff, newton_polytope_of_poly(p)) for coeff, p in b.components]

@@ -36,6 +36,8 @@ CASES = [
     'lct_toric(parse_divisor("1/8*(x^3227 + y^4)"), curve_orient(parse_poly("y")))',
     'lct_toric(parse_divisor("1/2*(y)"), curve_orient(parse_poly("y")))',
     'lct_toric(parse_divisor("2*(x)"), curve_orient(parse_poly("y")))',
+    'lct_toric(parse_divisor("1*(x^2 + y^3)"), curve_orient(parse_poly("x")))',
+    'lct_toric(parse_divisor("2/3*(y) + 2/3*(x*y + y^2)"), curve_orient(parse_poly("x")))',
     'verify_surface_theorem(parse_divisor("5/9*(x^3+y^4)"), curve_orient(parse_poly("y")), "1/3")',
     'verify_surface_theorem(parse_divisor("1/2*(x^2-y^2) + 1/2*(x-y)"), '
     'curve_orient(parse_poly("y - x^2")), "1/4")',

@@ -7,27 +7,27 @@ denominators (see ``germs.NewtonDiagram``).  Its support function is the
 weighted sum of the branches' and its face normals are the union of
 theirs.  On each fan cone the log discrepancy is one linear form, read
 off the diagram's one vertex there (Fulton, *Introduction to Toric
-Varieties*): the fan's cones and those vertices are built once per
-analysis.  So the mld scan takes integer dot products, den times each
-log discrepancy; the lct, its cap and the checker's hypotheses compare
-``int`` cross-products, and each builds a ``Fraction`` only for a
-returned value:
+Varieties*): one valuation table per analysis holds the fan's cones,
+those vertices and each ray's discrepancy.  So the mld scan takes
+integer dot products, den times each log discrepancy; the lct, its cap
+and the checker's hypotheses compare ``int`` cross-products, and each
+builds a ``Fraction`` only for a returned value:
 
 * log discrepancies of monomial valuations (weighted blow-ups),
-* the minimal log discrepancy over all positive integer weights, found by
-  minimizing each cone's discrepancy form over the endpoints of the
-  Klein-sail runs of the normal-fan cones, O(log det) per cone,
+* the minimal log discrepancy over all positive integer weights: -inf at a
+  negative ray value of the table, with no sail walk, else the least value
+  at the Klein-sail run endpoints of the normal-fan cones, O(log det) each,
 * the log canonical threshold of a smooth curve through the origin, as the
   smallest discrepancy/contact ratio over a complete finite candidate set
   of weights, capped by the curve's own coefficient room.  A form linear
   on each cone is >= 0 on the quadrant iff it is at the fan's rays, so
   B is lc exactly when no ray has a negative discrepancy: the lct reads
-  lc-ness, and its candidates at B's rays, off the cone forms with no
-  sail walk,
+  lc-ness, and its candidates at B's rays, off the table with no sail
+  walk,
 * the explicit fibration bound delta(eps) = sup_n (eps - 1/n)/(n - 1), in
   closed form,
-* the surface-theorem checker, which builds the Newton diagram, its face
-  normals and fan cones, the mld scan, the contact of B with C and B's
+* the surface-theorem checker, which builds the Newton diagram, its
+  valuation table, the mld scan, the contact of B with C and B's
   nondegeneracy once, and passes only exact thresholds (hypothesis
   "B + lct*C newton nondegenerate").
 
@@ -42,6 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import DomainError, GermError, InputError
 from .exactgeom import (
@@ -99,11 +100,12 @@ def toric_log_discrepancy(b: DivisorGerm, w: "tuple[int, int]") -> Fraction:
 class MldResult:
     """Infimum of toric log discrepancies over positive integer weights.
 
-    ``witness`` is a primitive positive pair (w1, w2) that attains the value
-    when ``attained`` is true and, for value -inf, certifies a negative
-    discrepancy.  ``axis_values`` are the discrepancies of the two axis
-    directions (1,0), (0,1), which are excluded from the infimum (their
-    centers are curves, not the origin) and reported for diagnostics only.
+    ``witness`` is a primitive positive pair (w1, w2) attaining the value
+    when ``attained`` is true.  For value -inf it certifies a negative
+    discrepancy: B's first face normal in fan order with one, else a
+    negative axis, (1, 0) first, pushed into the quadrant.  ``axis_values``,
+    the discrepancies at (1,0) and (0,1), are excluded from the infimum
+    (their centers are curves, not the origin) and reported for diagnostics.
     """
 
     value: Extended
@@ -115,79 +117,68 @@ class MldResult:
 def mld_toric(b: DivisorGerm) -> MldResult:
     """Minimize w1 + w2 - <w, Newton diagram> over positive integer pairs.
 
-    On each normal-fan cone the objective is linear, so its minimum over
-    the cone's Hilbert basis lies at an endpoint of a Klein-sail run: the
-    scan minimizes over run endpoints, O(log det) per cone.  Axis basis
-    vectors are not admissible minimizers themselves; a positive point
-    built from one witnesses value -inf when its rate is negative, and the
-    remaining positive candidates (plus (1,1) when the fan is the whole
-    quadrant) realize the infimum.
+    The objective is linear on each normal-fan cone, so it is -inf exactly
+    when a ray of the fan is negative, read off B's valuation table with
+    no sail walk.  Else its minimum over each cone's Hilbert basis lies at
+    an endpoint of a Klein-sail run: the scan minimizes over the positive
+    run endpoints (plus (1,1) when the fan is the whole quadrant), O(log
+    det) per cone.
     """
-    p = newton_polytope(b)
-    return _mld(p.den, _cones(p, face_normals(*p.polygons)))
+    return _mld(_fan(newton_polytope(b)))
 
 
-Cone = tuple[IntVec, IntVec, IntVec]
+class _Fan(NamedTuple):
+    """The valuation table of a diagram p, built once per analysis: den =
+    p.den, the face ``normals`` in fan order, the ``cones`` (u, v, V) of
+    consecutive rays u, v from (1, 0) to (0, 1), V being p's one vertex of
+    least <u + v, .>, and ``rays``, den times the log discrepancy at each
+    ray, keyed (1, 0), (0, 1), then the normals: the order in which
+    ``_lct`` breaks ties.  Every w in a cone has least <w, .> = <w, V>, so
+    den times the log discrepancy is one form (den - V1)*w1 + (den - V2)*w2
+    there, and the pair is lc exactly when no ray value is negative."""
+
+    den: int
+    normals: "list[IntVec]"
+    cones: "list[tuple[IntVec, IntVec, IntVec]]"
+    rays: "dict[IntVec, int]"
 
 
-def _cones(p: NewtonDiagram, normals: "list[IntVec]") -> "list[Cone]":
-    """The normal fan of the diagram ``p`` with face normals ``normals``:
-    its cones (u, v, V) of consecutive rays u, v from (1, 0) to (0, 1), V
-    being the one vertex of least <u + v, .>, times p.den.
-
-    Every w in the cone has least <w, .> = <w, V>, so den times the log
-    discrepancy is the one form g(w) = (den - V1)*w1 + (den - V2)*w2 there.
-    """
+def _fan(p: NewtonDiagram) -> _Fan:
+    normals = face_normals(*p.polygons)
     rays: list[IntVec] = [(1, 0)] + normals + [(0, 1)]
-    return [(u, v, p.vertex((u[0] + v[0], u[1] + v[1]))) for u, v in zip(rays, rays[1:])]
-
-
-def _ray_values(den: int, cones: "list[Cone]") -> "dict[IntVec, int]":
-    """den times the log discrepancy at each ray of the fan, read off the
-    form of a cone holding it: (1, 0), (0, 1), then the face normals in fan
-    order, the order in which ``_lct`` breaks ties.  Each form is linear on
-    its cone, so the pair is lc exactly when no value is negative."""
-    values = {(1, 0): den - cones[0][2][0], (0, 1): den - cones[-1][2][1]}
+    cones = [(u, v, p.vertex((u[0] + v[0], u[1] + v[1]))) for u, v in zip(rays, rays[1:])]
+    values = {(1, 0): p.den - cones[0][2][0], (0, 1): p.den - cones[-1][2][1]}
     for u, _, (x, y) in cones[1:]:
-        values[u] = (den - x) * u[0] + (den - y) * u[1]
-    return values
+        values[u] = (p.den - x) * u[0] + (p.den - y) * u[1]
+    return _Fan(p.den, normals, cones, values)
 
 
-def _mld(den: int, cones: "list[Cone]") -> MldResult:
-    """The first basis element, in fan order, with a negative discrepancy,
-    else the first positive one attaining the least discrepancy, on the
-    normal-fan ``cones`` of a diagram with denominator ``den``.
-
-    On each cone den times the discrepancy is one form g (see ``_cones``);
-    the first and last cones give the axis values.  Along a run it is
-    g0 + j*rate.  Its first negative point is j = 0 when g0 < 0, else
-    j = g0 // -rate + 1 if that is a point of the run; its least positive
-    point is the first one when rate >= 0 and the last one when rate < 0.
-    All of this is in integers: the scale den changes no sign, floor or
-    comparison.
-    """
-    axis_values = (Fraction(den - cones[0][2][0], den), Fraction(den - cones[-1][2][1], den))
+def _mld(fan: _Fan) -> MldResult:
+    """-inf at the first negative ray value of ``fan``, face normals first,
+    else the first positive basis element, in fan order, of least
+    discrepancy.  Along a run den times it is g0 + j*rate, least at the
+    first positive point when rate >= 0 and at the last when rate < 0."""
+    den, rays = fan.den, fan.rays
+    axis_values = (Fraction(rays[(1, 0)], den), Fraction(rays[(0, 1)], den))
+    if min(rays.values()) < 0:
+        ray = next(r for r in fan.normals + [(1, 0), (0, 1)] if rays[r] < 0)
+        witness = ray if _is_positive(ray) else _positive_negative_witness(fan, ray)
+        return MldResult(NEG_INF, make_weight(*witness), False, axis_values)
     best: "tuple[int, IntVec] | None" = None
-    for u, v, (x, y) in cones:
+    for u, v, (x, y) in fan.cones:
         a, b = den - x, den - y
         runs = _hilbert_runs(u, v)
-        if len(cones) == 1:
+        if len(fan.cones) == 1:
             runs.append(Run((1, 1), (0, 0), 0))  # no positive basis element in this fan
         for run in runs:
-            (s1, s2), (t1, t2) = run.start, run.step
-            g0 = a * s1 + b * s2
-            rate = a * t1 + b * t2  # 0 on a run of count 0, whose step is (0, 0)
-            negative = 0 if g0 < 0 else (g0 // -rate + 1 if rate < 0 else run.count + 1)
-            if negative <= run.count:
-                h = run.point(negative)
-                witness = h if _is_positive(h) else _positive_negative_witness(
-                    lambda w: a * w[0] + b * w[1], h, runs)
-                return MldResult(NEG_INF, make_weight(*witness), False, axis_values)
             js = _positive_points(run)
             if js:
+                (s1, s2), (t1, t2) = run.start, run.step
+                rate = a * t1 + b * t2  # 0 on a run of count 0, whose step is (0, 0)
                 j = js[0] if rate >= 0 else js[-1]
-                if best is None or g0 + j * rate < best[0]:
-                    best = (g0 + j * rate, run.point(j))
+                value = a * s1 + b * s2 + j * rate
+                if best is None or value < best[0]:
+                    best = (value, run.point(j))
     # the fan always has a positive candidate: a face normal or (1, 1)
     return MldResult(Fraction(best[0], den), make_weight(*best[1]), True, axis_values)
 
@@ -204,18 +195,20 @@ def _positive_points(run: Run) -> range:
     return range(lo, hi + 1)
 
 
-def _positive_negative_witness(g, axis: IntVec, runs: "list[Run]") -> IntVec:
-    """Positive weight with negative discrepancy, built by pushing the
-    first positive point of the sector far in the negative axis direction.
-    g is linear on the sector and g(axis) < 0, so partner + k*axis is
-    negative for every k > g(partner) / -g(axis); the push takes the least
-    such k >= 1."""
-    partner = next(r.point(js[0]) for r in runs if (js := _positive_points(r)))
-    steps = max(1, g(partner) // -g(axis) + 1)
+def _positive_negative_witness(fan: _Fan, axis: IntVec) -> IntVec:
+    """Positive weight with negative discrepancy: the other ray of the cone
+    of the negative ``axis``, or (1, 1) in a one-cone fan, pushed along the
+    axis.  The cone's form g is linear and g(axis) < 0, so partner + k*axis
+    is negative for every k > g(partner) / -g(axis); the push takes the
+    least such k >= 1, since g(1, 1) may itself be negative."""
+    i = 0 if axis == (1, 0) else -1
+    a, b = (fan.den - z for z in fan.cones[i][2])
+    partner = fan.normals[i] if fan.normals else (1, 1)
+    steps = max(1, (a * partner[0] + b * partner[1]) // -fan.rays[axis] + 1)
     p0 = (partner[0] + steps * axis[0], partner[1] + steps * axis[1])
-    d = gcd(p0[0], p0[1])
+    d = gcd(*p0)
     w = (p0[0] // d, p0[1] // d)
-    if g(w) >= 0 or not _is_positive(w):
+    if a * w[0] + b * w[1] >= 0 or not _is_positive(w):
         raise GermError(f"weight {w} does not certify a negative discrepancy")
     return w
 
@@ -248,39 +241,36 @@ def lct_toric(b: DivisorGerm, c: SmoothCurveGerm) -> LctResult:
     """The log canonical threshold of the smooth curve C against B.
 
     B must have every coefficient at most one, else ``DomainError``
-    "coefficient above one".  Then (X, B) must be lc at the origin: den
-    times the log discrepancy is one linear form on each cone of B's
-    normal fan, so B is lc exactly when it is >= 0 at every ray of the fan,
-    (1, 0), B's face normals and (0, 1).  A negative value, or C itself
-    carrying a coefficient mult_C B above one in B, raises ``DomainError``
-    "pair not lc before adding C", in that order.  The threshold is the
-    least discrepancy/contact ratio over the fan's rays and C's face
-    normals, capped by 1 - mult_C B, the room left on C's own coefficient
-    (see ``LctResult``).
+    "coefficient above one".  Then (X, B) must be lc at the origin, which
+    holds exactly when no ray value of B's valuation table is negative
+    (see ``_Fan``).  A negative value, or C itself carrying a coefficient
+    mult_C B above one in B, raises ``DomainError`` "pair not lc before
+    adding C", in that order.  The threshold is the least
+    discrepancy/contact ratio over the fan's rays and C's face normals,
+    capped by 1 - mult_C B, the room left on C's own coefficient (see
+    ``LctResult``).
     """
     pb = newton_polytope(b)
     if max(pb.weights) > pb.den:
         raise DomainError("coefficient above one")
-    normals = face_normals(*pb.polygons)
-    rays = _ray_values(pb.den, _cones(pb, normals))
-    if min(rays.values()) < 0:
+    fan = _fan(pb)
+    if min(fan.rays.values()) < 0:
         raise DomainError("pair not lc before adding C")
     branches = b.branches
     mult, _ = _contact(branches, pb.weights, c)
     if mult > pb.den:  # C has coefficient above one in B
         raise DomainError("pair not lc before adding C")
-    return _lct(branches, c, pb, rays, mult, _nondegeneracy(branches, normals).nondegenerate)
+    return _lct(branches, c, pb, fan.rays, mult, _nondegeneracy(branches, fan.normals).nondegenerate)
 
 
 def _lct(branches: "list[Poly]", c: SmoothCurveGerm, pb: NewtonDiagram,
          rays: "dict[IntVec, int]", mult: int, nondegenerate: bool) -> LctResult:
     """Threshold of an lc pair with coefficients at most one, given B's
-    branch polynomials, its Newton diagram ``pb``, the map ``rays`` from
-    each ray of that diagram's normal fan to pb.den times its discrepancy
-    (see ``_ray_values``), pb.den * mult_C B and whether B is
-    nondegenerate.  Only C's face normals that are not rays of B's fan
-    need a discrepancy of their own.  The ratios disc/(pb.den * contact)
-    and the cap are cross-multiplied."""
+    branch polynomials, its Newton diagram ``pb``, the ``rays`` of its
+    ``_Fan``, pb.den * mult_C B and whether B is nondegenerate.  Only C's
+    face normals that are not rays of B's fan need a discrepancy of their
+    own.  The ratios disc/(pb.den * contact) and the cap are
+    cross-multiplied."""
     pc = newton_polytope_of_poly(c.poly)
     c_normals = face_normals(pc)
     candidates = list(rays.items()) + [
@@ -354,14 +344,19 @@ class SurfaceTheoremReport:
 
     The hypotheses: the germ is epsilon-lc, the curve's multiplicity inside
     B is at most 1 - epsilon, the C-free part meets the curve with local
-    intersection at most 2, every coefficient of B is at most 1, and B and
-    B + lct*C are Newton-nondegenerate, which makes the toric lct exact.
-    When they all hold, the threshold must be at least the exact
-    delta(eps) = sup_{n >= 2} (eps - 1/n)/(n - 1) of :func:`delta_bound`;
-    a failed hypothesis makes the check inapplicable rather than failed,
-    and is named in ``failed_hypotheses``.  So the checker passes only
-    exact thresholds; an inexact ``lct`` is kept to explain a failed
-    "B + lct*C newton nondegenerate".
+    intersection at most 2, and B and B + lct*C are Newton-nondegenerate,
+    which makes the toric lct exact.  Epsilon-lc means a(D, X, B) >= eps
+    for every prime divisor D over X, divisors on X included, as in the
+    Shokurov-Birkar literature.  Under nondegeneracy the components of B
+    through the origin are the axes and the branches, so it means "mld >=
+    epsilon", "axis values >= epsilon" and "coefficients <= 1 - epsilon";
+    coefficients are positive, so no germ is 1-lc.  When they all hold,
+    the threshold must be at least the exact delta(eps) = sup_{n >= 2}
+    (eps - 1/n)/(n - 1) of :func:`delta_bound`; a failed hypothesis makes
+    the check inapplicable rather than failed, and is named in
+    ``failed_hypotheses``.  So the checker passes only exact thresholds;
+    an inexact ``lct`` is kept to explain a failed "B + lct*C newton
+    nondegenerate".
     """
 
     epsilon: Fraction
@@ -386,25 +381,26 @@ def verify_surface_theorem(
     bound = delta_bound(epsilon)
     eps = bound.epsilon
     pb = newton_polytope(b)
-    normals = face_normals(*pb.polygons)
-    cones = _cones(pb, normals)
-    mld = _mld(pb.den, cones)
+    fan = _fan(pb)
+    mld = _mld(fan)
     branches = b.branches
     mult, inter = _contact(branches, pb.weights, c)  # over pb.den
 
     failed = []
     if mld.value < eps:
         failed.append("mld >= epsilon")
+    if min(fan.rays[(1, 0)], fan.rays[(0, 1)]) * eps.denominator < eps.numerator * pb.den:
+        failed.append("axis values >= epsilon")
     if mult * eps.denominator > (eps.denominator - eps.numerator) * pb.den:
         failed.append("mult_C B <= 1 - epsilon")
     if inter > 2 * pb.den:
         failed.append("(B' . C) <= 2")
-    if max(pb.weights) > pb.den:
-        failed.append("coefficients <= 1")
-    nondeg = _nondegeneracy(branches, normals).nondegenerate
+    if max(pb.weights) * eps.denominator > (eps.denominator - eps.numerator) * pb.den:
+        failed.append("coefficients <= 1 - epsilon")
+    nondeg = _nondegeneracy(branches, fan.normals).nondegenerate
     if not nondeg:
         failed.append("newton nondegeneracy")
-    lct = _lct(branches, c, pb, _ray_values(pb.den, cones), mult, nondeg) if not failed else None
+    lct = _lct(branches, c, pb, fan.rays, mult, nondeg) if not failed else None
     # an inexact value is only an upper bound of the threshold: it checks nothing
     if lct is not None and not lct.exact:
         failed.append("B + lct*C newton nondegenerate")

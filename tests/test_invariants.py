@@ -22,10 +22,9 @@ from germ.germs import (
 )
 from germ.invariants import (
     MldResult,
-    _cones,
     _discrepancy,
+    _fan,
     _mld,
-    _ray_values,
     delta_bound,
     lct_toric,
     mld_toric,
@@ -162,23 +161,32 @@ def test_mld_brute_force_agreement():
 
 
 def full_scan_mld(parts, den):
-    """Oracle: the scan of every Hilbert-basis element of every normal-fan
-    cone that the run walk replaced, on the diagram (1/den) * the sum of
-    n * polygon over ``parts``, pairs (n, polygon), with the class of its
-    answer: "attained", "positive" (-inf at a positive element) or "axis"
-    (-inf at an axis element, certified from the sector's first positive
-    element).  Each element's discrepancy sums every polygon's weighted
-    least value there, with no vertex of the sum."""
+    """Oracle: the mld on the diagram (1/den) * the sum of n * polygon over
+    ``parts``, pairs (n, polygon), with the class of its answer.  -inf at
+    the first face normal in fan order with a negative discrepancy
+    ("normal"), else at a negative axis, (1, 0) first, pushed from the
+    other ray of its cone, or from (1, 1) when the fan is one cone
+    ("axis").  Else the scan of every Hilbert-basis element of every
+    normal-fan cone that the run walk replaced ("attained"), where no
+    element may be negative.  Each discrepancy sums every polygon's
+    weighted least value there, with no vertex of the sum."""
 
     def g(v):
         low = sum(n * min(v[0] * x + v[1] * y for x, y in vertices(p)) for n, p in parts)
         return v[0] + v[1] - F(low, den)
 
     axis_values = (g((1, 0)), g((0, 1)))
-    best = None
     rays = [(1, 0)] + face_normals(*(p for _, p in parts)) + [(0, 1)]
     # the walk's precondition: primitive rays, each pair in order with det >= 1
     assert all(min(r) >= 0 and gcd(*r) == 1 for r in rays)
+    for n in rays[1:-1]:
+        if g(n) < 0:
+            return MldResult(NEG_INF, make_weight(*n), False, axis_values), "normal"
+    for axis, partner in [((1, 0), rays[1]), ((0, 1), rays[-2])]:
+        if g(axis) < 0:
+            w = _push_along_axis(g, axis, partner if len(rays) > 2 else (1, 1))
+            return MldResult(NEG_INF, make_weight(*w), False, axis_values), "axis"
+    best = None
     for u, v in zip(rays, rays[1:]):
         assert _det(u, v) >= 1
         basis = hilbert_basis((u, v))
@@ -186,14 +194,8 @@ def full_scan_mld(parts, den):
             basis = basis + [(1, 1)]
         for h in basis:
             value = g(h)
-            positive = h[0] >= 1 and h[1] >= 1
-            if value < 0 and positive:
-                return MldResult(NEG_INF, make_weight(*h), False, axis_values), "positive"
-            if value < 0:
-                partner = next(e for e in basis if e[0] >= 1 and e[1] >= 1)
-                w = _push_along_axis(g, h, partner)
-                return MldResult(NEG_INF, make_weight(*w), False, axis_values), "axis"
-            if positive and (best is None or value < best[0]):
+            assert value >= 0, (h, value)  # lc, as no ray is negative
+            if h[0] >= 1 and h[1] >= 1 and (best is None or value < best[0]):
                 best = (value, h)
     return MldResult(best[0], make_weight(*best[1]), True, axis_values), "attained"
 
@@ -211,10 +213,11 @@ def _push_along_axis(g, axis, partner):
 def test_mld_run_walk_matches_full_scan():
     """Field for field, witness included, on diagrams of one to three
     random integer polygons with random weights over a random
-    denominator: the walk's one vertex per cone against every polygon's
-    weighted least value at every basis element."""
+    denominator: the table's rays and the walk's one vertex per cone
+    against every polygon's weighted least value at every ray and basis
+    element."""
     rng = random.Random(67)
-    classes = {"attained": 0, "positive": 0, "axis": 0}
+    classes = {"attained": 0, "normal": 0, "axis": 0}
     sizes = Counter()
     for _ in range(2400):
         parts = []
@@ -226,8 +229,7 @@ def test_mld_run_walk_matches_full_scan():
         den = rng.randint(1, 6) * sum(n for n, _ in parts)
         expected, kind = full_scan_mld(parts, den)
         weights, polygons = zip(*parts)
-        diagram = NewtonDiagram(weights, polygons, den)
-        assert _mld(den, _cones(diagram, face_normals(*polygons))) == expected
+        assert _mld(_fan(NewtonDiagram(weights, polygons, den))) == expected
         classes[kind] += 1
         sizes[len(parts)] += 1
     assert min(classes.values()) >= 100, classes
@@ -253,12 +255,12 @@ def test_lc_is_read_off_the_fan_rays():
         den = rng.randint(1, 3) * sum(weights)
         diagram = NewtonDiagram(weights, polygons, den)
         normals = face_normals(*polygons)
-        cones = _cones(diagram, normals)
-        values = _ray_values(den, cones)
+        fan = _fan(diagram)
+        values = fan.rays
         assert list(values) == [(1, 0), (0, 1)] + normals
         assert all(value == _discrepancy(diagram, ray) for ray, value in values.items())
         least = min(values.values())
-        assert (_mld(den, cones).value is NEG_INF) == (least < 0)
+        assert (_mld(fan).value is NEG_INF) == (least < 0)
         kinds["not lc" if least < 0 else "lc"] += 1
         kinds["least 0"] += least == 0
     assert kinds["lc"] >= 300 and kinds["not lc"] >= 300 and kinds["least 0"] >= 50, kinds
@@ -346,7 +348,7 @@ def test_lct_precondition_errors():
     for text, values in [("1*(x^2 + y^3)", {(1, 0): 1, (0, 1): 1, (3, 2): -1}),
                          ("2/3*(y) + 2/3*(x*y + y^2)", {(1, 0): 3, (0, 1): -1, (1, 1): 0})]:
         pb = newton_polytope(parse_divisor(text))
-        assert _ray_values(pb.den, _cones(pb, face_normals(*pb.polygons))) == values
+        assert _fan(pb).rays == values
         with pytest.raises(DomainError, match="not lc before adding C"):
             lct_toric(parse_divisor(text), curve_orient(parse_poly("x")))
     # lc with a least ray value of exactly 0, on the axis (0, 1)
@@ -453,6 +455,27 @@ def test_lct_reads_lc_off_the_fan_rays(monkeypatch):
         assert len(sweeps) == len(normals) + 1 + own
         c_only[own] += 1
     assert c_only[0] >= 2 and c_only[1] >= 2, c_only
+
+
+def test_non_lc_germ_walks_no_sail(monkeypatch):
+    """mld_toric and verify read -inf off the fan's rays: on a germ that is
+    not lc, at a face normal or at an axis, they walk no Klein sail."""
+    import germ.invariants
+
+    walks = []
+    hilbert_runs = germ.invariants._hilbert_runs
+
+    def counting(*args):
+        walks.append(args)
+        return hilbert_runs(*args)
+
+    monkeypatch.setattr(germ.invariants, "_hilbert_runs", counting)
+    for text in ["2*(x^1000000000 + y)", "1*(x^2 + y^3)"]:
+        b = parse_divisor(text)
+        assert mld_toric(b).value is NEG_INF
+        rep = verify_surface_theorem(b, curve_orient(parse_poly("x")), "1/2")
+        assert rep.mld.value is NEG_INF and not rep.applicable
+    assert walks == []
 
 
 def membership_bisection(b, c, steps=64):
@@ -669,19 +692,32 @@ def test_surface_theorem_hypothesis_filter():
     assert not rep.applicable
     assert "mult_C B <= 1 - epsilon" in rep.failed_hypotheses
     assert rep.passed is None
+    # epsilon-lc bounds B's own components too: none of these pairs is
+    # epsilon-lc, though each has mld >= epsilon
+    for text, eps, failed in [
+            ("1*(y - x^2)", "1", ("coefficients <= 1 - epsilon",)),
+            ("9/10*(x)", "1/2", ("axis values >= epsilon", "coefficients <= 1 - epsilon")),
+            ("1*(x)", "1", ("axis values >= epsilon", "coefficients <= 1 - epsilon"))]:
+        rep = verify_surface_theorem(parse_divisor(text), curve_orient(parse_poly("y")), eps)
+        assert rep.mld.value >= rep.epsilon and rep.failed_hypotheses == failed
+        assert not rep.applicable and rep.lct is None and rep.passed is None
 
 
 def test_surface_theorem_hypotheses_hold_at_their_bounds():
-    """mult_C B = 1 - eps and (B' . C) = 2 pass, over B's denominator 3;
-    a larger epsilon or intersection fails."""
+    """mult_C B = 1 - eps, (B' . C) = 2, the axis value 1 - 2/3 = eps and
+    the coefficients 2/3 = 1 - eps pass, over B's denominator 3; a larger
+    epsilon or intersection fails, and so does the coefficient 3/4."""
     c = curve_orient(parse_poly("y"))
     rep = verify_surface_theorem(parse_divisor("2/3*(y) + 2/3*(y - x^3)"), c, "1/3")
     assert (rep.mult, rep.reduced_intersection) == (F(2, 3), 2)
+    assert rep.mld.axis_values == (1, F(1, 3))
     assert rep.failed_hypotheses == ("mld >= epsilon",)
     rep = verify_surface_theorem(parse_divisor("2/3*(y) + 2/3*(y - x^3)"), c, "1/2")
-    assert rep.failed_hypotheses == ("mld >= epsilon", "mult_C B <= 1 - epsilon")
+    assert rep.failed_hypotheses == ("mld >= epsilon", "axis values >= epsilon",
+                                     "mult_C B <= 1 - epsilon", "coefficients <= 1 - epsilon")
     rep = verify_surface_theorem(parse_divisor("2/3*(y) + 3/4*(y - x^3)"), c, "1/3")
-    assert rep.failed_hypotheses == ("mld >= epsilon", "(B' . C) <= 2")
+    assert rep.failed_hypotheses == ("mld >= epsilon", "(B' . C) <= 2",
+                                     "coefficients <= 1 - epsilon")
 
 
 def test_surface_theorem_checks_exact_bound_for_small_epsilon():
@@ -693,7 +729,7 @@ def test_surface_theorem_checks_exact_bound_for_small_epsilon():
 
 def test_surface_theorem_names_coefficient_above_one():
     rep = verify_surface_theorem(parse_divisor("3/2*(x + y)"), curve_orient(parse_poly("y")), F(1, 4))
-    assert rep.failed_hypotheses == ("coefficients <= 1",)
+    assert rep.failed_hypotheses == ("coefficients <= 1 - epsilon",)
     assert not rep.applicable and rep.lct is None and rep.passed is None
 
 

@@ -33,12 +33,15 @@ CASES = [
     'mld_toric(parse_divisor("3/4*(x^2+y^3)"))',
     'mld_toric(parse_divisor("2*(x^1000000000 + y)"))',
     'mld_toric(parse_divisor("1/3*(x^2*y + y^5) + 2/5*(x^3 - y^2)"))',
+    'mld_toric(parse_divisor("1*(x^2 + y^3)"))',
+    'mld_toric(parse_divisor("2/3*(y) + 2/3*(x*y + y^2)"))',
     'lct_toric(parse_divisor("1/8*(x^3227 + y^4)"), curve_orient(parse_poly("y")))',
     'lct_toric(parse_divisor("1/2*(y)"), curve_orient(parse_poly("y")))',
     'lct_toric(parse_divisor("2*(x)"), curve_orient(parse_poly("y")))',
     'lct_toric(parse_divisor("1*(x^2 + y^3)"), curve_orient(parse_poly("x")))',
     'lct_toric(parse_divisor("2/3*(y) + 2/3*(x*y + y^2)"), curve_orient(parse_poly("x")))',
     'verify_surface_theorem(parse_divisor("5/9*(x^3+y^4)"), curve_orient(parse_poly("y")), "1/3")',
+    'verify_surface_theorem(parse_divisor("9/10*(x)"), curve_orient(parse_poly("y")), "1/2")',
     'verify_surface_theorem(parse_divisor("1/2*(x^2-y^2) + 1/2*(x-y)"), '
     'curve_orient(parse_poly("y - x^2")), "1/4")',
     'verify_surface_theorem(parse_divisor("1/2*(y - x^3 + x^40)"), '

@@ -9,12 +9,15 @@ computes the purely local quantities the invariant layer builds on:
   (``NewtonDiagram``);
 - the multiplicity of B along a curve C and the local intersection of the
   C-free part of B with C, both read off one walk of x-derivatives along
-  the root x = psi(t) of C in its oriented frame: by substitution, group
-  by group, when psi is exact and one term, as on y, x + y and y - x^k;
-  else first at psi's leading term, and past that on series kept as
-  ``int`` numerators over one denominator, read at the orders 2, 4, 8, ...
-  up to the Bezout order (``contact_along_curve``), with no evaluation to
-  a degree that exponent values set to decide whether psi is exact;
+  the root x = psi(t) of C in its oriented frame (``contact_along_curve``):
+  psi's leading term is built once, and one check decides whether it is
+  all of psi, as on y, x + y, y - x^k and their multiples by units; then
+  every series is substituted there, group by group.  Else a series whose
+  lowest group does not cancel at the leading term has its order, and
+  past that series are kept as ``int`` numerators over one denominator,
+  read at the orders 2, 4, 8, ... up to the Bezout order, on a Newton lift
+  with one exactness rule and no evaluation to a degree that exponent
+  values set;
 - the Newton-nondegeneracy certificate that marks inputs whose toric
   invariants are exact, read off the branches' initial forms along the
   compact-face normals of the divisor's Newton diagram.  Binomial forms are
@@ -336,7 +339,7 @@ class CurveLift(NamedTuple):
     """The root x = psi(t) of a curve whose cleared terms are ``h``, to be
     read below ``order``.  Either psi is known below ``order``, with
     ``inverse`` = 1/h_x(psi, t) below ``order``, or ``exact``: psi is a
-    polynomial with h(psi, t) = 0 (``curve_parametrization``'s rules)."""
+    polynomial with h(psi, t) = 0 (``curve_parametrization``'s rule)."""
 
     h: IntTerms
     order: int
@@ -351,36 +354,27 @@ def curve_parametrization(c: SmoothCurveGerm, order: int,
     ``c.swapped``, below ``order`` or exact.
 
     ``SmoothCurveGerm`` puts g in this frame: through the origin, with
-    x-linear coefficient lin != 0.  The first guess is psi = -(the x-free
-    part of g) / lin.  Unless it is exact, Newton's iteration lifts psi from
+    x-linear coefficient lin != 0.  Newton's iteration lifts psi from
     psi = 0 below t^1, where inverse = 1/lin, doubling the order k each pass
     (Brent and Kung, JACM 1978):
         psi <- psi - inverse*g(psi, t),
         inverse <- inverse*(2 - g_x(psi, t)*inverse),
-    both truncated at k.  No exactness rule evaluates g(psi, t) to its
-    degree, which exponent values set.  The guess is exact if g has no
-    x-terms but lin*x.  A guess, or a lift with residual g(psi, t) = 0 below
-    k, of one term or 0 is exact iff g cancels on it (``_substituted_order``,
-    in bit-size time); such a lift of more terms is exact if k > max(i*deg
-    psi + j) over g's terms x^i*y^j, as g(psi, t) then has degree below k
-    and is 0 below k.  A guess of two or more terms is not tested.  Given
-    ``lift``, the lifting goes on from it, so each lift is made once; an
-    exact ``lift`` only has its order raised, with no pass.
+    both truncated at k.  One rule decides exactness: psi is exact once its
+    residual g(psi, t) is 0 below k with k > max(i*deg psi + j) over g's
+    terms x^i*y^j, as g(psi, t) then has degree below k.  No rule evaluates
+    g(psi, t) to its degree, which exponent values set.  Given ``lift``, the
+    lifting goes on from it, so each lift is made once; an exact ``lift``
+    only has its order raised, with no pass.
     """
     if lift is None:
         h = _integer_terms(c.poly, c.swapped)
-        guess = _reduced({j: -v for (i, j), v in h.items() if not i}, h[1, 0])
-        rest = {e: v for e, v in h.items() if e[0] and e != (1, 0)}
-        if not rest or len(guess.num) <= 1 and _substituted_order(rest, guess) is None:
-            return CurveLift(h, order, guess, _ONE, True)
         lift = CurveLift(h, 1, Series({}, 1), Series({0: 1}, h[1, 0]), False)
     h, known, psi, inverse, exact = lift
     dh = _d_dx(h)
     while not exact and known < order:
         known = min(2 * known, order)
         residual = _on_curve(h, psi, known)
-        exact = not residual.num and (_substituted_order(h, psi) is None if len(psi.num) <= 1
-                                      else known > max(i * max(psi.num) + j for i, j in h))
+        exact = not residual.num and known > max(i * max(psi.num, default=0) + j for i, j in h)
         if not exact:
             psi = _difference(psi, _product(inverse, residual, known))
             excess = _difference(_product(_on_curve(dh, psi, known), inverse, known), _ONE)
@@ -388,9 +382,11 @@ def curve_parametrization(c: SmoothCurveGerm, order: int,
     return CurveLift(h, order if exact else known, psi, inverse, exact)
 
 
-def _substituted_order(p: IntTerms, psi: Series) -> "int | None":
+def _substituted_order(p: IntTerms, psi: Series, whole: bool) -> "int | None":
     """The order of p(psi(t), t) for psi = (a/den)*t^e or 0, None if it is 0;
-    psi is in lowest terms with den > 0, as ``_reduced`` leaves it.
+    psi is in lowest terms with den > 0, as ``_reduced`` leaves it.  Unless
+    ``whole``, only p's lowest group at psi is decided: its order if it does
+    not cancel, else None.
 
     The term c*x^i*y^j lands at t^(i*e + j) with the value c*(a/den)^i.  The
     terms are visited in increasing i*e + j, and the walk stops at the first
@@ -403,6 +399,8 @@ def _substituted_order(p: IntTerms, psi: Series) -> "int | None":
                             key=lambda term: term[0]):
         if not _vanishes([(i, c) for _, i, c in group], a, psi.den):
             return k
+        if not whole:
+            return None
     return None
 
 
@@ -479,16 +477,19 @@ def contact_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, 
     n = max deg B * deg C + 2 is 0 on C.  The walk stops by the
     (deg_x p)-th derivative, a nonzero polynomial in y.
 
-    An exact psi of one term or 0 is substituted (``_substituted_order``),
-    with no truncation.  Any other psi has the leading term -(g_0v/g_10)*t^v,
-    v the least y-power of the x-free part of g, and a series whose terms
-    of least i*v + j do not cancel there has that order, found before any
-    lift (``_leading_order``).  Otherwise psi, exact or not, is read along
-    the orders 2, 4, 8, ..., n (``curve_parametrization``), each lift made
-    once and shared by every branch and derivative; n is computed only once
-    a series is read, and a series stops at the first order where it is not
-    0.  A polynomial psi is found exact once a lift's order passes the
-    degree of g(psi, t), and is then read as sparse as it is.
+    psi's leading term is lead = -(g_0v/g_10)*t^v, v the least y-power of
+    the x-free part of g, or 0 when g has none.  It is decided once whether
+    g vanishes at lead; if it does, psi is lead, as the root through the
+    origin is unique, and every series is substituted there with no
+    truncation (``_substituted_order``).  When psi = 0, C is x = 0 and k is
+    the least x-exponent of p, read with no derivative.  Otherwise a series
+    whose lowest group does not cancel at lead has that order, found before
+    any lift, and the rest are read along the orders 2, 4, 8, ..., n
+    (``curve_parametrization``), each lift made once, when first needed,
+    and shared by every branch and derivative; a series stops at the first
+    order where it is not 0.  A polynomial psi is found exact once a lift's
+    order passes the degree of g(psi, t), and is then read as sparse as it
+    is.
     """
     weights, den = _weights(b)
     mult, inter = _contact(b.branches, weights, c)
@@ -498,12 +499,22 @@ def contact_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, 
 def _contact(branches: "list[Poly]", weights: "tuple[int, ...]",
              c: SmoothCurveGerm) -> "tuple[int, int]":
     """den * (mult_C B, (B' . C)), B = sum(weights[i]*(branches[i] = 0))/den."""
+    h = _integer_terms(c.poly, c.swapped)
+    v = min((j for i, j in h if not i), default=0)
+    lead = _reduced({v: -h[0, v]}, h[1, 0]) if v else Series({}, 1)
+    # lin*x and h_0v*y^v cancel at lead by construction
+    rest = {e: a for e, a in h.items() if e != (1, 0) and e != (0, v)}
+    n = None  # the Bezout order, needed only when psi is not lead
+    if rest and _substituted_order(rest, lead, True) is not None:
+        n = max(q.total_degree() for q in branches) * c.poly.total_degree() + 2
+    lifts: "list[CurveLift]" = []
     mult = inter = 0
-    lifts = [curve_parametrization(c, 2)]
     for weight, p in zip(weights, branches):
         q = _integer_terms(p, c.swapped)
-        k = 0
-        while (order := _first_order(q, c, lifts, branches)) is None:
+        k = 0 if v else min(i for i, _ in q)  # C is x = 0: p = x^k * q, q not 0 on C
+        if k:
+            q = {(i - k, j): a for (i, j), a in q.items()}
+        while (order := _first_order(q, c, lead, n, lifts)) is None:
             q = _d_dx(q)
             k += 1
         mult += weight * k
@@ -511,43 +522,28 @@ def _contact(branches: "list[Poly]", weights: "tuple[int, ...]",
     return mult, inter
 
 
-def _first_order(p: IntTerms, c: SmoothCurveGerm, lifts: "list[CurveLift]",
-                 branches: "list[Poly]") -> "int | None":
-    """The order of p on the curve, None if p is 0 on it.  An exact psi of
-    one term or 0 is substituted.  For any other psi, p's lowest group at
-    psi's leading term is tried first (``_leading_order``); if it cancels,
-    psi, exact or lifted, is read below each lift's order in turn, up to
-    the Bezout order n of the ``branches`` and C, and the first nonzero read
-    answers; ``lifts`` is extended in place, one doubling at a time."""
-    lift = lifts[0]
-    if not (lift.exact and len(lift.psi.num) <= 1):
-        order = _leading_order(p, lift.h)
-        if order is not None:
-            return order
+def _first_order(p: IntTerms, c: SmoothCurveGerm, lead: Series, n: "int | None",
+                 lifts: "list[CurveLift]") -> "int | None":
+    """The order of p on the curve, None if p is 0 on it.  When the Bezout
+    order n is None, psi is ``lead`` and p is substituted there.  Else p's
+    lowest group at lead answers if it does not cancel; if it does, psi is
+    lifted and p read below each lift's order in turn, up to n, and the
+    first nonzero read answers.  ``lifts`` is extended in place, one
+    doubling at a time from order 2, only when a read needs the next."""
+    order = _substituted_order(p, lead, n is None)
+    if order is not None or n is None:
+        return order
     i = 0
     while True:
+        if i == len(lifts):
+            last = lifts[-1] if lifts else None
+            lifts.append(curve_parametrization(c, min(2 * last.order, n) if last else 2, last))
         lift = lifts[i]
-        if lift.exact and len(lift.psi.num) <= 1:
-            return _substituted_order(p, lift.psi)
         if values := _on_curve(p, lift.psi, lift.order).num:
             return min(values)
-        n = max(q.total_degree() for q in branches) * c.poly.total_degree() + 2
         if lift.order >= n:
             return None
         i += 1
-        if i == len(lifts):
-            lifts.append(curve_parametrization(c, min(2 * lift.order, n), lift))
-
-
-def _leading_order(p: IntTerms, h: IntTerms) -> "int | None":
-    """The order of p on the curve h = 0 if its terms of least i*v + j do
-    not cancel at psi's leading term -(h_0v/h_10)*t^v, v the least y-power
-    of h's x-free part, else None: c*x^i*y^j starts at t^(i*v + j).  The
-    group is decided as ``_substituted_order`` decides it."""
-    v = min(j for i, j in h if not i)
-    low = min(i * v + j for i, j in p)
-    group = {(i, j): c for (i, j), c in p.items() if i * v + j == low}
-    return _substituted_order(group, _reduced({v: -h[0, v]}, h[1, 0]))
 
 
 def local_intersection(b: DivisorGerm, c: SmoothCurveGerm) -> Fraction:

@@ -848,9 +848,8 @@ def _rational_curve(rng):
 def _unit_factor_curve(rng):
     """(lin*x + b(y)) * u, u a unit at the origin, and deg b: the root
     -b/lin is a polynomial of one to three terms.  u puts terms past lin*x
-    on the curve, so the first guess misses the root when u has an x-free
-    term past its constant.  Else the guess is the root, decided by
-    substitution when it is one term and left to the lift otherwise."""
+    on the curve.  A one-term root is the leading term, found by its one
+    substitution check; a longer one is left to the lift."""
     lin = rng.choice([F(3, 2), F(-5, 3), F(4, 7), F(6), F(1)])
     powers = rng.sample(range(1, 5), rng.randint(1, 3))
     terms = {(0, k): F(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3])) for k in powers}
@@ -895,11 +894,12 @@ def test_contact_matches_fixed_point_oracle():
     oracle's psi below the order it is known to, over a reduced denominator.
 
     A second family is a curve linear in x times a unit, whose root is a
-    polynomial psi that the first guess misses or does not test.  The pass
-    at order n reads psi below n/2 or more, so once n passes 2*deg psi it
-    holds the whole root; once n also passes max(i*deg psi + j) over the
-    curve's terms x^i*y^j, the degree of h(psi(t), t), its zero residual
-    makes the lift exact.  Transposed, such a curve is solved in that frame
+    polynomial psi that the leading term alone misses when it has two or
+    more terms, so that only the lift finds it.  The pass at order n reads
+    psi below n/2 or more, so once n passes 2*deg psi it holds the whole
+    root; once n also passes max(i*deg psi + j) over the curve's terms
+    x^i*y^j, the degree of h(psi(t), t), its zero residual makes the lift
+    exact.  Transposed, such a curve is solved in that frame
     when b has no y-linear term; else its root is dense, as in the first
     family, and the case is skipped."""
     rng = random.Random(67)
@@ -921,8 +921,7 @@ def test_contact_matches_fixed_point_oracle():
             mult, lift, n = _check_against_oracle(germ, curve)
             if n > max(2 * top, max(i * top + j for i, j in lift.h)):
                 assert lift.exact, (germ, curve)
-                guessed = curve_parametrization(curve, 1).exact
-                found["guessed" if guessed else "found by the lift"] += 1
+                found["found by the lift"] += 1
                 found["contained" if mult else "free"] += 1
     assert found["found by the lift"] > 60 and found["contained"] > 20, found
 
@@ -937,26 +936,28 @@ def test_series_cost_follows_bit_size():
     series that the early stop lifts only to order 4; and huge powers of y
     against curves with x-linear coefficient 3/2, whose coefficients stay
     small because the series keep one denominator in the curve's own frame;
-    and a huge power of x on a one-term root, where substitution stops at
-    the y term and never raises -3 to that power, or where one group holds
-    x^N and y^(2N) on x = 2*t^2 and 2^N is never built.  An exact root of
-    two terms is read at the orders 2, 4, 8, ..., with no Newton pass: a
-    huge power of x stops at the y term of x + 3*y + y^2, and a branch
-    (x + 3*y + y^2)*(1 + y^N) on (1 + y)*(x + 3*y + y^2), whose root -3*t -
-    t^2 is found exact at order 8, is read to its Bezout order in steps
-    that follow N's bit size.  A root that is neither exact nor one term,
-    -t^2/(3/2 + t), meets x^N*y at its leading term -2/3*t^2, in order
-    2N + 1, with no lift.  A group of three terms, x^N, x^(N/2)*y^N and
-    y^(2N) on x = 2*t^2, is decided in clusters of its exponents, and
-    2^N is never built either; nor is 2^(2^40) for the powers x^(2^k) of
-    one group on x = 2*t, nor 3^N when a group's low terms cancel on
-    x = 2/3*t and x^(N + 1) follows.  The first guess -t^2 - t^3 on
-    x + y^2 + y^3 + x^N*y, or -t - t^2 on x + y + y^2 + x^N, has two terms
-    and is not tested: a test would evaluate h(psi(t), t) to its degree,
-    about N*deg psi.  A root of two or more terms is exact only once a
-    lift's order passes that degree, so these roots are lifted only as far
-    as the branches read them.  Each case runs under a timer that fails it, named,
-    after ``CAP_S`` seconds, so a regression fails instead of hanging."""
+    and a huge power of x on a one-term root, where substitution stops at the
+    y term and never raises -3 to that power, or where one group holds x^N
+    and y^(2N) on x = 2*t^2 and 2^N is never built.  A huge power of x stops
+    at the y term of x + 3*y + y^2, at the root's leading term -3*t, with no
+    lift; and a branch (x + 3*y + y^2)*(1 + y^N) on (1 + y)*(x + 3*y + y^2),
+    whose root -3*t - t^2 the lift finds exact at order 8, is read to its
+    Bezout order in steps that follow N's bit size.  A root that is neither
+    exact nor one term, -t^2/(3/2 + t), meets x^N*y at its leading term
+    -2/3*t^2, in order 2N + 1, with no lift.  A group of three terms, x^N,
+    x^(N/2)*y^N and y^(2N) on x = 2*t^2, is decided in clusters of its
+    exponents, and 2^N is never built either; nor is 2^(2^40) for the powers
+    x^(2^k) of one group on x = 2*t, nor 3^N when a group's low terms cancel
+    on x = 2/3*t and x^(N + 1) follows.  The roots of x + y^2 + y^3 + x^N*y
+    and x + y + y^2 + x^N are not their leading terms -t^2 and -t, and
+    evaluating h(psi(t), t) to its degree, about N*deg psi, would decide them
+    only at that cost.  A root of two or more terms is exact only once a
+    lift's order passes that degree, so these roots are lifted only as far as
+    the branches read them.  On an axis, x = 0 in its frame, also when the
+    curve is x times the unit 1 + y, a branch x^N*y^4 has multiplicity N read
+    off its least x-exponent, with no N-fold derivative.  Each case runs
+    under a timer that fails it, named, after ``CAP_S`` seconds, so a
+    regression fails instead of hanging."""
     cases = [
         ("1/2*(y^1000000 + x)", "y - x^2", (0, F(1, 2))),
         ("1/2*(y^1000000 + x)", "y - 2*x^2", (0, F(1, 2))),
@@ -982,6 +983,9 @@ def test_series_cost_follows_bit_size():
         ("1/2*(y)", "x + y^2 + y^3 + x^1000000000*y", (0, F(1, 2))),
         ("1/2*(x^2 + y^3)", "x + y + y^2 + x^1000000000", (0, F(1))),
         ("1/3*(x + y^2 + y^3 + y^5)", "x + y^2 + y^3 + x^1000000000*y", (0, F(5, 3))),
+        ("1*(x^1000000000*y^4)", "x", (F(1000000000), F(4))),
+        ("1/2*(x^1000000000*y^4 + x^1000000001) + 1/3*(y)", "x + x*y",
+         (F(500000000), F(7, 3))),
     ]
 
     def overrun(signum, frame):
@@ -1001,28 +1005,46 @@ def test_series_cost_follows_bit_size():
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_leading_term_decides_before_any_lift(monkeypatch):
-    """On a root that is neither exact nor one term, a lowest group that
-    does not cancel at the leading term answers with the first lift only;
-    one that cancels goes on to the series.  3/2*x + y^2 cancels at
-    psi = -2/3*t^2 + ..., and its order 3 on 3/2*x + y^2 + x*y is
-    I(3/2*x + y^2, x*y) = 2 + 1."""
+@pytest.fixture
+def lifts(monkeypatch):
+    """The orders of the ``curve_parametrization`` calls the package makes,
+    in call order."""
     import germ.germs
 
-    lifts = []
+    orders = []
 
     def counting(c, order, lift=None):
-        lifts.append(order)
+        orders.append(order)
         return curve_parametrization(c, order, lift)
 
     monkeypatch.setattr(germ.germs, "curve_parametrization", counting)
+    return orders
+
+
+def test_leading_term_decides_before_any_lift(lifts):
+    """On a root that is neither exact nor one term, a lowest group that
+    does not cancel at the leading term answers with no lift; one that
+    cancels goes on to the series, lifted to orders 2 and 4.  3/2*x + y^2
+    cancels at psi = -2/3*t^2 + ..., and its order 3 on 3/2*x + y^2 + x*y
+    is I(3/2*x + y^2, x*y) = 2 + 1."""
     c = curve_orient(pp("3/2*x + y^2 + x*y"))
-    cases = [("1*(x^7*y) + 1/2*(y^3 - x)", (0, F(16)), 1),
-             ("1*(3/2*x + y^2)", (0, F(3)), 2)]
-    for b, expected, count in cases:
+    cases = [("1*(x^7*y) + 1/2*(y^3 - x)", (0, F(16)), []),
+             ("1*(3/2*x + y^2)", (0, F(3)), [2, 4])]
+    for b, expected, orders in cases:
         lifts.clear()
         assert contact_along_curve(parse_divisor(b), c) == expected
-        assert len(lifts) == count, lifts
+        assert lifts == orders
+
+
+def test_one_term_root_behind_a_unit_makes_no_lift(lifts):
+    """x + x*y - 2*y^2 - 2*y^3 is (x - 2*y^2)*(1 + y): its root is its
+    leading term 2*t^2, found by the one check at the leading term, so the
+    branch x - 2*y^2 + x*y^N is substituted there, in order N + 2, with no
+    lift and no power of 2 past the bit sizes."""
+    c = curve_orient(pp("x + x*y - 2*y^2 - 2*y^3"))
+    b = parse_divisor("1/2*(x - 2*y^2 + x*y^1000000000)")
+    assert contact_along_curve(b, c) == (0, F(500000001))
+    assert lifts == []
 
 
 def _monomial_root_curve(rng):
@@ -1035,12 +1057,12 @@ def _monomial_root_curve(rng):
     return from_terms({(1, 0): a, (0, rng.randint(1, 4)): b})
 
 
-def test_substitution_matches_fixed_point_oracle():
-    """Curves whose root is one exact term or 0 are read by substitution.
-    Seeded branches, contained components, and branches lam*g + (terms
-    above the curve's order), whose lowest group cancels on the curve as
-    y - x^3 + x^m does on y - x^3, give the fixed-point Fraction oracle's
-    answer, as given and transposed."""
+def test_substitution_matches_fixed_point_oracle(lifts):
+    """Curves whose root is one exact term or 0 are read by substitution,
+    with no lift.  Seeded branches, contained components, and branches
+    lam*g + (terms above the curve's order), whose lowest group cancels on
+    the curve as y - x^3 + x^m does on y - x^3, give the fixed-point
+    Fraction oracle's answer, as given and transposed."""
     rng = random.Random(71)
     seen = Counter()
     for _ in range(150):
@@ -1059,13 +1081,12 @@ def test_substitution_matches_fixed_point_oracle():
         b = DivisorGerm(tuple((coeff, _mul(_power(g, j), q)) for coeff, q, j in parts))
         b_t = DivisorGerm(tuple((coeff, _transpose(p)) for coeff, p in b.components))
         for germ, curve in [(b, curve_orient(g)), (b_t, curve_orient(_transpose(g)))]:
-            lift = curve_parametrization(curve, 2)
-            assert lift.exact and len(lift.psi.num) <= 1
             mult, inter, _ = reference_contact(germ, curve)
             assert contact_along_curve(germ, curve) == (mult, inter)
+            assert lifts == [], (germ, curve)
             seen["swapped" if curve.swapped else "as given"] += 1
             seen["contained" if mult else "free"] += 1
-            seen["axis" if not lift.psi.num else "one term"] += 1
+            seen["axis" if len(curve.poly.terms) == 1 else "one term"] += 1
     assert min(seen.values()) > 40, seen
 
 
@@ -1174,7 +1195,8 @@ def test_local_intersection_matches_graph_oracle():
         b_t = DivisorGerm(tuple((coeff, _transpose(p)) for coeff, p in b.components))
         for divisor_germ, curve in [(b, curve_orient(g)), (b_t, curve_orient(_transpose(g)))]:
             seen.update((curve.swapped, k) for _, _, k in parts)
-            lift = curve_parametrization(curve, 2)
+            n = max(p.total_degree() for p in divisor_germ.branches) * g.total_degree() + 2
+            lift = curve_parametrization(curve, n)
             if lift.exact and len(lift.psi.num) > 1:
                 exact_roots["contained" if mult else "free"] += 1
             assert contact_along_curve(divisor_germ, curve) == (mult, expected)

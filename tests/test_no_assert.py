@@ -74,6 +74,10 @@ CASES = [
     'contact_along_curve(parse_divisor('
     '"1/2*(x^1000000000 + x^500000000*y^1000000000 + y^2000000000)"), '
     'curve_orient(parse_poly("x - 2*y^2")))',
+    'contact_along_curve(parse_divisor("1/2*(x - 2*y^2 + x*y^1000000000)"), '
+    'curve_orient(parse_poly("x + x*y - 2*y^2 - 2*y^3")))',
+    'verify_surface_theorem(parse_divisor("1*(x^1000000000*y^4)"), '
+    'curve_orient(parse_poly("x")), "8/9")',
     'verify_surface_theorem(parse_divisor("1/4*(x^2 + y^3) + 1/5*(x - y^2) + 1/6*(x^3 + y)"), '
     'curve_orient(parse_poly("y - x^2")), "1/10")',
     'mld_toric(parse_divisor("1/2*(x)"))',

@@ -75,12 +75,6 @@ class NewtonPolytope:
         w1, w2 = w
         return min(self.lattice, key=lambda v: w1 * v[0] + w2 * v[1])
 
-    def lattice_min(self, w: IntVec) -> int:
-        """The support value of the integer weight w: the least <w, v> over
-        the vertices."""
-        x, y = self.vertex(w)
-        return w[0] * x + w[1] * y
-
 
 def make_weight(w1: int, w2: int) -> IntVec:
     """The primitive positive integer weight (w1, w2) of a monomial valuation."""

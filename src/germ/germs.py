@@ -8,11 +8,17 @@ computes the purely local quantities the invariant layer builds on:
 - the Newton diagram of B, kept as its weighted branch polygons
   (``NewtonDiagram``);
 - the multiplicity of B along a curve C and the local intersection of the
-  C-free part of B with C, both read off one walk of x-derivatives along
-  the root x = psi(t) of C in its oriented frame (``contact_along_curve``):
-  psi's leading term is built once, and one check decides whether it is
-  all of psi, as on y, x + y, y - x^k and their multiples by units; then
-  every series is substituted there, group by group.  Else a series whose
+  C-free part of B with C (``contact_along_curve``).  C is smooth, so in
+  its oriented frame its Newton polygon is the segment (1, 0)-(0, v) plus
+  the quadrant, v the least y-power free of x, found once when the germ is
+  built (``SmoothCurveGerm.v``).  When v = 0, C is the axis x = 0 times a
+  unit, and both values are read straight off each branch's exponents: its
+  least x-exponent k and, among its terms of x-exponent k, the least
+  y-exponent.  Else both are read off one walk of x-derivatives along the
+  root x = psi(t): psi's leading term -(g_0v/g_10)*t^v is built once, and
+  one check decides whether it is all of psi, as on x + y, y - x^k and
+  their multiples by units; then every series is substituted there, group
+  by group.  Else a series whose
   lowest group does not cancel at the leading term has its order, and
   past that series are kept as ``int`` numerators over one denominator,
   read at the orders 2, 4, 8, ... up to the Bezout order, on a Newton lift
@@ -39,7 +45,13 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import DomainError, InputError
-from .exactgeom import IntVec, NewtonPolytope, face_normals, polytope_from_support
+from .exactgeom import (
+    IntVec,
+    NewtonPolytope,
+    as_pair,
+    face_normals,
+    polytope_from_support,
+)
 from .polys import (
     ZERO,
     Poly,
@@ -66,25 +78,50 @@ __all__ = [
 ]
 
 
+def _check_terms(p: object, what: str) -> None:
+    """Raise ``InputError`` unless p is a ``Poly`` whose terms map pairs of
+    non-negative integers to nonzero ``Fraction`` values: the one check of
+    a germ's polynomial, where it enters, one test per term.  An ``int``
+    coefficient is refused too, as the quotient of two of them is a float."""
+    if not isinstance(p, Poly):
+        raise InputError(f"{what} must be a Poly, got {type(p).__name__}")
+    try:
+        for (i, j), coeff in p.terms.items():
+            if not (isinstance(coeff, Fraction) and coeff.numerator
+                    and isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0):
+                raise InputError(f"{what} terms must be nonzero Fractions at pairs of "
+                                 "non-negative integers")
+    except (AttributeError, TypeError, ValueError):  # no mapping of pairs to unpack
+        raise InputError(f"{what} terms must map exponent pairs to coefficients") from None
+
+
 @dataclass(frozen=True)
 class DivisorGerm:
     """B = sum of coeff_i * (poly_i = 0) with positive rational coefficients.
 
-    B has at least one component, and every branch polynomial is nonzero
-    and vanishes at the origin.
+    B has at least one component; each coefficient is a positive ``int``
+    or ``Fraction``, and each branch polynomial is a nonzero ``Poly`` that
+    vanishes at the origin (see ``_check_terms``).
     """
 
     components: tuple[tuple[Fraction, Poly], ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.components, tuple):
+            raise InputError("divisor components must be a tuple of (coefficient, Poly) pairs")
         if not self.components:
             raise InputError("divisor needs at least one component")
-        for coeff, p in self.components:
-            if coeff <= 0:
+        for component in self.components:
+            coeff, p = as_pair(component)
+            if not isinstance(coeff, (int, Fraction)):
+                raise InputError(f"a coefficient of type {type(coeff).__name__} "
+                                 "is not an int or Fraction")
+            if coeff.numerator <= 0:
                 raise InputError(f"non-positive coefficient {coeff}")
+            _check_terms(p, "component")
             if p.is_zero:
                 raise InputError("zero polynomial cannot define a component")
-            if (0, 0) in p.terms:  # zero coefficients are never stored
+            if (0, 0) in p.terms:
                 raise InputError("component does not pass through the origin")
 
     @property
@@ -106,24 +143,38 @@ def render_divisor(b: DivisorGerm) -> str:
 class SmoothCurveGerm:
     """Curve germ smooth at the origin, in its original coordinates.
 
-    Construction checks that ``poly`` passes through the origin with a
-    nonzero linear part, and derives ``swapped``: whether the two
-    coordinates are exchanged to give the curve a nonzero x-linear term,
-    i.e. whether ``poly`` has none.  That orientation is the
-    parametrization frame: the oriented polynomial is solved for x as a
-    power series in y.
+    Construction checks that ``poly`` is a ``Poly`` (see ``_check_terms``)
+    through the origin with a nonzero linear part, and derives two values.
+    ``swapped``: whether the two coordinates are exchanged to give the curve
+    a nonzero x-linear term, i.e. whether ``poly`` has none.  That
+    orientation is the parametrization frame: the oriented polynomial is
+    solved for x as a power series in y.  ``v``: the least frame-y exponent
+    among the frame-x-free terms, 0 when there are none, i.e. when C is the
+    frame's axis x = 0 times a unit.  Every other term is a multiple of x or
+    of y^v, so in the frame C's Newton polygon is conv{(1, 0), (0, v)} + Q:
+    its one compact face has the inner normal (v, 1), transposed when
+    ``swapped`` and absent when v = 0, and <w, C> = min(w_x, v*w_y), or w_x
+    when v = 0, for w read in the frame.
     """
 
     poly: Poly
     swapped: bool = field(init=False)
+    v: int = field(init=False)
 
     def __post_init__(self) -> None:
-        terms = self.poly.terms  # zero coefficients are never stored
+        _check_terms(self.poly, "curve")
+        terms = self.poly.terms
         if not terms or (0, 0) in terms:
             raise InputError("curve does not pass through the origin")
         if (1, 0) not in terms and (0, 1) not in terms:
             raise InputError("curve is singular at the origin (zero linear part)")
-        object.__setattr__(self, "swapped", (1, 0) not in terms)
+        swapped = (1, 0) not in terms
+        if swapped:
+            v = min([i for i, j in terms if not j] or [0])
+        else:
+            v = min([j for i, j in terms if not i] or [0])
+        object.__setattr__(self, "swapped", swapped)
+        object.__setattr__(self, "v", v)
 
 
 def curve_orient(g: Poly) -> SmoothCurveGerm:
@@ -383,17 +434,15 @@ def curve_parametrization(c: SmoothCurveGerm, order: int,
 
 
 def _substituted_order(p: IntTerms, psi: Series, whole: bool) -> "int | None":
-    """The order of p(psi(t), t) for psi = (a/den)*t^e or 0, None if it is 0;
-    psi is in lowest terms with den > 0, as ``_reduced`` leaves it.  Unless
-    ``whole``, only p's lowest group at psi is decided: its order if it does
-    not cancel, else None.
+    """The order of p(psi(t), t) for psi = (a/den)*t^e, a != 0, None if it
+    is 0; psi is in lowest terms with den > 0, as ``_reduced`` leaves it.
+    Unless ``whole``, only p's lowest group at psi is decided: its order if
+    it does not cancel, else None.
 
     The term c*x^i*y^j lands at t^(i*e + j) with the value c*(a/den)^i.  The
     terms are visited in increasing i*e + j, and the walk stops at the first
     group that does not cancel (see ``_vanishes``), so no power of psi past
     the answer's order is built."""
-    if not psi.num:  # only the x-free terms survive
-        return min((j for i, j in p if not i), default=None)
     ((e, a),) = psi.num.items()
     for k, group in groupby(sorted((i * e + j, i, c) for (i, j), c in p.items()),
                             key=lambda term: term[0]):
@@ -477,19 +526,21 @@ def contact_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, 
     n = max deg B * deg C + 2 is 0 on C.  The walk stops by the
     (deg_x p)-th derivative, a nonzero polynomial in y.
 
-    psi's leading term is lead = -(g_0v/g_10)*t^v, v the least y-power of
-    the x-free part of g, or 0 when g has none.  It is decided once whether
-    g vanishes at lead; if it does, psi is lead, as the root through the
-    origin is unique, and every series is substituted there with no
-    truncation (``_substituted_order``).  When psi = 0, C is x = 0 and k is
-    the least x-exponent of p, read with no derivative.  Otherwise a series
-    whose lowest group does not cancel at lead has that order, found before
-    any lift, and the rest are read along the orders 2, 4, 8, ..., n
-    (``curve_parametrization``), each lift made once, when first needed,
-    and shared by every branch and derivative; a series stops at the first
-    order where it is not 0.  A polynomial psi is found exact once a lift's
-    order passes the degree of g(psi, t), and is then read as sparse as it
-    is.
+    v is ``c.v``, the least y-power of the x-free part of g, so psi's
+    leading term is lead = -(g_0v/g_10)*t^v, or psi = 0 when v = 0.  Then C
+    is x = 0 and no series is built: a branch p = x^k * q, q(0, t) != 0,
+    adds coeff*k and coeff*ord q(0, t), the least y-exponent among p's
+    terms of x-exponent k, read off p's exponents with no derivative and
+    no cleared denominator.  Else it is decided once whether g vanishes at
+    lead; if it does, psi is lead, as the root through the origin is
+    unique, and every series is substituted there with no truncation
+    (``_substituted_order``).  Otherwise a series whose lowest group does
+    not cancel at lead has that order, found before any lift, and the rest
+    are read along the orders 2, 4, 8, ..., n (``curve_parametrization``),
+    each lift made once, when first needed, and shared by every branch and
+    derivative; a series stops at the first order where it is not 0.  A
+    polynomial psi is found exact once a lift's order passes the degree of
+    g(psi, t), and is then read as sparse as it is.
     """
     weights, den = _weights(b)
     mult, inter = _contact(b.branches, weights, c)
@@ -499,21 +550,25 @@ def contact_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, 
 def _contact(branches: "list[Poly]", weights: "tuple[int, ...]",
              c: SmoothCurveGerm) -> "tuple[int, int]":
     """den * (mult_C B, (B' . C)), B = sum(weights[i]*(branches[i] = 0))/den."""
+    v = c.v
+    mult = inter = 0
+    if not v:  # C is x = 0: p = x^k * q, and q(0, t) has the order of q's least y-power
+        for weight, p in zip(weights, branches):
+            k, order = min(((j, i) for i, j in p.terms) if c.swapped else p.terms)
+            mult += weight * k
+            inter += weight * order
+        return mult, inter
     h = _integer_terms(c.poly, c.swapped)
-    v = min((j for i, j in h if not i), default=0)
-    lead = _reduced({v: -h[0, v]}, h[1, 0]) if v else Series({}, 1)
+    lead = _reduced({v: -h[0, v]}, h[1, 0])
     # lin*x and h_0v*y^v cancel at lead by construction
     rest = {e: a for e, a in h.items() if e != (1, 0) and e != (0, v)}
     n = None  # the Bezout order, needed only when psi is not lead
     if rest and _substituted_order(rest, lead, True) is not None:
         n = max(q.total_degree() for q in branches) * c.poly.total_degree() + 2
     lifts: "list[CurveLift]" = []
-    mult = inter = 0
     for weight, p in zip(weights, branches):
         q = _integer_terms(p, c.swapped)
-        k = 0 if v else min(i for i, _ in q)  # C is x = 0: p = x^k * q, q not 0 on C
-        if k:
-            q = {(i - k, j): a for (i, j), a in q.items()}
+        k = 0
         while (order := _first_order(q, c, lead, n, lifts)) is None:
             q = _d_dx(q)
             k += 1

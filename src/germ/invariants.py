@@ -23,7 +23,10 @@ builds a ``Fraction`` only for a returned value:
   on each cone is >= 0 on the quadrant iff it is at the fan's rays, so
   B is lc exactly when no ray has a negative discrepancy: the lct reads
   lc-ness, and its candidates at B's rays, off the table with no sail
-  walk,
+  walk.  C's polygon is never built: in C's frame it is conv{(1, 0),
+  (0, v)} + Q, v = ``SmoothCurveGerm.v``, so C adds at most the one
+  candidate (v, 1), transposed when swapped, and each contact is the
+  closed form min(w_x, v*w_y), or w_x when v = 0 and C is an axis,
 * the explicit fibration bound delta(eps) = sup_n (eps - 1/n)/(n - 1), in
   closed form,
 * the surface-theorem checker, which builds the Newton diagram, its
@@ -60,7 +63,6 @@ from .germs import (
     _contact,
     _nondegeneracy,
     newton_polytope,
-    newton_polytope_of_poly,
 )
 from .polys import Poly
 from .scalars import Extended, NEG_INF, as_fraction
@@ -246,9 +248,13 @@ def lct_toric(b: DivisorGerm, c: SmoothCurveGerm) -> LctResult:
     (see ``_Fan``).  A negative value, or C itself carrying a coefficient
     mult_C B above one in B, raises ``DomainError`` "pair not lc before
     adding C", in that order.  The threshold is the least
-    discrepancy/contact ratio over the fan's rays and C's face normals,
+    discrepancy/contact ratio over the fan's rays and C's face normal,
     capped by 1 - mult_C B, the room left on C's own coefficient (see
-    ``LctResult``).
+    ``LctResult``).  C's normal and contacts are read off v, the least
+    frame-y power of C's frame-x-free terms (see ``SmoothCurveGerm``): the
+    normal is (v, 1) in C's frame and <w, C> = min(w_x, v*w_y), with no
+    normal and <w, C> = w_x when v = 0.  Then C is an axis, and mult_C B
+    and the contact are read off the branches' exponents.
     """
     pb = newton_polytope(b)
     if max(pb.weights) > pb.den:
@@ -267,17 +273,18 @@ def _lct(branches: "list[Poly]", c: SmoothCurveGerm, pb: NewtonDiagram,
          rays: "dict[IntVec, int]", mult: int, nondegenerate: bool) -> LctResult:
     """Threshold of an lc pair with coefficients at most one, given B's
     branch polynomials, its Newton diagram ``pb``, the ``rays`` of its
-    ``_Fan``, pb.den * mult_C B and whether B is nondegenerate.  Only C's
-    face normals that are not rays of B's fan need a discrepancy of their
+    ``_Fan``, pb.den * mult_C B and whether B is nondegenerate.  C's
+    polygon is never built: its face normal and each candidate's contact
+    are read off v = c.v (``_curve_normals``, ``_curve_contact``).  Only a
+    normal of C's that is not a ray of B's fan needs a discrepancy of its
     own.  The ratios disc/(pb.den * contact) and the cap are
     cross-multiplied."""
-    pc = newton_polytope_of_poly(c.poly)
-    c_normals = face_normals(pc)
+    c_normals = _curve_normals(c)
     candidates = list(rays.items()) + [
         (n, _discrepancy(pb, n)) for n in c_normals if n not in rays]
     best: "tuple[int, int, IntVec] | None" = None  # the least ratio, first in order
     for w, disc in candidates:
-        contact = pc.lattice_min(w)
+        contact = _curve_contact(c, w)
         if contact == 0:
             continue
         if best is None or disc * best[1] < best[0] * contact:
@@ -298,6 +305,21 @@ def _lct(branches: "list[Poly]", c: SmoothCurveGerm, pb: NewtonDiagram,
     exact = nondegenerate and (
         not shared or _nondegeneracy(branches + [c.poly], shared).nondegenerate)
     return LctResult(membership, cap, value, witness, exact)
+
+
+def _curve_normals(c: SmoothCurveGerm) -> "list[IntVec]":
+    """The inner normals of the compact faces of C's Newton polygon: (v, 1)
+    in C's frame, transposed when ``c.swapped``, and none when v = 0."""
+    if not c.v:
+        return []
+    return [(1, c.v) if c.swapped else (c.v, 1)]
+
+
+def _curve_contact(c: SmoothCurveGerm, w: IntVec) -> int:
+    """<w, C>, the least <w, .> over C's Newton polygon conv{(1, 0), (0, v)}
+    + Q in C's frame: min(w_x, v*w_y) for w's frame entries, w_x when v = 0."""
+    wx, wy = (w[1], w[0]) if c.swapped else w
+    return min(wx, c.v * wy) if c.v else wx
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,14 @@ import pytest
 
 from germ.errors import GermError, InputError
 from germ.exactgeom import NewtonPolytope, polytope_from_support
-from germ.germs import curve_orient, local_intersection, nondegeneracy_check, parse_divisor
+from germ.germs import (
+    DivisorGerm,
+    contact_along_curve,
+    curve_orient,
+    local_intersection,
+    nondegeneracy_check,
+    parse_divisor,
+)
 from germ.invariants import (
     delta_bound,
     lct_toric,
@@ -20,7 +27,7 @@ from germ.invariants import (
     toric_log_discrepancy,
     verify_surface_theorem,
 )
-from germ.polys import parse_poly
+from germ.polys import Poly, parse_poly
 from germ.scalars import NEG_INF
 
 SANE_EPS = ["1/2", "1/3", "2/7", "1", "3/2", " 1/7 ", "1/1000", "5"]
@@ -100,6 +107,39 @@ def test_malformed_weights_points_and_generators_raise_input_error():
     for case in cases:
         with pytest.raises(InputError):
             case()
+
+
+def test_malformed_germs_raise_input_error():
+    """A germ checks each input where it enters: a component or curve that
+    is not a ``Poly``, a coefficient of B that is not an ``int`` or
+    ``Fraction``, a stored zero or non-``Fraction`` term coefficient, and an
+    exponent that is not a pair of non-negative integers.  Unchecked, the
+    first two cases answered a negative intersection (0, -2) and (0, 1/2)."""
+    b = parse_divisor("1/2*(x^2 + y^3)")
+    x, parabola = parse_poly("x"), curve_orient(parse_poly("y - x^2"))
+    one = Fraction(1)
+    cases = [
+        lambda: contact_along_curve(b, curve_orient(Poly({(1, 0): one, (0, -2): one}))),
+        lambda: contact_along_curve(
+            DivisorGerm(((Fraction(1, 2), Poly({(1, 0): one, (-1, 3): one})),)), parabola),
+        lambda: mld_toric(DivisorGerm(((0.5, x),))),
+        lambda: curve_orient({(1, 0): Fraction(1)}),
+        lambda: curve_orient(Poly({(0, 1): Fraction(1), (1, 0): Fraction(0)})),
+        lambda: DivisorGerm(((Fraction(1, 2), {(1, 0): Fraction(1)}),)),
+        lambda: DivisorGerm(((Fraction(1, 2), Poly([(1, 0)])),)),
+        lambda: DivisorGerm((("1/2", x),)),
+        lambda: DivisorGerm(((Fraction(-1, 2), x),)),
+        lambda: DivisorGerm(((Fraction(1, 2), x, x),)),
+        lambda: DivisorGerm([(Fraction(1, 2), x)]),
+        lambda: DivisorGerm(((Fraction(1, 2), Poly({(1, 0): 1})),)),
+        lambda: DivisorGerm(((Fraction(1, 2), Poly({(1, 0): 0.5})),)),
+        lambda: curve_orient(Poly({(1, 0): Fraction(1), (1.0, 1): Fraction(1)})),
+        lambda: curve_orient(Poly({(1, 0): Fraction(1), (1, 1, 1): Fraction(1)})),
+    ]
+    for case in cases:
+        with pytest.raises(InputError):
+            case()
+    assert mld_toric(DivisorGerm(((1, x),))).value == mld_toric(parse_divisor("1*(x)")).value
 
 
 def _all_fractions(*values):

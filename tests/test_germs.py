@@ -36,7 +36,7 @@ from germ.polys import (
     uni_coprime,
     uni_is_squarefree,
 )
-from test_exactgeom import minkowski_hull, vertices
+from test_exactgeom import lattice_min, minkowski_hull, vertices
 
 
 def pp(text):
@@ -275,7 +275,7 @@ def diagram_vertices(b, rng=None):
     if rng is not None:
         weights += [(rng.randint(0, 50), rng.randint(0, 50)) for _ in range(8)]
     for w in weights:
-        assert pb.lattice_min(w) == hull.lattice_min(w)
+        assert pb.lattice_min(w) == lattice_min(hull, w)
     return [(F(x, den), F(y, den)) for x, y in hull.lattice]
 
 
@@ -1088,6 +1088,27 @@ def test_substitution_matches_fixed_point_oracle(lifts):
             seen["contained" if mult else "free"] += 1
             seen["axis" if len(curve.poly.terms) == 1 else "one term"] += 1
     assert min(seen.values()) > 40, seen
+
+
+def test_axis_contact_matches_fixed_point_oracle(lifts):
+    """On an axis, x = 0 in C's frame, alone or times a unit, each branch's
+    multiplicity k and the order of its C-free part are read off its
+    exponents, with no lift: they equal the fixed-point Fraction oracle's,
+    as given and transposed, also on branches with a component on C."""
+    rng = random.Random(89)
+    seen = Counter()
+    for _ in range(80):
+        g = pp(rng.choice(["x", "y", "x + x*y", "y + x^2*y"]))
+        if rng.random() < 0.5:
+            g = _mul(g, _random_unit(rng))
+        for germ, curve in _oracle_cases(rng, g):
+            assert curve.v == 0
+            mult, inter, _ = reference_contact(germ, curve)
+            assert contact_along_curve(germ, curve) == (mult, inter)
+            assert lifts == []
+            seen["swapped" if curve.swapped else "as given"] += 1
+            seen["on C (k >= 1)" if mult else "free"] += 1
+    assert seen["on C (k >= 1)"] >= 60 and min(seen.values()) >= 25, seen
 
 
 def test_group_decision_matches_fraction_sum():

@@ -22,6 +22,8 @@ from germ.germs import (
 )
 from germ.invariants import (
     MldResult,
+    _curve_contact,
+    _curve_normals,
     _discrepancy,
     _fan,
     _mld,
@@ -33,8 +35,8 @@ from germ.invariants import (
 )
 from germ.polys import parse_poly
 from germ.scalars import NEG_INF, as_fraction
-from test_exactgeom import _det, hilbert_basis, poly, vertices
-from test_germs import from_terms
+from test_exactgeom import _det, hilbert_basis, lattice_min, poly, vertices
+from test_germs import _transpose, from_terms
 
 
 def binom(lam, m, n):
@@ -381,20 +383,20 @@ def test_axis_curve_does_not_walk_the_exponent():
 
 
 def test_one_polytope_per_branch_per_analysis(monkeypatch):
-    """lct_toric builds B's and C's polygons once each, and verify one per
-    branch of B and one of C: the nondegeneracy test reads those.  Each
-    takes the face normals of B's polygon and of C's once, and clears the
-    denominators of each branch and of C once."""
+    """lct_toric and verify build one polygon per branch of B and none of
+    C, whose normal and contacts are read off its v, and take the face
+    normals of B's polygons once.  Against the axis y, contact clears no
+    denominator: it reads each branch's exponents.  Against y - x^5 it
+    clears the denominators of each branch and of C once."""
     import germ.germs
     import germ.invariants
 
     cases = [
-        (lct_toric, parse_divisor("1/4*(x^3000 + y^2)"), parse_poly("y"), ()),
+        (lct_toric, parse_divisor("1/4*(x^3000 + y^2)"), parse_poly("y"), (), 0),
         (verify_surface_theorem,
          parse_divisor("1/3*(x^2 + y^3) + 1/4*(y - x^2) + 1/5*(x^3 - y^2)"),
-         parse_poly("y - x^5"), ("1/5",)),
+         parse_poly("y - x^5"), ("1/5",), 4),
     ]
-    polygons = [(newton_polytope(b), newton_polytope_of_poly(c)) for _, b, c, _ in cases]
     built, normals, cleared = [], [], []
 
     def counting(record, f):
@@ -408,13 +410,14 @@ def test_one_polytope_per_branch_per_analysis(monkeypatch):
     monkeypatch.setattr(germ.invariants, "face_normals",
                         counting(normals, germ.invariants.face_normals))
     monkeypatch.setattr(germ.germs, "_integer_terms", counting(cleared, germ.germs._integer_terms))
-    for (run, b, c, extra), (pb, pc) in zip(cases, polygons):
+    for run, b, c, extra, clears in cases:
+        pb = newton_polytope(b)
         for record in (built, normals, cleared):
             record.clear()
         run(b, curve_orient(c), *extra)
-        assert len(built) == len(b.components) + 1
-        assert Counter(normals) == Counter([pb.polygons, (pc,)])
-        assert len(cleared) == len(b.components) + 1
+        assert len(built) == len(b.components)
+        assert normals == [pb.polygons]
+        assert len(cleared) == clears
 
 
 def test_lct_reads_lc_off_the_fan_rays(monkeypatch):
@@ -526,6 +529,56 @@ def test_lct_membership_matches_bisection():
             assert res.membership_sup <= hi
         checked += 1
     assert checked >= 15
+
+
+#: Axes in both frames: x = 0 and y = 0, each alone and times a unit.
+AXES = ["x", "y", "x + x*y", "y + x^2*y"]
+
+
+def _frame_curve(rng, v):
+    """A smooth curve lin*x + c*y^v (no y-power when v = 0) in its frame,
+    plus seeded terms that are multiples of x, or of y^(v + 1) when v > 0,
+    so that v is its least y-power free of x."""
+    terms = {(1, 0): F(rng.choice([1, -2, 3]), rng.choice([1, 2]))}
+    if v:
+        terms[0, v] = F(rng.choice([-3, 1, 5]), rng.choice([1, 4]))
+    for _ in range(rng.randint(0, 4)):
+        i = rng.randint(0 if v else 1, 4)
+        exp = (i, rng.randint(v + 1 if i == 0 else 0, 7))
+        if exp != (1, 0):
+            terms[exp] = F(rng.choice([-2, -1, 1, 7]), rng.choice([1, 3]))
+    return from_terms(terms)
+
+
+def test_curve_normal_and_contact_match_its_hull():
+    """C's normal list and its closed-form contact, read off v, equal the
+    face normals of the hull of C's support and its least <w, .> over the
+    hull's vertices, at B's fan rays and at random primitive weights: on
+    the named axes, on seeded axes times units, on curves with both linear
+    terms (v = 1) and on curves with v >= 2, as given and transposed."""
+    rng = random.Random(97)
+    seen = Counter()
+    for _ in range(120):
+        v = rng.choice([0, 1, rng.randint(2, 6)])
+        g = parse_poly(rng.choice(AXES)) if not v and rng.random() < 0.3 else _frame_curve(rng, v)
+        for poly_c in (g, _transpose(g)):
+            c = curve_orient(poly_c)
+            assert c.v == v
+            hull = newton_polytope_of_poly(c.poly)
+            assert _curve_normals(c) == face_normals(hull)
+            b = _random_divisor(rng)
+            weights = [(1, 0)] + face_normals(*newton_polytope(b).polygons) + [(0, 1)]
+            while len(weights) < 12:
+                w = (rng.randint(1, 60), rng.randint(1, 60))
+                if gcd(*w) == 1:
+                    weights.append(w)
+            for w in weights:
+                assert _curve_contact(c, w) == lattice_min(hull, w), (c, w)
+            kind = "axis" if not v else "both linear" if v == 1 else "v >= 2"
+            seen[kind, c.swapped] += 1
+    assert set(seen) == {("axis", False), ("axis", True), ("both linear", False),
+                         ("v >= 2", False), ("v >= 2", True)}, seen
+    assert min(seen.values()) >= 30 and seen["both linear", False] >= 60, seen
 
 
 # ---------------------------------------------------------------------------

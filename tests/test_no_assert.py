@@ -83,6 +83,9 @@ CASES = [
     'mld_toric(parse_divisor("1/2*(x)"))',
     'lct_toric(parse_divisor("3/4*(y - x^2) + 3/4*(y - x^2)"), '
     'curve_orient(parse_poly("y - x^2")))',
+    'lct_toric(parse_divisor("1/2*(x) + 1/3*(x^2*y + y^5)"), curve_orient(parse_poly("x + x*y")))',
+    'lct_toric(parse_divisor("1/2*(y - x^3 + x^40)"), curve_orient(parse_poly("y - x^3")))',
+    'curve_orient({(1, 0): Fraction(1)})',
     'delta_bound("1/2")',
     'delta_bound("1/10000")',
     'delta_bound("1/" + "7" * 5000)',

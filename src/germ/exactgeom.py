@@ -1,18 +1,17 @@
 """Exact 2-D Newton polytope engine on integer lattice points.
 
-A Newton polytope here is the region ``conv(S) + Q`` where ``S`` is a
-finite set of points in the closed first quadrant ``Q``: the exponents of
-one polynomial, pairs of non-negative integers.  It is stored canonically
-as the chain of its vertices, ordered with x strictly increasing and y
-strictly decreasing, so two polytopes are equal iff their fields are.
-There are no rational polytopes, dilates or sums here: a weighted sum of
-polygons is kept as its summands, whose support functions add and whose
-normal fans refine each other (Ziegler, *Lectures on Polytopes*, ch. 7), so
-:func:`face_normals` takes any number of polygons.  Construction, the
-support function, read at :meth:`NewtonPolytope.vertex`, and the face
-normals run in ``int`` arithmetic, and no ``Fraction`` is built.  Points
-are checked once, where they enter: the hull of a checked support is
-built without a second check.
+A Newton polygon here is the region ``conv(S) + Q`` where ``S`` is the
+support of one nonzero ``Poly``, a finite set of points in the closed first
+quadrant ``Q``.  It is kept as a ``Polygon``: the plain tuple of its
+vertices, ordered with x strictly increasing and y strictly decreasing, so
+two polygons are equal iff their tuples are.  There are no rational
+polygons, dilates or sums here: a weighted sum of polygons is kept as its
+summands, whose support functions add and whose normal fans refine each
+other (Ziegler, *Lectures on Polytopes*, ch. 7), so :func:`face_normals`
+takes any number of polygons.  The hull and the face normals run in
+``int`` arithmetic, and no ``Fraction`` is built.  A polygon is built only
+by :func:`polytope_from_support`, from a ``Poly``, whose exponents were
+checked once, when the ``Poly`` was built: the hull checks no point again.
 
 The module also walks the Klein sail of a cone of the normal fan: the
 bounded boundary of the convex hull of the cone's nonzero lattice points,
@@ -25,13 +24,12 @@ Fulton, *Introduction to Toric Varieties*, 2.6), with no search bounds.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import cmp_to_key
 from math import gcd
 from typing import NamedTuple
 
 from .errors import InputError
+from .polys import Poly
 
 
 def as_pair(v: object) -> "tuple[object, object]":
@@ -43,37 +41,9 @@ def as_pair(v: object) -> "tuple[object, object]":
 
 IntVec = tuple[int, int]
 
-
-def _lattice_point(v: object) -> IntVec:
-    """The pair v of non-negative integers, such as an exponent pair."""
-    x, y = as_pair(v)
-    if not (isinstance(x, int) and isinstance(y, int)) or x < 0 or y < 0:
-        raise InputError(f"{v!r} is not a pair of non-negative integers")
-    return (x, y)
-
-
-@dataclass(frozen=True)
-class NewtonPolytope:
-    """Vertex chain of ``conv(points) + first quadrant``, no redundancy.
-
-    The vertices are non-negative integer points.  Construction checks that
-    they form a chain, x increasing and y decreasing and strictly convex,
-    so equal polytopes have equal fields.
-    """
-
-    lattice: tuple[IntVec, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.lattice, Iterable):
-            raise InputError(f"expected a sequence of vertices, got {self.lattice!r}")
-        lattice = tuple(map(_lattice_point, self.lattice))
-        _check_chain(lattice)
-        object.__setattr__(self, "lattice", lattice)
-
-    def vertex(self, w: IntVec) -> IntVec:
-        """A vertex with the least <w, .>, unique for positive w normal to no face."""
-        w1, w2 = w
-        return min(self.lattice, key=lambda v: w1 * v[0] + w2 * v[1])
+#: The vertex chain of a Newton polygon: non-negative integer points, x
+#: strictly increasing, y strictly decreasing and strictly convex.
+Polygon = tuple[IntVec, ...]
 
 
 def make_weight(w1: int, w2: int) -> IntVec:
@@ -89,45 +59,27 @@ def make_weight(w1: int, w2: int) -> IntVec:
 # construction
 
 
-def _check_chain(lattice: Sequence[IntVec]) -> None:
-    """Raise unless the points form a valid chain: nonempty, x increasing
-    and y decreasing, strictly convex."""
-    if not lattice:
-        raise InputError("polytope needs at least one vertex")
-    for a, b in zip(lattice, lattice[1:]):
-        if not (a[0] < b[0] and a[1] > b[1]):
-            raise InputError("vertices must have x increasing, y decreasing")
-    for a, b, c in zip(lattice, lattice[1:], lattice[2:]):
-        if _cross(a, b, c) <= 0:
-            raise InputError("boundary must be strictly convex (no collinear vertex)")
-
-
-def polytope_from_support(support: Iterable[Sequence[int]]) -> NewtonPolytope:
-    """Vertex chain of ``conv(union of p + first quadrant)`` over the support.
-
-    The support is pairs of non-negative integers, such as the exponents of
-    a polynomial.  Dominated points (some other point is <= componentwise)
-    and collinear points are eliminated, so the result is canonical.
-    """
-    if not isinstance(support, Iterable):
-        raise InputError(f"expected a sequence of points, got {support!r}")
-    pts = sorted(set(map(_lattice_point, support)))
-    if not pts:
+def polytope_from_support(p: Poly) -> Polygon:
+    """Vertex chain of ``conv(union of e + first quadrant)`` over the
+    exponents e of the nonzero polynomial p.  Dominated points (some other
+    point is <= componentwise) and collinear points are eliminated, so the
+    result is canonical."""
+    if not isinstance(p, Poly):
+        raise InputError(f"expected a Poly, got {type(p).__name__}")
+    if p.is_zero:
         raise InputError("empty support")
 
     # Lower convex hull (monotone chain) of the Pareto staircase.  The last
     # chain vertex is the last point so far that no other dominates, so a
     # point whose y does not drop below it (same x, or dominated) is skipped.
     chain: list[IntVec] = []
-    for p in pts:
-        if chain and p[1] >= chain[-1][1]:
+    for e in sorted(p.terms):
+        if chain and e[1] >= chain[-1][1]:
             continue
-        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], e) <= 0:
             chain.pop()
-        chain.append(p)
-    polygon = object.__new__(NewtonPolytope)  # the hull is a valid chain
-    object.__setattr__(polygon, "lattice", tuple(chain))
-    return polygon
+        chain.append(e)
+    return tuple(chain)
 
 
 def _cross(a: IntVec, b: IntVec, c: IntVec) -> int:
@@ -143,13 +95,12 @@ def _cross(a: IntVec, b: IntVec, c: IntVec) -> int:
 _FAN_ORDER = cmp_to_key(lambda u, v: _det(v, u))
 
 
-def face_normals(*polygons: NewtonPolytope) -> list[IntVec]:
+def face_normals(*polygons: Polygon) -> list[IntVec]:
     """Primitive inner normals of the compact faces of the polygons' sum,
     left to right: the union of each polygon's, from the steepest face to
     the flattest, so consecutive normals u, v have det(u, v) > 0."""
     out: set[IntVec] = set()
-    for polygon in polygons:
-        vs = polygon.lattice
+    for vs in polygons:
         for a, b in zip(vs, vs[1:]):
             n1, n2 = a[1] - b[1], b[0] - a[0]
             g = gcd(n1, n2)

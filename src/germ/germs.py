@@ -47,7 +47,7 @@ from typing import NamedTuple
 from .errors import DomainError, InputError
 from .exactgeom import (
     IntVec,
-    NewtonPolytope,
+    Polygon,
     as_pair,
     face_normals,
     polytope_from_support,
@@ -69,7 +69,6 @@ __all__ = [
     "NewtonDiagram",
     "parse_divisor",
     "newton_polytope",
-    "newton_polytope_of_poly",
     "nondegeneracy_check",
     "contact_along_curve",
     "local_intersection",
@@ -78,30 +77,13 @@ __all__ = [
 ]
 
 
-def _check_terms(p: object, what: str) -> None:
-    """Raise ``InputError`` unless p is a ``Poly`` whose terms map pairs of
-    non-negative integers to nonzero ``Fraction`` values: the one check of
-    a germ's polynomial, where it enters, one test per term.  An ``int``
-    coefficient is refused too, as the quotient of two of them is a float."""
-    if not isinstance(p, Poly):
-        raise InputError(f"{what} must be a Poly, got {type(p).__name__}")
-    try:
-        for (i, j), coeff in p.terms.items():
-            if not (isinstance(coeff, Fraction) and coeff.numerator
-                    and isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0):
-                raise InputError(f"{what} terms must be nonzero Fractions at pairs of "
-                                 "non-negative integers")
-    except (AttributeError, TypeError, ValueError):  # no mapping of pairs to unpack
-        raise InputError(f"{what} terms must map exponent pairs to coefficients") from None
-
-
 @dataclass(frozen=True)
 class DivisorGerm:
     """B = sum of coeff_i * (poly_i = 0) with positive rational coefficients.
 
     B has at least one component; each coefficient is a positive ``int``
     or ``Fraction``, and each branch polynomial is a nonzero ``Poly`` that
-    vanishes at the origin (see ``_check_terms``).
+    vanishes at the origin; a ``Poly`` checks its own terms.
     """
 
     components: tuple[tuple[Fraction, Poly], ...]
@@ -118,7 +100,8 @@ class DivisorGerm:
                                  "is not an int or Fraction")
             if coeff.numerator <= 0:
                 raise InputError(f"non-positive coefficient {coeff}")
-            _check_terms(p, "component")
+            if not isinstance(p, Poly):
+                raise InputError(f"component must be a Poly, got {type(p).__name__}")
             if p.is_zero:
                 raise InputError("zero polynomial cannot define a component")
             if (0, 0) in p.terms:
@@ -136,6 +119,8 @@ def parse_divisor(text: str) -> DivisorGerm:
 
 
 def render_divisor(b: DivisorGerm) -> str:
+    if not isinstance(b, DivisorGerm):
+        raise InputError(f"expected a DivisorGerm, got {type(b).__name__}")
     return render_weighted_terms(b.components)
 
 
@@ -143,8 +128,8 @@ def render_divisor(b: DivisorGerm) -> str:
 class SmoothCurveGerm:
     """Curve germ smooth at the origin, in its original coordinates.
 
-    Construction checks that ``poly`` is a ``Poly`` (see ``_check_terms``)
-    through the origin with a nonzero linear part, and derives two values.
+    Construction checks that ``poly`` is a ``Poly`` (which checks its own
+    terms) through the origin with a nonzero linear part, and derives two values.
     ``swapped``: whether the two coordinates are exchanged to give the curve
     a nonzero x-linear term, i.e. whether ``poly`` has none.  That
     orientation is the parametrization frame: the oriented polynomial is
@@ -162,7 +147,8 @@ class SmoothCurveGerm:
     v: int = field(init=False)
 
     def __post_init__(self) -> None:
-        _check_terms(self.poly, "curve")
+        if not isinstance(self.poly, Poly):
+            raise InputError(f"curve must be a Poly, got {type(self.poly).__name__}")
         terms = self.poly.terms
         if not terms or (0, 0) in terms:
             raise InputError("curve does not pass through the origin")
@@ -186,26 +172,24 @@ def curve_orient(g: Poly) -> SmoothCurveGerm:
 # Newton data
 
 
-def newton_polytope_of_poly(p: Poly) -> NewtonPolytope:
-    return polytope_from_support(p.terms)
-
-
 class NewtonDiagram(NamedTuple):
     """Newt(B) = (1/den) * sum of weights[i] * polygons[i], kept as its
-    summands: ``polygons[i]`` is the integer Newton polygon of branch i and
-    ``weights[i]`` = den * coeff_i, den the lcm of the coefficients'
-    denominators.  The support function of the sum is the sum of theirs,
-    and its compact-face normals are ``face_normals(*polygons)``."""
+    summands: ``polygons[i]`` is the vertex chain of branch i's integer
+    Newton polygon (an ``exactgeom.Polygon``) and ``weights[i]`` = den *
+    coeff_i, den the lcm of the coefficients' denominators.  The support
+    function of the sum is the sum of theirs, and its compact-face normals
+    are ``face_normals(*polygons)``."""
 
     weights: "tuple[int, ...]"
-    polygons: "tuple[NewtonPolytope, ...]"
+    polygons: "tuple[Polygon, ...]"
     den: int
 
     def vertex(self, w: IntVec) -> IntVec:
         """den times a vertex of least <w, .>: the weighted sum of each polygon's."""
+        w1, w2 = w
         x = y = 0
-        for n, p in zip(self.weights, self.polygons):
-            px, py = p.vertex(w)
+        for n, chain in zip(self.weights, self.polygons):
+            px, py = min(chain, key=lambda v: w1 * v[0] + w2 * v[1])
             x += n * px
             y += n * py
         return x, y
@@ -218,7 +202,9 @@ class NewtonDiagram(NamedTuple):
 
 def _weights(b: DivisorGerm) -> "tuple[tuple[int, ...], int]":
     """The weights den * coeff_i of B's branches, and den, the lcm of the
-    coefficients' denominators."""
+    coefficients' denominators; every analysis of B checks its type here."""
+    if not isinstance(b, DivisorGerm):
+        raise InputError(f"expected a DivisorGerm, got {type(b).__name__}")
     den = lcm(*(coeff.denominator for coeff, _ in b.components))
     return tuple(coeff.numerator * (den // coeff.denominator) for coeff, _ in b.components), den
 
@@ -226,7 +212,7 @@ def _weights(b: DivisorGerm) -> "tuple[tuple[int, ...], int]":
 def newton_polytope(b: DivisorGerm) -> NewtonDiagram:
     """The coefficient-weighted sum of the branch polygons, as its summands."""
     weights, den = _weights(b)
-    return NewtonDiagram(weights, tuple(newton_polytope_of_poly(p) for p in b.branches), den)
+    return NewtonDiagram(weights, tuple(polytope_from_support(p) for p in b.branches), den)
 
 
 @dataclass(frozen=True)
@@ -246,7 +232,8 @@ class NondegeneracyReport:
 
 
 def nondegeneracy_check(b: DivisorGerm) -> NondegeneracyReport:
-    return _nondegeneracy(b.branches, face_normals(*newton_polytope(b).polygons))
+    normals = face_normals(*newton_polytope(b).polygons)
+    return _nondegeneracy(b.branches, normals)
 
 
 def _nondegeneracy(branches: "list[Poly]", normals: "list[IntVec]") -> NondegeneracyReport:
@@ -417,10 +404,7 @@ def curve_parametrization(c: SmoothCurveGerm, order: int,
     lifting goes on from it, so each lift is made once; an exact ``lift``
     only has its order raised, with no pass.
     """
-    if lift is None:
-        h = _integer_terms(c.poly, c.swapped)
-        lift = CurveLift(h, 1, Series({}, 1), Series({0: 1}, h[1, 0]), False)
-    h, known, psi, inverse, exact = lift
+    h, known, psi, inverse, exact = lift or _first_lift(_integer_terms(c.poly, c.swapped))
     dh = _d_dx(h)
     while not exact and known < order:
         known = min(2 * known, order)
@@ -431,6 +415,11 @@ def curve_parametrization(c: SmoothCurveGerm, order: int,
             excess = _difference(_product(_on_curve(dh, psi, known), inverse, known), _ONE)
             inverse = _difference(inverse, _product(inverse, excess, known))
     return CurveLift(h, order if exact else known, psi, inverse, exact)
+
+
+def _first_lift(h: IntTerms) -> CurveLift:
+    """The lift below t^1 of the curve with cleared terms h: psi = 0."""
+    return CurveLift(h, 1, Series({}, 1), Series({0: 1}, h[1, 0]), False)
 
 
 def _substituted_order(p: IntTerms, psi: Series, whole: bool) -> "int | None":
@@ -549,7 +538,10 @@ def contact_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, 
 
 def _contact(branches: "list[Poly]", weights: "tuple[int, ...]",
              c: SmoothCurveGerm) -> "tuple[int, int]":
-    """den * (mult_C B, (B' . C)), B = sum(weights[i]*(branches[i] = 0))/den."""
+    """den * (mult_C B, (B' . C)), B = sum(weights[i]*(branches[i] = 0))/den;
+    every analysis of C checks its type here."""
+    if not isinstance(c, SmoothCurveGerm):
+        raise InputError(f"expected a SmoothCurveGerm, got {type(c).__name__}")
     v = c.v
     mult = inter = 0
     if not v:  # C is x = 0: p = x^k * q, and q(0, t) has the order of q's least y-power
@@ -565,7 +557,7 @@ def _contact(branches: "list[Poly]", weights: "tuple[int, ...]",
     n = None  # the Bezout order, needed only when psi is not lead
     if rest and _substituted_order(rest, lead, True) is not None:
         n = max(q.total_degree() for q in branches) * c.poly.total_degree() + 2
-    lifts: "list[CurveLift]" = []
+    lifts = [_first_lift(h)]  # C is cleared once, here
     for weight, p in zip(weights, branches):
         q = _integer_terms(p, c.swapped)
         k = 0
@@ -583,16 +575,15 @@ def _first_order(p: IntTerms, c: SmoothCurveGerm, lead: Series, n: "int | None",
     order n is None, psi is ``lead`` and p is substituted there.  Else p's
     lowest group at lead answers if it does not cancel; if it does, psi is
     lifted and p read below each lift's order in turn, up to n, and the
-    first nonzero read answers.  ``lifts`` is extended in place, one
-    doubling at a time from order 2, only when a read needs the next."""
+    first nonzero read answers.  ``lifts`` starts at order 1, never read,
+    and grows in place one doubling at a time, when a read needs the next."""
     order = _substituted_order(p, lead, n is None)
     if order is not None or n is None:
         return order
-    i = 0
+    i = 1
     while True:
         if i == len(lifts):
-            last = lifts[-1] if lifts else None
-            lifts.append(curve_parametrization(c, min(2 * last.order, n) if last else 2, last))
+            lifts.append(curve_parametrization(c, min(2 * lifts[-1].order, n), lifts[-1]))
         lift = lifts[i]
         if values := _on_curve(p, lift.psi, lift.order).num:
             return min(values)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import InputError
@@ -37,10 +38,24 @@ ZERO = Fraction(0)
 
 @dataclass(frozen=True, eq=False)
 class Poly:
-    """Immutable sparse polynomial in x and y; zero coefficients are never
-    stored."""
+    """Immutable sparse polynomial in x and y.  Construction is the one
+    check of its terms, one test each: ``terms`` maps pairs of non-negative
+    ``int`` exponents to nonzero ``Fraction`` coefficients (an ``int`` would
+    divide to a float), else ``InputError``, so zeros are never stored.  It
+    keeps a read-only copy, so no later change to the mapping passes by."""
 
     terms: Mapping[Exponent, Fraction]
+
+    def __post_init__(self) -> None:
+        try:
+            for (i, j), coeff in self.terms.items():
+                if not (isinstance(coeff, Fraction) and coeff.numerator
+                        and isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0):
+                    raise InputError("Poly terms must be nonzero Fractions at pairs of "
+                                     "non-negative integers")
+        except (AttributeError, TypeError, ValueError):  # no mapping of pairs to unpack
+            raise InputError("Poly terms must map exponent pairs to coefficients") from None
+        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
 
     @property
     def is_zero(self) -> bool:
@@ -141,6 +156,8 @@ def _scan_poly(text: str, pos: int) -> "tuple[Poly, int]":
 
 def parse_poly(text: str) -> Poly:
     """Parse a polynomial in x and y with exact rational coefficients."""
+    if not isinstance(text, str):
+        raise InputError(f"expected polynomial text, got {type(text).__name__}")
     p, pos = _scan_poly(text, 0)
     if text[pos:].strip():
         raise _error(text, pos, "'+', '-' or end of input")
@@ -150,6 +167,8 @@ def parse_poly(text: str) -> Poly:
 def parse_weighted_terms(text: str) -> list[tuple[Fraction, Poly]]:
     """Parse ``rational*(poly) + rational*(poly) + ...`` into (coeff, poly)
     pairs, order preserved."""
+    if not isinstance(text, str):
+        raise InputError(f"expected divisor text, got {type(text).__name__}")
     out: list[tuple[Fraction, Poly]] = []
     pos = 0
     while True:

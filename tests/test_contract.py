@@ -11,14 +11,16 @@ from fractions import Fraction
 import pytest
 
 from germ.errors import GermError, InputError
-from germ.exactgeom import NewtonPolytope, polytope_from_support
+from germ.exactgeom import polytope_from_support
 from germ.germs import (
     DivisorGerm,
     contact_along_curve,
     curve_orient,
     local_intersection,
+    newton_polytope,
     nondegeneracy_check,
     parse_divisor,
+    render_divisor,
 )
 from germ.invariants import (
     delta_bound,
@@ -96,8 +98,6 @@ def test_malformed_weights_points_and_generators_raise_input_error():
         lambda: polytope_from_support([(Fraction(1, 2), 0)]),
         lambda: polytope_from_support([(1.0, 0)]),
         lambda: polytope_from_support([(1,)]),
-        lambda: NewtonPolytope(None),
-        lambda: NewtonPolytope(((0, 1), (1, 1))),
         # more digits than int() converts from text
         lambda: parse_poly("1" * 5000 + "*x"),
         lambda: parse_poly("x^" + "1" * 5000),
@@ -110,14 +110,29 @@ def test_malformed_weights_points_and_generators_raise_input_error():
 
 
 def test_malformed_germs_raise_input_error():
-    """A germ checks each input where it enters: a component or curve that
-    is not a ``Poly``, a coefficient of B that is not an ``int`` or
-    ``Fraction``, a stored zero or non-``Fraction`` term coefficient, and an
-    exponent that is not a pair of non-negative integers.  Unchecked, the
-    first two cases answered a negative intersection (0, -2) and (0, 1/2)."""
+    """Each input is checked where it enters: a ``Poly`` checks its terms
+    and keeps a read-only copy of them, refusing a stored zero or
+    non-``Fraction`` coefficient, an exponent that is not a pair of
+    non-negative integers and terms that are not a mapping;
+    a germ checks that a component or curve is a ``Poly`` and that a
+    coefficient of B is an ``int`` or ``Fraction``; every analysis checks
+    that B and C are germs, and each parser that its text is a ``str``.
+    Unchecked, the first two cases answered a negative intersection (0, -2)
+    and (0, 1/2), and the germ and text cases raised ``AttributeError`` or
+    ``TypeError``."""
     b = parse_divisor("1/2*(x^2 + y^3)")
-    x, parabola = parse_poly("x"), curve_orient(parse_poly("y - x^2"))
+    x, y, parabola = parse_poly("x"), parse_poly("y"), curve_orient(parse_poly("y - x^2"))
     one = Fraction(1)
+    for terms in [{(1, 0): 1}, {(1, 0): 0.5}, {(1, 0): Fraction(0)}, {(0, -2): one},
+                  {(1.0, 1): one}, {(1, 1, 1): one}, [(1, 0)], None]:
+        with pytest.raises(InputError):
+            Poly(terms)
+    terms = {(1, 0): one}
+    p = Poly(terms)
+    terms[0, -2] = one  # the Poly keeps its checked copy
+    assert dict(p.terms) == {(1, 0): one}
+    with pytest.raises(TypeError):
+        p.terms[0, -2] = one
     cases = [
         lambda: contact_along_curve(b, curve_orient(Poly({(1, 0): one, (0, -2): one}))),
         lambda: contact_along_curve(
@@ -135,6 +150,18 @@ def test_malformed_germs_raise_input_error():
         lambda: DivisorGerm(((Fraction(1, 2), Poly({(1, 0): 0.5})),)),
         lambda: curve_orient(Poly({(1, 0): Fraction(1), (1.0, 1): Fraction(1)})),
         lambda: curve_orient(Poly({(1, 0): Fraction(1), (1, 1, 1): Fraction(1)})),
+        lambda: mld_toric(x),
+        lambda: toric_log_discrepancy(x, (1, 1)),
+        lambda: nondegeneracy_check(None),
+        lambda: newton_polytope(None),
+        lambda: render_divisor(None),
+        lambda: lct_toric(b, y),
+        lambda: verify_surface_theorem(b, y, "1/2"),
+        lambda: contact_along_curve(b, y),
+        lambda: local_intersection(b, None),
+        lambda: parse_poly(None),
+        lambda: parse_divisor(None),
+        lambda: parse_poly(b"x"),
     ]
     for case in cases:
         with pytest.raises(InputError):

@@ -10,18 +10,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from germ.errors import InputError
-from germ.exactgeom import NewtonPolytope, _hilbert_runs, face_normals, polytope_from_support
+from germ.exactgeom import _hilbert_runs, face_normals, polytope_from_support
+from germ.polys import Poly
 
 
 def poly(*pts):
-    """The polygon of integer points."""
-    return polytope_from_support(pts)
+    """The polygon of integer points: the Newton polygon of the sum of
+    their monomials."""
+    return polytope_from_support(Poly({pt: F(1) for pt in pts}))
 
 
 def lattice_min(p, w):
     """Oracle: the support value of the integer weight w on the polygon p,
     the least <w, v> over a scan of its vertices."""
-    return min(w[0] * x + w[1] * y for x, y in p.lattice)
+    return min(w[0] * x + w[1] * y for x, y in p)
 
 
 def support(p, w):
@@ -35,18 +37,17 @@ def support(p, w):
 
 def vertices(p):
     """The chain as exact rational points (x, y)."""
-    return [(F(x), F(y)) for x, y in p.lattice]
+    return [(F(x), F(y)) for x, y in p]
 
 
 def minkowski_hull(parts):
     """Oracle: the polygon of sum n_i * P_i over (n_i, P_i) in ``parts``, n_i
     positive integers, as the hull of every sum of n_i-scaled vertices, one
     from each summand, taken one summand at a time."""
-    sums = [(0, 0)]
+    sums = poly((0, 0))
     for n, p in parts:
-        sums = polytope_from_support([(x + n * a, y + n * b) for x, y in sums
-                                      for a, b in p.lattice]).lattice
-    return NewtonPolytope(sums)
+        sums = poly(*((x + n * a, y + n * b) for x, y in sums for a, b in p))
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +73,7 @@ def test_from_support_drops_dominated():
 
 def test_from_support_empty_errors():
     with pytest.raises(InputError):
-        polytope_from_support([])
-
-
-def test_chain_invariants_enforced():
-    with pytest.raises(InputError):
-        NewtonPolytope(((0, 2), (1, 1), (2, 0)))
-    with pytest.raises(InputError):
-        NewtonPolytope(((1, 1), (0, 2)))
+        polytope_from_support(Poly({}))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +347,7 @@ def test_minkowski_matches_pairwise_hull(s1, s2):
 @given(support_sets)
 def test_construction_idempotent(s):
     p = poly(*s)
-    assert poly(*p.lattice) == p
+    assert poly(*p) == p
 
 
 @settings(max_examples=200, derandomize=True)
@@ -500,11 +494,9 @@ def test_lattice_form_is_canonical():
     rng = random.Random(73)
     for _ in range(400):
         p = poly(*_random_support(rng))
-        rebuilt = NewtonPolytope(p.lattice)
-        padded = poly(*p.lattice, *((x + 1, y) for x, y in p.lattice),
+        padded = poly(*p, *((x + 1, y) for x, y in p),
                       *(((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
-                        for a, b in zip(p.lattice, p.lattice[1:])
+                        for a, b in zip(p, p[1:])
                         if (a[0] + b[0]) % 2 == 0 and (a[1] + b[1]) % 2 == 0))
-        assert rebuilt == p and hash(rebuilt) == hash(p)
         assert padded == p and hash(padded) == hash(p)
-    assert polytope_from_support([(2, 0), (1, 1), (0, 2)]).lattice == ((0, 2), (2, 0))
+    assert poly((2, 0), (1, 1), (0, 2)) == ((0, 2), (2, 0))

@@ -11,7 +11,7 @@ from math import gcd, lcm
 import pytest
 
 from germ.errors import DomainError, InputError
-from germ.exactgeom import face_normals
+from germ.exactgeom import face_normals, polytope_from_support
 from germ.germs import (
     DENSE_FORM_LIMIT,
     DivisorGerm,
@@ -22,7 +22,6 @@ from germ.germs import (
     curve_parametrization,
     local_intersection,
     newton_polytope,
-    newton_polytope_of_poly,
     nondegeneracy_check,
     parse_divisor,
     render_divisor,
@@ -259,7 +258,7 @@ def summed_hull(b):
     of den*coeff_i-scaled branch vertices, and den, the lcm of the
     coefficients' denominators."""
     den = lcm(*(coeff.denominator for coeff, _ in b.components))
-    return minkowski_hull([(int(coeff * den), newton_polytope_of_poly(p))
+    return minkowski_hull([(int(coeff * den), polytope_from_support(p))
                            for coeff, p in b.components]), den
 
 
@@ -276,12 +275,12 @@ def diagram_vertices(b, rng=None):
         weights += [(rng.randint(0, 50), rng.randint(0, 50)) for _ in range(8)]
     for w in weights:
         assert pb.lattice_min(w) == lattice_min(hull, w)
-    return [(F(x, den), F(y, den)) for x, y in hull.lattice]
+    return [(F(x, den), F(y, den)) for x, y in hull]
 
 
 def test_newton_polytope_scaled_binomial():
     b = parse_divisor("3/4*(x^2 + y^3)")
-    assert newton_polytope(b) == ((3,), (newton_polytope_of_poly(pp("x^2 + y^3")),), 4)
+    assert newton_polytope(b) == ((3,), (polytope_from_support(pp("x^2 + y^3")),), 4)
     assert diagram_vertices(b) == [(0, F(9, 4)), (F(3, 2), 0)]
 
 
@@ -306,7 +305,7 @@ def test_newton_diagram_weights_over_the_lcm():
     b = parse_divisor("1/2*(x) + 1/3*(y) + 5/4*(x^2 + y^3)")
     pb = newton_polytope(b)
     assert (pb.weights, pb.den) == ((6, 4, 15), 12)
-    assert pb.polygons == tuple(newton_polytope_of_poly(p) for p in b.branches)
+    assert pb.polygons == tuple(polytope_from_support(p) for p in b.branches)
     assert face_normals(*pb.polygons) == [(3, 2)]
     assert F(pb.lattice_min((3, 2)), pb.den) == F(3, 2) + F(2, 3) + F(5, 4) * 6
 
@@ -441,7 +440,7 @@ def reference_face_forms(p):
     a/b in lowest terms the lattice points of a face lie b apart in x, and
     the term at x-exponent i is the u^((i - lx)/b) coefficient, (lx, ly)
     the face's left vertex."""
-    vs = vertices(newton_polytope_of_poly(p))
+    vs = vertices(polytope_from_support(p))
     forms = {}
     for (lx, ly), (rx, ry) in zip(vs, vs[1:]):
         s = (ly - ry) / (rx - lx)
@@ -1201,7 +1200,7 @@ def test_local_intersection_matches_graph_oracle():
         u = _random_x_poly(rng, rng.randint(0, 2), rng.choice([-1, 1, 2]))
         a = _random_x_poly(rng, rng.randint(1, 3), 0)
         if rng.random() < 0.5:  # tangent to the x-axis: swapped as given
-            a = _add(a, Poly({(1, 0): a.terms.get((1, 0), 0)}), -1)
+            a = _add(a, from_terms({(1, 0): a.terms.get((1, 0), 0)}), -1)
         g = _add(_mul(u, pp("y")), a, -1)
         parts = [(F(rng.randint(1, 6), 6), _random_branch(rng, 0, 6), 0)
                  for _ in range(rng.randint(1, 2))]

@@ -10,14 +10,14 @@ from math import ceil, gcd, lcm
 import pytest
 
 from germ.errors import DomainError, InputError
-from germ.exactgeom import face_normals, make_weight
+from germ.exactgeom import face_normals, make_weight, polytope_from_support
 from germ.germs import (
     DivisorGerm,
     NewtonDiagram,
+    contact_along_curve,
     curve_orient,
     local_intersection,
     newton_polytope,
-    newton_polytope_of_poly,
     parse_divisor,
 )
 from germ.invariants import (
@@ -33,7 +33,7 @@ from germ.invariants import (
     toric_log_discrepancy,
     verify_surface_theorem,
 )
-from germ.polys import parse_poly
+from germ.polys import Poly, parse_poly
 from germ.scalars import NEG_INF, as_fraction
 from test_exactgeom import _det, hilbert_basis, lattice_min, poly, vertices
 from test_germs import _transpose, from_terms
@@ -387,7 +387,8 @@ def test_one_polytope_per_branch_per_analysis(monkeypatch):
     C, whose normal and contacts are read off its v, and take the face
     normals of B's polygons once.  Against the axis y, contact clears no
     denominator: it reads each branch's exponents.  Against y - x^5 it
-    clears the denominators of each branch and of C once."""
+    clears the denominators of each branch and of C once, and so it does
+    against 3/2*x + y^2 + x*y, whose root is lifted from that one clear."""
     import germ.germs
     import germ.invariants
 
@@ -418,6 +419,32 @@ def test_one_polytope_per_branch_per_analysis(monkeypatch):
         assert len(built) == len(b.components)
         assert normals == [pb.polygons]
         assert len(cleared) == clears
+    cleared.clear()
+    contact_along_curve(parse_divisor("1*(3/2*x + y^2)"),
+                        curve_orient(parse_poly("3/2*x + y^2 + x*y")))
+    assert len(cleared) == 2  # the branch and C
+
+
+def test_analysis_checks_no_term(monkeypatch):
+    """Each Poly checks its terms once, when it is built: parsing builds one
+    Poly per polynomial, and mld_toric, lct_toric and verify check no term
+    again."""
+    checks = []
+    post_init = Poly.__post_init__
+
+    def counting(self):
+        checks.append(self)
+        return post_init(self)
+
+    monkeypatch.setattr(Poly, "__post_init__", counting)
+    b = parse_divisor("1/3*(x^2 + y^3) + 1/4*(y - x^2) + 1/5*(x^3 - y^2)")
+    c = curve_orient(parse_poly("3/2*x + y^2 + x*y"))
+    assert checks == list(b.branches) + [c.poly]
+    checks.clear()
+    mld_toric(b)
+    lct_toric(b, c)
+    verify_surface_theorem(b, c, "1/5")
+    assert checks == []
 
 
 def test_lct_reads_lc_off_the_fan_rays(monkeypatch):
@@ -449,7 +476,7 @@ def test_lct_reads_lc_off_the_fan_rays(monkeypatch):
     for run, b, c, extra in cases:
         b, c = parse_divisor(b), curve_orient(parse_poly(c))
         normals = face_normals(*newton_polytope(b).polygons)
-        own = len([n for n in face_normals(newton_polytope_of_poly(c.poly)) if n not in normals])
+        own = len([n for n in face_normals(polytope_from_support(c.poly)) if n not in normals])
         walks.clear()
         sweeps.clear()
         result = run(b, c, *extra)
@@ -487,10 +514,10 @@ def membership_bisection(b, c, steps=64):
     iff (D, D) lies in the hull of the sums of D*coeff-scaled vertices."""
     from test_exactgeom import contains, minkowski_hull
 
-    parts = [(coeff, newton_polytope_of_poly(p)) for coeff, p in b.components]
+    parts = [(coeff, polytope_from_support(p)) for coeff, p in b.components]
 
     def member(t):
-        scaled = parts + ([(t, newton_polytope_of_poly(c.poly))] if t else [])
+        scaled = parts + ([(t, polytope_from_support(c.poly))] if t else [])
         d = lcm(*(k.denominator for k, _ in scaled))
         region = minkowski_hull([(int(k * d), q) for k, q in scaled])
         return contains(region, (F(d), F(d)))
@@ -564,7 +591,7 @@ def test_curve_normal_and_contact_match_its_hull():
         for poly_c in (g, _transpose(g)):
             c = curve_orient(poly_c)
             assert c.v == v
-            hull = newton_polytope_of_poly(c.poly)
+            hull = polytope_from_support(c.poly)
             assert _curve_normals(c) == face_normals(hull)
             b = _random_divisor(rng)
             weights = [(1, 0)] + face_normals(*newton_polytope(b).polygons) + [(0, 1)]

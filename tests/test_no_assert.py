@@ -91,6 +91,8 @@ CASES = [
     'delta_bound("1/" + "7" * 5000)',
     'toric_log_discrepancy(parse_divisor("1*(x)"), (1,))',
     'polytope_from_support([(Fraction(1, 2), 0)])',
+    'lct_toric(parse_divisor("1/2*(x^2 + y^3)"), parse_poly("y"))',
+    'parse_poly(None)',
     'parse_divisor("1*(x - x)")',
     'curve_orient(parse_poly("x^2 + y^2"))',
     'verify_surface_theorem(parse_divisor("1*(x)"), curve_orient(parse_poly("y")), "0")',

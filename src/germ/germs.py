@@ -5,8 +5,8 @@ branches through the origin; a smooth curve germ is a single polynomial
 with nonzero linear part.  This module extracts their Newton data and
 computes the purely local quantities the invariant layer builds on:
 
-- the Newton diagram of B, kept as its weighted branch polygons
-  (``NewtonDiagram``);
+- the Newton diagram of B, kept as its weighted branch polygons, with the
+  valuation table read off them once per analysis (``NewtonDiagram``);
 - the multiplicity of B along a curve C and the local intersection of the
   C-free part of B with C (``contact_along_curve``).  C is smooth, so in
   its oriented frame its Newton polygon is the segment (1, 0)-(0, v) plus
@@ -129,22 +129,24 @@ class SmoothCurveGerm:
     """Curve germ smooth at the origin, in its original coordinates.
 
     Construction checks that ``poly`` is a ``Poly`` (which checks its own
-    terms) through the origin with a nonzero linear part, and derives two values.
-    ``swapped``: whether the two coordinates are exchanged to give the curve
-    a nonzero x-linear term, i.e. whether ``poly`` has none.  That
+    terms) through the origin with a nonzero linear part, and derives three
+    values.  ``swapped``: whether the two coordinates are exchanged to give
+    the curve a nonzero x-linear term, i.e. whether ``poly`` has none.  That
     orientation is the parametrization frame: the oriented polynomial is
     solved for x as a power series in y.  ``v``: the least frame-y exponent
     among the frame-x-free terms, 0 when there are none, i.e. when C is the
     frame's axis x = 0 times a unit.  Every other term is a multiple of x or
-    of y^v, so in the frame C's Newton polygon is conv{(1, 0), (0, v)} + Q:
-    its one compact face has the inner normal (v, 1), transposed when
-    ``swapped`` and absent when v = 0, and <w, C> = min(w_x, v*w_y), or w_x
-    when v = 0, for w read in the frame.
+    of y^v, so in the frame C's Newton polygon is conv{(1, 0), (0, v)} + Q,
+    never built: ``normals`` holds the inner normal (v, 1) of its one
+    compact face, transposed when ``swapped``, and is empty when v = 0, and
+    ``contact(w)`` is <w, C> = min(w_x, v*w_y), or w_x when v = 0, for w
+    read in the frame.
     """
 
     poly: Poly
     swapped: bool = field(init=False)
     v: int = field(init=False)
+    normals: "tuple[IntVec, ...]" = field(init=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.poly, Poly):
@@ -155,12 +157,16 @@ class SmoothCurveGerm:
         if (1, 0) not in terms and (0, 1) not in terms:
             raise InputError("curve is singular at the origin (zero linear part)")
         swapped = (1, 0) not in terms
-        if swapped:
-            v = min([i for i, j in terms if not j] or [0])
-        else:
-            v = min([j for i, j in terms if not i] or [0])
+        frame = [(j, i) for i, j in terms] if swapped else terms
+        v = min([j for i, j in frame if not i] or [0])
         object.__setattr__(self, "swapped", swapped)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "normals", ((1, v) if swapped else (v, 1),) if v else ())
+
+    def contact(self, w: IntVec) -> int:
+        """<w, C>, the least <w, .> over C's Newton polygon."""
+        wx, wy = (w[1], w[0]) if self.swapped else w
+        return min(wx, self.v * wy) if self.v else wx
 
 
 def curve_orient(g: Poly) -> SmoothCurveGerm:
@@ -173,16 +179,30 @@ def curve_orient(g: Poly) -> SmoothCurveGerm:
 
 
 class NewtonDiagram(NamedTuple):
-    """Newt(B) = (1/den) * sum of weights[i] * polygons[i], kept as its
+    """B's valuation table, built once per analysis by ``newton_polytope``.
+
+    Newt(B) = (1/den) * sum of weights[i] * polygons[i] is kept as its
     summands: ``polygons[i]`` is the vertex chain of branch i's integer
-    Newton polygon (an ``exactgeom.Polygon``) and ``weights[i]`` = den *
-    coeff_i, den the lcm of the coefficients' denominators.  The support
-    function of the sum is the sum of theirs, and its compact-face normals
-    are ``face_normals(*polygons)``."""
+    Newton polygon (an ``exactgeom.Polygon``), ``weights[i]`` = den *
+    coeff_i and ``den`` the lcm of the coefficients' denominators.  The
+    support function of the sum is the sum of theirs, and its compact-face
+    ``normals``, in fan order, are ``face_normals(*polygons)``.  The
+    ``cones`` (u, v, a, b) of consecutive rays u, v from (1, 0) to (0, 1)
+    carry one form each: every w in the cone has its least <w, .> at the
+    one vertex V of least <u + v, .>, so den times the log discrepancy
+    w1 + w2 - <w, Newt(B)> is a*w1 + b*w2 there, (a, b) = (den - V1, den -
+    V2) (Fulton, *Introduction to Toric Varieties*).  ``rays`` holds that
+    value at each ray, keyed (1, 0), (0, 1), then the normals: the order in
+    which the lct breaks ties.  A form linear on each cone is >= 0 on the
+    quadrant iff it is at the rays, so B is lc exactly when no ray value is
+    negative."""
 
     weights: "tuple[int, ...]"
     polygons: "tuple[Polygon, ...]"
     den: int
+    normals: "list[IntVec]"
+    cones: "list[tuple[IntVec, IntVec, int, int]]"
+    rays: "dict[IntVec, int]"
 
     def vertex(self, w: IntVec) -> IntVec:
         """den times a vertex of least <w, .>: the weighted sum of each polygon's."""
@@ -210,9 +230,24 @@ def _weights(b: DivisorGerm) -> "tuple[tuple[int, ...], int]":
 
 
 def newton_polytope(b: DivisorGerm) -> NewtonDiagram:
-    """The coefficient-weighted sum of the branch polygons, as its summands."""
+    """B's Newton diagram and valuation table; see ``NewtonDiagram``."""
     weights, den = _weights(b)
-    return NewtonDiagram(weights, tuple(polytope_from_support(p) for p in b.branches), den)
+    return _table(weights, tuple(polytope_from_support(p) for p in b.branches), den)
+
+
+def _table(weights: "tuple[int, ...]", polygons: "tuple[Polygon, ...]", den: int) -> NewtonDiagram:
+    """The diagram of the weighted polygons over den, with one vertex sweep per cone."""
+    p = NewtonDiagram(weights, polygons, den, [], [], {})
+    normals = face_normals(*polygons)
+    fan: list[IntVec] = [(1, 0)] + normals + [(0, 1)]
+    cones = []
+    for u, v in zip(fan, fan[1:]):
+        x, y = p.vertex((u[0] + v[0], u[1] + v[1]))
+        cones.append((u, v, den - x, den - y))
+    values = {(1, 0): cones[0][2], (0, 1): cones[-1][3]}
+    for u, _, a, b in cones[1:]:
+        values[u] = a * u[0] + b * u[1]
+    return p._replace(normals=normals, cones=cones, rays=values)
 
 
 @dataclass(frozen=True)
@@ -232,7 +267,7 @@ class NondegeneracyReport:
 
 
 def nondegeneracy_check(b: DivisorGerm) -> NondegeneracyReport:
-    normals = face_normals(*newton_polytope(b).polygons)
+    normals = newton_polytope(b).normals  # checks b's type before b.branches
     return _nondegeneracy(b.branches, normals)
 
 

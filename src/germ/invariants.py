@@ -1,38 +1,28 @@
 """Singularity invariants of divisor germs via their Newton data.
 
-Everything is computed from the Newton diagram of B with exact arithmetic.
-The diagram is kept as its summands: the integer Newton polygon of each
-branch with the integer weight den * coeff, den the lcm of the coefficient
-denominators (see ``germs.NewtonDiagram``).  Its support function is the
-weighted sum of the branches' and its face normals are the union of
-theirs.  On each fan cone the log discrepancy is one linear form, read
-off the diagram's one vertex there (Fulton, *Introduction to Toric
-Varieties*): one valuation table per analysis holds the fan's cones,
-those vertices and each ray's discrepancy.  So the mld scan takes
-integer dot products, den times each log discrepancy; the lct, its cap
-and the checker's hypotheses compare ``int`` cross-products, and each
-builds a ``Fraction`` only for a returned value:
+Everything is read off B's valuation table, ``germs.NewtonDiagram``, built
+once per analysis with exact ``int`` arithmetic: den, the weighted branch
+polygons, the face normals, one discrepancy form per normal-fan cone and
+each ray's value.  So the mld scan takes integer dot products, den times
+each log discrepancy; the lct, its cap and the checker's hypotheses
+compare ``int`` cross-products, and each builds a ``Fraction`` only for a
+returned value:
 
-* log discrepancies of monomial valuations (weighted blow-ups),
+* log discrepancies of monomial valuations (weighted blow-ups), read off
+  B's terms by their definition, with no table,
 * the minimal log discrepancy over all positive integer weights: -inf at a
   negative ray value of the table, with no sail walk, else the least value
   at the Klein-sail run endpoints of the normal-fan cones, O(log det) each,
 * the log canonical threshold of a smooth curve through the origin, as the
   smallest discrepancy/contact ratio over a complete finite candidate set
-  of weights, capped by the curve's own coefficient room.  A form linear
-  on each cone is >= 0 on the quadrant iff it is at the fan's rays, so
-  B is lc exactly when no ray has a negative discrepancy: the lct reads
-  lc-ness, and its candidates at B's rays, off the table with no sail
-  walk.  C's polygon is never built: in C's frame it is conv{(1, 0),
-  (0, v)} + Q, v = ``SmoothCurveGerm.v``, so C adds at most the one
-  candidate (v, 1), transposed when swapped, and each contact is the
-  closed form min(w_x, v*w_y), or w_x when v = 0 and C is an axis,
+  of weights, capped by the curve's own coefficient room: the table's rays
+  and C's face normal, with C's contacts in closed form
+  (``SmoothCurveGerm``); lc-ness is read off the ray values,
 * the explicit fibration bound delta(eps) = sup_n (eps - 1/n)/(n - 1), in
   closed form,
-* the surface-theorem checker, which builds the Newton diagram, its
-  valuation table, the mld scan, the contact of B with C and B's
-  nondegeneracy once, and passes only exact thresholds (hypothesis
-  "B + lct*C newton nondegenerate").
+* the surface-theorem checker, which builds the table, the mld scan, the
+  contact of B with C and B's nondegeneracy once, and passes only exact
+  thresholds (hypothesis "B + lct*C newton nondegenerate").
 
 The mld and lct values are upper bounds for the true birational invariants
 in general; they are exact on Newton-nondegenerate inputs, which callers
@@ -45,23 +35,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
 
 from .errors import DomainError, GermError, InputError
-from .exactgeom import (
-    IntVec,
-    Run,
-    _hilbert_runs,
-    as_pair,
-    face_normals,
-    make_weight,
-)
+from .exactgeom import IntVec, Run, _hilbert_runs, as_pair, make_weight
 from .germs import (
     DivisorGerm,
     NewtonDiagram,
     SmoothCurveGerm,
     _contact,
     _nondegeneracy,
+    _weights,
     newton_polytope,
 )
 from .polys import Poly
@@ -84,18 +67,15 @@ __all__ = [
 # log discrepancies
 
 
-def _discrepancy(p: NewtonDiagram, v: IntVec) -> int:
-    """The log discrepancy v1 + v2 - min over the diagram of <v, point> of
-    the weight v, times the diagram's denominator: an integer form, linear
-    on each normal-fan cone."""
-    return (v[0] + v[1]) * p.den - p.lattice_min(v)
-
-
 def toric_log_discrepancy(b: DivisorGerm, w: "tuple[int, int]") -> Fraction:
-    """a(E_w, X, B) = w1 + w2 - <w, Newton diagram of B> for a primitive
-    positive integer weight w."""
-    p = newton_polytope(b)
-    return Fraction(_discrepancy(p, make_weight(*as_pair(w))), p.den)
+    """a(E_w, X, B) = w1 + w2 - sum of coeff_i * min <w, e> over the
+    exponents e of branch i, for a primitive positive integer weight w,
+    read off B's terms by that definition in ``int`` over den, with no
+    polygon or valuation table."""
+    weights, den = _weights(b)
+    w1, w2 = make_weight(*as_pair(w))
+    low = sum(n * min(w1 * i + w2 * j for i, j in p.terms) for n, p in zip(weights, b.branches))
+    return Fraction((w1 + w2) * den - low, den)
 
 
 @dataclass(frozen=True)
@@ -126,51 +106,25 @@ def mld_toric(b: DivisorGerm) -> MldResult:
     run endpoints (plus (1,1) when the fan is the whole quadrant), O(log
     det) per cone.
     """
-    return _mld(_fan(newton_polytope(b)))
+    return _mld(newton_polytope(b))
 
 
-class _Fan(NamedTuple):
-    """The valuation table of a diagram p, built once per analysis: den =
-    p.den, the face ``normals`` in fan order, the ``cones`` (u, v, V) of
-    consecutive rays u, v from (1, 0) to (0, 1), V being p's one vertex of
-    least <u + v, .>, and ``rays``, den times the log discrepancy at each
-    ray, keyed (1, 0), (0, 1), then the normals: the order in which
-    ``_lct`` breaks ties.  Every w in a cone has least <w, .> = <w, V>, so
-    den times the log discrepancy is one form (den - V1)*w1 + (den - V2)*w2
-    there, and the pair is lc exactly when no ray value is negative."""
-
-    den: int
-    normals: "list[IntVec]"
-    cones: "list[tuple[IntVec, IntVec, IntVec]]"
-    rays: "dict[IntVec, int]"
-
-
-def _fan(p: NewtonDiagram) -> _Fan:
-    normals = face_normals(*p.polygons)
-    rays: list[IntVec] = [(1, 0)] + normals + [(0, 1)]
-    cones = [(u, v, p.vertex((u[0] + v[0], u[1] + v[1]))) for u, v in zip(rays, rays[1:])]
-    values = {(1, 0): p.den - cones[0][2][0], (0, 1): p.den - cones[-1][2][1]}
-    for u, _, (x, y) in cones[1:]:
-        values[u] = (p.den - x) * u[0] + (p.den - y) * u[1]
-    return _Fan(p.den, normals, cones, values)
-
-
-def _mld(fan: _Fan) -> MldResult:
-    """-inf at the first negative ray value of ``fan``, face normals first,
-    else the first positive basis element, in fan order, of least
-    discrepancy.  Along a run den times it is g0 + j*rate, least at the
-    first positive point when rate >= 0 and at the last when rate < 0."""
-    den, rays = fan.den, fan.rays
+def _mld(p: NewtonDiagram) -> MldResult:
+    """-inf at the first negative ray value of B's table ``p`` (see
+    ``NewtonDiagram``), face normals first, else the first positive basis
+    element, in fan order, of least discrepancy.  Along a run den times it
+    is g0 + j*rate, least at the first positive point when rate >= 0 and at
+    the last when rate < 0."""
+    den, rays = p.den, p.rays
     axis_values = (Fraction(rays[(1, 0)], den), Fraction(rays[(0, 1)], den))
     if min(rays.values()) < 0:
-        ray = next(r for r in fan.normals + [(1, 0), (0, 1)] if rays[r] < 0)
-        witness = ray if _is_positive(ray) else _positive_negative_witness(fan, ray)
+        ray = next(r for r in p.normals + [(1, 0), (0, 1)] if rays[r] < 0)
+        witness = ray if _is_positive(ray) else _positive_negative_witness(p, ray)
         return MldResult(NEG_INF, make_weight(*witness), False, axis_values)
     best: "tuple[int, IntVec] | None" = None
-    for u, v, (x, y) in fan.cones:
-        a, b = den - x, den - y
+    for u, v, a, b in p.cones:
         runs = _hilbert_runs(u, v)
-        if len(fan.cones) == 1:
+        if len(p.cones) == 1:
             runs.append(Run((1, 1), (0, 0), 0))  # no positive basis element in this fan
         for run in runs:
             js = _positive_points(run)
@@ -197,16 +151,16 @@ def _positive_points(run: Run) -> range:
     return range(lo, hi + 1)
 
 
-def _positive_negative_witness(fan: _Fan, axis: IntVec) -> IntVec:
+def _positive_negative_witness(p: NewtonDiagram, axis: IntVec) -> IntVec:
     """Positive weight with negative discrepancy: the other ray of the cone
     of the negative ``axis``, or (1, 1) in a one-cone fan, pushed along the
     axis.  The cone's form g is linear and g(axis) < 0, so partner + k*axis
     is negative for every k > g(partner) / -g(axis); the push takes the
     least such k >= 1, since g(1, 1) may itself be negative."""
     i = 0 if axis == (1, 0) else -1
-    a, b = (fan.den - z for z in fan.cones[i][2])
-    partner = fan.normals[i] if fan.normals else (1, 1)
-    steps = max(1, (a * partner[0] + b * partner[1]) // -fan.rays[axis] + 1)
+    _, _, a, b = p.cones[i]
+    partner = p.normals[i] if p.normals else (1, 1)
+    steps = max(1, (a * partner[0] + b * partner[1]) // -p.rays[axis] + 1)
     p0 = (partner[0] + steps * axis[0], partner[1] + steps * axis[1])
     d = gcd(*p0)
     w = (p0[0] // d, p0[1] // d)
@@ -245,46 +199,41 @@ def lct_toric(b: DivisorGerm, c: SmoothCurveGerm) -> LctResult:
     B must have every coefficient at most one, else ``DomainError``
     "coefficient above one".  Then (X, B) must be lc at the origin, which
     holds exactly when no ray value of B's valuation table is negative
-    (see ``_Fan``).  A negative value, or C itself carrying a coefficient
-    mult_C B above one in B, raises ``DomainError`` "pair not lc before
-    adding C", in that order.  The threshold is the least
-    discrepancy/contact ratio over the fan's rays and C's face normal,
+    (see ``NewtonDiagram``).  A negative value, or C itself carrying a
+    coefficient mult_C B above one in B, raises ``DomainError`` "pair not lc
+    before adding C", in that order.  The threshold is the least
+    discrepancy/contact ratio over the table's rays and C's face normal,
     capped by 1 - mult_C B, the room left on C's own coefficient (see
-    ``LctResult``).  C's normal and contacts are read off v, the least
-    frame-y power of C's frame-x-free terms (see ``SmoothCurveGerm``): the
-    normal is (v, 1) in C's frame and <w, C> = min(w_x, v*w_y), with no
-    normal and <w, C> = w_x when v = 0.  Then C is an axis, and mult_C B
-    and the contact are read off the branches' exponents.
+    ``LctResult``).  C's normal and contacts are ``SmoothCurveGerm.normals``
+    and ``contact``; when C is an axis, mult_C B and the contact are read
+    off the branches' exponents.
     """
     pb = newton_polytope(b)
     if max(pb.weights) > pb.den:
         raise DomainError("coefficient above one")
-    fan = _fan(pb)
-    if min(fan.rays.values()) < 0:
+    if min(pb.rays.values()) < 0:
         raise DomainError("pair not lc before adding C")
     branches = b.branches
     mult, _ = _contact(branches, pb.weights, c)
     if mult > pb.den:  # C has coefficient above one in B
         raise DomainError("pair not lc before adding C")
-    return _lct(branches, c, pb, fan.rays, mult, _nondegeneracy(branches, fan.normals).nondegenerate)
+    return _lct(branches, c, pb, mult, _nondegeneracy(branches, pb.normals).nondegenerate)
 
 
-def _lct(branches: "list[Poly]", c: SmoothCurveGerm, pb: NewtonDiagram,
-         rays: "dict[IntVec, int]", mult: int, nondegenerate: bool) -> LctResult:
+def _lct(branches: "list[Poly]", c: SmoothCurveGerm, pb: NewtonDiagram, mult: int,
+         nondegenerate: bool) -> LctResult:
     """Threshold of an lc pair with coefficients at most one, given B's
-    branch polynomials, its Newton diagram ``pb``, the ``rays`` of its
-    ``_Fan``, pb.den * mult_C B and whether B is nondegenerate.  C's
-    polygon is never built: its face normal and each candidate's contact
-    are read off v = c.v (``_curve_normals``, ``_curve_contact``).  Only a
-    normal of C's that is not a ray of B's fan needs a discrepancy of its
-    own.  The ratios disc/(pb.den * contact) and the cap are
+    branch polynomials, its valuation table ``pb`` (see ``NewtonDiagram``),
+    pb.den * mult_C B and whether B is nondegenerate.  Only a normal of C's
+    that is not a ray of B's table needs a discrepancy of its own, from one
+    vertex sweep.  The ratios disc/(pb.den * contact) and the cap are
     cross-multiplied."""
-    c_normals = _curve_normals(c)
+    rays = pb.rays
     candidates = list(rays.items()) + [
-        (n, _discrepancy(pb, n)) for n in c_normals if n not in rays]
+        (n, (n[0] + n[1]) * pb.den - pb.lattice_min(n)) for n in c.normals if n not in rays]
     best: "tuple[int, int, IntVec] | None" = None  # the least ratio, first in order
     for w, disc in candidates:
-        contact = _curve_contact(c, w)
+        contact = c.contact(w)
         if contact == 0:
             continue
         if best is None or disc * best[1] < best[0] * contact:
@@ -301,25 +250,10 @@ def _lct(branches: "list[Poly]", c: SmoothCurveGerm, pb: NewtonDiagram,
     # B is one term, and C's binomial passes.  So B + value*C is nondegenerate
     # iff B is and, when value > 0, it passes along the normals B and C share;
     # its coefficients do not enter the test.
-    shared = [n for n in c_normals if n in rays] if value.numerator > 0 else []
+    shared = [n for n in c.normals if n in rays] if value.numerator > 0 else []
     exact = nondegenerate and (
         not shared or _nondegeneracy(branches + [c.poly], shared).nondegenerate)
     return LctResult(membership, cap, value, witness, exact)
-
-
-def _curve_normals(c: SmoothCurveGerm) -> "list[IntVec]":
-    """The inner normals of the compact faces of C's Newton polygon: (v, 1)
-    in C's frame, transposed when ``c.swapped``, and none when v = 0."""
-    if not c.v:
-        return []
-    return [(1, c.v) if c.swapped else (c.v, 1)]
-
-
-def _curve_contact(c: SmoothCurveGerm, w: IntVec) -> int:
-    """<w, C>, the least <w, .> over C's Newton polygon conv{(1, 0), (0, v)}
-    + Q in C's frame: min(w_x, v*w_y) for w's frame entries, w_x when v = 0."""
-    wx, wy = (w[1], w[0]) if c.swapped else w
-    return min(wx, c.v * wy) if c.v else wx
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +337,14 @@ def verify_surface_theorem(
     bound = delta_bound(epsilon)
     eps = bound.epsilon
     pb = newton_polytope(b)
-    fan = _fan(pb)
-    mld = _mld(fan)
+    mld = _mld(pb)
     branches = b.branches
     mult, inter = _contact(branches, pb.weights, c)  # over pb.den
 
     failed = []
     if mld.value < eps:
         failed.append("mld >= epsilon")
-    if min(fan.rays[(1, 0)], fan.rays[(0, 1)]) * eps.denominator < eps.numerator * pb.den:
+    if min(pb.rays[(1, 0)], pb.rays[(0, 1)]) * eps.denominator < eps.numerator * pb.den:
         failed.append("axis values >= epsilon")
     if mult * eps.denominator > (eps.denominator - eps.numerator) * pb.den:
         failed.append("mult_C B <= 1 - epsilon")
@@ -419,10 +352,10 @@ def verify_surface_theorem(
         failed.append("(B' . C) <= 2")
     if max(pb.weights) * eps.denominator > (eps.denominator - eps.numerator) * pb.den:
         failed.append("coefficients <= 1 - epsilon")
-    nondeg = _nondegeneracy(branches, fan.normals).nondegenerate
+    nondeg = _nondegeneracy(branches, pb.normals).nondegenerate
     if not nondeg:
         failed.append("newton nondegeneracy")
-    lct = _lct(branches, c, pb, fan.rays, mult, nondeg) if not failed else None
+    lct = _lct(branches, c, pb, mult, nondeg) if not failed else None
     # an inexact value is only an upper bound of the threshold: it checks nothing
     if lct is not None and not lct.exact:
         failed.append("B + lct*C newton nondegenerate")

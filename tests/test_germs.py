@@ -280,7 +280,7 @@ def diagram_vertices(b, rng=None):
 
 def test_newton_polytope_scaled_binomial():
     b = parse_divisor("3/4*(x^2 + y^3)")
-    assert newton_polytope(b) == ((3,), (polytope_from_support(pp("x^2 + y^3")),), 4)
+    assert newton_polytope(b)[:3] == ((3,), (polytope_from_support(pp("x^2 + y^3")),), 4)
     assert diagram_vertices(b) == [(0, F(9, 4)), (F(3, 2), 0)]
 
 
@@ -1001,6 +1001,29 @@ def test_series_cost_follows_bit_size():
             finally:
                 signal.setitimer(signal.ITIMER_REAL, 0)
     finally:
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP known defect 'Hang: a component of B that lies on C': a series "
+    "that is 0 on C is read to the Bezout order (direction 1)"))
+@pytest.mark.parametrize("c", ["x + y^2 + y^3 + x^50*y",
+                               "1/3*x^26*y^24 - 2*x - y^5 + 1/3*x^4*y^2"])
+def test_contained_component_answers_within_a_second(c):
+    """A branch that is C itself has mult 1 and no C-free part.  The root
+    of the first curve is -t^2 - t^3 + O(t^101), not a polynomial, and the
+    second's is dense, so the branch, 0 on C, is read to the Bezout order:
+    (50 + 1)^2 + 2 for the first.  A timer fails each case after 1 s."""
+
+    def overrun(signum, frame):
+        raise AssertionError(f"no answer within 1 s: 1/2*({c}) on {c}")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        assert contact_along_curve(parse_divisor(f"1/2*({c})"), curve_orient(pp(c))) == (F(1, 2), 0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
 
 

@@ -14,6 +14,7 @@ from germ.exactgeom import face_normals, make_weight, polytope_from_support
 from germ.germs import (
     DivisorGerm,
     NewtonDiagram,
+    _table,
     contact_along_curve,
     curve_orient,
     local_intersection,
@@ -22,10 +23,6 @@ from germ.germs import (
 )
 from germ.invariants import (
     MldResult,
-    _curve_contact,
-    _curve_normals,
-    _discrepancy,
-    _fan,
     _mld,
     delta_bound,
     lct_toric,
@@ -103,6 +100,28 @@ def test_discrepancy_homogeneity_before_normalization():
             p = newton_polytope(b)
             scaled = k * w1 + k * w2 - F(p.lattice_min((k * w1, k * w2)), p.den)
             assert scaled == k * base
+
+
+def test_discrepancy_reads_the_terms_with_no_table(monkeypatch):
+    """toric_log_discrepancy reads B's terms by the definition and builds no
+    polygon, so as an oracle it shares no code with the valuation table;
+    at every face normal n of seeded diagrams it equals pb.rays[n] / pb.den."""
+    import germ.germs
+
+    built = []
+    hull = germ.germs.polytope_from_support
+    monkeypatch.setattr(germ.germs, "polytope_from_support", lambda p: built.append(p) or hull(p))
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(300):
+        b = _random_divisor(rng)
+        pb = newton_polytope(b)
+        built.clear()
+        for n in pb.normals:
+            assert toric_log_discrepancy(b, n) == F(pb.rays[n], pb.den)
+            checked += 1
+        assert built == []
+    assert checked >= 100, checked
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +250,7 @@ def test_mld_run_walk_matches_full_scan():
         den = rng.randint(1, 6) * sum(n for n, _ in parts)
         expected, kind = full_scan_mld(parts, den)
         weights, polygons = zip(*parts)
-        assert _mld(_fan(NewtonDiagram(weights, polygons, den))) == expected
+        assert _mld(_table(weights, polygons, den)) == expected
         classes[kind] += 1
         sizes[len(parts)] += 1
     assert min(classes.values()) >= 100, classes
@@ -255,14 +274,14 @@ def test_lc_is_read_off_the_fan_rays():
             parts.append((rng.randint(1, 3), poly(*([q for q in pts if q != (0, 0)] or [(1, 0)]))))
         weights, polygons = zip(*parts)
         den = rng.randint(1, 3) * sum(weights)
-        diagram = NewtonDiagram(weights, polygons, den)
+        diagram = _table(weights, polygons, den)
         normals = face_normals(*polygons)
-        fan = _fan(diagram)
-        values = fan.rays
+        values = diagram.rays
         assert list(values) == [(1, 0), (0, 1)] + normals
-        assert all(value == _discrepancy(diagram, ray) for ray, value in values.items())
+        assert all(value == (w1 + w2) * den - diagram.lattice_min((w1, w2))
+                   for (w1, w2), value in values.items())
         least = min(values.values())
-        assert (_mld(fan).value is NEG_INF) == (least < 0)
+        assert (_mld(diagram).value is NEG_INF) == (least < 0)
         kinds["not lc" if least < 0 else "lc"] += 1
         kinds["least 0"] += least == 0
     assert kinds["lc"] >= 300 and kinds["not lc"] >= 300 and kinds["least 0"] >= 50, kinds
@@ -350,7 +369,7 @@ def test_lct_precondition_errors():
     for text, values in [("1*(x^2 + y^3)", {(1, 0): 1, (0, 1): 1, (3, 2): -1}),
                          ("2/3*(y) + 2/3*(x*y + y^2)", {(1, 0): 3, (0, 1): -1, (1, 1): 0})]:
         pb = newton_polytope(parse_divisor(text))
-        assert _fan(pb).rays == values
+        assert pb.rays == values
         with pytest.raises(DomainError, match="not lc before adding C"):
             lct_toric(parse_divisor(text), curve_orient(parse_poly("x")))
     # lc with a least ray value of exactly 0, on the axis (0, 1)
@@ -408,8 +427,8 @@ def test_one_polytope_per_branch_per_analysis(monkeypatch):
 
     monkeypatch.setattr(germ.germs, "polytope_from_support",
                         counting(built, germ.germs.polytope_from_support))
-    monkeypatch.setattr(germ.invariants, "face_normals",
-                        counting(normals, germ.invariants.face_normals))
+    monkeypatch.setattr(germ.germs, "face_normals",
+                        counting(normals, germ.germs.face_normals))
     monkeypatch.setattr(germ.germs, "_integer_terms", counting(cleared, germ.germs._integer_terms))
     for run, b, c, extra, clears in cases:
         pb = newton_polytope(b)
@@ -423,6 +442,22 @@ def test_one_polytope_per_branch_per_analysis(monkeypatch):
     contact_along_curve(parse_divisor("1*(3/2*x + y^2)"),
                         curve_orient(parse_poly("3/2*x + y^2 + x*y")))
     assert len(cleared) == 2  # the branch and C
+
+
+def test_one_table_per_analysis(monkeypatch):
+    """mld_toric, lct_toric and verify each build B's valuation table once."""
+    import germ.invariants
+
+    built = []
+    table = germ.invariants.newton_polytope
+    monkeypatch.setattr(germ.invariants, "newton_polytope", lambda b: built.append(b) or table(b))
+    b = parse_divisor("1/3*(x^2 + y^3) + 1/4*(y - x^2) + 1/5*(x^3 - y^2)")
+    c = curve_orient(parse_poly("y - x^5"))
+    for run, extra in [(mld_toric, ()), (lct_toric, (c,)), (verify_surface_theorem, (c, "1/5"))]:
+        built.clear()
+        result = run(b, *extra)
+        assert getattr(result, "lct", result) is not None
+        assert built == [b]
 
 
 def test_analysis_checks_no_term(monkeypatch):
@@ -592,7 +627,7 @@ def test_curve_normal_and_contact_match_its_hull():
             c = curve_orient(poly_c)
             assert c.v == v
             hull = polytope_from_support(c.poly)
-            assert _curve_normals(c) == face_normals(hull)
+            assert list(c.normals) == face_normals(hull)
             b = _random_divisor(rng)
             weights = [(1, 0)] + face_normals(*newton_polytope(b).polygons) + [(0, 1)]
             while len(weights) < 12:
@@ -600,7 +635,7 @@ def test_curve_normal_and_contact_match_its_hull():
                 if gcd(*w) == 1:
                     weights.append(w)
             for w in weights:
-                assert _curve_contact(c, w) == lattice_min(hull, w), (c, w)
+                assert c.contact(w) == lattice_min(hull, w), (c, w)
             kind = "axis" if not v else "both linear" if v == 1 else "v >= 2"
             seen[kind, c.swapped] += 1
     assert set(seen) == {("axis", False), ("axis", True), ("both linear", False),

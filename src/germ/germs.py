@@ -27,9 +27,9 @@ computes the purely local quantities the invariant layer builds on:
 - the Newton-nondegeneracy certificate that marks inputs whose toric
   invariants are exact, read off the branches' initial forms along the
   compact-face normals of the divisor's Newton diagram.  Binomial forms are
-  decided on their exponents and coefficients; only forms of three or more
-  terms go through a dense gcd, and only up to ``DENSE_FORM_LIMIT``
-  entries.
+  decided on their exponents and coefficients; a form of three or more
+  terms is cleared to ``int`` and goes through one integer gcd, the
+  primitive remainder sequence, up to ``DENSE_FORM_LIMIT`` entries.
 
 Polynomials (not power series) keep every computation exact and decidable.
 Only the germ of a curve at the origin matters: a curve polynomial may
@@ -53,13 +53,11 @@ from .exactgeom import (
     polytope_from_support,
 )
 from .polys import (
-    ZERO,
     Poly,
     parse_weighted_terms,
     render_weighted_terms,
     series_mul,
-    uni_coprime,
-    uni_is_squarefree,
+    uni_gcd_degree,
 )
 
 __all__ = [
@@ -194,8 +192,10 @@ class NewtonDiagram(NamedTuple):
     V2) (Fulton, *Introduction to Toric Varieties*).  ``rays`` holds that
     value at each ray, keyed (1, 0), (0, 1), then the normals: the order in
     which the lct breaks ties.  A form linear on each cone is >= 0 on the
-    quadrant iff it is at the rays, so B is lc exactly when no ray value is
-    negative."""
+    quadrant iff it is at the rays, so the toric discrepancies are all >= 0
+    exactly when no ray value is negative.  That is necessary for B to be
+    lc, and sufficient when B is Newton-nondegenerate; a degenerate B can
+    fail to be lc on a divisor over X that is not toric."""
 
     weights: "tuple[int, ...]"
     polygons: "tuple[Polygon, ...]"
@@ -267,8 +267,8 @@ class NondegeneracyReport:
 
 
 def nondegeneracy_check(b: DivisorGerm) -> NondegeneracyReport:
-    normals = newton_polytope(b).normals  # checks b's type before b.branches
-    return _nondegeneracy(b.branches, normals)
+    _weights(b)  # checks b's type before b.branches
+    return _nondegeneracy(b.branches, face_normals(*map(polytope_from_support, b.branches)))
 
 
 def _nondegeneracy(branches: "list[Poly]", normals: "list[IntVec]") -> NondegeneracyReport:
@@ -278,9 +278,11 @@ def _nondegeneracy(branches: "list[Poly]", normals: "list[IntVec]") -> Nondegene
     which passes.  A face form f(u), f(0) != 0, steps by the gcd k of every
     branch's exponent gaps on the face: f(u^k) is squarefree, or shares a
     factor with g(u^k), iff f is, or does with g.  Forms are sparse,
-    u-exponent -> coefficient; a binomial is squarefree, and only forms of
-    three or more terms go through the dense ``uni_*``, up to
-    ``DENSE_FORM_LIMIT`` entries."""
+    u-exponent -> coefficient; a binomial is squarefree.  A form of three or
+    more terms, or a form paired with one, is cleared to a dense ``int``
+    list of at most ``DENSE_FORM_LIMIT`` entries for ``uni_gcd_degree``: f
+    is squarefree iff gcd(f, f') is constant, and f and g share a factor iff
+    gcd(f, g) is not."""
     forms: "list[dict[IntVec, dict[int, Fraction]]]" = [{} for _ in branches]
     for n1, n2 in normals:
         faces = []  # each branch's terms of least n1*i + n2*j, keyed by i
@@ -294,8 +296,10 @@ def _nondegeneracy(branches: "list[Poly]", normals: "list[IntVec]") -> Nondegene
                 fi[n1, n2] = {(i - low) // step: c for i, c in f.items()}
     for i, fi in enumerate(forms):
         for n, f in fi.items():
-            if len(f) > 2 and not uni_is_squarefree(_dense(f)):
-                return NondegeneracyReport(False, (i,), n, "face form is not squarefree")
+            if len(f) > 2:
+                d = _dense(f)
+                if uni_gcd_degree(d, [k * c for k, c in enumerate(d)][1:]):  # gcd(f, f')
+                    return NondegeneracyReport(False, (i,), n, "face form is not squarefree")
     for i, fi in enumerate(forms):
         for n, f in fi.items():
             for j in range(i + 1, len(forms)):
@@ -308,16 +312,21 @@ def _nondegeneracy(branches: "list[Poly]", normals: "list[IntVec]") -> Nondegene
 
 
 #: The longest dense list, in entries, that a face form of three or more
-#: terms, or a form paired with one, becomes for the ``uni_*`` gcd, whose
-#: Fraction Euclid is quadratic in the length.
+#: terms, or a form paired with one, becomes for ``uni_gcd_degree``.  On
+#: dense forms of degree d with one-digit coefficients the integer remainder
+#: sequence takes tens of ms at d = 100, about half a second at d = 200, and
+#: seconds past d = 400.
 DENSE_FORM_LIMIT = 1024
 
 
-def _dense(f: "dict[int, Fraction]") -> "list[Fraction]":
+def _dense(f: "dict[int, Fraction]") -> "list[int]":
+    """den * f as a dense ``int`` list, den the lcm of f's denominators."""
     if max(f) >= DENSE_FORM_LIMIT:
         raise InputError(f"a face form of u-degree {max(f)} would be a dense list past "
                          f"the limit of {DENSE_FORM_LIMIT} entries")
-    return [f.get(i, ZERO) for i in range(max(f) + 1)]
+    den = lcm(*(c.denominator for c in f.values()))
+    return [f[i].numerator * (den // f[i].denominator) if i in f else 0
+            for i in range(max(f) + 1)]
 
 
 def _share_factor(f: "dict[int, Fraction]", g: "dict[int, Fraction]") -> bool:
@@ -330,7 +339,7 @@ def _share_factor(f: "dict[int, Fraction]", g: "dict[int, Fraction]") -> bool:
     and any e-th root of w is a root of both.
     """
     if len(f) > 2 or len(g) > 2:
-        return not uni_coprime(_dense(f), _dense(g))
+        return uni_gcd_degree(_dense(f), _dense(g)) > 0
     (m, c1), (k, d1) = max(f.items()), max(g.items())
     e = gcd(m, k)
     return _powers_agree(-f[0] / c1, k // e, -g[0] / d1, m // e)

@@ -197,11 +197,12 @@ def lct_toric(b: DivisorGerm, c: SmoothCurveGerm) -> LctResult:
     """The log canonical threshold of the smooth curve C against B.
 
     B must have every coefficient at most one, else ``DomainError``
-    "coefficient above one".  Then (X, B) must be lc at the origin, which
-    holds exactly when no ray value of B's valuation table is negative
-    (see ``NewtonDiagram``).  A negative value, or C itself carrying a
-    coefficient mult_C B above one in B, raises ``DomainError`` "pair not lc
-    before adding C", in that order.  The threshold is the least
+    "coefficient above one".  Then (X, B) must be lc at the origin.  No
+    negative ray value of B's valuation table is necessary for that, and
+    sufficient only when B is Newton-nondegenerate (see ``NewtonDiagram``);
+    on a degenerate B that is not lc the value bounds nothing.  A negative
+    value, or C itself carrying a coefficient mult_C B above one in B,
+    raises ``DomainError`` "pair not lc before adding C", in that order.  The threshold is the least
     discrepancy/contact ratio over the table's rays and C's face normal,
     capped by 1 - mult_C B, the room left on C's own coefficient (see
     ``LctResult``).  C's normal and contacts are ``SmoothCurveGerm.normals``

@@ -25,16 +25,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import InputError
 
 Exponent = tuple[int, int]
-
-#: The one zero that lookups of absent coefficients return.
-ZERO = Fraction(0)
-
 
 @dataclass(frozen=True, eq=False)
 class Poly:
@@ -247,48 +244,32 @@ def series_mul(a: dict[int, int], b: dict[int, int], order: int) -> dict[int, in
 
 
 # ---------------------------------------------------------------------------
-# dense univariate helpers (index = exponent)
-
-Uni = list  # list[Fraction]
+# dense univariate gcd (index = exponent)
 
 
-def uni_trim(c: Uni) -> Uni:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _primitive(f: list[int]) -> list[int]:
+    """f over the gcd of its entries; the zero list [] stays []."""
+    g = gcd(*f)
+    return [c // g for c in f]
 
 
-def uni_derivative(c: Uni) -> Uni:
-    return uni_trim([c[i] * i for i in range(1, len(c))])
-
-
-def _uni_rem(a: Uni, b: Uni) -> Uni:
-    """The remainder of a on division by b, which must be trimmed and nonzero."""
-    rem = uni_trim(list(a))
-    inv = 1 / b[-1]
-    while len(rem) >= len(b):
-        k = len(rem) - len(b)
-        factor = rem[-1] * inv
-        for i, bc in enumerate(b):
-            rem[k + i] -= factor * bc
-        uni_trim(rem)  # the top coefficient is now exactly 0
-    return rem
-
-
-def uni_gcd(a: Uni, b: Uni) -> Uni:
-    """A gcd of a and b, trimmed, up to a nonzero constant factor."""
-    x, y = uni_trim(list(a)), uni_trim(list(b))
-    while y:
-        x, y = y, _uni_rem(x, y)
-    return x
-
-
-def uni_is_squarefree(c: Uni) -> bool:
-    """gcd with the derivative is constant: at most one entry long."""
-    if not c:
-        return False
-    return len(uni_gcd(c, uni_derivative(c))) <= 1
-
-
-def uni_coprime(a: Uni, b: Uni) -> bool:
-    return len(uni_gcd(a, b)) <= 1
+def uni_gcd_degree(a: list[int], b: list[int]) -> int:
+    """The degree over Q of gcd(a, b), for ``int`` lists whose last entries
+    are nonzero, by the primitive remainder sequence (Collins, JACM 1967;
+    Brown & Traub, JACM 1971).  Each step replaces (a, b) by (b, r), r the
+    primitive part of a pseudo-remainder of a by b: a nonzero constant times
+    a's remainder over Q, so the gcd keeps its degree, and dividing out the
+    content keeps the entries from growing exponentially along the sequence."""
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        rem, lead = a, b[-1]
+        while len(rem) >= len(b):
+            k, g = len(rem) - len(b), gcd(lead, rem[-1])
+            m, t = lead // g, rem[-1] // g
+            rem = [c * m for c in rem[:k]] + [c * m - t * e for c, e in zip(rem[k:], b)]
+            while rem and not rem[-1]:  # the top entry is now 0
+                rem.pop()
+        a, b = b, _primitive(rem)
+    return len(a) - 1 if not b else 0

@@ -32,8 +32,7 @@ from germ.polys import (
     parse_poly,
     parse_weighted_terms,
     render_poly,
-    uni_coprime,
-    uni_is_squarefree,
+    uni_gcd_degree,
 )
 from test_exactgeom import lattice_min, minkowski_hull, vertices
 
@@ -434,6 +433,44 @@ def test_dense_face_forms_stop_at_the_limit():
     assert nondegeneracy_check(parse_divisor(f"1/2*(x^{m} + x^{m - 1}*y + y^{m})")).nondegenerate
 
 
+def test_dense_face_form_is_decided_within_a_second():
+    """One branch with every term x^i*y^(100 - i), coefficients drawn from
+    1..9 at seed 0: one face form of 101 terms, whose gcd with its
+    derivative is the dense path's whole cost.  A timer fails the test
+    after 1 s."""
+    rng = random.Random(0)
+    b = DivisorGerm(((F(1, 2), Poly({(i, 100 - i): F(rng.randint(1, 9)) for i in range(101)})),))
+
+    def overrun(signum, frame):
+        raise AssertionError("no verdict within 1 s on a dense face form of degree 100")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        assert nondegeneracy_check(b).nondegenerate
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _cleared(form):
+    """A dense list of Fractions times the lcm of its denominators, as ints."""
+    den = lcm(*(c.denominator for c in form))
+    return [int(c * den) for c in form]
+
+
+def gcd_degree_with_derivative(f):
+    return uni_gcd_degree(f, [i * c for i, c in enumerate(f)][1:])
+
+
+def is_squarefree(form):
+    return gcd_degree_with_derivative(_cleared(form)) == 0
+
+
+def coprime(f, g):
+    return uni_gcd_degree(_cleared(f), _cleared(g)) == 0
+
+
 def reference_face_forms(p):
     """Oracle: the face forms of one branch read off its own polygon, keyed
     by the rational slope of each compact face, left to right.  With slope
@@ -461,12 +498,12 @@ def reference_nondegeneracy(b):
     per_face = []
     for idx, (_, p) in enumerate(b.components):
         for s, form in reference_face_forms(p).items():
-            if not uni_is_squarefree(form):
+            if not is_squarefree(form):
                 return False, (idx,)
             per_face.append((idx, s, form))
     for n, (i, s_i, f_i) in enumerate(per_face):
         for j, s_j, f_j in per_face[n + 1:]:
-            if i != j and s_i == s_j and not uni_coprime(f_i, f_j):
+            if i != j and s_i == s_j and not coprime(f_i, f_j):
                 return False, (i, j)
     return True, ()
 
@@ -480,8 +517,8 @@ def _names_failing_face(b, report):
     if any(f is None for f in forms):
         return False
     if len(forms) == 1:
-        return not uni_is_squarefree(forms[0])
-    return not uni_coprime(*forms)
+        return not is_squarefree(forms[0])
+    return not coprime(*forms)
 
 
 def _small_branch(rng, degree, constant=0):
@@ -543,8 +580,8 @@ def test_nondegeneracy_matches_per_branch_reference():
 
 def dense_nondegeneracy(b):
     """Oracle: the test along the one polygon's normals with every face form
-    dense, stepped by the gcd of the face's exponent gaps, through the
-    ``uni_*`` helpers: (verdict, component indices, normal)."""
+    dense, stepped by the gcd of the face's exponent gaps, every form
+    through ``uni_gcd_degree``: (verdict, component indices, normal)."""
     normals = face_normals(summed_hull(b)[0])
     forms = [{} for _ in b.components]
     for n1, n2 in normals:
@@ -558,13 +595,13 @@ def dense_nondegeneracy(b):
                 fi[n1, n2] = [f.get(i, F(0)) for i in range(min(f), max(f) + 1, step)]
     for i, fi in enumerate(forms):
         for n, f in fi.items():
-            if not uni_is_squarefree(f):
+            if not is_squarefree(f):
                 return False, (i,), n
     for i, fi in enumerate(forms):
         for n, f in fi.items():
             for j in range(i + 1, len(forms)):
                 g = forms[j].get(n)
-                if g is not None and not uni_coprime(f, g):
+                if g is not None and not coprime(f, g):
                     return False, (i, j), n
     return True, (), None
 
@@ -616,15 +653,19 @@ def _uni_product(unit, factors):
 
 
 def test_uni_squarefree_and_coprime_match_factorizations():
-    """Oracle for the univariate helpers the nondegeneracy test rests on:
-    on a unit times distinct irreducible factors u - r (r a nonzero
-    rational) and u^2 + k (k > 0), each to a power e, the product is
-    squarefree iff every e is 1, and two products are coprime iff they
-    share no factor."""
+    """Oracle for the gcd the nondegeneracy test rests on: on a unit times
+    distinct irreducible factors f, u - r (r a nonzero rational), u^2 + k
+    (k > 0) and u^3 - 2, each to a power e, deg gcd(a, b) is the sum of
+    min(e_a, e_b) * deg f over the factors a and b share, and deg gcd(a, a')
+    the sum of (e - 1) * deg f over a's.  Units and roots of size 10^6 and
+    more, and negative units, run the content and the sign handling."""
     rng = random.Random(47)
     roots = {F(n, d) for n in (-3, -2, -1, 1, 2, 5) for d in (1, 2, 3)}
+    roots |= {F(10**6 + 3), F(-1, 10**6 + 7)}
     irreducible = sorted([(-r, F(1)) for r in roots]
-                         + [(k, F(0), F(1)) for k in (F(1), F(2), F(1, 3), F(5))])
+                         + [(k, F(0), F(1)) for k in (F(1), F(2), F(1, 3), F(5), F(10**7))]
+                         + [(F(-2), F(0), F(0), F(1))])
+    units = [-3, -1, 1, 2, 5, -(10**6 + 3), 10**9 + 7]
     seen = Counter()
     for _ in range(3000):
         pool = rng.sample(irreducible, rng.randint(1, 6))
@@ -633,16 +674,19 @@ def test_uni_squarefree_and_coprime_match_factorizations():
             chosen = rng.sample(pool, rng.randint(0, min(3, len(pool))))
             parts.append({f: rng.choice([1, 1, 1, 2, 3]) for f in chosen})
         fa, fb = parts
-        a, b = (_uni_product(F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)), fs.items())
+        a, b = (_cleared(_uni_product(F(rng.choice(units), rng.choice([1, 2, 4, 10**6])),
+                                      fs.items()))
                 for fs in parts)
+        shared = sum(min(fa[f], fb[f]) * (len(f) - 1) for f in fa.keys() & fb.keys())
+        assert uni_gcd_degree(a, b) == shared == uni_gcd_degree(b, a)
+        for c, fc in ((a, fa), (b, fb)):
+            repeated = sum((e - 1) * (len(f) - 1) for f, e in fc.items())
+            assert gcd_degree_with_derivative(c) == repeated
         squarefree = all(e == 1 for e in fa.values())
-        coprime = not fa.keys() & fb.keys()
-        assert uni_is_squarefree(a) == squarefree
-        assert uni_is_squarefree(b) == all(e == 1 for e in fb.values())
-        assert uni_coprime(a, b) == coprime == uni_coprime(b, a)
         seen["squarefree" if squarefree else "not squarefree"] += 1
-        seen["coprime" if coprime else "shared factor"] += 1
-    assert len(seen) == 4 and min(seen.values()) >= 500, seen
+        seen["coprime" if not shared else "shared factor"] += 1
+        seen["large"] += max(map(abs, a)) >= 10**6
+    assert len(seen) == 5 and min(seen.values()) >= 500, seen
 
 
 # ---------------------------------------------------------------------------

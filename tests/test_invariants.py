@@ -377,6 +377,20 @@ def test_lct_precondition_errors():
                      curve_orient(parse_poly("x"))).value >= 0
 
 
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason=(
+    "ROADMAP known defect 4: on a degenerate B, having no negative ray value "
+    "is only necessary for lc, and lct_toric answers value 0 with exact=False"))
+def test_lct_refuses_a_degenerate_pair_that_is_not_lc():
+    """Both branches are tangent to y = x.  Blowing up the origin gives
+    a(E1) = 0; blowing up the shared tangent point on E1 gives
+    a = 2 - 2/3 - 2/3 - 1 = -1/3, so (X, B) is not lc, though no ray value
+    of B's table is negative."""
+    b = parse_divisor("2/3*(y - x) + 2/3*(y^2 - x^2 + x^3)")
+    assert min(newton_polytope(b).rays.values()) >= 0
+    with pytest.raises(DomainError, match="pair not lc before adding C"):
+        lct_toric(b, curve_orient(parse_poly("x")))
+
+
 def test_lct_deep_cone_closed_form():
     m = 10**9
     for k in range(1, 5):

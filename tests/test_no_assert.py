@@ -61,6 +61,8 @@ CASES = [
     'verify_surface_theorem(parse_divisor("1/3*(x^6 - 8*y^3) + 1/3*(x^2 + 2*y)"), '
     'curve_orient(parse_poly("x")), "1/4")',
     'nondegeneracy_check(parse_divisor("1/2*(x^1000000000 + x^999999999*y + y^1000000000)"))',
+    'nondegeneracy_check(parse_divisor("1/2*(x^3 - x^2*y - x*y^2 + y^3)"))',
+    'nondegeneracy_check(parse_divisor("1/3*(x^2 - 3*x*y + 2*y^2) + 1/3*(x^2 + 2*x*y - 3*y^2)"))',
     'contact_along_curve(parse_divisor("1/2*(x^1000000000 + y)"), '
     'curve_orient(parse_poly("x + 3*y")))',
     'contact_along_curve(parse_divisor("1/2*(x^2000 + y)"), '

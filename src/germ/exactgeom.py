@@ -15,11 +15,12 @@ checked once, when the ``Poly`` was built: the hull checks no point again.
 
 The module also walks the Klein sail of a cone of the normal fan: the
 bounded boundary of the convex hull of the cone's nonzero lattice points,
-whose lattice points are the cone's Hilbert basis.  The walk jumps one
-whole sail edge per step with one floor division, so a cone of determinant
-d costs O(log d) steps (Oda, *Convex Bodies and Algebraic Geometry*, 1.6;
-Fulton, *Introduction to Toric Varieties*, 2.6), with no search bounds.
-:func:`_hilbert_runs` is that walk.
+whose lattice points are the cone's Hilbert basis.  :func:`_hilbert_runs`
+jumps one whole sail edge, a ``Run``, per step: one modular inverse gives
+its first lattice step and one division its length, so a cone of
+determinant d costs O(log d) steps (Oda, *Convex Bodies and Algebraic
+Geometry*, 1.6; Fulton, *Introduction to Toric Varieties*, 2.6), with no
+search bounds.
 """
 
 from __future__ import annotations
@@ -123,50 +124,31 @@ class Run(NamedTuple):
     step: IntVec
     count: int
 
-    def point(self, j: int) -> IntVec:
-        return (self.start[0] + j * self.step[0], self.start[1] + j * self.step[1])
-
 
 def _hilbert_runs(u: IntVec, v: IntVec) -> list[Run]:
     """The Klein sail of the cone spanned by u and v as runs, from u to v.
 
     u and v must be primitive first-quadrant vectors with det(u, v) > 0, as
     consecutive rays of a normal fan are.  Consecutive runs share an
-    endpoint.  From ``u`` the sail goes to its neighbour ``w`` toward ``v``
-    (the minimal lattice point with det(u, w) = 1 inside the cone), and with
-    step = w - u every u + j*step has neighbour u + (j + 1)*step while that
-    point stays in the cone: det(u + j*step, v) = d - j*det(v, step), where
-    d = det(u, v) and det(v, step) = d - det(w, v) lies in [1, d].  So the
-    run has count d // det(v, step), and det(end, v) = d mod det(v, step)
-    is below d/2: at most log2(d) + 1 runs reach det = 0, at v.
+    endpoint.  From u = (a, b) the sail goes to its neighbour w toward v.
+    The solutions of det(u, z) = 1 form the line z0 + t*u, with z0 =
+    ((a*y - 1)/b, y) for y = a^-1 mod b, or z0 = (0, 1) when u = (1, 0),
+    and w is the one of least t in the cone: t = -(det(z0, v) // d), for
+    d = det(u, v).  With step = w - u every u + j*step has neighbour
+    u + (j + 1)*step while that point stays in the cone: det(u + j*step, v)
+    = d - j*det(v, step), and det(v, step) = d - det(w, v) lies in [1, d].
+    So the run has count d // det(v, step), and det(end, v) = d mod
+    det(v, step) is below d/2: at most log2(d) + 1 runs reach det = 0, at v.
     """
-    d = _det(u, v)
+    (a, b), (v1, v2) = u, v
+    d = a * v2 - b * v1
     runs: list[Run] = []
     while d > 0:
-        w = _boundary_neighbour(u, v, d)
-        step = (w[0] - u[0], w[1] - u[1])
-        run = Run(u, step, d // (d - _det(w, v)))
-        runs.append(run)
-        u = run.point(run.count)
-        d = _det(u, v)
+        y = pow(a, -1, b) if b else 1
+        x = (a * y - 1) // b if b else 0
+        t = -((x * v2 - y * v1) // d)
+        s1, s2 = x + t * a - a, y + t * b - b
+        count, d = divmod(d, v1 * s2 - v2 * s1)
+        runs.append(Run((a, b), (s1, s2), count))
+        a, b = a + count * s1, b + count * s2
     return runs
-
-
-def _boundary_neighbour(u: IntVec, v: IntVec, d: int) -> IntVec:
-    """Lattice point adjacent to ``u`` on the hull boundary toward ``v``.
-
-    Solutions of det(u, z) = 1 form the line z0 + t*u; the neighbour is the
-    solution with minimal t lying inside cone(u, v).  With u = (a, b)
-    primitive, z0 = ((a*y - 1) / b, y) for y the inverse of a mod b, and
-    z0 = (0, 1) for u = (1, 0).
-    """
-    a, b = u
-    if b == 0:
-        z0 = (0, 1)
-    else:
-        y = pow(a, -1, b)
-        z0 = ((a * y - 1) // b, y)
-    # need det(z, v) >= 0:  t >= -det(z0, v) / d
-    t_min = -(_det(z0, v) // d)
-    return (z0[0] + t_min * a, z0[1] + t_min * b)
-

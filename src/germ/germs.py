@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -155,8 +154,8 @@ class SmoothCurveGerm:
         if (1, 0) not in terms and (0, 1) not in terms:
             raise InputError("curve is singular at the origin (zero linear part)")
         swapped = (1, 0) not in terms
-        frame = [(j, i) for i, j in terms] if swapped else terms
-        v = min([j for i, j in frame if not i] or [0])
+        # a term free of the frame's x has its frame-y exponent as i + j
+        v = min([i + j for i, j in terms if not (j if swapped else i)] or [0])
         object.__setattr__(self, "swapped", swapped)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "normals", ((1, v) if swapped else (v, 1),) if v else ())
@@ -209,7 +208,11 @@ class NewtonDiagram(NamedTuple):
         w1, w2 = w
         x = y = 0
         for n, chain in zip(self.weights, self.polygons):
-            px, py = min(chain, key=lambda v: w1 * v[0] + w2 * v[1])
+            px, py = chain[0]
+            low = w1 * px + w2 * py
+            for vx, vy in chain:  # the first of least value
+                if (value := w1 * vx + w2 * vy) < low:
+                    px, py, low = vx, vy, value
             x += n * px
             y += n * py
         return x, y
@@ -225,29 +228,32 @@ def _weights(b: DivisorGerm) -> "tuple[tuple[int, ...], int]":
     coefficients' denominators; every analysis of B checks its type here."""
     if not isinstance(b, DivisorGerm):
         raise InputError(f"expected a DivisorGerm, got {type(b).__name__}")
-    den = lcm(*(coeff.denominator for coeff, _ in b.components))
-    return tuple(coeff.numerator * (den // coeff.denominator) for coeff, _ in b.components), den
+    den = lcm(*[coeff.denominator for coeff, _ in b.components])
+    return tuple([coeff.numerator * (den // coeff.denominator) for coeff, _ in b.components]), den
 
 
 def newton_polytope(b: DivisorGerm) -> NewtonDiagram:
     """B's Newton diagram and valuation table; see ``NewtonDiagram``."""
     weights, den = _weights(b)
-    return _table(weights, tuple(polytope_from_support(p) for p in b.branches), den)
+    return _table(weights, tuple([polytope_from_support(p) for p in b.branches]), den)
 
 
 def _table(weights: "tuple[int, ...]", polygons: "tuple[Polygon, ...]", den: int) -> NewtonDiagram:
-    """The diagram of the weighted polygons over den, with one vertex sweep per cone."""
-    p = NewtonDiagram(weights, polygons, den, [], [], {})
+    """The diagram of the weighted polygons over den, with one vertex sweep
+    per cone; each ray's value is read off the cone it starts."""
     normals = face_normals(*polygons)
-    fan: list[IntVec] = [(1, 0)] + normals + [(0, 1)]
-    cones = []
-    for u, v in zip(fan, fan[1:]):
-        x, y = p.vertex((u[0] + v[0], u[1] + v[1]))
-        cones.append((u, v, den - x, den - y))
-    values = {(1, 0): cones[0][2], (0, 1): cones[-1][3]}
-    for u, _, a, b in cones[1:]:
-        values[u] = a * u[0] + b * u[1]
-    return p._replace(normals=normals, cones=cones, rays=values)
+    cones, rays = [], {(1, 0): 0, (0, 1): 0}  # rays keyed in tie-break order
+    p = NewtonDiagram(weights, polygons, den, normals, cones, rays)
+    u = (1, 0)
+    for v in normals + [(0, 1)]:
+        (u1, u2), (v1, v2) = u, v
+        x, y = p.vertex((u1 + v1, u2 + v2))
+        a, b = den - x, den - y
+        cones.append((u, v, a, b))
+        rays[u] = a * u1 + b * u2
+        u = v
+    rays[u] = b
+    return p
 
 
 @dataclass(frozen=True)
@@ -286,10 +292,18 @@ def _nondegeneracy(branches: "list[Poly]", normals: "list[IntVec]") -> Nondegene
     forms: "list[dict[IntVec, dict[int, Fraction]]]" = [{} for _ in branches]
     for n1, n2 in normals:
         faces = []  # each branch's terms of least n1*i + n2*j, keyed by i
+        step = 0  # the gcd of every face's exponent gaps
         for p in branches:
-            level = min(n1 * i + n2 * j for i, j in p.terms)
-            faces.append({i: c for (i, j), c in p.terms.items() if n1 * i + n2 * j == level})
-        step = gcd(*(i - min(f) for f in faces for i in f))
+            level = None
+            for (i, j), c in p.terms.items():
+                value = n1 * i + n2 * j
+                if level is None or value < level:
+                    level, face, i0, gaps = value, {i: c}, i, 0
+                elif value == level:
+                    face[i] = c
+                    gaps = gcd(gaps, i - i0)
+            faces.append(face)
+            step = gcd(step, gaps)
         for fi, f in zip(forms, faces):
             if len(f) > 1:
                 low = min(f)
@@ -477,12 +491,16 @@ def _substituted_order(p: IntTerms, psi: Series, whole: bool) -> "int | None":
     group that does not cancel (see ``_vanishes``), so no power of psi past
     the answer's order is built."""
     ((e, a),) = psi.num.items()
-    for k, group in groupby(sorted((i * e + j, i, c) for (i, j), c in p.items()),
-                            key=lambda term: term[0]):
-        if not _vanishes([(i, c) for _, i, c in group], a, psi.den):
-            return k
-        if not whole:
-            return None
+    terms = sorted([(i * e + j, i, c) for (i, j), c in p.items()])
+    group = []
+    for t, (k, i, c) in enumerate(terms, 1):
+        group.append((i, c))
+        if t == len(terms) or terms[t][0] != k:  # the last term of its group
+            if not _vanishes(group, a, psi.den):
+                return k
+            if not whole:
+                return None
+            group = []
     return None
 
 
@@ -601,7 +619,7 @@ def _contact(branches: "list[Poly]", weights: "tuple[int, ...]",
     n = None  # the Bezout order, needed only when psi is not lead
     if rest and _substituted_order(rest, lead, True) is not None:
         n = max(q.total_degree() for q in branches) * c.poly.total_degree() + 2
-    lifts = [_first_lift(h)]  # C is cleared once, here
+    lifts = [_first_lift(h)] if n else []  # read only when psi is not lead
     for weight, p in zip(weights, branches):
         q = _integer_terms(p, c.swapped)
         k = 0

@@ -112,43 +112,37 @@ def mld_toric(b: DivisorGerm) -> MldResult:
 def _mld(p: NewtonDiagram) -> MldResult:
     """-inf at the first negative ray value of B's table ``p`` (see
     ``NewtonDiagram``), face normals first, else the first positive basis
-    element, in fan order, of least discrepancy.  Along a run den times it
-    is g0 + j*rate, least at the first positive point when rate >= 0 and at
-    the last when rate < 0."""
+    element, in fan order, of least discrepancy.  A run's positive points
+    are all but an axis endpoint, since the axes are the outer rays of the
+    fan.  Along a run den times the discrepancy is g0 + j*rate, least at the
+    first positive point when rate >= 0 and at the last when rate < 0."""
     den, rays = p.den, p.rays
     axis_values = (Fraction(rays[(1, 0)], den), Fraction(rays[(0, 1)], den))
     if min(rays.values()) < 0:
         ray = next(r for r in p.normals + [(1, 0), (0, 1)] if rays[r] < 0)
         witness = ray if _is_positive(ray) else _positive_negative_witness(p, ray)
         return MldResult(NEG_INF, make_weight(*witness), False, axis_values)
-    best: "tuple[int, IntVec] | None" = None
+    best = None
     for u, v, a, b in p.cones:
         runs = _hilbert_runs(u, v)
         if len(p.cones) == 1:
             runs.append(Run((1, 1), (0, 0), 0))  # no positive basis element in this fan
-        for run in runs:
-            js = _positive_points(run)
-            if js:
-                (s1, s2), (t1, t2) = run.start, run.step
+        for (s1, s2), (t1, t2), count in runs:
+            e1, e2 = s1 + count * t1, s2 + count * t2
+            lo = 0 if s1 and s2 else 1  # a run's points lie in the closed quadrant
+            hi = count if e1 and e2 else count - 1
+            if lo <= hi:
                 rate = a * t1 + b * t2  # 0 on a run of count 0, whose step is (0, 0)
-                j = js[0] if rate >= 0 else js[-1]
+                j = lo if rate >= 0 else hi
                 value = a * s1 + b * s2 + j * rate
-                if best is None or value < best[0]:
-                    best = (value, run.point(j))
+                if best is None or value < best:
+                    best, witness = value, (s1 + j * t1, s2 + j * t2)
     # the fan always has a positive candidate: a face normal or (1, 1)
-    return MldResult(Fraction(best[0], den), make_weight(*best[1]), True, axis_values)
+    return MldResult(Fraction(best, den), make_weight(*witness), True, axis_values)
 
 
 def _is_positive(v: IntVec) -> bool:
     return v[0] >= 1 and v[1] >= 1
-
-
-def _positive_points(run: Run) -> range:
-    """The j with run.point(j) positive: all but an axis endpoint, since
-    the axes are the outer rays of the fan."""
-    lo = 0 if _is_positive(run.start) else 1
-    hi = run.count if _is_positive(run.point(run.count)) else run.count - 1
-    return range(lo, hi + 1)
 
 
 def _positive_negative_witness(p: NewtonDiagram, axis: IntVec) -> IntVec:

@@ -198,11 +198,17 @@ def cone(g1, g2):
     return (u, v) if _det(u, v) > 0 else (v, u)
 
 
+def point(run, j):
+    """The j-th lattice point start + j*step of a sail run."""
+    (s1, s2), (t1, t2), _ = run
+    return (s1 + j * t1, s2 + j * t2)
+
+
 def hilbert_basis(c):
     """The Hilbert basis of the cone (u, v) in order from u to v: the
     lattice points of its runs, each shared endpoint once."""
     runs = _hilbert_runs(*c)
-    return [runs[0].start] + [r.point(j) for r in runs for j in range(1, r.count + 1)]
+    return [runs[0].start] + [point(r, j) for r in runs for j in range(1, r.count + 1)]
 
 
 def test_hilbert_smooth_cone():
@@ -299,7 +305,7 @@ def test_hilbert_runs_expand_to_stepwise_walk():
         assert (basis[0], basis[-1]) == c
         assert len(runs) <= d.bit_length()
         for r, nxt in zip(runs, runs[1:]):
-            assert nxt.start == r.point(r.count) and nxt.step != r.step
+            assert nxt.start == point(r, r.count) and nxt.step != r.step
         for r in runs:
             assert r.count >= 1 and _det(r.start, r.step) == 1
     assert seen == {1, 2}
@@ -313,7 +319,7 @@ def test_hilbert_runs_deep_cone():
         a, b = b, a + b
     runs = _hilbert_runs((1, 0), (a, b))
     assert len(runs) <= b.bit_length()
-    assert runs[-1].point(runs[-1].count) == (a, b)
+    assert point(runs[-1], runs[-1].count) == (a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -1071,6 +1071,29 @@ def test_contained_component_answers_within_a_second(c):
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP known defect 2(b): a lowest group that cancels on a root that is "
+    "not a polynomial is lifted to an order about N (direction 1(h))"))
+def test_cancelling_group_answers_within_a_second():
+    """C does not divide B's one branch, so mult_C B = 0, and (B . C) =
+    (N + 402)/5.  psi = -t + O(t^400), and both terms of the branch land at
+    t^(N + 3) with coefficients -2 and +2, so that group cancels.  A timer
+    fails the case after 1 s; N = 10^4 answers in about 20 ms."""
+    n = 10**5
+
+    def overrun(signum, frame):
+        raise AssertionError(f"no answer within 1 s at N = {n}")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        assert contact_along_curve(parse_divisor(f"1/5*(2*x^3*y^{n} + 2*x^{n}*y^3)"),
+                                   curve_orient(pp("x + y - x^300*y^100"))) == (0, F(n + 402, 5))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.fixture
 def lifts(monkeypatch):
     """The orders of the ``curve_parametrization`` calls the package makes,

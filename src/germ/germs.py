@@ -18,12 +18,11 @@ computes the purely local quantities the invariant layer builds on:
   root x = psi(t): psi's leading term -(g_0v/g_10)*t^v is built once, and
   one check decides whether it is all of psi, as on x + y, y - x^k and
   their multiples by units; then every series is substituted there, group
-  by group.  Else a series whose
-  lowest group does not cancel at the leading term has its order, and
-  past that series are kept as ``int`` numerators over one denominator,
-  read at the orders 2, 4, 8, ... up to the Bezout order, on a Newton lift
-  with one exactness rule and no evaluation to a degree that exponent
-  values set;
+  by group.  Else a series whose lowest group does not cancel at the
+  leading term has its order, and past that series are kept as ``int``
+  numerators over one denominator, read at the orders 2, 4, 8, ... up to
+  the Bezout order of its own branch, on a Newton lift with one exactness
+  rule and no evaluation to a degree that exponent values set;
 - the Newton-nondegeneracy certificate that marks inputs whose toric
   invariants are exact, read off the branches' initial forms along the
   compact-face normals of the divisor's Newton diagram.  Binomial forms are
@@ -256,8 +255,7 @@ def _table(weights: "tuple[int, ...]", polygons: "tuple[Polygon, ...]", den: int
     return p
 
 
-@dataclass(frozen=True)
-class NondegeneracyReport:
+class NondegeneracyReport(NamedTuple):
     """Outcome of the Newton-nondegeneracy test.
 
     The test is sufficient, not necessary: along the normal of each compact
@@ -572,10 +570,10 @@ def contact_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, 
     dc/dx is a unit on C (its constant term is the x-linear coefficient), so
     if p = c^k * q near the origin with C not dividing q, then the j-th
     derivative vanishes on C for j < k and the k-th is k! * (dc/dx)^k * q
-    there, of order (q . C).  A derivative that is not 0 on C meets it in at
-    most the product of the degrees, so a series that is 0 below
-    n = max deg B * deg C + 2 is 0 on C.  The walk stops by the
-    (deg_x p)-th derivative, a nonzero polynomial in y.
+    there, of order (q . C).  A derivative of p that is not 0 on C meets it
+    in at most deg p * deg C, by Bezout, so a series of p that is 0 below
+    the branch's own Bezout order n = deg p * deg C + 2 is 0 on C.  The walk
+    stops by the (deg_x p)-th derivative, a nonzero polynomial in y.
 
     v is ``c.v``, the least y-power of the x-free part of g, so psi's
     leading term is lead = -(g_0v/g_10)*t^v, or psi = 0 when v = 0.  Then C
@@ -587,11 +585,11 @@ def contact_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, 
     unique, and every series is substituted there with no truncation
     (``_substituted_order``).  Otherwise a series whose lowest group does
     not cancel at lead has that order, found before any lift, and the rest
-    are read along the orders 2, 4, 8, ..., n (``curve_parametrization``),
-    each lift made once, when first needed, and shared by every branch and
-    derivative; a series stops at the first order where it is not 0.  A
-    polynomial psi is found exact once a lift's order passes the degree of
-    g(psi, t), and is then read as sparse as it is.
+    are read along the orders 2, 4, 8, ..., their branch's n
+    (``curve_parametrization``), each lift made once, when first needed,
+    and shared by every branch and derivative; a series stops at the first
+    order where it is not 0.  A polynomial psi is found exact once a lift's
+    order passes the degree of g(psi, t), then read as sparse as it is.
     """
     weights, den = _weights(b)
     mult, inter = _contact(b.branches, weights, c)
@@ -614,14 +612,11 @@ def _contact(branches: "list[Poly]", weights: "tuple[int, ...]",
         return mult, inter
     h = _integer_terms(c.poly, c.swapped)
     lead = _reduced({v: -h[0, v]}, h[1, 0])
-    # lin*x and h_0v*y^v cancel at lead by construction
-    rest = {e: a for e, a in h.items() if e != (1, 0) and e != (0, v)}
-    n = None  # the Bezout order, needed only when psi is not lead
-    if rest and _substituted_order(rest, lead, True) is not None:
-        n = max(q.total_degree() for q in branches) * c.poly.total_degree() + 2
-    lifts = [_first_lift(h)] if n else []  # read only when psi is not lead
+    # psi is lead iff g vanishes there; else it is lifted, for each branch to its Bezout order
+    lifts = [] if _substituted_order(h, lead, True) is None else [_first_lift(h)]
     for weight, p in zip(weights, branches):
         q = _integer_terms(p, c.swapped)
+        n = p.total_degree() * c.poly.total_degree() + 2 if lifts else None
         k = 0
         while (order := _first_order(q, c, lead, n, lifts)) is None:
             q = _d_dx(q)
@@ -633,12 +628,13 @@ def _contact(branches: "list[Poly]", weights: "tuple[int, ...]",
 
 def _first_order(p: IntTerms, c: SmoothCurveGerm, lead: Series, n: "int | None",
                  lifts: "list[CurveLift]") -> "int | None":
-    """The order of p on the curve, None if p is 0 on it.  When the Bezout
-    order n is None, psi is ``lead`` and p is substituted there.  Else p's
-    lowest group at lead answers if it does not cancel; if it does, psi is
-    lifted and p read below each lift's order in turn, up to n, and the
-    first nonzero read answers.  ``lifts`` starts at order 1, never read,
-    and grows in place one doubling at a time, when a read needs the next."""
+    """The order of p on the curve, None if p is 0 on it.  n is the Bezout
+    order of the branch that p is a derivative of, or None when psi is
+    ``lead``, and then p is substituted there.  Else p's lowest group at
+    lead answers if it does not cancel; if it does, psi is lifted and p read
+    below each lift's order in turn, up to n, and the first nonzero read
+    answers.  ``lifts`` starts at order 1, never read, and grows in place
+    one doubling at a time, when a read needs the next."""
     order = _substituted_order(p, lead, n is None)
     if order is not None or n is None:
         return order

@@ -32,9 +32,9 @@ can certify through the ``exact`` flag / nondegeneracy report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import DomainError, GermError, InputError
 from .exactgeom import IntVec, Run, _hilbert_runs, as_pair, make_weight
@@ -78,8 +78,7 @@ def toric_log_discrepancy(b: DivisorGerm, w: "tuple[int, int]") -> Fraction:
     return Fraction((w1 + w2) * den - low, den)
 
 
-@dataclass(frozen=True)
-class MldResult:
+class MldResult(NamedTuple):
     """Infimum of toric log discrepancies over positive integer weights.
 
     ``witness`` is a primitive positive pair (w1, w2) attaining the value
@@ -167,8 +166,7 @@ def _positive_negative_witness(p: NewtonDiagram, axis: IntVec) -> IntVec:
 # log canonical thresholds
 
 
-@dataclass(frozen=True)
-class LctResult:
+class LctResult(NamedTuple):
     """Threshold of a smooth curve against a divisor germ.
 
     ``membership_sup`` is the largest t keeping (1,1) inside the Newton
@@ -255,8 +253,7 @@ def _lct(branches: "list[Poly]", c: SmoothCurveGerm, pb: NewtonDiagram, mult: in
 # the explicit bound delta(eps)
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     epsilon: Fraction
     delta: Fraction
     witness_n: int
@@ -289,8 +286,7 @@ def delta_bound(epsilon: object) -> BoundResult:
 # the surface theorem checker
 
 
-@dataclass(frozen=True)
-class SurfaceTheoremReport:
+class SurfaceTheoremReport(NamedTuple):
     """Hypotheses, intermediates and verdict of the lct lower-bound check.
 
     The hypotheses: the germ is epsilon-lc, the curve's multiplicity inside

@@ -33,13 +33,14 @@ from .errors import InputError
 
 Exponent = tuple[int, int]
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Poly:
     """Immutable sparse polynomial in x and y.  Construction is the one
     check of its terms, one test each: ``terms`` maps pairs of non-negative
     ``int`` exponents to nonzero ``Fraction`` coefficients (an ``int`` would
     divide to a float), else ``InputError``, so zeros are never stored.  It
-    keeps a read-only copy, so no later change to the mapping passes by."""
+    keeps a read-only copy, so no later change to the mapping passes by, and
+    two are equal when their copies are."""
 
     terms: Mapping[Exponent, Fraction]
 
@@ -63,10 +64,7 @@ class Poly:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly) and dict(self.terms) == dict(other.terms)
-
-    def __hash__(self) -> int:
+    def __hash__(self) -> int:  # dataclass keeps it: a mapping proxy has no hash
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:

@@ -139,7 +139,9 @@ def test_parse_render_round_trip():
         p = from_terms(terms)
         if p.is_zero:
             continue
-        assert parse_poly(render_poly(p)) == p
+        q = parse_poly(render_poly(p))
+        assert q == p and hash(q) == hash(p)
+        assert Poly(dict(reversed(list(p.terms.items())))) in {p}
 
 
 def test_render_rejects_numbers_past_the_str_limit():
@@ -998,7 +1000,9 @@ def test_series_cost_follows_bit_size():
     lift's order passes that degree, so these roots are lifted only as far as
     the branches read them.  On an axis, x = 0 in its frame, also when the
     curve is x times the unit 1 + y, a branch x^N*y^4 has multiplicity N read
-    off its least x-exponent, with no N-fold derivative.  Each case runs
+    off its least x-exponent, with no N-fold derivative.  A branch that is
+    the curve x + y + x^2 is read to its own Bezout order 2*2 + 2, not to
+    one that a branch x + 1/2*y^N beside it sets.  Each case runs
     under a timer that fails it, named, after ``CAP_S`` seconds, so a
     regression fails instead of hanging."""
     cases = [
@@ -1029,6 +1033,7 @@ def test_series_cost_follows_bit_size():
         ("1*(x^1000000000*y^4)", "x", (F(1000000000), F(4))),
         ("1/2*(x^1000000000*y^4 + x^1000000001) + 1/3*(y)", "x + x*y",
          (F(500000000), F(7, 3))),
+        ("2/3*(x + y + x^2) + 1/5*(x + 1/2*y^1000000000)", "x + y + x^2", (F(2, 3), F(1, 5))),
     ]
 
     def overrun(signum, frame):
@@ -1332,3 +1337,76 @@ def test_zero_residual_is_final_only_past_the_degree_bound():
     assert lift.psi.num == {1: -1, 2: -1} and not lift.exact
     assert curve_parametrization(c, 16, lift).psi.num[8] == -1
     assert contact_along_curve(parse_divisor("1/2*(x + y + y^2)"), c) == (0, F(4))
+
+
+def fulton_intersection(f, g):
+    """I_0(f, g) by Fulton's algorithm (*Algebraic Curves*, 1969, §3.3), on
+    exponent -> Fraction maps, with no series and no Newton data; inf when
+    f and g share a component through the origin.  With r, s the degrees of
+    f(x, 0), g(x, 0): I = 0 if f or g is a unit; if y | f, I(f, g) =
+    ord_x g(x, 0) + I(f/y, g); else, for r <= s, g becomes g minus a
+    multiple of x^(s - r)*f that lowers s, so each y taken out adds at
+    least 1 to I.  A reduction that leaves 0, y dividing both, or a sum past
+    Bezout's deg f * deg g means a shared component: inf, where the loop
+    would not end."""
+    total, bezout = 0, max(map(sum, f)) * max(map(sum, g))
+    while True:
+        if not f or not g or total > bezout:
+            return float("inf")
+        if (0, 0) in f or (0, 0) in g:
+            return total
+        fx, gx = ({i: c for (i, j), c in p.items() if not j} for p in (f, g))
+        if not fx or (gx and max(fx) > max(gx)):
+            f, g, fx, gx = g, f, gx, fx  # now y | g, else r <= s
+        if not gx:
+            if not fx:
+                return float("inf")
+            total += min(fx)
+            g = {(i, j - 1): c for (i, j), c in g.items()}
+            continue
+        r, s = max(fx), max(gx)
+        g, ratio = dict(g), gx[s] / fx[r]
+        for (i, j), c in f.items():
+            e = (i + s - r, j)
+            if value := g.get(e, 0) - ratio * c:
+                g[e] = value
+            else:
+                del g[e]
+
+
+FULTON_CURVES = [pp(t) for t in [
+    "x", "y", "x + y", "y - 2*x", "3*x + 2*y", "y - x^2", "x - 2*y^2", "2*x + 3*y^3",
+    "x + y + x^2", "3/2*x + y^2 + x*y", "x + y^2 + y^3", "y - x^3 + x*y"]] + [
+    _mul(pp("x - 2*y^2"), pp("1 + y")), _mul(pp("x + y + x^2"), pp("1 + y"))]
+
+
+def test_contact_matches_fulton_oracle():
+    """contact_along_curve against Fulton's algorithm on seeded germs of 1-3
+    branches: drawn branches of degree <= 6, and built branches g^k * q,
+    k = 1 or 2, which lie on C, on axes, lines, one-term roots, lifted roots
+    and curves times a unit, as given and transposed.  (B . C) is the
+    oracle's sum of coeff * I_0(p, g) when no branch lies on C, and
+    mult_C B > 0 exactly when some branch gives inf, as a built one does by
+    construction.  On the built branches mult_C B is the sum of coeff * k,
+    and (B' . C) the sum of coeff * I_0(q, g), when no q lies on C."""
+    rng = random.Random(97)
+    seen = Counter()
+    for _ in range(750):
+        g = rng.choice(FULTON_CURVES)
+        parts = []
+        for _ in range(rng.randint(1, 3)):
+            k = rng.choice([0, 0, 0, 0, 1, 2])
+            q = _random_branch(rng, rng.choice([0, 0, 1]), 2) if k else _random_branch(rng, 0, 6)
+            parts.append((F(rng.randint(1, 6), rng.choice([1, 2, 5])), k, q))
+        free = [fulton_intersection(dict(q.terms), dict(g.terms)) for _, _, q in parts]
+        on_c = any(k or i == float("inf") for (_, k, _), i in zip(parts, free))
+        b = DivisorGerm(tuple((coeff, _mul(_power(g, k), q)) for coeff, k, q in parts))
+        b_t = DivisorGerm(tuple((coeff, _transpose(p)) for coeff, p in b.components))
+        for germ, curve in [(b, curve_orient(g)), (b_t, curve_orient(_transpose(g)))]:
+            mult, inter = contact_along_curve(germ, curve)
+            assert (mult > 0) == on_c, (germ, curve)
+            if float("inf") not in free:
+                assert mult == sum(coeff * k for coeff, k, _ in parts), (germ, curve)
+                assert inter == sum(coeff * i for (coeff, _, _), i in zip(parts, free))
+        seen["built" if any(k for _, k, _ in parts) else "drawn on C" if on_c else "free"] += 1
+    assert seen["built"] > 300 and seen["free"] > 250 and seen["drawn on C"] > 20, seen

@@ -3,18 +3,21 @@
 of the ``GermError`` it raised, on about 200 seeded germs of 1-4 branches,
 degenerate and not, against axes, lines and curves of higher order.  So a
 rewrite of the kernel keeps witnesses and tie-breaks, not only values.
-A germ with a component on C keeps every exponent below 10: such a branch
-is read to the Bezout order (ROADMAP defect 1, pinned by the strict xfails
-of ``test_germs``), which a large exponent elsewhere in B sets.
+The generator keeps every exponent below 10 in a germ with a component on
+C.  That was needed at ``91860be``, where the data was recorded: the
+contact walk read every branch to one Bezout order, which a large exponent
+in another branch set.  Each branch is now read to its own order, and the
+generator and the data stay as recorded.
 
-    PYTHONPATH=src python tests/test_parity.py
+    PYTHONPATH=src python tests/test_parity.py --record
 
 rewrites the file from the library as it stands, so run it only on a
-commit whose answers are to be kept.
+commit whose answers are to be kept; with no argument it prints that usage.
 """
 
 import json
 import random
+import sys
 from pathlib import Path
 
 from germ.errors import GermError
@@ -92,6 +95,8 @@ def test_answers_match_the_recorded_ones():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(f"usage: python {sys.argv[0]} --record  (rewrites {DATA.name})")
     rng = random.Random(0)
     cases = [draw(rng) for _ in range(200)]
     DATA.parent.mkdir(exist_ok=True)

@@ -1398,7 +1398,7 @@ def test_contact_matches_fulton_oracle():
             k = rng.choice([0, 0, 0, 0, 1, 2])
             q = _random_branch(rng, rng.choice([0, 0, 1]), 2) if k else _random_branch(rng, 0, 6)
             parts.append((F(rng.randint(1, 6), rng.choice([1, 2, 5])), k, q))
-        free = [fulton_intersection(dict(q.terms), dict(g.terms)) for _, _, q in parts]
+        free = [fulton_intersection(q.terms, g.terms) for _, _, q in parts]
         on_c = any(k or i == float("inf") for (_, k, _), i in zip(parts, free))
         b = DivisorGerm(tuple((coeff, _mul(_power(g, k), q)) for coeff, k, q in parts))
         b_t = DivisorGerm(tuple((coeff, _transpose(p)) for coeff, p in b.components))

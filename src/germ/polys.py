@@ -14,10 +14,15 @@ whitespace may stand between any two tokens::
     rational :=  integer ['/' integer]        (unsigned; denominator != 0)
     divisor  :=  ['-'] rational '*' '(' poly ')' ('+' ['-'] rational '*' '(' poly ')')*
 
-A name is ``[A-Za-z_][A-Za-z_0-9]*``, and any name but x or y is an error.
-An explicit '*' joins the items of a monomial, and a rational leads it only
-before a factor: ``x*2*y`` parses, ``2*3*x`` does not.  A divisor's '-'
-parses so that the divisor can name the non-positive coefficient.
+The tokens are digit runs ``\\d+`` (an integer), names
+``[A-Za-z_][A-Za-z_0-9]*`` and any other single non-whitespace character;
+the pattern group that matched a token gives its class.  Any name but x or y
+is an error.  An explicit '*' joins the items of a monomial, and a rational
+leads it only before a factor: ``x*2*y`` parses, ``2*3*x`` does not.  A '*'
+binds only when a factor or a rational follows it, and '/' and '^' only when
+digits follow; otherwise the monomial ends before that token, and the error
+names it (``x**2``, ``x^-1`` and ``1/x`` fail at position 1).  A divisor's
+'-' parses so that the divisor can name the non-positive coefficient.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -74,88 +80,123 @@ class Poly:
 # ---------------------------------------------------------------------------
 # parsing
 #
-# _MONOMIAL, _HEAD and _CLOSE are matched at one position each and consume
-# their own leading whitespace; _ITEM then reads the values out of a matched
-# monomial.  A sign, '/', '^', '*' or '(' stands between any two \s* that
-# one match can reach, so no two of them can split one whitespace run: a
-# failed match backtracks over each run once, and a parse is linear in the
-# length of the text (Python 3.10 has no possessive quantifiers to say so).
+# One findall is linear: each token pattern fails at once or takes a whole run.
 
-_RATIONAL = r"(\d+)(?:\s*/\s*(\d+))?"
-_FACTOR = r"([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(\d+))?"
-_ITEM = re.compile(f"{_RATIONAL}|{_FACTOR}")
-_MONOMIAL = re.compile(
-    rf"\s*(?:(?P<sign>[+-])\s*)?(?P<body>(?:{_RATIONAL}\s*\*\s*)?{_FACTOR}"
-    rf"(?:\s*\*\s*(?:{_FACTOR}|{_RATIONAL}))*|{_RATIONAL})?"
-)
-_HEAD = re.compile(rf"\s*(-\s*)?{_RATIONAL}\s*\*\s*\(")
-_CLOSE = re.compile(r"\s*\)\s*(\+)?")
+_TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\S)")
+_END = ("", "", "")  # after the last token: no class matches it
+
+_Tokens = list[tuple[str, str, str]]
 
 
-def _error(text: str, pos: int, expected: str) -> InputError:
-    at = len(text) - len(text[pos:].lstrip())
+def _tokens(text: str) -> _Tokens:
+    """Each token as (digits, name, other), exactly one of them nonempty,
+    then _END."""
+    tokens = _TOKEN.findall(text)
+    tokens.append(_END)
+    return tokens
+
+
+def _start(text: str, k: int) -> int:
+    """Where token k starts in the text; past the last token, its length."""
+    m = next(islice(_TOKEN.finditer(text), k, None), None)
+    return len(text) if m is None else m.start()
+
+
+def _error(text: str, k: int, expected: str) -> InputError:
+    at = _start(text, k)
     found = repr(text[at]) if at < len(text) else "end of input"
     return InputError(f"syntax error at position {at}: expected {expected}, found {found}")
 
 
-def _integer(m: re.Match, group: int) -> int:
+def _integer(text: str, tokens: _Tokens, k: int) -> int:
     try:
-        return int(m.group(group))
+        return int(tokens[k][0])
     except ValueError as exc:  # more digits than int() converts from text
-        raise InputError(f"number at position {m.start(group)} is too long: {exc}") from None
+        raise InputError(f"number at position {_start(text, k)} is too long: {exc}") from None
 
 
-def _rational(m: re.Match, group: int) -> "tuple[int, int]":
-    """Numerator and denominator of a match of _RATIONAL whose numerator is
-    ``group``."""
-    den = 1 if m.group(group + 1) is None else _integer(m, group + 1)
+def _rational_end(tokens: _Tokens, k: int) -> int:
+    """The token after the rational at token k, or k if none starts there:
+    its '/' binds only when digits follow."""
+    if not tokens[k][0]:
+        return k
+    return k + 3 if tokens[k + 1][2] == "/" and tokens[k + 2][0] else k + 1
+
+
+def _rational(text: str, tokens: _Tokens, k: int) -> "tuple[int, int, int]":
+    """Numerator, denominator and end of the rational at token k."""
+    end = _rational_end(tokens, k)
+    if end == k + 1:
+        return _integer(text, tokens, k), 1, end
+    den = _integer(text, tokens, k + 2)
     if den == 0:
-        raise InputError(f"syntax error at position {m.start(group + 1)}: zero denominator")
-    return _integer(m, group), den
+        raise InputError(f"syntax error at position {_start(text, k + 2)}: zero denominator")
+    return _integer(text, tokens, k), den, end
 
 
-def _scan_poly(text: str, pos: int) -> "tuple[Poly, int]":
-    """The polynomial at ``pos`` and where it stops: at the end of the text,
-    or before the first thing after a monomial that is not a sign.  Each
-    coefficient is summed as an ``int`` numerator and denominator, and one
-    ``Fraction`` is built per stored term."""
+def _scan_poly(text: str, tokens: _Tokens, k: int) -> "tuple[Poly, int]":
+    """The polynomial from token k and the token it stops at: the end, or
+    the first token after a monomial that is not a sign.  Each coefficient
+    is summed as an ``int`` numerator and denominator, and one ``Fraction``
+    is built per stored term."""
     terms: dict[Exponent, tuple[int, int]] = {}
     first = True
     while True:
-        m = _MONOMIAL.match(text, pos)
-        if not first and m["sign"] is None:
-            return Poly({e: Fraction(*c) for e, c in terms.items() if c[0]}), pos
-        if m["body"] is None:
-            raise _error(text, m.end(), "a monomial")
-        num, den, exp = -1 if m["sign"] == "-" else 1, 1, [0, 0]
-        for item in _ITEM.finditer(text, m.start("body"), m.end("body")):
-            if item[3] is None:
-                n, d = _rational(item, 1)
+        sign = tokens[k][2]
+        if sign == "+" or sign == "-":
+            k += 1
+        elif not first:
+            return Poly({e: Fraction(n) if d == 1 else Fraction(n, d)
+                         for e, (n, d) in terms.items() if n}), k
+        first = False
+        num, den, i, j = -1 if sign == "-" else 1, 1, 0, 0
+        if tokens[k][0]:  # a leading rational joins only a factor
+            n, d, k = _rational(text, tokens, k)
+            num, den = num * n, den * d
+            joined = tokens[k][2] == "*" and tokens[k + 1][1] != ""  # a factor follows
+            k += joined
+        elif tokens[k][1]:
+            joined = True
+        else:
+            raise _error(text, k, "a monomial")
+        while joined:  # an item, then '*' and the next item if it follows
+            digits, name, _ = tokens[k]
+            if digits:
+                n, d, k = _rational(text, tokens, k)
                 num, den = num * n, den * d
-            elif item[3] not in ("x", "y"):
-                raise InputError(f"syntax error at position {item.start(3)}: "
-                                 f"unknown variable {item[3]!r} (use x and y)")
+            elif name != "x" and name != "y":
+                raise InputError(f"syntax error at position {_start(text, k)}: "
+                                 f"unknown variable {name!r} (use x and y)")
             else:
-                power = 1 if item[4] is None else _integer(item, 4)
-                if power < 1:
-                    raise InputError(f"syntax error at position {item.start(4)}: "
-                                     "exponent must be a positive integer")
-                exp["xy".index(item[3])] += power
-        key = tuple(exp)
+                power, k = 1, k + 1
+                if tokens[k][2] == "^" and tokens[k + 1][0]:
+                    power = _integer(text, tokens, k + 1)
+                    if power < 1:
+                        raise InputError(f"syntax error at position {_start(text, k + 1)}: "
+                                         "exponent must be a positive integer")
+                    k += 2
+                if name == "x":
+                    i += power
+                else:
+                    j += power
+            # a factor or a rational follows the '*'
+            joined = tokens[k][2] == "*" and (tokens[k + 1][0] or tokens[k + 1][1]) != ""
+            k += joined
+        key = i, j
         if key in terms:
             n, d = terms[key]
             num, den = (n + num, d) if d == den else (n * den + num * d, d * den)
         terms[key] = num, den
-        pos, first = m.end(), False
 
 
 def parse_poly(text: str) -> Poly:
     """Parse a polynomial in x and y with exact rational coefficients."""
     if not isinstance(text, str):
         raise InputError(f"expected polynomial text, got {type(text).__name__}")
-    p, pos = _scan_poly(text, 0)
-    if text[pos:].strip():
-        raise _error(text, pos, "'+', '-' or end of input")
+    tokens = _tokens(text)
+    p, k = _scan_poly(text, tokens, 0)
+    if tokens[k] is not _END:
+        raise _error(text, k, "'+', '-' or end of input")
     return p
 
 
@@ -164,24 +205,26 @@ def parse_weighted_terms(text: str) -> list[tuple[Fraction, Poly]]:
     pairs, order preserved."""
     if not isinstance(text, str):
         raise InputError(f"expected divisor text, got {type(text).__name__}")
+    tokens = _tokens(text)
     out: list[tuple[Fraction, Poly]] = []
-    pos = 0
+    k = 0
     while True:
-        head = _HEAD.match(text, pos)
-        if head is None:
-            raise _error(text, pos, "a coefficient and '*('")
-        num, den = _rational(head, 2)
-        coeff = Fraction(-num if head[1] else num, den)
-        p, pos = _scan_poly(text, head.end())
-        close = _CLOSE.match(text, pos)
-        if close is None:
-            raise _error(text, pos, "')'")
-        out.append((coeff, p))
-        pos = close.end()
-        if close[1] is None:
-            if pos < len(text):
-                raise _error(text, pos, "'+' or end of input")
+        negative = tokens[k][2] == "-"
+        rational = k + negative
+        end = _rational_end(tokens, rational)
+        if end == rational or tokens[end][2] != "*" or tokens[end + 1][2] != "(":
+            raise _error(text, k, "a coefficient and '*('")
+        num, den, _ = _rational(text, tokens, rational)
+        num = -num if negative else num
+        p, k = _scan_poly(text, tokens, end + 2)
+        if tokens[k][2] != ")":
+            raise _error(text, k, "')'")
+        out.append((Fraction(num) if den == 1 else Fraction(num, den), p))
+        if tokens[k + 1][2] != "+":
+            if tokens[k + 1] is not _END:
+                raise _error(text, k + 1, "'+' or end of input")
             return out
+        k += 2
 
 
 # ---------------------------------------------------------------------------

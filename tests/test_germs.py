@@ -1,6 +1,7 @@
 """Tests for parsing, germ data, multiplicities and local intersections."""
 
 import random
+import re
 import signal
 import time
 from collections import Counter
@@ -228,9 +229,168 @@ def test_parse_rejects_malformed_text_with_a_position():
             parse_weighted_terms(text)
 
 
+# The regex scanner, an independent oracle for the token loop of germ.polys.
+# _MONOMIAL, _HEAD and _CLOSE are matched at one position each and consume
+# their own leading whitespace; _ITEM then reads the values out of a matched
+# monomial.
+
+_RATIONAL = r"(\d+)(?:\s*/\s*(\d+))?"
+_FACTOR = r"([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(\d+))?"
+_ITEM = re.compile(f"{_RATIONAL}|{_FACTOR}")
+_MONOMIAL = re.compile(
+    rf"\s*(?:(?P<sign>[+-])\s*)?(?P<body>(?:{_RATIONAL}\s*\*\s*)?{_FACTOR}"
+    rf"(?:\s*\*\s*(?:{_FACTOR}|{_RATIONAL}))*|{_RATIONAL})?"
+)
+_HEAD = re.compile(rf"\s*(-\s*)?{_RATIONAL}\s*\*\s*\(")
+_CLOSE = re.compile(r"\s*\)\s*(\+)?")
+
+
+def _error(text, pos, expected):
+    at = len(text) - len(text[pos:].lstrip())
+    found = repr(text[at]) if at < len(text) else "end of input"
+    return InputError(f"syntax error at position {at}: expected {expected}, found {found}")
+
+
+def _integer(m, group):
+    try:
+        return int(m.group(group))
+    except ValueError as exc:
+        raise InputError(f"number at position {m.start(group)} is too long: {exc}") from None
+
+
+def _rational(m, group):
+    den = 1 if m.group(group + 1) is None else _integer(m, group + 1)
+    if den == 0:
+        raise InputError(f"syntax error at position {m.start(group + 1)}: zero denominator")
+    return _integer(m, group), den
+
+
+def _scan_poly(text, pos):
+    """The polynomial at ``pos`` and where it stops: at the end of the text,
+    or before the first thing after a monomial that is not a sign."""
+    terms = {}
+    first = True
+    while True:
+        m = _MONOMIAL.match(text, pos)
+        if not first and m["sign"] is None:
+            return Poly({e: F(*c) for e, c in terms.items() if c[0]}), pos
+        if m["body"] is None:
+            raise _error(text, m.end(), "a monomial")
+        num, den, exp = -1 if m["sign"] == "-" else 1, 1, [0, 0]
+        for item in _ITEM.finditer(text, m.start("body"), m.end("body")):
+            if item[3] is None:
+                n, d = _rational(item, 1)
+                num, den = num * n, den * d
+            elif item[3] not in ("x", "y"):
+                raise InputError(f"syntax error at position {item.start(3)}: "
+                                 f"unknown variable {item[3]!r} (use x and y)")
+            else:
+                power = 1 if item[4] is None else _integer(item, 4)
+                if power < 1:
+                    raise InputError(f"syntax error at position {item.start(4)}: "
+                                     "exponent must be a positive integer")
+                exp["xy".index(item[3])] += power
+        key = tuple(exp)
+        if key in terms:
+            n, d = terms[key]
+            num, den = (n + num, d) if d == den else (n * den + num * d, d * den)
+        terms[key] = num, den
+        pos, first = m.end(), False
+
+
+def reference_parse_poly(text):
+    p, pos = _scan_poly(text, 0)
+    if text[pos:].strip():
+        raise _error(text, pos, "'+', '-' or end of input")
+    return p
+
+
+def reference_parse_weighted_terms(text):
+    out = []
+    pos = 0
+    while True:
+        head = _HEAD.match(text, pos)
+        if head is None:
+            raise _error(text, pos, "a coefficient and '*('")
+        num, den = _rational(head, 2)
+        coeff = F(-num if head[1] else num, den)
+        p, pos = _scan_poly(text, head.end())
+        close = _CLOSE.match(text, pos)
+        if close is None:
+            raise _error(text, pos, "')'")
+        out.append((coeff, p))
+        pos = close.end()
+        if close[1] is None:
+            if pos < len(text):
+                raise _error(text, pos, "'+' or end of input")
+            return out
+
+
+def _outcome(parse, text):
+    """What a parse returns, or the message of the InputError it raises."""
+    try:
+        return parse(text)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+def _mangled(rng, text):
+    """text with 1 to 3 characters deleted, doubled or replaced by one of
+    _NOISE."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        if not chars:
+            break
+        at, edit = rng.randrange(len(chars)), rng.randrange(3)
+        if edit == 0:
+            del chars[at]
+        elif edit == 1:
+            chars.insert(at, chars[at])
+        else:
+            chars[at] = rng.choice(_NOISE)
+    return "".join(chars)
+
+
+_NOISE = "()+-*/^xyz0123 \t٣²é_"  # an Arabic-Indic 3 is a digit, ² and é are not
+_LONG = "9" * 5000  # past int()'s default limit on digits it reads from text
+_EDGE_TEXTS = [
+    "x**2", "x*", "2*3*x", "x^-1", "1/x", "x^y", "x^00", "x^01", "1/2/3*x", "x²", "٣*x", "x^٣",
+    "é", "X", "1*x", "+1*(x)", "1*(x)+", "1*()", "0/1*(x)", "x #", "1*(x) #",
+    f"{_LONG}*x", f"1/{_LONG}*x", f"{_LONG}/0*x", f"x^{_LONG}", f"x*{_LONG}", f"x*1/{_LONG}",
+    f"x + {_LONG}", f"{_LONG}*(x)", f"1/{_LONG}*(x)", f"-{_LONG}/{_LONG}*(y)", f"1*(x^{_LONG})",
+    f"1*(x) + {_LONG}",
+]
+
+
+def test_token_scanner_matches_the_regex_scanner():
+    """Differential oracle for the token loop: on the surface forms above,
+    on those forms with a few characters mangled, and on a list of edge
+    cases, parse_poly and parse_weighted_terms return what the regex
+    scanner returns, or raise InputError with the same message."""
+    rng = random.Random(30)
+    texts = list(_EDGE_TEXTS)
+    while len(texts) < 5200:
+        terms = {(rng.randint(0, 4), rng.randint(0, 4)):
+                 F(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 6))
+                 for _ in range(rng.randint(1, 4))}
+        text = _poly_text(rng, terms)
+        if rng.random() < 0.5:  # a divisor of one or two components
+            polys = [text] if rng.random() < 0.5 else [text, _poly_text(rng, terms)]
+            text = f"{_ws(rng)}+{_ws(rng)}".join(
+                f"{_ws(rng)}{rng.choice(['', '-'])}{_ws(rng)}"
+                f"{_rational_text(rng, F(rng.randint(0, 9), rng.randint(1, 9)))}"
+                f"{_ws(rng)}*{_ws(rng)}({t}){_ws(rng)}" for t in polys)
+        texts += [text, _mangled(rng, text)]
+    for text in texts:
+        for parse, reference in [(parse_poly, reference_parse_poly),
+                                 (parse_weighted_terms, reference_parse_weighted_terms)]:
+            assert _outcome(parse, text) == _outcome(reference, text), text
+
+
 def test_parse_time_is_linear_in_whitespace_runs():
-    """Whitespace runs of 64,000 characters between tokens, in texts that
-    parse and in texts that fail, each take well under a second."""
+    """Whitespace runs of 64,000 characters between tokens, and texts of
+    50,000 monomials or factors, in texts that parse and in texts that fail,
+    each take well under a second."""
     s = " " * 64000
     cases = [
         (parse_poly, "x" + s + "#"),
@@ -240,6 +400,9 @@ def test_parse_time_is_linear_in_whitespace_runs():
         (parse_poly, "x" + s + "+" + s),
         (parse_weighted_terms, s + "-" + s + "1" + s + "*" + s + "(" + s + "y" + s + ")" + s),
         (parse_weighted_terms, "1*(x)" + s + "+" + s + "2" + s + "#"),
+        (parse_poly, "x + " * 50000 + "y"),
+        (parse_poly, "x*" * 50000 + "y"),
+        (parse_poly, "x + " * 25000 + "#"),  # the error is at the last token
     ]
     for parse, text in cases:
         start = time.perf_counter()

@@ -585,9 +585,10 @@ def contact_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, 
     unique, and every series is substituted there with no truncation
     (``_substituted_order``).  Otherwise a series whose lowest group does
     not cancel at lead has that order, found before any lift, and the rest
-    are read along the orders 2, 4, 8, ..., their branch's n
-    (``curve_parametrization``), each lift made once, when first needed,
-    and shared by every branch and derivative; a series stops at the first
+    are read along the orders 2, 4, 8, ..., their branch's n, from one lift
+    shared by every branch and derivative.  The lift is raised in place
+    (``curve_parametrization``) only when a read needs a higher order, and
+    each read is truncated at its own order; a series stops at the first
     order where it is not 0.  A polynomial psi is found exact once a lift's
     order passes the degree of g(psi, t), then read as sparse as it is.
     """
@@ -612,42 +613,26 @@ def _contact(branches: "list[Poly]", weights: "tuple[int, ...]",
         return mult, inter
     h = _integer_terms(c.poly, c.swapped)
     lead = _reduced({v: -h[0, v]}, h[1, 0])
-    # psi is lead iff g vanishes there; else it is lifted, for each branch to its Bezout order
-    lifts = [] if _substituted_order(h, lead, True) is None else [_first_lift(h)]
+    # psi is lead iff g vanishes there; else one lift, raised in place when a read
+    # needs a higher order, serves every read, each truncated at its own order
+    lift = None if _substituted_order(h, lead, True) is None else _first_lift(h)
     for weight, p in zip(weights, branches):
         q = _integer_terms(p, c.swapped)
-        n = p.total_degree() * c.poly.total_degree() + 2 if lifts else None
+        n = p.total_degree() * c.poly.total_degree() + 2 if lift else 0
         k = 0
-        while (order := _first_order(q, c, lead, n, lifts)) is None:
-            q = _d_dx(q)
-            k += 1
+        while True:
+            order, read = _substituted_order(q, lead, lift is None), 1
+            while order is None and read < n:
+                read = min(2 * read, n)
+                if lift.order < read:
+                    lift = curve_parametrization(c, read, lift)
+                order = min(_on_curve(q, lift.psi, read).num, default=None)
+            if order is not None:
+                break
+            q, k = _d_dx(q), k + 1
         mult += weight * k
         inter += weight * order
     return mult, inter
-
-
-def _first_order(p: IntTerms, c: SmoothCurveGerm, lead: Series, n: "int | None",
-                 lifts: "list[CurveLift]") -> "int | None":
-    """The order of p on the curve, None if p is 0 on it.  n is the Bezout
-    order of the branch that p is a derivative of, or None when psi is
-    ``lead``, and then p is substituted there.  Else p's lowest group at
-    lead answers if it does not cancel; if it does, psi is lifted and p read
-    below each lift's order in turn, up to n, and the first nonzero read
-    answers.  ``lifts`` starts at order 1, never read, and grows in place
-    one doubling at a time, when a read needs the next."""
-    order = _substituted_order(p, lead, n is None)
-    if order is not None or n is None:
-        return order
-    i = 1
-    while True:
-        if i == len(lifts):
-            lifts.append(curve_parametrization(c, min(2 * lifts[-1].order, n), lifts[-1]))
-        lift = lifts[i]
-        if values := _on_curve(p, lift.psi, lift.order).num:
-            return min(values)
-        if lift.order >= n:
-            return None
-        i += 1
 
 
 def local_intersection(b: DivisorGerm, c: SmoothCurveGerm) -> Fraction:

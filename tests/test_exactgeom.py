@@ -107,8 +107,6 @@ def test_minkowski_doubling():
 
 def test_support_value_direct_min():
     p = poly((0, 3), (1, 1), (4, 0))
-    # oracle: evaluate <w, v> on each vertex by hand
-    assert min(0 + 3, 1 + 1, 4 + 0) == 2
     assert lattice_min(p, (1, 1)) == 2
 
 

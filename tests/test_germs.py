@@ -1283,10 +1283,13 @@ def test_leading_term_decides_before_any_lift(lifts):
     does not cancel at the leading term answers with no lift; one that
     cancels goes on to the series, lifted to orders 2 and 4.  3/2*x + y^2
     cancels at psi = -2/3*t^2 + ..., and its order 3 on 3/2*x + y^2 + x*y
-    is I(3/2*x + y^2, x*y) = 2 + 1."""
+    is I(3/2*x + y^2, x*y) = 2 + 1.  After C itself, lifted to its Bezout
+    order 6, that branch reads at 2 and 4 from the same lift, truncated,
+    with no new call: one lift serves every branch."""
     c = curve_orient(pp("3/2*x + y^2 + x*y"))
     cases = [("1*(x^7*y) + 1/2*(y^3 - x)", (0, F(16)), []),
-             ("1*(3/2*x + y^2)", (0, F(3)), [2, 4])]
+             ("1*(3/2*x + y^2)", (0, F(3)), [2, 4]),
+             ("1/2*(3/2*x + y^2 + x*y) + 1/3*(3/2*x + y^2)", (F(1, 2), F(1)), [2, 4, 6])]
     for b, expected, orders in cases:
         lifts.clear()
         assert contact_along_curve(parse_divisor(b), c) == expected

@@ -758,17 +758,7 @@ def test_binomial_mld_not_lc_reports_neg_inf():
 def binomial_lct(lam, m, n):
     """Oracle: lct of the axis curve (y = 0) against lambda * (x^m + y^n = 0),
     in the regime 0 <= lambda*n - n/m <= 1: equals 1 - lambda*n + n/m."""
-    coeff = as_fraction(lam)
-    if not 0 < coeff <= 1:
-        raise InputError("lambda must lie in (0, 1]")
-    if m < 1 or n < 1:
-        raise InputError("exponents must be positive integers")
-    gap = coeff * n - F(n, m)
-    if gap < 0:
-        raise DomainError(f"lambda*n - n/m = {gap} violates 0 <= lambda*n - n/m")
-    if gap > 1:
-        raise DomainError(f"lambda*n - n/m = {gap} violates lambda*n - n/m <= 1")
-    return 1 - coeff * n + F(n, m)
+    return 1 - lam * n + F(n, m)
 
 
 def test_binomial_lct_values():
@@ -786,11 +776,6 @@ def test_binomial_lct_matches_lct_toric():
         expected = binomial_lct(lam, m, n)
         got = lct_toric(binom(lam, m, n), curve_orient(parse_poly("y")))
         assert got.value == expected
-
-
-def test_binomial_lct_precondition_error_names_inequality():
-    with pytest.raises(DomainError, match="lambda"):
-        binomial_lct(F(1, 8), 2, 2)  # lambda*n - n/m < 0
 
 
 # ---------------------------------------------------------------------------
@@ -847,6 +832,23 @@ def test_surface_theorem_hypotheses_hold_at_their_bounds():
     rep = verify_surface_theorem(parse_divisor("2/3*(y) + 3/4*(y - x^3)"), c, "1/3")
     assert rep.failed_hypotheses == ("mld >= epsilon", "(B' . C) <= 2",
                                      "coefficients <= 1 - epsilon")
+
+
+def test_surface_theorem_family_at_twice_the_bound():
+    """B_m = (1 - 1/m)*(y) + (1/m)*(y^2 - x^(2m-1)) against y at eps = 1/m
+    is applicable, and its exact lct eps^2/(2 - eps) is twice delta(eps),
+    whose witness is n = 2m - 1.  The exponent 2m - 1 is not walked: each
+    check, m = 10^9 included, keeps a 1 s budget."""
+    c = curve_orient(parse_poly("y"))
+    for m in [2, 3, 12, 10**6, 10**9]:
+        eps = F(1, m)
+        b = parse_divisor(f"{1 - eps}*(y) + {eps}*(y^2 - x^{2 * m - 1})")
+        start = time.perf_counter()
+        rep = verify_surface_theorem(b, c, eps)
+        assert time.perf_counter() - start < 1
+        assert rep.applicable and rep.passed and rep.lct.exact
+        assert rep.lct.value == eps**2 / (2 - eps) == 2 * rep.bound
+        assert rep.bound_witness_n == 2 * m - 1
 
 
 def test_surface_theorem_checks_exact_bound_for_small_epsilon():

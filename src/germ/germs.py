@@ -78,8 +78,8 @@ class DivisorGerm:
     """B = sum of coeff_i * (poly_i = 0) with positive rational coefficients.
 
     B has at least one component; each coefficient is a positive ``int``
-    or ``Fraction``, and each branch polynomial is a nonzero ``Poly`` that
-    vanishes at the origin; a ``Poly`` checks its own terms.
+    or ``Fraction``, not a ``bool``, and each branch polynomial is a nonzero
+    ``Poly`` that vanishes at the origin; a ``Poly`` checks its own terms.
     """
 
     components: tuple[tuple[Fraction, Poly], ...]
@@ -91,7 +91,7 @@ class DivisorGerm:
             raise InputError("divisor needs at least one component")
         for component in self.components:
             coeff, p = as_pair(component)
-            if not isinstance(coeff, (int, Fraction)):
+            if not isinstance(coeff, (int, Fraction)) or isinstance(coeff, bool):
                 raise InputError(f"a coefficient of type {type(coeff).__name__} "
                                  "is not an int or Fraction")
             if coeff.numerator <= 0:
@@ -115,6 +115,9 @@ def parse_divisor(text: str) -> DivisorGerm:
 
 
 def render_divisor(b: DivisorGerm) -> str:
+    """B as canonical text that ``parse_divisor`` reads back to an equal germ:
+    ``coeff*(poly) + ...`` in component order.  A number with more digits
+    than ``str`` converts raises ``InputError``."""
     if not isinstance(b, DivisorGerm):
         raise InputError(f"expected a DivisorGerm, got {type(b).__name__}")
     return render_weighted_terms(b.components)
@@ -271,6 +274,10 @@ class NondegeneracyReport(NamedTuple):
 
 
 def nondegeneracy_check(b: DivisorGerm) -> NondegeneracyReport:
+    """Whether B is Newton-nondegenerate, which makes its toric mld exact;
+    see ``NondegeneracyReport``.  It reads the branches' initial forms
+    along the compact-face normals of B's polygons, with no valuation
+    table."""
     _weights(b)  # checks b's type before b.branches
     return _nondegeneracy(b.branches, face_normals(*map(polytope_from_support, b.branches)))
 

@@ -22,7 +22,10 @@ returned value:
   closed form,
 * the surface-theorem checker, which builds the table, the mld scan, the
   contact of B with C and B's nondegeneracy once, and passes only exact
-  thresholds (hypothesis "B + lct*C newton nondegenerate").
+  thresholds (hypothesis "B + lct*C newton nondegenerate").  That
+  exactness is read off numbers the analysis holds, with no second
+  nondegeneracy test: B + lct*C is nondegenerate iff B is and, when lct > 0
+  and C has a face normal n, (B' . C), B' the C-free part of B, is <n, B>.
 
 The mld and lct values are upper bounds for the true birational invariants
 in general; they are exact on Newton-nondegenerate inputs, which callers
@@ -47,7 +50,6 @@ from .germs import (
     _weights,
     newton_polytope,
 )
-from .polys import Poly
 from .scalars import Extended, NEG_INF, as_fraction
 
 __all__ = [
@@ -172,10 +174,11 @@ class LctResult(NamedTuple):
     ``membership_sup`` is the largest t keeping (1,1) inside the Newton
     polytope of B + tC; ``coefficient_cap`` is 1 - mult_C B, the room left
     on the curve's own coefficient; ``value`` is their minimum.  ``exact``
-    certifies the value equals the true threshold (Newton nondegeneracy of
-    B + value*C in these coordinates).  ``witness_weight`` is the weight
-    realizing the membership bound, or "cap" when the cap is strictly
-    smaller.
+    certifies the value equals the true threshold: B + value*C is Newton
+    nondegenerate in these coordinates, i.e. B is and, when value > 0 and C
+    has a face normal n, (B' . C) = <n, B>, B' the C-free part of B.
+    ``witness_weight`` is the weight realizing the membership bound, or
+    "cap" when the cap is strictly smaller.
     """
 
     membership_sup: Fraction
@@ -206,26 +209,27 @@ def lct_toric(b: DivisorGerm, c: SmoothCurveGerm) -> LctResult:
         raise DomainError("coefficient above one")
     if min(pb.rays.values()) < 0:
         raise DomainError("pair not lc before adding C")
-    branches = b.branches
-    mult, _ = _contact(branches, pb.weights, c)
+    mult, inter = _contact(b.branches, pb.weights, c)
     if mult > pb.den:  # C has coefficient above one in B
         raise DomainError("pair not lc before adding C")
-    return _lct(branches, c, pb, mult, _nondegeneracy(branches, pb.normals).nondegenerate)
+    return _lct(c, pb, mult, inter, _nondegeneracy(b.branches, pb.normals).nondegenerate)
 
 
-def _lct(branches: "list[Poly]", c: SmoothCurveGerm, pb: NewtonDiagram, mult: int,
+def _lct(c: SmoothCurveGerm, pb: NewtonDiagram, mult: int, inter: int,
          nondegenerate: bool) -> LctResult:
     """Threshold of an lc pair with coefficients at most one, given B's
-    branch polynomials, its valuation table ``pb`` (see ``NewtonDiagram``),
-    pb.den * mult_C B and whether B is nondegenerate.  Only a normal of C's
+    valuation table ``pb`` (see ``NewtonDiagram``), pb.den times mult_C B
+    and (B' . C), and whether B is nondegenerate.  Only a normal of C's
     that is not a ray of B's table needs a discrepancy of its own, from one
     vertex sweep.  The ratios disc/(pb.den * contact) and the cap are
-    cross-multiplied."""
+    cross-multiplied.  B + value*C is nondegenerate iff B is and, when
+    value > 0 and C has a normal n, den*(B' . C) is den*<n, B> =
+    (n1 + n2)*den - disc(n)."""
     rays = pb.rays
-    candidates = list(rays.items()) + [
-        (n, (n[0] + n[1]) * pb.den - pb.lattice_min(n)) for n in c.normals if n not in rays]
+    candidates = {**rays, **{  # keyed in tie-break order, C's normal last
+        n: (n[0] + n[1]) * pb.den - pb.lattice_min(n) for n in c.normals if n not in rays}}
     best: "tuple[int, int, IntVec] | None" = None  # the least ratio, first in order
-    for w, disc in candidates:
+    for w, disc in candidates.items():
         contact = c.contact(w)
         if contact == 0:
             continue
@@ -237,15 +241,20 @@ def _lct(branches: "list[Poly]", c: SmoothCurveGerm, pb: NewtonDiagram, mult: in
     room = pb.den - mult  # pb.den times the cap
     membership, cap = Fraction(disc, pb.den * contact), Fraction(room, pb.den)
     value, witness = (membership, best_w) if disc <= room * contact else (cap, "cap")
-    # C is smooth: its polygon has at most one compact face, whose form is
-    # linear, so along every other normal C's form is one term and B + value*C
-    # passes iff B does.  Along a normal of C's that is not B's, every form of
-    # B is one term, and C's binomial passes.  So B + value*C is nondegenerate
-    # iff B is and, when value > 0, it passes along the normals B and C share;
-    # its coefficients do not enter the test.
-    shared = [n for n in c.normals if n in rays] if value.numerator > 0 else []
-    exact = nondegenerate and (
-        not shared or _nondegeneracy(branches + [c.poly], shared).nondegenerate)
+    # C is smooth: its polygon has at most one compact face, with normal n,
+    # whose form is linear in C's frame x, so along every other normal C's
+    # form is one term and B + value*C passes iff B does.  Along n a
+    # branch's form shares a factor with C's iff it vanishes at C's one
+    # root, psi's leading term, iff the branch meets C in more than
+    # <n, branch>: the contact walk decides that group.  On a nondegenerate
+    # B a branch on C is C*q, q's form not 0 at the root as the branch's is
+    # squarefree, so it adds (q . C) = <n, branch> - <n, C> to inter, and
+    # no other form is 0 there.  So inter is below den*<n, B> when a branch
+    # lies on C, above it when one meets C past <n, branch>, and equal iff
+    # neither, as always when n is not B's.  The coefficients do not enter
+    # the test.
+    exact = nondegenerate and (value.numerator == 0 or all(
+        inter == (n1 + n2) * pb.den - candidates[n1, n2] for n1, n2 in c.normals))
     return LctResult(membership, cap, value, witness, exact)
 
 
@@ -346,7 +355,7 @@ def verify_surface_theorem(
     nondeg = _nondegeneracy(branches, pb.normals).nondegenerate
     if not nondeg:
         failed.append("newton nondegeneracy")
-    lct = _lct(branches, c, pb, mult, nondeg) if not failed else None
+    lct = _lct(c, pb, mult, inter, nondeg) if not failed else None
     # an inexact value is only an upper bound of the threshold: it checks nothing
     if lct is not None and not lct.exact:
         failed.append("B + lct*C newton nondegenerate")

@@ -115,7 +115,8 @@ def test_malformed_germs_raise_input_error():
     non-``Fraction`` coefficient, an exponent that is not a pair of
     non-negative integers and terms that are not a mapping;
     a germ checks that a component or curve is a ``Poly`` and that a
-    coefficient of B is an ``int`` or ``Fraction``; every analysis checks
+    coefficient of B is an ``int`` or ``Fraction`` and not a ``bool``, which
+    would render as ``True*(x)``; every analysis checks
     that B and C are germs, and each parser that its text is a ``str``.
     Unchecked, the first two cases answered a negative intersection (0, -2)
     and (0, 1/2), and the germ and text cases raised ``AttributeError`` or
@@ -143,6 +144,7 @@ def test_malformed_germs_raise_input_error():
         lambda: DivisorGerm(((Fraction(1, 2), {(1, 0): Fraction(1)}),)),
         lambda: DivisorGerm(((Fraction(1, 2), Poly([(1, 0)])),)),
         lambda: DivisorGerm((("1/2", x),)),
+        lambda: DivisorGerm(((True, x),)),
         lambda: DivisorGerm(((Fraction(-1, 2), x),)),
         lambda: DivisorGerm(((Fraction(1, 2), x, x),)),
         lambda: DivisorGerm([(Fraction(1, 2), x)]),

@@ -5,6 +5,7 @@ import re
 import signal
 import time
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction as F
 from functools import reduce
 from math import gcd, lcm
@@ -50,6 +51,24 @@ def from_terms(terms):
 
 ZERO = Poly({})
 ONE = Poly({(0, 0): F(1)})
+
+
+@contextmanager
+def within(seconds, case):
+    """Fail the block with an ``AssertionError`` naming ``case`` once it has
+    run ``seconds`` of wall time, by a real-time timer, so that a hang fails
+    its test instead of stalling the run."""
+
+    def overrun(signum, frame):
+        raise AssertionError(f"no answer within {seconds} s: {case}")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _add(p, q, k=1):
@@ -405,12 +424,11 @@ def test_parse_time_is_linear_in_whitespace_runs():
         (parse_poly, "x + " * 25000 + "#"),  # the error is at the last token
     ]
     for parse, text in cases:
-        start = time.perf_counter()
-        try:
-            parse(text)
-        except InputError:
-            pass
-        assert time.perf_counter() - start < 1
+        with within(1, f"{parse.__name__} on {text[:40]!r}..."):
+            try:
+                parse(text)
+            except InputError:
+                pass
 
 
 # ---------------------------------------------------------------------------
@@ -575,10 +593,10 @@ def test_nondegeneracy_cost_follows_terms_not_exponents():
     no entry per lattice step."""
     b = parse_divisor("1/2*(x^1000000000 + y^1000000000)")
     y = curve_orient(pp("y"))
-    for run in (lambda: nondegeneracy_check(b), lambda: verify_surface_theorem(b, y, "1/2")):
-        start = time.perf_counter()
-        run()
-        assert time.perf_counter() - start < 1
+    for name, run in [("nondegeneracy_check", lambda: nondegeneracy_check(b)),
+                      ("verify", lambda: verify_surface_theorem(b, y, "1/2"))]:
+        with within(1, f"{name} on {b}"):
+            run()
     assert nondegeneracy_check(b).nondegenerate
     assert verify_surface_theorem(b, y, "1/2").nondegenerate
 
@@ -589,11 +607,11 @@ def test_dense_face_forms_stop_at_the_limit():
     once, in the test and in the theorem check; one just inside is decided."""
     b = parse_divisor("1/2*(x^1000000000 + x^999999999*y + y^1000000000)")
     y = curve_orient(pp("y"))
-    for run in (lambda: nondegeneracy_check(b), lambda: verify_surface_theorem(b, y, "1/2")):
-        start = time.perf_counter()
-        with pytest.raises(InputError, match=f"limit of {DENSE_FORM_LIMIT} entries"):
+    for name, run in [("nondegeneracy_check", lambda: nondegeneracy_check(b)),
+                      ("verify", lambda: verify_surface_theorem(b, y, "1/2"))]:
+        with within(1, f"{name} on {b}"), \
+                pytest.raises(InputError, match=f"limit of {DENSE_FORM_LIMIT} entries"):
             run()
-        assert time.perf_counter() - start < 1
     m = DENSE_FORM_LIMIT - 1
     assert nondegeneracy_check(parse_divisor(f"1/2*(x^{m} + x^{m - 1}*y + y^{m})")).nondegenerate
 
@@ -605,17 +623,8 @@ def test_dense_face_form_is_decided_within_a_second():
     after 1 s."""
     rng = random.Random(0)
     b = DivisorGerm(((F(1, 2), Poly({(i, 100 - i): F(rng.randint(1, 9)) for i in range(101)})),))
-
-    def overrun(signum, frame):
-        raise AssertionError("no verdict within 1 s on a dense face form of degree 100")
-
-    previous = signal.signal(signal.SIGALRM, overrun)
-    signal.setitimer(signal.ITIMER_REAL, 1)
-    try:
+    with within(1, "a dense face form of degree 100"):
         assert nondegeneracy_check(b).nondegenerate
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def _cleared(form):
@@ -1199,21 +1208,11 @@ def test_series_cost_follows_bit_size():
         ("2/3*(x + y + x^2) + 1/5*(x + 1/2*y^1000000000)", "x + y + x^2", (F(2, 3), F(1, 5))),
     ]
 
-    def overrun(signum, frame):
-        raise AssertionError(f"no answer within {CAP_S} s: {b} on {c}")
-
-    previous = signal.signal(signal.SIGALRM, overrun)
-    try:
-        for b, c, expected in cases:
-            signal.setitimer(signal.ITIMER_REAL, CAP_S)
-            try:
-                start = time.perf_counter()
-                assert contact_along_curve(parse_divisor(b), curve_orient(pp(c))) == expected
-                assert time.perf_counter() - start < 0.5
-            finally:
-                signal.setitimer(signal.ITIMER_REAL, 0)
-    finally:
-        signal.signal(signal.SIGALRM, previous)
+    for b, c, expected in cases:
+        with within(CAP_S, f"{b} on {c}"):
+            start = time.perf_counter()
+            assert contact_along_curve(parse_divisor(b), curve_orient(pp(c))) == expected
+            assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -1226,17 +1225,8 @@ def test_contained_component_answers_within_a_second(c):
     of the first curve is -t^2 - t^3 + O(t^101), not a polynomial, and the
     second's is dense, so the branch, 0 on C, is read to the Bezout order:
     (50 + 1)^2 + 2 for the first.  A timer fails each case after 1 s."""
-
-    def overrun(signum, frame):
-        raise AssertionError(f"no answer within 1 s: 1/2*({c}) on {c}")
-
-    previous = signal.signal(signal.SIGALRM, overrun)
-    signal.setitimer(signal.ITIMER_REAL, 1)
-    try:
+    with within(1, f"1/2*({c}) on {c}"):
         assert contact_along_curve(parse_divisor(f"1/2*({c})"), curve_orient(pp(c))) == (F(1, 2), 0)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -1248,18 +1238,9 @@ def test_cancelling_group_answers_within_a_second():
     t^(N + 3) with coefficients -2 and +2, so that group cancels.  A timer
     fails the case after 1 s; N = 10^4 answers in about 20 ms."""
     n = 10**5
-
-    def overrun(signum, frame):
-        raise AssertionError(f"no answer within 1 s at N = {n}")
-
-    previous = signal.signal(signal.SIGALRM, overrun)
-    signal.setitimer(signal.ITIMER_REAL, 1)
-    try:
+    with within(1, f"N = {n}"):
         assert contact_along_curve(parse_divisor(f"1/5*(2*x^3*y^{n} + 2*x^{n}*y^3)"),
                                    curve_orient(pp("x + y - x^300*y^100"))) == (0, F(n + 402, 5))
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -2,7 +2,6 @@
 oracles for every derived value."""
 
 import random
-import time
 from collections import Counter
 from fractions import Fraction as F
 from math import ceil, gcd, lcm
@@ -14,6 +13,7 @@ from germ.exactgeom import face_normals, make_weight, polytope_from_support
 from germ.germs import (
     DivisorGerm,
     NewtonDiagram,
+    _nondegeneracy,
     _table,
     contact_along_curve,
     curve_orient,
@@ -33,7 +33,7 @@ from germ.invariants import (
 from germ.polys import Poly, parse_poly
 from germ.scalars import NEG_INF, as_fraction
 from test_exactgeom import _det, hilbert_basis, lattice_min, poly, vertices
-from test_germs import _transpose, from_terms
+from test_germs import _mul, _small_branch, _transpose, from_terms, within
 
 
 def binom(lam, m, n):
@@ -306,17 +306,15 @@ def _random_divisor(rng):
 
 
 def test_mld_deep_cone_attained():
-    start = time.perf_counter()
-    r = mld_toric(parse_divisor("1/2*(x^1000000000 + y)"))
-    assert time.perf_counter() - start < 1
+    with within(1, "1/2*(x^1000000000 + y)"):
+        r = mld_toric(parse_divisor("1/2*(x^1000000000 + y)"))
     assert (r.value, r.witness, r.attained) == (F(3, 2), (1, 1), True)
 
 
 def test_mld_deep_cone_not_lc():
     b = parse_divisor("2*(x^1000000000 + y)")
-    start = time.perf_counter()
-    r = mld_toric(b)
-    assert time.perf_counter() - start < 1
+    with within(1, b):
+        r = mld_toric(b)
     assert r.value is NEG_INF and not r.attained
     assert toric_log_discrepancy(b, tuple(r.witness)) < 0
 
@@ -330,11 +328,6 @@ def test_lct_binomial_formula_instance():
     res = lct_toric(parse_divisor("3/4*(x^2+y^3)"), curve_orient(parse_poly("y")))
     assert res.value == 1 - F(3, 4) * 3 + F(3, 2) == F(1, 4)
     assert res.exact
-
-
-def test_lct_cusp_family_m2():
-    res = lct_toric(parse_divisor("3/4*(x^2+y^3)"), curve_orient(parse_poly("y")))
-    assert res.value == F(1, 4)
 
 
 def test_lct_smooth_branch_against_transverse_axis():
@@ -394,9 +387,9 @@ def test_lct_refuses_a_degenerate_pair_that_is_not_lc():
 def test_lct_deep_cone_closed_form():
     m = 10**9
     for k in range(1, 5):
-        start = time.perf_counter()
-        res = lct_toric(parse_divisor(f"{F(1, 2 * k)}*(x^{m} + y^{k})"), curve_orient(parse_poly("y")))
-        assert time.perf_counter() - start < 1
+        b = parse_divisor(f"{F(1, 2 * k)}*(x^{m} + y^{k})")
+        with within(1, b):
+            res = lct_toric(b, curve_orient(parse_poly("y")))
         assert res.value == F(1, 2) + F(k, m)
 
 
@@ -404,11 +397,10 @@ def test_axis_curve_does_not_walk_the_exponent():
     # psi = 0 on the curve x = 0, so Horner's products stop at the first
     b = parse_divisor("1/4*(x^1000000000 + y^2)")
     c = curve_orient(parse_poly("x"))
-    start = time.perf_counter()
-    res = lct_toric(b, c)
-    inter = local_intersection(b, c)
-    rep = verify_surface_theorem(b, c, "1/2")
-    assert time.perf_counter() - start < 1
+    with within(1, b):
+        res = lct_toric(b, c)
+        inter = local_intersection(b, c)
+        rep = verify_surface_theorem(b, c, "1/2")
     assert (res.membership_sup, res.coefficient_cap, res.value, res.witness_weight, res.exact) == (
         1, 1, 1, (1, 0), True)
     assert inter == F(1, 2)
@@ -657,6 +649,104 @@ def test_curve_normal_and_contact_match_its_hull():
     assert min(seen.values()) >= 30 and seen["both linear", False] >= 60, seen
 
 
+def reference_exact(b, c, value):
+    """Oracle, the rule the contact walk replaced: B + value*C is
+    nondegenerate iff B is and, when value > 0, B's branches with C's
+    polynomial pass the test along the normals B and C share.  Also says
+    whether such a normal decided it."""
+    pb = newton_polytope(b)
+    shared = [n for n in c.normals if n in pb.rays] if value > 0 else []
+    exact = _nondegeneracy(b.branches, pb.normals).nondegenerate and (
+        not shared or _nondegeneracy(b.branches + [c.poly], shared).nondegenerate)
+    return exact, bool(shared)
+
+
+#: Axes, as given and times a unit, and curves with v = 1, 2 and 3, some of
+#: them swapped into their frame.
+EXACTNESS_CURVES = ["y", "x", "x + x*y", "x - 2*y", "y - x^2", "x + y^3",
+                    "3/2*x + y^2 + x*y", "y^2 - 2*x", "y - x - x^2", "x + y^2 + y^3"]
+
+
+def _face_branch(rng, c):
+    """A branch with a form along C's normal (v, 1), in C's frame: the sum
+    of a_k*x^k*y^(v*(d - k)) times a monomial, made to vanish at C's root
+    x = r*y^v about half the time, plus terms off that face."""
+    g = _transpose(c.poly) if c.swapped else c.poly
+    r = -g.terms[0, c.v] / g.terms[1, 0]
+    d = rng.randint(1, 3)
+    coeffs = [F(rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(d + 1)]
+    if rng.random() < 0.5:
+        coeffs[0] -= sum(a * r**k for k, a in enumerate(coeffs))
+    i0, j0 = rng.choice([(0, 0), (0, 0), (1, 0), (0, 1)])
+    terms = {(i0 + k, j0 + c.v * (d - k)): a for k, a in enumerate(coeffs)}
+    for _ in range(rng.randint(0, 2)):
+        i = rng.randint(0, d + 1)
+        j = c.v * (d - i) + j0 + rng.randint(1, 3) if i <= d else rng.randint(0, 3)
+        terms.setdefault((i0 + i, j), F(rng.choice([-1, 1, 2])))
+    p = from_terms(terms)
+    return _transpose(p) if c.swapped else p
+
+
+def _exactness_case(rng):
+    """One to three branches against a seeded curve: small random branches,
+    branches with a form along C's normal, and C times a unit."""
+    c = curve_orient(parse_poly(rng.choice(EXACTNESS_CURVES)))
+    branches = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.random()
+        if kind < 0.35 or not c.v:
+            p = _small_branch(rng, 4)
+        elif kind < 0.85:
+            p = _face_branch(rng, c)
+        else:
+            p = _mul(c.poly, _small_branch(rng, 1, constant=rng.choice([1, -2])))
+        if not p.is_zero and (0, 0) not in p.terms:
+            branches.append(p)
+    return DivisorGerm(tuple((F(rng.randint(1, 4), 12), p) for p in branches or [c.poly])), c
+
+
+def test_lct_exactness_matches_the_shared_normal_reference():
+    """lct_toric's ``exact`` and verify's failed "B + lct*C newton
+    nondegenerate" read exactness off the contact walk; on seeded germs they
+    agree with the test of B's branches and C along their shared normals.
+    Many germs are decided on a shared normal with value > 0, both ways."""
+    rng = random.Random(101)
+    last = "B + lct*C newton nondegenerate"
+    checked, shared = 0, Counter()
+    for _ in range(2400):
+        b, c = _exactness_case(rng)
+        rep = verify_surface_theorem(b, c, "1/12")
+        expected = [h for h in rep.failed_hypotheses if h != last]
+        if rep.lct is not None and not reference_exact(b, c, rep.lct.value)[0]:
+            expected.append(last)
+        assert rep.failed_hypotheses == tuple(expected), (b, c)
+        try:
+            res = lct_toric(b, c)
+        except DomainError:  # not lc before adding C
+            continue
+        exact, decided = reference_exact(b, c, res.value)
+        assert res.exact == exact and rep.lct in (None, res), (b, c)
+        checked += 1
+        shared[exact] += decided
+    assert checked >= 2000 and shared[True] >= 100 and shared[False] >= 100, (checked, shared)
+    assert shared[True] + shared[False] >= 300, shared
+
+
+@pytest.mark.parametrize("e", [4000, 10**9])
+def test_lct_exactness_on_a_stepped_face_shared_with_c(e):
+    """B's one face along (2, 1), C's normal, steps by e/2 in x: its form is
+    X^2 + X*Y +- 2*Y^2 in X = x^(e/2), Y = y^e.  With + it does not vanish
+    at C's root x = -y^2, so B + 1*C is nondegenerate; with - it does, as C
+    divides the branch, and the cap 1 - 1/(4e) is not exact.  Exactness is
+    read off the contact walk, with no face form of C's step 1 in x."""
+    c = curve_orient(parse_poly("x + y^2"))
+    for sign, value, exact in [("+", 1, True), ("-", 1 - F(1, 4 * e), False)]:
+        b = parse_divisor(f"{F(1, 4 * e)}*(x^{e} + x^{e // 2}*y^{e} {sign} 2*y^{2 * e})")
+        with within(1, b):
+            res = lct_toric(b, c)
+        assert (res.value, res.exact) == (value, exact)
+
+
 # ---------------------------------------------------------------------------
 # delta bound
 
@@ -705,12 +795,11 @@ def test_delta_bound_rejects_nonpositive():
 def test_exponent_notation_is_rejected_at_once():
     # ten characters that would make a million-digit number
     b, c = parse_divisor("1/2*(x^2+y^2)"), curve_orient(parse_poly("y"))
-    start = time.perf_counter()
-    with pytest.raises(InputError, match="p/q"):
-        delta_bound("1e-1000000")
-    with pytest.raises(InputError, match="p/q"):
-        verify_surface_theorem(b, c, "1e-1000000")
-    assert time.perf_counter() - start < 1
+    with within(1, "epsilon 1e-1000000"):
+        with pytest.raises(InputError, match="p/q"):
+            delta_bound("1e-1000000")
+        with pytest.raises(InputError, match="p/q"):
+            verify_surface_theorem(b, c, "1e-1000000")
     assert delta_bound("0.25") == delta_bound(F(1, 4)) == delta_bound(" 1/4 ")
 
 
@@ -726,10 +815,6 @@ def test_bound_floor_examples():
     assert bound_floor_check(F(1, 7))
     assert delta_bound(3).delta >= F(3, 2)
     assert bound_floor_check(3)
-
-
-def test_surface_bound_small_range():
-    assert (delta_bound(F(1, 3)).delta, delta_bound(F(1, 3)).witness_n) == (F(1, 30), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -843,9 +928,8 @@ def test_surface_theorem_family_at_twice_the_bound():
     for m in [2, 3, 12, 10**6, 10**9]:
         eps = F(1, m)
         b = parse_divisor(f"{1 - eps}*(y) + {eps}*(y^2 - x^{2 * m - 1})")
-        start = time.perf_counter()
-        rep = verify_surface_theorem(b, c, eps)
-        assert time.perf_counter() - start < 1
+        with within(1, f"m = {m}"):
+            rep = verify_surface_theorem(b, c, eps)
         assert rep.applicable and rep.passed and rep.lct.exact
         assert rep.lct.value == eps**2 / (2 - eps) == 2 * rep.bound
         assert rep.bound_witness_n == 2 * m - 1

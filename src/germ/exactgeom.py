@@ -48,8 +48,9 @@ Polygon = tuple[IntVec, ...]
 
 
 def make_weight(w1: int, w2: int) -> IntVec:
-    """The primitive positive integer weight (w1, w2) of a monomial valuation."""
-    if not (isinstance(w1, int) and isinstance(w2, int)) or w1 < 1 or w2 < 1:
+    """The primitive positive integer weight (w1, w2) of a monomial valuation;
+    a ``bool`` is not an integer here."""
+    if not (type(w1) is int and type(w2) is int) or w1 < 1 or w2 < 1:
         raise InputError(f"weight ({w1}, {w2}) must be a pair of positive integers")
     if gcd(w1, w2) != 1:
         raise InputError(f"weight ({w1}, {w2}) is not primitive")

@@ -21,8 +21,9 @@ computes the purely local quantities the invariant layer builds on:
   by group.  Else a series whose lowest group does not cancel at the
   leading term has its order, and past that series are kept as ``int``
   numerators over one denominator, read at the orders 2, 4, 8, ... up to
-  the Bezout order of its own branch, on a Newton lift with one exactness
-  rule and no evaluation to a degree that exponent values set;
+  2 past the lesser Bezout number of its own branch and C, on P^2 or on
+  P^1 x P^1 by bidegrees, on a Newton lift with one exactness rule and no
+  evaluation to a degree that exponent values set;
 - the Newton-nondegeneracy certificate that marks inputs whose toric
   invariants are exact, read off the branches' initial forms along the
   compact-face normals of the divisor's Newton diagram.  Binomial forms are
@@ -91,7 +92,7 @@ class DivisorGerm:
             raise InputError("divisor needs at least one component")
         for component in self.components:
             coeff, p = as_pair(component)
-            if not isinstance(coeff, (int, Fraction)) or isinstance(coeff, bool):
+            if type(coeff) not in (int, Fraction):
                 raise InputError(f"a coefficient of type {type(coeff).__name__} "
                                  "is not an int or Fraction")
             if coeff.numerator <= 0:
@@ -449,25 +450,25 @@ class CurveLift(NamedTuple):
     exact: bool
 
 
-def curve_parametrization(c: SmoothCurveGerm, order: int,
-                          lift: "CurveLift | None" = None) -> CurveLift:
-    """The root x = psi(t) of the curve's polynomial g, oriented by
-    ``c.swapped``, below ``order`` or exact.
+def curve_parametrization(lift: CurveLift, order: int) -> CurveLift:
+    """The root x = psi(t) of the curve whose cleared terms are ``lift.h``,
+    below ``order`` or exact, lifted on from ``lift``.
 
-    ``SmoothCurveGerm`` puts g in this frame: through the origin, with
-    x-linear coefficient lin != 0.  Newton's iteration lifts psi from
-    psi = 0 below t^1, where inverse = 1/lin, doubling the order k each pass
-    (Brent and Kung, JACM 1978):
+    ``SmoothCurveGerm`` puts the curve's polynomial g in its frame: through
+    the origin, with x-linear coefficient lin != 0.  Newton's iteration
+    lifts psi from any lift, the first being psi = 0 below t^1, where
+    inverse = 1/lin, doubling the order k each pass (Brent and Kung, JACM
+    1978):
         psi <- psi - inverse*g(psi, t),
         inverse <- inverse*(2 - g_x(psi, t)*inverse),
     both truncated at k.  One rule decides exactness: psi is exact once its
     residual g(psi, t) is 0 below k with k > max(i*deg psi + j) over g's
     terms x^i*y^j, as g(psi, t) then has degree below k.  No rule evaluates
-    g(psi, t) to its degree, which exponent values set.  Given ``lift``, the
-    lifting goes on from it, so each lift is made once; an exact ``lift``
-    only has its order raised, with no pass.
+    g(psi, t) to its degree, which exponent values set.  The lifting goes on
+    from ``lift``, so each lift is made once; an exact ``lift`` only has its
+    order raised, with no pass.
     """
-    h, known, psi, inverse, exact = lift or _first_lift(_integer_terms(c.poly, c.swapped))
+    h, known, psi, inverse, exact = lift
     dh = _d_dx(h)
     while not exact and known < order:
         known = min(2 * known, order)
@@ -478,11 +479,6 @@ def curve_parametrization(c: SmoothCurveGerm, order: int,
             excess = _difference(_product(_on_curve(dh, psi, known), inverse, known), _ONE)
             inverse = _difference(inverse, _product(inverse, excess, known))
     return CurveLift(h, order if exact else known, psi, inverse, exact)
-
-
-def _first_lift(h: IntTerms) -> CurveLift:
-    """The lift below t^1 of the curve with cleared terms h: psi = 0."""
-    return CurveLift(h, 1, Series({}, 1), Series({0: 1}, h[1, 0]), False)
 
 
 def _substituted_order(p: IntTerms, psi: Series, whole: bool) -> "int | None":
@@ -577,10 +573,13 @@ def contact_along_curve(b: DivisorGerm, c: SmoothCurveGerm) -> "tuple[Fraction, 
     dc/dx is a unit on C (its constant term is the x-linear coefficient), so
     if p = c^k * q near the origin with C not dividing q, then the j-th
     derivative vanishes on C for j < k and the k-th is k! * (dc/dx)^k * q
-    there, of order (q . C).  A derivative of p that is not 0 on C meets it
-    in at most deg p * deg C, by Bezout, so a series of p that is 0 below
-    the branch's own Bezout order n = deg p * deg C + 2 is 0 on C.  The walk
-    stops by the (deg_x p)-th derivative, a nonzero polynomial in y.
+    there, of order (q . C).  A derivative of p that is not 0 on C meets
+    C's one branch through the origin, a factor of g, within both Bezout
+    numbers of p and g: deg p * deg g on P^2, and a*d + b*c on P^1 x P^1
+    for the bidegrees (a, b) of p and (c, d) of g.  So a series of p that
+    is 0 below the branch's own read bound n, 2 past the lesser of them, is
+    0 on C.  The walk stops by the (deg_x p)-th derivative, a nonzero
+    polynomial in y.
 
     v is ``c.v``, the least y-power of the x-free part of g, so psi's
     leading term is lead = -(g_0v/g_10)*t^v, or psi = 0 when v = 0.  Then C
@@ -620,19 +619,21 @@ def _contact(branches: "list[Poly]", weights: "tuple[int, ...]",
         return mult, inter
     h = _integer_terms(c.poly, c.swapped)
     lead = _reduced({v: -h[0, v]}, h[1, 0])
-    # psi is lead iff g vanishes there; else one lift, raised in place when a read
-    # needs a higher order, serves every read, each truncated at its own order
-    lift = None if _substituted_order(h, lead, True) is None else _first_lift(h)
+    # psi is lead iff g vanishes there; else one lift from psi = 0 below t^1, raised
+    # in place when a read needs a higher order, serves every read, each truncated
+    # at its own order
+    lift = None if _substituted_order(h, lead, True) is None else CurveLift(
+        h, 1, Series({}, 1), Series({0: 1}, h[1, 0]), False)
     for weight, p in zip(weights, branches):
         q = _integer_terms(p, c.swapped)
-        n = p.total_degree() * c.poly.total_degree() + 2 if lift else 0
+        n = _bezout(q, h) + 2 if lift else 0
         k = 0
         while True:
             order, read = _substituted_order(q, lead, lift is None), 1
             while order is None and read < n:
                 read = min(2 * read, n)
                 if lift.order < read:
-                    lift = curve_parametrization(c, read, lift)
+                    lift = curve_parametrization(lift, read)
                 order = min(_on_curve(q, lift.psi, read).num, default=None)
             if order is not None:
                 break
@@ -640,6 +641,17 @@ def _contact(branches: "list[Poly]", weights: "tuple[int, ...]",
         mult += weight * k
         inter += weight * order
     return mult, inter
+
+
+def _bezout(p: IntTerms, g: IntTerms) -> int:
+    """The lesser of two bounds on the local intersection at the origin of
+    p and g when they share no component there: deg p * deg g, Bezout's
+    number on P^2, and a*d + b*c for the bidegrees (a, b) of p and (c, d) of
+    g, Bezout's number on P^1 x P^1 (Shafarevich, *Basic Algebraic Geometry
+    1*, ch. IV).  Both hold for any factor of g, and for p's x-derivatives."""
+    (a, b, e), (c, d, f) = ((max(i for i, _ in t), max(j for _, j in t),
+                             max(i + j for i, j in t)) for t in (p, g))
+    return min(e * f, a * d + b * c)
 
 
 def local_intersection(b: DivisorGerm, c: SmoothCurveGerm) -> Fraction:

@@ -30,14 +30,20 @@ returned value:
 The mld and lct values are upper bounds for the true birational invariants
 in general; they are exact on Newton-nondegenerate inputs, which callers
 can certify through the ``exact`` flag / nondegeneracy report.
+
+Every numeric result is a ``fractions.Fraction``; no floating point is
+used anywhere.  The only other value is ``NEG_INF``, the minimal log
+discrepancy of a pair that is not log canonical: a sentinel that orders
+below every rational and defines no arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd
-from typing import NamedTuple
+from typing import NamedTuple, Union
 
 from .errors import DomainError, GermError, InputError
 from .exactgeom import IntVec, Run, _hilbert_runs, as_pair, make_weight
@@ -50,7 +56,6 @@ from .germs import (
     _weights,
     newton_polytope,
 )
-from .scalars import Extended, NEG_INF, as_fraction
 
 __all__ = [
     "MldResult",
@@ -78,6 +83,23 @@ def toric_log_discrepancy(b: DivisorGerm, w: "tuple[int, int]") -> Fraction:
     w1, w2 = make_weight(*as_pair(w))
     low = sum(n * min(w1 * i + w2 * j for i, j in p.terms) for n, p in zip(weights, b.branches))
     return Fraction((w1 + w2) * den - low, den)
+
+
+@total_ordering
+class _NegInf:
+    """Symbolic -inf: below every rational, equal only to itself."""
+
+    def __repr__(self) -> str:
+        return "-inf"
+
+    def __lt__(self, other: object) -> bool:
+        return other is not self
+
+
+NEG_INF = _NegInf()
+
+#: A rational number or ``NEG_INF``.
+Extended = Union[Fraction, _NegInf]
 
 
 class MldResult(NamedTuple):
@@ -268,8 +290,34 @@ class BoundResult(NamedTuple):
     witness_n: int
 
 
+#: The characters of an epsilon text that ``Fraction`` reads: it also takes
+#: ``_``, inner whitespace, Unicode digits and exponents, whose ``"1e-1000000"``
+#: is ten characters but a million-digit number.
+_RATIONAL_CHARS = frozenset("0123456789+-/.")
+
+
+def _epsilon(value: object) -> Fraction:
+    """``value`` as a Fraction: an ``int`` (not a ``bool``), a ``Fraction``,
+    or text that is an integer, p/q or a plain decimal."""
+    if type(value) is int or isinstance(value, Fraction):
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise InputError(f"cannot interpret {value!r} as a rational number")
+    text = value.strip()
+    try:
+        if _RATIONAL_CHARS.issuperset(text):
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # also more digits than int() reads
+        pass
+    raise InputError(f"not a rational number: {value!r} (use an integer, p/q or a plain decimal)")
+
+
 def delta_bound(epsilon: object) -> BoundResult:
     """Exact supremum of h(n) = (eps - 1/n)/(n - 1) over integers n >= 2.
+
+    Epsilon is a positive ``int`` (not a ``bool``), ``Fraction``, or text
+    that is an integer, p/q or a plain decimal, such as ``"3/4"`` or
+    ``"0.75"``; anything else raises ``InputError``.
 
     On x > 1, h(x) = (eps*x - 1)/(x(x - 1)) has derivative of the sign of
     -eps*x^2 + 2x - 1.  For eps >= 1 that is negative, so n = 2 wins.  For
@@ -279,7 +327,7 @@ def delta_bound(epsilon: object) -> BoundResult:
     positive integer, floor(x*) = (q + isqrt(q(q - p))) // p exactly.  Ties
     go to the smallest n.
     """
-    eps = as_fraction(epsilon)
+    eps = _epsilon(epsilon)
     p, q = eps.numerator, eps.denominator
     if p <= 0:
         raise InputError("epsilon must be positive")
@@ -333,7 +381,10 @@ def verify_surface_theorem(
     c: SmoothCurveGerm,
     epsilon: object,
 ) -> SurfaceTheoremReport:
-    """The surface theorem's check on B and C; passes only exact thresholds."""
+    """The surface theorem's check on B and C; passes only exact thresholds.
+    Epsilon takes the forms that ``delta_bound`` reads: a positive ``int``
+    (not a ``bool``), ``Fraction``, or text that is an integer, p/q or a
+    plain decimal."""
     bound = delta_bound(epsilon)
     eps = bound.epsilon
     pb = newton_polytope(b)

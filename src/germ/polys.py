@@ -43,10 +43,10 @@ Exponent = tuple[int, int]
 class Poly:
     """Immutable sparse polynomial in x and y.  Construction is the one
     check of its terms, one test each: ``terms`` maps pairs of non-negative
-    ``int`` exponents to nonzero ``Fraction`` coefficients (an ``int`` would
-    divide to a float), else ``InputError``, so zeros are never stored.  It
-    keeps a read-only copy, so no later change to the mapping passes by, and
-    two are equal when their copies are."""
+    ``int`` exponents, never ``bool``, to nonzero ``Fraction`` coefficients
+    (an ``int`` would divide to a float), else ``InputError``, so zeros are
+    never stored.  It keeps a read-only copy, so no later change to the
+    mapping passes by, and two are equal when their copies are."""
 
     terms: Mapping[Exponent, Fraction]
 
@@ -54,7 +54,7 @@ class Poly:
         try:
             for (i, j), coeff in self.terms.items():
                 if not (isinstance(coeff, Fraction) and coeff.numerator
-                        and isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0):
+                        and type(i) is int and type(j) is int and i >= 0 and j >= 0):
                     raise InputError("Poly terms must be nonzero Fractions at pairs of "
                                      "non-negative integers")
         except (AttributeError, TypeError, ValueError):  # no mapping of pairs to unpack
@@ -64,11 +64,6 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degree(self) -> int:
-        if self.is_zero:
-            return 0
-        return max(sum(e) for e in self.terms)
 
     def __hash__(self) -> int:  # dataclass keeps it: a mapping proxy has no hash
         return hash(frozenset(self.terms.items()))

@@ -23,6 +23,7 @@ from germ.germs import (
     render_divisor,
 )
 from germ.invariants import (
+    NEG_INF,
     delta_bound,
     lct_toric,
     mld_toric,
@@ -30,7 +31,6 @@ from germ.invariants import (
     verify_surface_theorem,
 )
 from germ.polys import Poly, parse_poly
-from germ.scalars import NEG_INF
 
 SANE_EPS = ["1/2", "1/3", "2/7", "1", "3/2", " 1/7 ", "1/1000", "5"]
 INVALID_EPS = ["0", "-1/3", "1/0", "abc", "", "x", "nan", "inf", "1/-2", "--1", "1e-1000000"]
@@ -90,11 +90,18 @@ def test_public_entry_points_raise_only_germ_errors():
 
 
 def test_malformed_weights_points_and_generators_raise_input_error():
+    """A ``bool`` is no integer here: the weight (True, 1) and the epsilon
+    True, which were read as (1, 1) and 1, are refused, as is False."""
     b = parse_divisor("1*(x)")
     cases = [
         lambda: toric_log_discrepancy(b, (1,)),
         lambda: toric_log_discrepancy(b, None),
         lambda: toric_log_discrepancy(b, (1, 2, 3)),
+        lambda: toric_log_discrepancy(b, (True, 1)),
+        lambda: toric_log_discrepancy(parse_divisor("1/2*(x^2 + y^3)"), (True, True)),
+        lambda: delta_bound(True),
+        lambda: delta_bound(False),
+        lambda: verify_surface_theorem(b, curve_orient(parse_poly("y")), True),
         lambda: polytope_from_support([(Fraction(1, 2), 0)]),
         lambda: polytope_from_support([(1.0, 0)]),
         lambda: polytope_from_support([(1,)]),
@@ -120,12 +127,13 @@ def test_malformed_germs_raise_input_error():
     that B and C are germs, and each parser that its text is a ``str``.
     Unchecked, the first two cases answered a negative intersection (0, -2)
     and (0, 1/2), and the germ and text cases raised ``AttributeError`` or
-    ``TypeError``."""
+    ``TypeError``.  An exponent ``True`` rendered as ``x``."""
     b = parse_divisor("1/2*(x^2 + y^3)")
     x, y, parabola = parse_poly("x"), parse_poly("y"), curve_orient(parse_poly("y - x^2"))
     one = Fraction(1)
     for terms in [{(1, 0): 1}, {(1, 0): 0.5}, {(1, 0): Fraction(0)}, {(0, -2): one},
-                  {(1.0, 1): one}, {(1, 1, 1): one}, [(1, 0)], None]:
+                  {(1.0, 1): one}, {(1, 1, 1): one}, {(True, 0): one}, {(0, False): one},
+                  [(1, 0)], None]:
         with pytest.raises(InputError):
             Poly(terms)
     terms = {(1, 0): one}

@@ -2,6 +2,7 @@
 oracles for every derived value."""
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 from math import ceil, gcd, lcm
@@ -22,6 +23,7 @@ from germ.germs import (
     parse_divisor,
 )
 from germ.invariants import (
+    NEG_INF,
     MldResult,
     _mld,
     delta_bound,
@@ -31,7 +33,6 @@ from germ.invariants import (
     verify_surface_theorem,
 )
 from germ.polys import Poly, parse_poly
-from germ.scalars import NEG_INF, as_fraction
 from test_exactgeom import _det, hilbert_basis, lattice_min, poly, vertices
 from test_germs import _mul, _small_branch, _transpose, from_terms, within
 
@@ -805,8 +806,82 @@ def test_exponent_notation_is_rejected_at_once():
 
 def bound_floor_check(epsilon):
     """delta(eps) >= min(eps^2/4, 3/2) must hold for every positive eps."""
-    eps = as_fraction(epsilon)
-    return delta_bound(eps).delta >= min(eps * eps / 4, F(3, 2))
+    eps, delta, _ = delta_bound(epsilon)
+    return delta >= min(eps * eps / 4, F(3, 2))
+
+
+#: A signed integer, ``p/q`` or a plain decimal, in groups.
+_RATIONAL_TEXT = re.compile(r"([+-]?)(?=\.?[0-9])([0-9]*)(?:/([0-9]+)|\.([0-9]*))?")
+
+
+def reference_rational(value):
+    """The regex reader that ``delta_bound`` used before it read text with
+    ``Fraction``: ints (``bool`` among them), Fractions, and stripped text
+    matching ``_RATIONAL_TEXT``, summed by digit arithmetic."""
+    if isinstance(value, F):
+        return value
+    if isinstance(value, int):
+        return F(value)
+    if isinstance(value, str):
+        m = _RATIONAL_TEXT.fullmatch(value.strip())
+        if m is not None:
+            sign, whole, den, decimals = m.groups()
+            scale = 10 ** len(decimals or "")
+            try:
+                p, q = int(whole or 0) * scale + int(decimals or 0), int(den or 1) * scale
+            except ValueError as exc:  # more digits than int() converts from text
+                raise InputError(f"rational number too long: {exc}") from None
+            if q:
+                return F(-p if sign == "-" else p, q)
+        raise InputError(f"not a rational number: {value!r}")
+    raise InputError(f"cannot interpret {value!r} as a rational number")
+
+
+def _read(reader, value):
+    """The rational ``reader`` reads, or None when it raises ``InputError``."""
+    try:
+        return reader(value)
+    except InputError:
+        return None
+
+
+#: Characters of the drawn epsilon texts, each drawn with its weight: what
+#: both readers take, whitespace that only ``strip`` removes, and what
+#: ``Fraction`` alone would read (``e``, ``_`` and the Arabic-Indic digit 3).
+EPSILON_ALPHABET = [("0123456789", 1), ("+-/.", 1), (" \t\n\u00a0\u2003\u3000", 1),
+                    ("e_\u0663", 1)]
+
+
+def test_epsilon_reader_matches_the_regex_reader():
+    """``delta_bound`` reads epsilon text with ``Fraction`` after a filter
+    to ASCII digits, signs, '/' and '.'; the regex reader it replaced is the
+    reference.  On 100,000 seeded strings the two accept the same texts with
+    the same values, also past the digits ``int`` converts; only a ``bool``,
+    which the old reader took as an int, is refused now."""
+    rng = random.Random(101)
+    chars = [c for group, weight in EPSILON_ALPHABET for c in group for _ in range(weight)]
+    seen = Counter()
+    texts = ["1/" + "7" * 5000, "0." + "1" * 5000, "9" * 5000, " 1/7 ", "1.", ".5", "+.5",
+             "-0", ".", "+", "1/0", "0/0", "0.0", "1/-2", "--1", "1e-1000000", "1_000"]
+    for _ in range(100_000):
+        size = rng.choice([1, 2, 3, 4, 5, 6, 8, 12])
+        texts.append("".join(rng.choices(chars, k=size)))
+    for text in texts:
+        old = _read(reference_rational, text)
+        if old is not None and old.numerator <= 0:
+            with pytest.raises(InputError, match="epsilon must be positive"):
+                delta_bound(text)
+            seen["not positive"] += 1
+            continue
+        new = _read(lambda t: delta_bound(t).epsilon, text)
+        assert new == old and type(new) is type(old), text
+        seen["rejected" if old is None else "read"] += 1
+    assert seen["read"] > 15_000 and seen["rejected"] > 50_000, seen
+    assert seen["not positive"] > 1_000, seen
+    for flag in (True, False):
+        assert reference_rational(flag) == int(flag)
+        with pytest.raises(InputError, match="cannot interpret"):
+            delta_bound(flag)
 
 
 def test_bound_floor_examples():

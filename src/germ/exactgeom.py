@@ -6,9 +6,10 @@ quadrant ``Q``.  It is kept as a ``Polygon``: the plain tuple of its
 vertices, ordered with x strictly increasing and y strictly decreasing, so
 two polygons are equal iff their tuples are.  There are no rational
 polygons, dilates or sums here: a weighted sum of polygons is kept as its
-summands, whose support functions add and whose normal fans refine each
-other (Ziegler, *Lectures on Polytopes*, ch. 7), so :func:`face_normals`
-takes any number of polygons.  The hull and the face normals run in
+summands, whose support functions add and whose compact edges are the
+summands' edges, scaled and summed by normal (Ziegler, *Lectures on
+Polytopes*, ch. 7), so :func:`weighted_edges` reads the sum's edges off
+any number of weighted polygons in one pass.  The hull and the edges run in
 ``int`` arithmetic, and no ``Fraction`` is built.  A polygon is built only
 by :func:`polytope_from_support`, from a ``Poly``, whose exponents were
 checked once, when the ``Poly`` was built: the hull checks no point again.
@@ -90,24 +91,29 @@ def _cross(a: IntVec, b: IntVec, c: IntVec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# face normals
+# edges of a weighted sum
 
 
-#: Sort key of a normal fan's rays: u comes before v iff det(u, v) > 0.
-_FAN_ORDER = cmp_to_key(lambda u, v: _det(v, u))
+#: Sort key of (normal, edge) pairs in fan order: u comes before v iff
+#: det(u, v) > 0.
+_FAN_ORDER = cmp_to_key(lambda e, f: _det(f[0], e[0]))
 
 
-def face_normals(*polygons: Polygon) -> list[IntVec]:
-    """Primitive inner normals of the compact faces of the polygons' sum,
-    left to right: the union of each polygon's, from the steepest face to
-    the flattest, so consecutive normals u, v have det(u, v) > 0."""
-    out: set[IntVec] = set()
-    for vs in polygons:
-        for a, b in zip(vs, vs[1:]):
-            n1, n2 = a[1] - b[1], b[0] - a[0]
-            g = gcd(n1, n2)
-            out.add((n1 // g, n2 // g))
-    return sorted(out, key=_FAN_ORDER)
+def weighted_edges(weights: "tuple[int, ...]",
+                   polygons: "tuple[Polygon, ...]") -> "list[tuple[IntVec, IntVec]]":
+    """The compact edges of sum weights[i] * polygons[i], left to right, as
+    (primitive inner normal, edge) pairs: each polygon's edges, times its
+    weight, summed by normal, from the steepest to the flattest, so
+    consecutive normals u, v have det(u, v) > 0.  An edge goes from its left
+    vertex to its right one."""
+    edges: "dict[IntVec, IntVec]" = {}
+    for n, vs in zip(weights, polygons):
+        for (ax, ay), (bx, by) in zip(vs, vs[1:]):
+            dx, dy = bx - ax, by - ay
+            g = gcd(dx, dy)
+            ex, ey = edges.get(normal := (-dy // g, dx // g), (0, 0))
+            edges[normal] = (ex + n * dx, ey + n * dy)
+    return sorted(edges.items(), key=_FAN_ORDER)
 
 
 # ---------------------------------------------------------------------------

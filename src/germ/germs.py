@@ -6,7 +6,8 @@ with nonzero linear part.  This module extracts their Newton data and
 computes the purely local quantities the invariant layer builds on:
 
 - the Newton diagram of B, kept as its weighted branch polygons, with the
-  valuation table read off them once per analysis (``NewtonDiagram``);
+  valuation table read off one walk of their summed edges once per
+  analysis (``NewtonDiagram``);
 - the multiplicity of B along a curve C and the local intersection of the
   C-free part of B with C (``contact_along_curve``).  C is smooth, so in
   its oriented frame its Newton polygon is the segment (1, 0)-(0, v) plus
@@ -26,7 +27,7 @@ computes the purely local quantities the invariant layer builds on:
   evaluation to a degree that exponent values set;
 - the Newton-nondegeneracy certificate that marks inputs whose toric
   invariants are exact, read off the branches' initial forms along the
-  compact-face normals of the divisor's Newton diagram.  Binomial forms are
+  compact-face normals of the divisor's valuation table.  Binomial forms are
   decided on their exponents and coefficients; a form of three or more
   terms is cleared to ``int`` and goes through one integer gcd, the
   primitive remainder sequence, up to ``DENSE_FORM_LIMIT`` entries.
@@ -48,8 +49,8 @@ from .exactgeom import (
     IntVec,
     Polygon,
     as_pair,
-    face_normals,
     polytope_from_support,
+    weighted_edges,
 )
 from .polys import (
     Poly,
@@ -186,12 +187,13 @@ class NewtonDiagram(NamedTuple):
     Newton polygon (an ``exactgeom.Polygon``), ``weights[i]`` = den *
     coeff_i and ``den`` the lcm of the coefficients' denominators.  The
     support function of the sum is the sum of theirs, and its compact-face
-    ``normals``, in fan order, are ``face_normals(*polygons)``.  The
-    ``cones`` (u, v, a, b) of consecutive rays u, v from (1, 0) to (0, 1)
-    carry one form each: every w in the cone has its least <w, .> at the
-    one vertex V of least <u + v, .>, so den times the log discrepancy
-    w1 + w2 - <w, Newt(B)> is a*w1 + b*w2 there, (a, b) = (den - V1, den -
-    V2) (Fulton, *Introduction to Toric Varieties*).  ``rays`` holds that
+    ``normals``, in fan order, are those of ``weighted_edges(weights,
+    polygons)``.  The ``cones`` (u, v, a, b) of consecutive rays u, v from
+    (1, 0) to (0, 1) carry one form each: every w in the cone has its least
+    <w, .> at the one vertex V of den * Newt(B) between the edges of normals
+    u and v, so den times the log discrepancy w1 + w2 - <w, Newt(B)> is
+    a*w1 + b*w2 there, (a, b) = (den - V1, den - V2) (Fulton,
+    *Introduction to Toric Varieties*).  ``rays`` holds that
     value at each ray, keyed (1, 0), (0, 1), then the normals: the order in
     which the lct breaks ties.  A form linear on each cone is >= 0 on the
     quadrant iff it is at the rays, so the toric discrepancies are all >= 0
@@ -206,24 +208,16 @@ class NewtonDiagram(NamedTuple):
     cones: "list[tuple[IntVec, IntVec, int, int]]"
     rays: "dict[IntVec, int]"
 
-    def vertex(self, w: IntVec) -> IntVec:
-        """den times a vertex of least <w, .>: the weighted sum of each polygon's."""
-        w1, w2 = w
-        x = y = 0
-        for n, chain in zip(self.weights, self.polygons):
-            px, py = chain[0]
-            low = w1 * px + w2 * py
-            for vx, vy in chain:  # the first of least value
-                if (value := w1 * vx + w2 * vy) < low:
-                    px, py, low = vx, vy, value
-            x += n * px
-            y += n * py
-        return x, y
-
     def lattice_min(self, w: IntVec) -> int:
-        """den times the support value of the integer weight w."""
-        x, y = self.vertex(w)
-        return w[0] * x + w[1] * y
+        """den times the support value of w, a pair of non-negative ``int``s
+        (not ``bool``s), read off the form of the first cone whose second
+        ray v is not before w: det(v, w) <= 0."""
+        w1, w2 = as_pair(w)
+        if not (type(w1) is int and type(w2) is int) or w1 < 0 or w2 < 0:
+            raise InputError(f"weight {w!r} must be a pair of non-negative integers")
+        # the last cone ends at (0, 1), which no such w is before
+        a, b = next((a, b) for _, (v1, v2), a, b in self.cones if v1 * w2 <= v2 * w1)
+        return (w1 + w2) * self.den - a * w1 - b * w2
 
 
 def _weights(b: DivisorGerm) -> "tuple[tuple[int, ...], int]":
@@ -242,21 +236,22 @@ def newton_polytope(b: DivisorGerm) -> NewtonDiagram:
 
 
 def _table(weights: "tuple[int, ...]", polygons: "tuple[Polygon, ...]", den: int) -> NewtonDiagram:
-    """The diagram of the weighted polygons over den, with one vertex sweep
-    per cone; each ray's value is read off the cone it starts."""
-    normals = face_normals(*polygons)
-    cones, rays = [], {(1, 0): 0, (0, 1): 0}  # rays keyed in tie-break order
-    p = NewtonDiagram(weights, polygons, den, normals, cones, rays)
-    u = (1, 0)
-    for v in normals + [(0, 1)]:
-        (u1, u2), (v1, v2) = u, v
-        x, y = p.vertex((u1 + v1, u2 + v2))
+    """The diagram of the weighted polygons over den, in one walk of their
+    summed edges, left to right: the first cone's vertex is the weighted sum
+    of the chains' first vertices, and crossing a normal adds its summed
+    edge.  Each ray's value is read off the cone it starts."""
+    edges = weighted_edges(weights, polygons)
+    x = y = 0
+    for n, vs in zip(weights, polygons):
+        x, y = x + n * vs[0][0], y + n * vs[0][1]
+    cones, rays, u = [], {(1, 0): 0, (0, 1): 0}, (1, 0)  # rays keyed in tie-break order
+    for v, (dx, dy) in edges + [((0, 1), (0, 0))]:
         a, b = den - x, den - y
         cones.append((u, v, a, b))
-        rays[u] = a * u1 + b * u2
-        u = v
+        rays[u] = a * u[0] + b * u[1]
+        x, y, u = x + dx, y + dy, v
     rays[u] = b
-    return p
+    return NewtonDiagram(weights, polygons, den, [v for v, _ in edges], cones, rays)
 
 
 class NondegeneracyReport(NamedTuple):
@@ -277,10 +272,9 @@ class NondegeneracyReport(NamedTuple):
 def nondegeneracy_check(b: DivisorGerm) -> NondegeneracyReport:
     """Whether B is Newton-nondegenerate, which makes its toric mld exact;
     see ``NondegeneracyReport``.  It reads the branches' initial forms
-    along the compact-face normals of B's polygons, with no valuation
-    table."""
-    _weights(b)  # checks b's type before b.branches
-    return _nondegeneracy(b.branches, face_normals(*map(polytope_from_support, b.branches)))
+    along the compact-face normals of B's valuation table."""
+    normals = newton_polytope(b).normals  # checks b's type before b.branches
+    return _nondegeneracy(b.branches, normals)
 
 
 def _nondegeneracy(branches: "list[Poly]", normals: "list[IntVec]") -> NondegeneracyReport:

@@ -242,11 +242,11 @@ def _lct(c: SmoothCurveGerm, pb: NewtonDiagram, mult: int, inter: int,
     """Threshold of an lc pair with coefficients at most one, given B's
     valuation table ``pb`` (see ``NewtonDiagram``), pb.den times mult_C B
     and (B' . C), and whether B is nondegenerate.  Only a normal of C's
-    that is not a ray of B's table needs a discrepancy of its own, from one
-    vertex sweep.  The ratios disc/(pb.den * contact) and the cap are
-    cross-multiplied.  B + value*C is nondegenerate iff B is and, when
-    value > 0 and C has a normal n, den*(B' . C) is den*<n, B> =
-    (n1 + n2)*den - disc(n)."""
+    that is not a ray of B's table needs a discrepancy of its own, read off
+    the form of the table's cone that holds it (``lattice_min``).  The
+    ratios disc/(pb.den * contact) and the cap are cross-multiplied.
+    B + value*C is nondegenerate iff B is and, when value > 0 and C has a
+    normal n, den*(B' . C) is den*<n, B> = (n1 + n2)*den - disc(n)."""
     rays = pb.rays
     candidates = {**rays, **{  # keyed in tie-break order, C's normal last
         n: (n[0] + n[1]) * pb.den - pb.lattice_min(n) for n in c.normals if n not in rays}}

@@ -91,14 +91,24 @@ def test_public_entry_points_raise_only_germ_errors():
 
 def test_malformed_weights_points_and_generators_raise_input_error():
     """A ``bool`` is no integer here: the weight (True, 1) and the epsilon
-    True, which were read as (1, 1) and 1, are refused, as is False."""
+    True, which were read as (1, 1) and 1, are refused, as is False.  The
+    table's support value takes only weights in the closed quadrant: at
+    (-1, 1) a vertex minimum is not the support value, which is -inf."""
     b = parse_divisor("1*(x)")
+    table = newton_polytope(parse_divisor("1/2*(x^2 + y^3) + 1/3*(x - y^2)"))
     cases = [
         lambda: toric_log_discrepancy(b, (1,)),
         lambda: toric_log_discrepancy(b, None),
         lambda: toric_log_discrepancy(b, (1, 2, 3)),
         lambda: toric_log_discrepancy(b, (True, 1)),
         lambda: toric_log_discrepancy(parse_divisor("1/2*(x^2 + y^3)"), (True, True)),
+        lambda: table.lattice_min((-1, 1)),
+        lambda: table.lattice_min((1, -1)),
+        lambda: table.lattice_min((True, 1)),
+        lambda: table.lattice_min((0, False)),
+        lambda: table.lattice_min((1.0, 1)),
+        lambda: table.lattice_min((1,)),
+        lambda: table.lattice_min(None),
         lambda: delta_bound(True),
         lambda: delta_bound(False),
         lambda: verify_surface_theorem(b, curve_orient(parse_poly("y")), True),

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from germ.errors import InputError
-from germ.exactgeom import _hilbert_runs, face_normals, polytope_from_support
+from germ.exactgeom import _hilbert_runs, polytope_from_support, weighted_edges
 from germ.polys import Poly
 
 
@@ -33,6 +33,12 @@ def support(p, w):
     w1, w2 = F(w[0]), F(w[1])
     d = lcm(w1.denominator, w2.denominator)
     return F(lattice_min(p, (int(w1 * d), int(w2 * d))), d)
+
+
+def face_normals(*polygons):
+    """The compact-face normals of the sum of the polygons, in fan order, as
+    ``weighted_edges`` reads them at unit weights."""
+    return [n for n, _ in weighted_edges((1,) * len(polygons), polygons)]
 
 
 def vertices(p):
@@ -362,6 +368,19 @@ def test_slopes_strictly_decrease(s):
     assert all(v > 0 for v in slopes)
     for a, b in zip(slopes, slopes[1:]):
         assert a > b
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.lists(st.tuples(st.integers(1, 5), support_sets), min_size=1, max_size=4))
+def test_weighted_edges_are_the_edges_of_the_sum(parts):
+    """The (normal, edge) pairs of a weighted sum are those of the one hull
+    of every sum of scaled vertices: each summand's edges, scaled and summed
+    by normal, and each edge runs from its left vertex to its right one."""
+    weights, polygons = zip(*[(n, poly(*s)) for n, s in parts])
+    total = minkowski_hull(zip(weights, polygons))
+    edges = weighted_edges(weights, polygons)
+    assert edges == weighted_edges((1,), (total,))
+    assert [(b[0] - a[0], b[1] - a[1]) for a, b in zip(total, total[1:])] == [e for _, e in edges]
 
 
 @settings(max_examples=100, derandomize=True)

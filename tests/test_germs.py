@@ -13,7 +13,7 @@ from math import gcd, lcm
 import pytest
 
 from germ.errors import DomainError, InputError
-from germ.exactgeom import face_normals, polytope_from_support
+from germ.exactgeom import polytope_from_support
 from germ.germs import (
     DENSE_FORM_LIMIT,
     CurveLift,
@@ -39,7 +39,7 @@ from germ.polys import (
     render_poly,
     uni_gcd_degree,
 )
-from test_exactgeom import lattice_min, minkowski_hull, vertices
+from test_exactgeom import face_normals, lattice_min, minkowski_hull, vertices
 
 
 def pp(text):
@@ -551,6 +551,76 @@ def test_newton_polytope_unit_invariance():
         unit = _random_unit(rng)
         scaled = DivisorGerm(tuple((c, _mul(p, unit)) for c, p in b.components))
         assert newton_polytope(scaled) == newton_polytope(b)
+
+
+def reference_table(weights, polygons, den):
+    """Oracle: the valuation table by a vertex sweep per cone.  The normals
+    are the union of each polygon's, in fan order; at each cone (u, v) the
+    vertex is the weighted sum of each polygon's first vertex of least
+    <u + v, .>.  Returns the normals, the cones, the ray values and the
+    vertex sweep, whose point at an integer weight w gives den times the
+    support value at w."""
+
+    def vertex(w):
+        # min keeps the first vertex of least value
+        picks = [min(chain, key=lambda p: w[0] * p[0] + w[1] * p[1]) for chain in polygons]
+        return (sum(n * px for n, (px, _) in zip(weights, picks)),
+                sum(n * py for n, (_, py) in zip(weights, picks)))
+
+    normals = sorted({((a[1] - b[1]) // gcd(a[1] - b[1], b[0] - a[0]),
+                       (b[0] - a[0]) // gcd(a[1] - b[1], b[0] - a[0]))
+                      for vs in polygons for a, b in zip(vs, vs[1:])},
+                     key=lambda n: F(n[1], n[0]))  # steepest face first
+    cones, rays = [], {(1, 0): 0, (0, 1): 0}
+    u = (1, 0)
+    for v in normals + [(0, 1)]:
+        x, y = vertex((u[0] + v[0], u[1] + v[1]))
+        a, b = den - x, den - y
+        cones.append((u, v, a, b))
+        rays[u] = a * u[0] + b * u[1]
+        u = v
+    rays[u] = b
+    return normals, cones, rays, vertex
+
+
+def _table_case(rng):
+    """1 to 16 branches of one to five terms over exponents up to 3, 12 or
+    10^6; some are monomials, whose polygon is one vertex, and some dilates
+    of an earlier branch, whose edges share its normals."""
+    branches = []
+    for _ in range(rng.randint(1, 16)):
+        if branches and rng.random() < 0.2:
+            k = rng.randint(2, 5)
+            terms = {(i * k, j * k): c for (i, j), c in rng.choice(branches).terms.items()}
+        else:
+            top = rng.choice([3, 12, 10**6])
+            terms = {(rng.randint(0, top), rng.randint(0, top)): F(1)
+                     for _ in range(rng.randint(1, 5))}
+            terms.pop((0, 0), None)
+        branches.append(Poly(terms or {(1, 0): F(1)}))
+    return DivisorGerm(tuple((F(rng.randint(1, 9), rng.randint(1, 9)), p) for p in branches))
+
+
+def test_table_matches_per_cone_vertex_sweep():
+    """On seeded germs of 1 to 16 branches the one walk of summed edges
+    gives the normals, cones and ray values, keys in order, of a vertex
+    sweep per cone, and its support values match the sweep's at the rays
+    and at weights across the closed quadrant, zero and large ones too."""
+    rng = random.Random(89)
+    sizes = Counter()
+    for _ in range(2000):
+        pb = newton_polytope(_table_case(rng))
+        normals, cones, rays, vertex = reference_table(pb.weights, pb.polygons, pb.den)
+        assert (pb.normals, pb.cones) == (normals, cones)
+        assert list(pb.rays.items()) == list(rays.items())
+        weights = [(0, 0), (1, 0), (0, 1)] + normals + [
+            (rng.randint(0, top), rng.randint(0, top)) for top in (1, 9, 10**9) for _ in range(2)]
+        for w in weights:
+            x, y = vertex(w)
+            assert pb.lattice_min(w) == w[0] * x + w[1] * y, w
+        sizes[(len(pb.weights) - 1) // 4] += 1
+        sizes["several cones"] += len(cones) > 3
+    assert min(sizes.values()) >= 300, sizes
 
 
 def _random_divisor(rng, branches=3):

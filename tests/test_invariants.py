@@ -10,7 +10,7 @@ from math import ceil, gcd, lcm
 import pytest
 
 from germ.errors import DomainError, InputError
-from germ.exactgeom import face_normals, make_weight, polytope_from_support
+from germ.exactgeom import make_weight, polytope_from_support
 from germ.germs import (
     DivisorGerm,
     NewtonDiagram,
@@ -33,7 +33,7 @@ from germ.invariants import (
     verify_surface_theorem,
 )
 from germ.polys import Poly, parse_poly
-from test_exactgeom import _det, hilbert_basis, lattice_min, poly, vertices
+from test_exactgeom import _det, face_normals, hilbert_basis, lattice_min, poly, vertices
 from test_germs import _mul, _small_branch, _transpose, from_terms, within
 
 
@@ -410,11 +410,12 @@ def test_axis_curve_does_not_walk_the_exponent():
 
 def test_one_polytope_per_branch_per_analysis(monkeypatch):
     """lct_toric and verify build one polygon per branch of B and none of
-    C, whose normal and contacts are read off its v, and take the face
-    normals of B's polygons once.  Against the axis y, contact clears no
-    denominator: it reads each branch's exponents.  Against y - x^5 it
-    clears the denominators of each branch and of C once, and so it does
-    against 3/2*x + y^2 + x*y, whose root is lifted from that one clear."""
+    C, whose normal and contacts are read off its v, and read the summed
+    edges of B's weighted polygons once.  Against the axis y, contact
+    clears no denominator: it reads each branch's exponents.  Against
+    y - x^5 it clears the denominators of each branch and of C once, and so
+    it does against 3/2*x + y^2 + x*y, whose root is lifted from that one
+    clear."""
     import germ.germs
     import germ.invariants
 
@@ -424,7 +425,7 @@ def test_one_polytope_per_branch_per_analysis(monkeypatch):
          parse_divisor("1/3*(x^2 + y^3) + 1/4*(y - x^2) + 1/5*(x^3 - y^2)"),
          parse_poly("y - x^5"), ("1/5",), 4),
     ]
-    built, normals, cleared = [], [], []
+    built, edges, cleared = [], [], []
 
     def counting(record, f):
         def wrapped(*args):
@@ -434,16 +435,16 @@ def test_one_polytope_per_branch_per_analysis(monkeypatch):
 
     monkeypatch.setattr(germ.germs, "polytope_from_support",
                         counting(built, germ.germs.polytope_from_support))
-    monkeypatch.setattr(germ.germs, "face_normals",
-                        counting(normals, germ.germs.face_normals))
+    monkeypatch.setattr(germ.germs, "weighted_edges",
+                        counting(edges, germ.germs.weighted_edges))
     monkeypatch.setattr(germ.germs, "_integer_terms", counting(cleared, germ.germs._integer_terms))
     for run, b, c, extra, clears in cases:
         pb = newton_polytope(b)
-        for record in (built, normals, cleared):
+        for record in (built, edges, cleared):
             record.clear()
         run(b, curve_orient(c), *extra)
         assert len(built) == len(b.components)
-        assert normals == [pb.polygons]
+        assert edges == [(pb.weights, pb.polygons)]
         assert len(cleared) == clears
     cleared.clear()
     contact_along_curve(parse_divisor("1*(3/2*x + y^2)"),
@@ -490,10 +491,10 @@ def test_analysis_checks_no_term(monkeypatch):
 
 
 def test_lct_reads_lc_off_the_fan_rays(monkeypatch):
-    """lct_toric walks no Klein sail, and it and verify take one vertex of
-    B's diagram per cone of B's normal fan, plus one per face normal of C
-    that B does not have: every other discrepancy is read off the cone
-    forms."""
+    """lct_toric walks no Klein sail, and it and verify read a support
+    value of B off its table (``lattice_min``) once per face normal of C
+    that B does not have: every other discrepancy is a ray value of the
+    cone forms."""
     import germ.invariants
 
     cases = [
@@ -503,7 +504,7 @@ def test_lct_reads_lc_off_the_fan_rays(monkeypatch):
          "y - x^5", ("1/5",)),
         (verify_surface_theorem, "1/3*(x^2 + y^3) + 1/4*(x - y^2)", "y^2 - 2*x", ("1/5",)),
     ]
-    walks, sweeps = [], []
+    walks, reads = [], []
 
     def counting(record, f):
         def wrapped(*args):
@@ -513,18 +514,18 @@ def test_lct_reads_lc_off_the_fan_rays(monkeypatch):
 
     monkeypatch.setattr(germ.invariants, "_hilbert_runs",
                         counting(walks, germ.invariants._hilbert_runs))
-    monkeypatch.setattr(NewtonDiagram, "vertex", counting(sweeps, NewtonDiagram.vertex))
+    monkeypatch.setattr(NewtonDiagram, "lattice_min", counting(reads, NewtonDiagram.lattice_min))
     c_only = Counter()
     for run, b, c, extra in cases:
         b, c = parse_divisor(b), curve_orient(parse_poly(c))
         normals = face_normals(*newton_polytope(b).polygons)
         own = len([n for n in face_normals(polytope_from_support(c.poly)) if n not in normals])
         walks.clear()
-        sweeps.clear()
+        reads.clear()
         result = run(b, c, *extra)
         assert (run is verify_surface_theorem) == bool(walks)
         assert getattr(result, "lct", result) is not None
-        assert len(sweeps) == len(normals) + 1 + own
+        assert len(reads) == own
         c_only[own] += 1
     assert c_only[0] >= 2 and c_only[1] >= 2, c_only
 

@@ -26,8 +26,9 @@ computes the purely local quantities the invariant layer builds on:
   P^1 x P^1 by bidegrees, on a Newton lift with one exactness rule and no
   evaluation to a degree that exponent values set;
 - the Newton-nondegeneracy certificate that marks inputs whose toric
-  invariants are exact, read off the branches' initial forms along the
-  compact-face normals of the divisor's valuation table.  Binomial forms are
+  invariants are exact, read off each branch's initial forms along the
+  edges of its own Newton polygon, as the valuation table keeps it: along
+  any other normal a branch's form is one term.  Binomial forms are
   decided on their exponents and coefficients; a form of three or more
   terms is cleared to ``int`` and goes through one integer gcd, the
   primitive remainder sequence, up to ``DENSE_FORM_LIMIT`` entries.
@@ -271,54 +272,49 @@ class NondegeneracyReport(NamedTuple):
 
 def nondegeneracy_check(b: DivisorGerm) -> NondegeneracyReport:
     """Whether B is Newton-nondegenerate, which makes its toric mld exact;
-    see ``NondegeneracyReport``.  It reads the branches' initial forms
-    along the compact-face normals of B's valuation table."""
-    normals = newton_polytope(b).normals  # checks b's type before b.branches
-    return _nondegeneracy(b.branches, normals)
+    see ``NondegeneracyReport``.  It reads each branch's initial forms
+    along the edges of the branch's own Newton polygon, as kept in B's
+    valuation table."""
+    polygons = newton_polytope(b).polygons  # checks b's type before b.branches
+    return _nondegeneracy(b.branches, polygons)
 
 
-def _nondegeneracy(branches: "list[Poly]", normals: "list[IntVec]") -> NondegeneracyReport:
-    """The test on the branch polynomials of a divisor along ``normals``,
-    which must hold the compact-face normals of its diagram, the union of
-    its branches'; along any other normal every initial form is one term,
-    which passes.  A face form f(u), f(0) != 0, steps by the gcd k of every
-    branch's exponent gaps on the face: f(u^k) is squarefree, or shares a
-    factor with g(u^k), iff f is, or does with g.  Forms are sparse,
-    u-exponent -> coefficient; a binomial is squarefree.  A form of three or
-    more terms, or a form paired with one, is cleared to a dense ``int``
-    list of at most ``DENSE_FORM_LIMIT`` entries for ``uni_gcd_degree``: f
-    is squarefree iff gcd(f, f') is constant, and f and g share a factor iff
-    gcd(f, g) is not."""
+def _nondegeneracy(branches: "list[Poly]", polygons: "tuple[Polygon, ...]") -> NondegeneracyReport:
+    """The test on the branch polynomials of a divisor, ``polygons[i]``
+    the Newton polygon of ``branches[i]``.  A branch has a form of two or
+    more terms only along its own edges' normals, and along any other
+    normal its initial form is one term, which passes; so each branch walks
+    its own edges, left to right, which is fan order.  An edge of primitive
+    inner normal n and left x ``ax`` gives the form of the terms on it,
+    u-exponent i - ax -> coefficient, and ``steps[n]`` is the gcd of every
+    such exponent along n, over all branches: a form f(u), f(0) != 0, whose
+    exponents are multiples of k is squarefree, or shares a factor with
+    g(u), iff f(u^(1/k)) is, or does with g(u^(1/k)), so a form is read at
+    every ``steps[n]``-th exponent.  A binomial is squarefree.  A form of
+    three or more terms, or a form paired with one, is cleared to a dense
+    ``int`` list of at most ``DENSE_FORM_LIMIT`` entries for
+    ``uni_gcd_degree``: f is squarefree iff gcd(f, f') is constant, and f
+    and g share a factor iff gcd(f, g) is not."""
     forms: "list[dict[IntVec, dict[int, Fraction]]]" = [{} for _ in branches]
-    for n1, n2 in normals:
-        faces = []  # each branch's terms of least n1*i + n2*j, keyed by i
-        step = 0  # the gcd of every face's exponent gaps
-        for p in branches:
-            level = None
-            for (i, j), c in p.terms.items():
-                value = n1 * i + n2 * j
-                if level is None or value < level:
-                    level, face, i0, gaps = value, {i: c}, i, 0
-                elif value == level:
-                    face[i] = c
-                    gaps = gcd(gaps, i - i0)
-            faces.append(face)
-            step = gcd(step, gaps)
-        for fi, f in zip(forms, faces):
-            if len(f) > 1:
-                low = min(f)
-                fi[n1, n2] = {(i - low) // step: c for i, c in f.items()}
+    steps: "dict[IntVec, int]" = {}
+    for p, vs, fi in zip(branches, polygons, forms):
+        for (ax, ay), (bx, by) in zip(vs, vs[1:]):
+            g = gcd(bx - ax, ay - by)
+            n1, n2 = n = ((ay - by) // g, (bx - ax) // g)
+            level = n1 * ax + n2 * ay
+            fi[n] = f = {i - ax: c for (i, j), c in p.terms.items() if n1 * i + n2 * j == level}
+            steps[n] = gcd(steps.get(n, 0), *f)
     for i, fi in enumerate(forms):
         for n, f in fi.items():
             if len(f) > 2:
-                d = _dense(f)
+                d = _dense(f, steps[n])
                 if uni_gcd_degree(d, [k * c for k, c in enumerate(d)][1:]):  # gcd(f, f')
                     return NondegeneracyReport(False, (i,), n, "face form is not squarefree")
     for i, fi in enumerate(forms):
         for n, f in fi.items():
             for j in range(i + 1, len(forms)):
                 g = forms[j].get(n)
-                if g is not None and _share_factor(f, g):
+                if g is not None and _share_factor(f, g, steps[n]):
                     return NondegeneracyReport(
                         False, (i, j), n, "parallel face forms share a factor"
                     )
@@ -333,27 +329,32 @@ def _nondegeneracy(branches: "list[Poly]", normals: "list[IntVec]") -> Nondegene
 DENSE_FORM_LIMIT = 1024
 
 
-def _dense(f: "dict[int, Fraction]") -> "list[int]":
-    """den * f as a dense ``int`` list, den the lcm of f's denominators."""
-    if max(f) >= DENSE_FORM_LIMIT:
-        raise InputError(f"a face form of u-degree {max(f)} would be a dense list past "
+def _dense(f: "dict[int, Fraction]", step: int) -> "list[int]":
+    """den * f(u^(1/step)) as a dense ``int`` list, den the lcm of f's
+    denominators: f's entries at every step-th exponent, for ``step`` the
+    gcd of the exponents along f's normal (see ``_nondegeneracy``)."""
+    top = max(f)
+    if top // step >= DENSE_FORM_LIMIT:
+        raise InputError(f"a face form of u-degree {top // step} would be a dense list past "
                          f"the limit of {DENSE_FORM_LIMIT} entries")
     den = lcm(*(c.denominator for c in f.values()))
     return [f[i].numerator * (den // f[i].denominator) if i in f else 0
-            for i in range(max(f) + 1)]
+            for i in range(0, top + 1, step)]
 
 
-def _share_factor(f: "dict[int, Fraction]", g: "dict[int, Fraction]") -> bool:
-    """Whether two face forms with nonzero constant terms share a factor.
+def _share_factor(f: "dict[int, Fraction]", g: "dict[int, Fraction]", step: int) -> bool:
+    """Whether two face forms with nonzero constant terms, their exponents
+    multiples of ``step``, share a factor.
 
     Binomials are decided on their exponents, as gcd(m, k) reduces: with
     e = gcd(m, k), c0 + c1*u^m and d0 + d1*u^k share a root iff their roots
     a = -c0/c1 of u^m and b = -d0/d1 of u^k have a^(k/e) = b^(m/e).  Then
     w = a^s * b^(-t), for s*m - t*k = e, has w^(m/e) = a and w^(k/e) = b,
-    and any e-th root of w is a root of both.
+    and any e-th root of w is a root of both.  A common step divides e and
+    cancels from m/e and k/e, so binomials need none.
     """
     if len(f) > 2 or len(g) > 2:
-        return uni_gcd_degree(_dense(f), _dense(g)) > 0
+        return uni_gcd_degree(_dense(f, step), _dense(g, step)) > 0
     (m, c1), (k, d1) = max(f.items()), max(g.items())
     e = gcd(m, k)
     return _powers_agree(-f[0] / c1, k // e, -g[0] / d1, m // e)

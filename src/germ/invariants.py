@@ -234,7 +234,7 @@ def lct_toric(b: DivisorGerm, c: SmoothCurveGerm) -> LctResult:
     mult, inter = _contact(b.branches, pb.weights, c)
     if mult > pb.den:  # C has coefficient above one in B
         raise DomainError("pair not lc before adding C")
-    return _lct(c, pb, mult, inter, _nondegeneracy(b.branches, pb.normals).nondegenerate)
+    return _lct(c, pb, mult, inter, _nondegeneracy(b.branches, pb.polygons).nondegenerate)
 
 
 def _lct(c: SmoothCurveGerm, pb: NewtonDiagram, mult: int, inter: int,
@@ -403,7 +403,7 @@ def verify_surface_theorem(
         failed.append("(B' . C) <= 2")
     if max(pb.weights) * eps.denominator > (eps.denominator - eps.numerator) * pb.den:
         failed.append("coefficients <= 1 - epsilon")
-    nondeg = _nondegeneracy(branches, pb.normals).nondegenerate
+    nondeg = _nondegeneracy(branches, pb.polygons).nondegenerate
     if not nondeg:
         failed.append("newton nondegeneracy")
     lct = _lct(c, pb, mult, inter, nondeg) if not failed else None

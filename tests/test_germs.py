@@ -171,17 +171,17 @@ def test_divisor_germ_rejects_zero_component_and_empty_sum():
 
 
 def test_parse_render_round_trip():
+    """Random polynomials, constant terms among them, and the zero and
+    constant polynomials render to text that parses back to them."""
     rng = random.Random(7)
+    cases = [ZERO, ONE, Poly({(0, 0): F(-3, 4)})]
     for _ in range(100):
         terms = {}
         for _ in range(rng.randint(1, 6)):
-            exp = (rng.randint(0, 5), rng.randint(0, 5))
-            if exp == (0, 0):
-                continue
-            terms[exp] = F(rng.randint(-9, 9), rng.randint(1, 9))
-        p = from_terms(terms)
-        if p.is_zero:
-            continue
+            terms[rng.randint(0, 5), rng.randint(0, 5)] = F(rng.randint(-9, 9), rng.randint(1, 9))
+        cases.append(from_terms(terms))
+    assert sum((0, 0) in p.terms for p in cases) >= 5
+    for p in cases:
         q = parse_poly(render_poly(p))
         assert q == p and hash(q) == hash(p)
         assert Poly(dict(reversed(list(p.terms.items())))) in {p}
@@ -816,7 +816,7 @@ def _nondegeneracy_case(rng):
 
 
 def test_nondegeneracy_matches_per_branch_reference():
-    """The test along the normals of the one Newton polygon agrees with the
+    """The test along each branch's own Newton edges agrees with the
     per-branch reference on verdict and components and names a failing
     face; lct_toric's ``exact`` and verify_surface_theorem's
     ``nondegenerate`` agree with the reference on B + lct*C and on B."""
@@ -907,6 +907,44 @@ def test_sparse_binomial_forms_match_dense_oracle():
         assert (report.nondegenerate, report.component_indices, report.normal) == expected
         seen["nondegenerate" if expected[0] else "shared factor"] += 1
     assert min(seen.values()) >= 40, seen
+
+
+def _dilated_case(rng):
+    """1 to 16 branches of one to five terms over exponents up to 4 or 12,
+    coefficients +-1 and 2, as ``_table_case`` draws them: some are
+    monomials, and some dilates of an earlier branch, by a factor that
+    keeps exponents up to 12, times -1, 1 or 2, whose faces lie along its
+    normals and, at factor 1, share its forms."""
+    branches = []
+    for _ in range(rng.randint(1, 16)):
+        if branches and rng.random() < 0.25:
+            p = rng.choice(branches)
+            k = rng.randint(1, 12 // max(max(e) for e in p.terms))
+            s = rng.choice([-1, 1, 2])
+            terms = {(i * k, j * k): s * c for (i, j), c in p.terms.items()}
+        else:
+            top = rng.choice([4, 12])
+            terms = {(rng.randint(0, top), rng.randint(0, top)): F(rng.choice([-1, 1, 2]))
+                     for _ in range(rng.randint(1, 5))}
+            terms.pop((0, 0), None)
+        branches.append(Poly(terms or {(1, 0): F(1)}))
+    return DivisorGerm(tuple((F(rng.randint(1, 9), rng.randint(1, 9)), p) for p in branches))
+
+
+def test_edge_walk_matches_dense_oracle_on_many_branches():
+    """On seeded germs of 1 to 16 branches, the walk of each branch's own
+    edges gives the verdict, components and normal of the dense test along
+    the normals of the summed polygon."""
+    rng = random.Random(71)
+    seen = Counter()
+    for _ in range(1500):
+        b = _dilated_case(rng)
+        report = nondegeneracy_check(b)
+        expected = dense_nondegeneracy(b)
+        assert (report.nondegenerate, report.component_indices, report.normal) == expected, b
+        seen["degenerate"] += not expected[0]
+        seen["9 or more branches"] += len(b.components) >= 9
+    assert min(seen.values()) >= 300, seen
 
 
 def _uni_product(unit, factors):
@@ -1343,6 +1381,21 @@ def test_cancelling_group_answers_within_a_second():
     with within(1, f"N = {n}"):
         assert contact_along_curve(parse_divisor(f"1/5*(2*x^3*y^{n} + 2*x^{n}*y^3)"),
                                    curve_orient(pp("x + y - x^300*y^100"))) == (0, F(n + 402, 5))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP known defect 2(c): C is solved for x, though it is linear only "
+    "in y, so its root carries N-bit denominators (direction 1(a))"))
+def test_curve_linear_in_y_answers_within_a_second():
+    """C = 2*x - y + x^N is linear in y, and B's one branch is C's linear
+    part, which is x^N times a unit on C: mult_C B = 0 and (B . C) = N/2.
+    Solved for x, C's root is t/2 - (t/2)^N/2 + ..., read to order N.  A
+    timer fails the case after 1 s; with a unit x-coefficient,
+    x - y + x^N answers in about 2 ms at N = 10^9."""
+    n = 10**5
+    with within(1, f"N = {n}"):
+        assert contact_along_curve(parse_divisor("1/2*(2*x - y)"),
+                                   curve_orient(pp(f"2*x - y + x^{n}"))) == (0, F(n, 2))
 
 
 @pytest.fixture

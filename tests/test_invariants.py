@@ -654,12 +654,15 @@ def test_curve_normal_and_contact_match_its_hull():
 def reference_exact(b, c, value):
     """Oracle, the rule the contact walk replaced: B + value*C is
     nondegenerate iff B is and, when value > 0, B's branches with C's
-    polynomial pass the test along the normals B and C share.  Also says
-    whether such a normal decided it."""
+    polynomial pass the test.  Only a normal B and C share can fail there:
+    along a normal only C has, C's form is a binomial on its own, and along
+    one only B has, C's form is one term.  Also says whether B and C share
+    a normal."""
     pb = newton_polytope(b)
     shared = [n for n in c.normals if n in pb.rays] if value > 0 else []
-    exact = _nondegeneracy(b.branches, pb.normals).nondegenerate and (
-        not shared or _nondegeneracy(b.branches + [c.poly], shared).nondegenerate)
+    exact = _nondegeneracy(b.branches, pb.polygons).nondegenerate and (
+        value <= 0 or _nondegeneracy(b.branches + [c.poly], pb.polygons + (
+            polytope_from_support(c.poly),)).nondegenerate)
     return exact, bool(shared)
 
 

@@ -9,10 +9,16 @@ polygons, dilates or sums here: a weighted sum of polygons is kept as its
 summands, whose support functions add and whose compact edges are the
 summands' edges, scaled and summed by normal (Ziegler, *Lectures on
 Polytopes*, ch. 7), so :func:`weighted_edges` reads the sum's edges off
-any number of weighted polygons in one pass.  The hull and the edges run in
-``int`` arithmetic, and no ``Fraction`` is built.  A polygon is built only
-by :func:`polytope_from_support`, from a ``Poly``, whose exponents were
+any number of weighted polygons in one pass.  A polygon is built only by
+:func:`polytope_from_support`, from a ``Poly``, whose exponents were
 checked once, when the ``Poly`` was built: the hull checks no point again.
+Its one sort of the exponents feeds the branch's whole ``NewtonRecord``:
+the chain; the sorted exponents, in which each compact edge's terms lie
+between its two vertices, so one merge reads every edge's terms; and each
+compact edge's primitive inner normal and vector, taken as the hull
+appends the edge's right vertex, which :func:`weighted_edges` sums and the
+face forms are read along, so no normal is taken twice.  The hull and the
+edges run in ``int`` arithmetic, and no ``Fraction`` is built.
 
 The module also walks the Klein sail of a cone of the normal fan: the
 bounded boundary of the convex hull of the cone's nonzero lattice points,
@@ -62,11 +68,22 @@ def make_weight(w1: int, w2: int) -> IntVec:
 # construction
 
 
-def polytope_from_support(p: Poly) -> Polygon:
-    """Vertex chain of ``conv(union of e + first quadrant)`` over the
-    exponents e of the nonzero polynomial p.  Dominated points (some other
+#: One branch's Newton data, (chain, exponents, edges), from the one sort of
+#: its exponents: ``chain``, its Newton polygon; ``exponents``, its support
+#: in sorted order, where an edge's terms lie between its two vertices; and
+#: ``edges``, each compact edge of the chain, left to right, as (primitive
+#: inner normal, vector from its left vertex to its right one).
+NewtonRecord = tuple[Polygon, list[IntVec], list[tuple[IntVec, IntVec]]]
+
+
+def polytope_from_support(p: Poly) -> NewtonRecord:
+    """The ``NewtonRecord`` of the nonzero polynomial p, from one sort of its
+    exponents.  Its chain is the vertex chain of ``conv(union of e + first
+    quadrant)`` over the exponents e of p.  Dominated points (some other
     point is <= componentwise) and collinear points are eliminated, so the
-    result is canonical."""
+    chain is canonical.  Each compact edge's normal and vector are taken
+    as the edge's right vertex is appended; the sorted exponents are kept
+    for the face forms, and nothing else is built."""
     if not isinstance(p, Poly):
         raise InputError(f"expected a Poly, got {type(p).__name__}")
     if p.is_zero:
@@ -75,14 +92,21 @@ def polytope_from_support(p: Poly) -> Polygon:
     # Lower convex hull (monotone chain) of the Pareto staircase.  The last
     # chain vertex is the last point so far that no other dominates, so a
     # point whose y does not drop below it (same x, or dominated) is skipped.
-    chain: list[IntVec] = []
-    for e in sorted(p.terms):
-        if chain and e[1] >= chain[-1][1]:
+    # An edge is taken as its right vertex is appended, and dropped with it.
+    exponents = sorted(p.terms)
+    chain = exponents[:1]  # the first point, which the loop skips, is a vertex
+    edges: "list[tuple[IntVec, IntVec]]" = []  # edges[k] goes from chain[k] to chain[k + 1]
+    for e in exponents:
+        if e[1] >= chain[-1][1]:
             continue
         while len(chain) >= 2 and _cross(chain[-2], chain[-1], e) <= 0:
             chain.pop()
+            edges.pop()
+        dx, dy = e[0] - chain[-1][0], e[1] - chain[-1][1]
+        g = gcd(dx, dy)
+        edges.append(((-dy // g, dx // g), (dx, dy)))
         chain.append(e)
-    return tuple(chain)
+    return tuple(chain), exponents, edges
 
 
 def _cross(a: IntVec, b: IntVec, c: IntVec) -> int:
@@ -100,18 +124,16 @@ _FAN_ORDER = cmp_to_key(lambda e, f: _det(f[0], e[0]))
 
 
 def weighted_edges(weights: "tuple[int, ...]",
-                   polygons: "tuple[Polygon, ...]") -> "list[tuple[IntVec, IntVec]]":
-    """The compact edges of sum weights[i] * polygons[i], left to right, as
-    (primitive inner normal, edge) pairs: each polygon's edges, times its
-    weight, summed by normal, from the steepest to the flattest, so
-    consecutive normals u, v have det(u, v) > 0.  An edge goes from its left
-    vertex to its right one."""
+                   records: "list[NewtonRecord]") -> "list[tuple[IntVec, IntVec]]":
+    """The compact edges of the sum of weights[i] times the chain of
+    records[i], left to right, as (primitive inner normal, edge) pairs: each
+    record's edges, times its weight, summed by normal, from the steepest to
+    the flattest, so consecutive normals u, v have det(u, v) > 0.  An edge
+    goes from its left vertex to its right one."""
     edges: "dict[IntVec, IntVec]" = {}
-    for n, vs in zip(weights, polygons):
-        for (ax, ay), (bx, by) in zip(vs, vs[1:]):
-            dx, dy = bx - ax, by - ay
-            g = gcd(dx, dy)
-            ex, ey = edges.get(normal := (-dy // g, dx // g), (0, 0))
+    for n, (_, _, own) in zip(weights, records):
+        for normal, (dx, dy) in own:
+            ex, ey = edges.get(normal, (0, 0))
             edges[normal] = (ex + n * dx, ey + n * dy)
     return sorted(edges.items(), key=_FAN_ORDER)
 

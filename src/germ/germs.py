@@ -5,9 +5,10 @@ branches through the origin; a smooth curve germ is a single polynomial
 with nonzero linear part.  This module extracts their Newton data and
 computes the purely local quantities the invariant layer builds on:
 
-- the Newton diagram of B, kept as its weighted branch polygons, with the
-  valuation table read off one walk of their summed edges once per
-  analysis (``NewtonDiagram``);
+- the Newton diagram of B, kept as its weighted branch polygons, each
+  beside its branch's Newton record (``exactgeom.NewtonRecord``) from the
+  hull's one sort, with the valuation table read off one walk of their
+  summed recorded edges once per analysis (``NewtonDiagram``);
 - the multiplicity of B along a curve C and the local intersection of the
   C-free part of B with C (``contact_along_curve``).  C is smooth, so in
   its oriented frame its Newton polygon is the segment (1, 0)-(0, v) plus
@@ -27,10 +28,11 @@ computes the purely local quantities the invariant layer builds on:
   evaluation to a degree that exponent values set;
 - the Newton-nondegeneracy certificate that marks inputs whose toric
   invariants are exact, read off each branch's initial forms along the
-  edges of its own Newton polygon, as the valuation table keeps it: along
-  any other normal a branch's form is one term.  Binomial forms are
-  decided on their exponents and coefficients; a form of three or more
-  terms is cleared to ``int`` and goes through one integer gcd, the
+  edges of its own Newton record: the record's normals, and one merge over
+  its sorted exponents, which reads each term once, with no valuation
+  table.  Along any other normal a branch's form is one term.  Binomial
+  forms are decided on their exponents and coefficients; a form of three
+  or more terms is cleared to ``int`` and goes through one integer gcd, the
   primitive remainder sequence, up to ``DENSE_FORM_LIMIT`` entries.
 
 Polynomials (not power series) keep every computation exact and decidable.
@@ -48,6 +50,7 @@ from typing import NamedTuple
 from .errors import DomainError, InputError
 from .exactgeom import (
     IntVec,
+    NewtonRecord,
     Polygon,
     as_pair,
     polytope_from_support,
@@ -132,11 +135,16 @@ class SmoothCurveGerm:
 
     Construction checks that ``poly`` is a ``Poly`` (which checks its own
     terms) through the origin with a nonzero linear part, and derives three
-    values.  ``swapped``: whether the two coordinates are exchanged to give
-    the curve a nonzero x-linear term, i.e. whether ``poly`` has none.  That
-    orientation is the parametrization frame: the oriented polynomial is
-    solved for x as a power series in y.  ``v``: the least frame-y exponent
-    among the frame-x-free terms, 0 when there are none, i.e. when C is the
+    values.  ``swapped``: whether the two coordinates are exchanged, so that
+    the frame's x is the variable C is solved for.  That is y when ``poly``
+    has no x-linear term, and also when it has the y-linear term, degree 1
+    in y and degree above 1 in x.  Such a C is a(x) + y*b(x), b(0) != 0,
+    whose root y = -a(x)/b(x) is one division by b, while its root in x can
+    carry denominators that grow with the x-degree: 2*x - y + x^N has
+    y = 2*x + x^N, but x = y/2 - (y/2)^N/2 + ....  That orientation is the
+    parametrization frame: the oriented polynomial is solved for x as a
+    power series in y.  ``v``: the least frame-y exponent among the
+    frame-x-free terms, 0 when there are none, i.e. when C is the
     frame's axis x = 0 times a unit.  Every other term is a multiple of x or
     of y^v, so in the frame C's Newton polygon is conv{(1, 0), (0, v)} + Q,
     never built: ``normals`` holds the inner normal (v, 1) of its one
@@ -158,7 +166,9 @@ class SmoothCurveGerm:
             raise InputError("curve does not pass through the origin")
         if (1, 0) not in terms and (0, 1) not in terms:
             raise InputError("curve is singular at the origin (zero linear part)")
-        swapped = (1, 0) not in terms
+        # max(terms)[0] is C's degree in x, and the degree in y is read only past it
+        swapped = (1, 0) not in terms or (
+            (0, 1) in terms and max(terms)[0] > 1 == max(j for _, j in terms))
         # a term free of the frame's x has its frame-y exponent as i + j
         v = min([i + j for i, j in terms if not (j if swapped else i)] or [0])
         object.__setattr__(self, "swapped", swapped)
@@ -186,10 +196,14 @@ class NewtonDiagram(NamedTuple):
     Newt(B) = (1/den) * sum of weights[i] * polygons[i] is kept as its
     summands: ``polygons[i]`` is the vertex chain of branch i's integer
     Newton polygon (an ``exactgeom.Polygon``), ``weights[i]`` = den *
-    coeff_i and ``den`` the lcm of the coefficients' denominators.  The
+    coeff_i and ``den`` the lcm of the coefficients' denominators.  Beside
+    each chain sits the rest of the branch's ``records[i]``
+    (``exactgeom.NewtonRecord``), built in the hull's one sort: its sorted
+    exponents and each compact edge's primitive normal and vector, which
+    the table sums here and ``_nondegeneracy`` reads face forms along.  The
     support function of the sum is the sum of theirs, and its compact-face
     ``normals``, in fan order, are those of ``weighted_edges(weights,
-    polygons)``.  The ``cones`` (u, v, a, b) of consecutive rays u, v from
+    records)``.  The ``cones`` (u, v, a, b) of consecutive rays u, v from
     (1, 0) to (0, 1) carry one form each: every w in the cone has its least
     <w, .> at the one vertex V of den * Newt(B) between the edges of normals
     u and v, so den times the log discrepancy w1 + w2 - <w, Newt(B)> is
@@ -208,6 +222,7 @@ class NewtonDiagram(NamedTuple):
     normals: "list[IntVec]"
     cones: "list[tuple[IntVec, IntVec, int, int]]"
     rays: "dict[IntVec, int]"
+    records: "list[NewtonRecord]"
 
     def lattice_min(self, w: IntVec) -> int:
         """den times the support value of w, a pair of non-negative ``int``s
@@ -233,15 +248,16 @@ def _weights(b: DivisorGerm) -> "tuple[tuple[int, ...], int]":
 def newton_polytope(b: DivisorGerm) -> NewtonDiagram:
     """B's Newton diagram and valuation table; see ``NewtonDiagram``."""
     weights, den = _weights(b)
-    return _table(weights, tuple([polytope_from_support(p) for p in b.branches]), den)
+    return _table(weights, list(map(polytope_from_support, b.branches)), den)
 
 
-def _table(weights: "tuple[int, ...]", polygons: "tuple[Polygon, ...]", den: int) -> NewtonDiagram:
-    """The diagram of the weighted polygons over den, in one walk of their
-    summed edges, left to right: the first cone's vertex is the weighted sum
-    of the chains' first vertices, and crossing a normal adds its summed
-    edge.  Each ray's value is read off the cone it starts."""
-    edges = weighted_edges(weights, polygons)
+def _table(weights: "tuple[int, ...]", records: "list[NewtonRecord]", den: int) -> NewtonDiagram:
+    """The diagram of the weighted branch records over den, in one walk of
+    their summed edges, left to right: the first cone's vertex is the
+    weighted sum of the chains' first vertices, and crossing a normal adds
+    its summed edge.  Each ray's value is read off the cone it starts."""
+    edges = weighted_edges(weights, records)
+    polygons = next(zip(*records))  # the chains
     x = y = 0
     for n, vs in zip(weights, polygons):
         x, y = x + n * vs[0][0], y + n * vs[0][1]
@@ -252,7 +268,7 @@ def _table(weights: "tuple[int, ...]", polygons: "tuple[Polygon, ...]", den: int
         rays[u] = a * u[0] + b * u[1]
         x, y, u = x + dx, y + dy, v
     rays[u] = b
-    return NewtonDiagram(weights, polygons, den, [v for v, _ in edges], cones, rays)
+    return NewtonDiagram(weights, polygons, den, [v for v, _ in edges], cones, rays, records)
 
 
 class NondegeneracyReport(NamedTuple):
@@ -273,19 +289,22 @@ class NondegeneracyReport(NamedTuple):
 def nondegeneracy_check(b: DivisorGerm) -> NondegeneracyReport:
     """Whether B is Newton-nondegenerate, which makes its toric mld exact;
     see ``NondegeneracyReport``.  It reads each branch's initial forms
-    along the edges of the branch's own Newton polygon, as kept in B's
-    valuation table."""
-    polygons = newton_polytope(b).polygons  # checks b's type before b.branches
-    return _nondegeneracy(b.branches, polygons)
+    along the edges of the branch's own ``NewtonRecord``, with no valuation
+    table."""
+    _weights(b)  # checks b's type before b.branches
+    return _nondegeneracy(b.branches, list(map(polytope_from_support, b.branches)))
 
 
-def _nondegeneracy(branches: "list[Poly]", polygons: "tuple[Polygon, ...]") -> NondegeneracyReport:
-    """The test on the branch polynomials of a divisor, ``polygons[i]``
-    the Newton polygon of ``branches[i]``.  A branch has a form of two or
+def _nondegeneracy(branches: "list[Poly]", records: "list[NewtonRecord]") -> NondegeneracyReport:
+    """The test on the branch polynomials of a divisor, ``records[i]`` the
+    ``NewtonRecord`` of ``branches[i]``.  A branch has a form of two or
     more terms only along its own edges' normals, and along any other
     normal its initial form is one term, which passes; so each branch walks
-    its own edges, left to right, which is fan order.  An edge of primitive
-    inner normal n and left x ``ax`` gives the form of the terms on it,
+    its own recorded edges, left to right, which is fan order, and takes no
+    normal again.  An edge's terms lie between its two vertices in the
+    record's sorted exponents, so one merge reads each branch's terms once,
+    with no rescan per edge.  An edge of primitive inner normal n and left
+    vertex (ax, ay) gives the form of the terms on it,
     u-exponent i - ax -> coefficient, and ``steps[n]`` is the gcd of every
     such exponent along n, over all branches: a form f(u), f(0) != 0, whose
     exponents are multiples of k is squarefree, or shares a factor with
@@ -297,12 +316,15 @@ def _nondegeneracy(branches: "list[Poly]", polygons: "tuple[Polygon, ...]") -> N
     and g share a factor iff gcd(f, g) is not."""
     forms: "list[dict[IntVec, dict[int, Fraction]]]" = [{} for _ in branches]
     steps: "dict[IntVec, int]" = {}
-    for p, vs, fi in zip(branches, polygons, forms):
-        for (ax, ay), (bx, by) in zip(vs, vs[1:]):
-            g = gcd(bx - ax, ay - by)
-            n1, n2 = n = ((ay - by) // g, (bx - ax) // g)
-            level = n1 * ax + n2 * ay
-            fi[n] = f = {i - ax: c for (i, j), c in p.terms.items() if n1 * i + n2 * j == level}
+    for p, (vs, exponents, edges), fi in zip(branches, records, forms):
+        at = 0  # exponents[at] is the edge's left vertex, then each term up to its right one
+        for (ax, ay), (n, (dx, dy)) in zip(vs, edges):
+            fi[n] = f = {0: p.terms[ax, ay]}
+            while exponents[at] != (ax + dx, ay + dy):
+                at += 1
+                i, j = exponents[at]
+                if n[0] * (i - ax) == n[1] * (ay - j):  # on the edge
+                    f[i - ax] = p.terms[i, j]
             steps[n] = gcd(steps.get(n, 0), *f)
     for i, fi in enumerate(forms):
         for n, f in fi.items():

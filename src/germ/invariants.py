@@ -137,8 +137,11 @@ def _mld(p: NewtonDiagram) -> MldResult:
     ``NewtonDiagram``), face normals first, else the first positive basis
     element, in fan order, of least discrepancy.  A run's positive points
     are all but an axis endpoint, since the axes are the outer rays of the
-    fan.  Along a run den times the discrepancy is g0 + j*rate, least at the
-    first positive point when rate >= 0 and at the last when rate < 0."""
+    fan and runs go from u toward v in fan order: a run can start only on
+    the x-axis, at the first cone's u = (1, 0), and end only on the y-axis,
+    at the last cone's v = (0, 1).  Along a run den times the discrepancy is
+    g0 + j*rate, least at the first positive point when rate >= 0 and at
+    the last when rate < 0."""
     den, rays = p.den, p.rays
     axis_values = (Fraction(rays[(1, 0)], den), Fraction(rays[(0, 1)], den))
     if min(rays.values()) < 0:
@@ -151,9 +154,8 @@ def _mld(p: NewtonDiagram) -> MldResult:
         if len(p.cones) == 1:
             runs.append(Run((1, 1), (0, 0), 0))  # no positive basis element in this fan
         for (s1, s2), (t1, t2), count in runs:
-            e1, e2 = s1 + count * t1, s2 + count * t2
-            lo = 0 if s1 and s2 else 1  # a run's points lie in the closed quadrant
-            hi = count if e1 and e2 else count - 1
+            lo = 0 if s2 else 1  # skip a start at (1, 0)
+            hi = count if s1 + count * t1 else count - 1  # and an end at (0, 1)
             if lo <= hi:
                 rate = a * t1 + b * t2  # 0 on a run of count 0, whose step is (0, 0)
                 j = lo if rate >= 0 else hi
@@ -234,7 +236,7 @@ def lct_toric(b: DivisorGerm, c: SmoothCurveGerm) -> LctResult:
     mult, inter = _contact(b.branches, pb.weights, c)
     if mult > pb.den:  # C has coefficient above one in B
         raise DomainError("pair not lc before adding C")
-    return _lct(c, pb, mult, inter, _nondegeneracy(b.branches, pb.polygons).nondegenerate)
+    return _lct(c, pb, mult, inter, _nondegeneracy(b.branches, pb.records).nondegenerate)
 
 
 def _lct(c: SmoothCurveGerm, pb: NewtonDiagram, mult: int, inter: int,
@@ -403,7 +405,7 @@ def verify_surface_theorem(
         failed.append("(B' . C) <= 2")
     if max(pb.weights) * eps.denominator > (eps.denominator - eps.numerator) * pb.den:
         failed.append("coefficients <= 1 - epsilon")
-    nondeg = _nondegeneracy(branches, pb.polygons).nondegenerate
+    nondeg = _nondegeneracy(branches, pb.records).nondegenerate
     if not nondeg:
         failed.append("newton nondegeneracy")
     lct = _lct(c, pb, mult, inter, nondeg) if not failed else None

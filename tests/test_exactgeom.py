@@ -17,7 +17,13 @@ from germ.polys import Poly
 def poly(*pts):
     """The polygon of integer points: the Newton polygon of the sum of
     their monomials."""
-    return polytope_from_support(Poly({pt: F(1) for pt in pts}))
+    return polytope_from_support(Poly({pt: F(1) for pt in pts}))[0]
+
+
+def record(p):
+    """The Newton record of the polygon p: that of the sum of its vertices'
+    monomials, whose chain is p."""
+    return polytope_from_support(Poly({pt: F(1) for pt in p}))
 
 
 def lattice_min(p, w):
@@ -38,7 +44,7 @@ def support(p, w):
 def face_normals(*polygons):
     """The compact-face normals of the sum of the polygons, in fan order, as
     ``weighted_edges`` reads them at unit weights."""
-    return [n for n, _ in weighted_edges((1,) * len(polygons), polygons)]
+    return [n for n, _ in weighted_edges((1,) * len(polygons), [record(p) for p in polygons])]
 
 
 def vertices(p):
@@ -378,8 +384,8 @@ def test_weighted_edges_are_the_edges_of_the_sum(parts):
     by normal, and each edge runs from its left vertex to its right one."""
     weights, polygons = zip(*[(n, poly(*s)) for n, s in parts])
     total = minkowski_hull(zip(weights, polygons))
-    edges = weighted_edges(weights, polygons)
-    assert edges == weighted_edges((1,), (total,))
+    edges = weighted_edges(weights, [record(p) for p in polygons])
+    assert edges == weighted_edges((1,), (record(total),))
     assert [(b[0] - a[0], b[1] - a[1]) for a, b in zip(total, total[1:])] == [e for _, e in edges]
 
 

@@ -463,7 +463,7 @@ def summed_hull(b):
     of den*coeff_i-scaled branch vertices, and den, the lcm of the
     coefficients' denominators."""
     den = lcm(*(coeff.denominator for coeff, _ in b.components))
-    return minkowski_hull([(int(coeff * den), polytope_from_support(p))
+    return minkowski_hull([(int(coeff * den), polytope_from_support(p)[0])
                            for coeff, p in b.components]), den
 
 
@@ -485,7 +485,7 @@ def diagram_vertices(b, rng=None):
 
 def test_newton_polytope_scaled_binomial():
     b = parse_divisor("3/4*(x^2 + y^3)")
-    assert newton_polytope(b)[:3] == ((3,), (polytope_from_support(pp("x^2 + y^3")),), 4)
+    assert newton_polytope(b)[:3] == ((3,), (polytope_from_support(pp("x^2 + y^3"))[0],), 4)
     assert diagram_vertices(b) == [(0, F(9, 4)), (F(3, 2), 0)]
 
 
@@ -510,7 +510,7 @@ def test_newton_diagram_weights_over_the_lcm():
     b = parse_divisor("1/2*(x) + 1/3*(y) + 5/4*(x^2 + y^3)")
     pb = newton_polytope(b)
     assert (pb.weights, pb.den) == ((6, 4, 15), 12)
-    assert pb.polygons == tuple(polytope_from_support(p) for p in b.branches)
+    assert pb.polygons == tuple(polytope_from_support(p)[0] for p in b.branches)
     assert face_normals(*pb.polygons) == [(3, 2)]
     assert F(pb.lattice_min((3, 2)), pb.den) == F(3, 2) + F(2, 3) + F(5, 4) * 6
 
@@ -545,12 +545,19 @@ def test_newton_polytope_concat_additivity():
 
 
 def test_newton_polytope_unit_invariance():
+    """A unit factor changes each branch's terms but not its Newton data:
+    the table and every record's chain and edges are the same, and each
+    record keeps its own branch's exponents, sorted."""
     rng = random.Random(13)
     for _ in range(60):
         b = _random_divisor(rng)
         unit = _random_unit(rng)
         scaled = DivisorGerm(tuple((c, _mul(p, unit)) for c, p in b.components))
-        assert newton_polytope(scaled) == newton_polytope(b)
+        ps, pb = newton_polytope(scaled), newton_polytope(b)
+        assert ps[:-1] == pb[:-1]
+        assert [(vs, edges) for vs, _, edges in ps.records] == \
+            [(vs, edges) for vs, _, edges in pb.records]
+        assert [exps for _, exps, _ in ps.records] == [sorted(p.terms) for p in scaled.branches]
 
 
 def reference_table(weights, polygons, den):
@@ -669,8 +676,11 @@ def test_nondegenerate_binomials():
 
 
 def test_nondegenerate_coprime_parallel_pair():
-    report = nondegeneracy_check(parse_divisor("1/2*(x^2+y^2) + 1/2*(x^2-y^2)"))
-    assert report.nondegenerate
+    """The second pair's binomial forms, of u-degrees 2000 and 1, are decided
+    on their exponents: neither becomes a dense list, though the longer one
+    would pass DENSE_FORM_LIMIT."""
+    for expr in ["1/2*(x^2+y^2) + 1/2*(x^2-y^2)", "1/3*(x^2000 + y^2000) + 1/3*(x + 2*y)"]:
+        assert nondegeneracy_check(parse_divisor(expr)).nondegenerate
 
 
 def test_degenerate_shared_parallel_factor():
@@ -694,10 +704,53 @@ def test_nondegeneracy_cost_follows_terms_not_exponents():
     assert verify_surface_theorem(b, y, "1/2").nondegenerate
 
 
+def _parabola(k, coeffs=None):
+    """The branch sum of c_i*x^i*y^((k - i)^2), i = 0..k, c_i = 1 unless
+    ``coeffs`` gives them: every term is a vertex of its Newton polygon, so
+    it has k edges, each with a binomial form."""
+    return Poly({(i, (k - i) ** 2): F(coeffs[i] if coeffs else 1) for i in range(k + 1)})
+
+
+def test_many_vertex_branch_is_read_in_one_merge():
+    """One branch of k + 1 vertices, k = 2000, is decided within 0.1 s: its
+    face forms come from one merge over its sorted terms, not a rescan of
+    all its terms per edge."""
+    b = DivisorGerm(((F(1, 2), _parabola(2000)),))
+    with within(0.1, "a branch of 2001 vertices"):
+        assert nondegeneracy_check(b).nondegenerate
+
+
+def test_many_vertex_family_matches_dense_oracle():
+    """On the many-vertex family at small k, with seeded coefficients, alone,
+    with a term above each edge's right vertex, and with a second branch of
+    the same support, whose binomial forms share a root with the first's
+    when their coefficient ratios agree, the verdict, components and normal
+    equal the dense test's."""
+    rng = random.Random(89)
+    seen = Counter()
+    for k in range(1, 13):
+        for _ in range(6):
+            first = [rng.choice([1, -1, 2]) for _ in range(k + 1)]
+            second = [c * rng.choice([1, 1, -1, 3]) for c in first]
+            above = Poly({**_parabola(k, first).terms,
+                          **{(i, (k - i) ** 2 + 1): F(1) for i in range(1, k + 1)}})
+            for germ in [DivisorGerm(((F(1, 2), _parabola(k, first)),)),
+                         DivisorGerm(((F(1, 2), above),)),
+                         DivisorGerm(((F(1, 3), _parabola(k, first)),
+                                      (F(1, 3), _parabola(k, second))))]:
+                report = nondegeneracy_check(germ)
+                expected = dense_nondegeneracy(germ)
+                assert (report.nondegenerate, report.component_indices, report.normal) == \
+                    expected, germ
+                seen["nondegenerate" if expected[0] else "degenerate"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
 def test_dense_face_forms_stop_at_the_limit():
     """A face form of three or more terms whose dense list would pass
     DENSE_FORM_LIMIT entries raises an InputError naming the limit at
-    once, in the test and in the theorem check; one just inside is decided."""
+    once, in the test and in the theorem check; one just inside is decided,
+    and one of u-degree DENSE_FORM_LIMIT itself raises."""
     b = parse_divisor("1/2*(x^1000000000 + x^999999999*y + y^1000000000)")
     y = curve_orient(pp("y"))
     for name, run in [("nondegeneracy_check", lambda: nondegeneracy_check(b)),
@@ -707,6 +760,9 @@ def test_dense_face_forms_stop_at_the_limit():
             run()
     m = DENSE_FORM_LIMIT - 1
     assert nondegeneracy_check(parse_divisor(f"1/2*(x^{m} + x^{m - 1}*y + y^{m})")).nondegenerate
+    m = DENSE_FORM_LIMIT  # the first u-degree past the limit
+    with pytest.raises(InputError, match=f"limit of {DENSE_FORM_LIMIT} entries"):
+        nondegeneracy_check(parse_divisor(f"1/2*(x^{m} + x^{m - 1}*y + y^{m})"))
 
 
 def test_dense_face_form_is_decided_within_a_second():
@@ -744,7 +800,7 @@ def reference_face_forms(p):
     a/b in lowest terms the lattice points of a face lie b apart in x, and
     the term at x-exponent i is the u^((i - lx)/b) coefficient, (lx, ly)
     the face's left vertex."""
-    vs = vertices(polytope_from_support(p))
+    vs = vertices(polytope_from_support(p)[0])
     forms = {}
     for (lx, ly), (rx, ry) in zip(vs, vs[1:]):
         s = (ly - ry) / (rx - lx)
@@ -1011,6 +1067,18 @@ def test_curve_orient_tangent_cubic():
 def test_curve_orient_transverse_line():
     c = curve_orient(pp("x + y"))
     assert not c.swapped and oriented_poly(c) == pp("x + y")
+
+
+def test_curve_orient_solves_for_the_variable_of_degree_one():
+    """A curve with both linear terms is solved for y when it has degree 1
+    in y and a higher degree in x, else for x; its face normal is the same
+    in either frame."""
+    c = curve_orient(pp("x + y + x^2"))
+    assert c.swapped and oriented_poly(c) == pp("y + x + y^2") and c.normals == ((1, 1),)
+    c = curve_orient(pp("x + y + y^2"))
+    assert not c.swapped and oriented_poly(c) == pp("x + y + y^2") and c.normals == ((1, 1),)
+    c = curve_orient(pp("x + y + x*y"))
+    assert not c.swapped and c.normals == ((1, 1),)
 
 
 def test_curve_orient_rejects_singular():
@@ -1383,15 +1451,12 @@ def test_cancelling_group_answers_within_a_second():
                                    curve_orient(pp("x + y - x^300*y^100"))) == (0, F(n + 402, 5))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP known defect 2(c): C is solved for x, though it is linear only "
-    "in y, so its root carries N-bit denominators (direction 1(a))"))
 def test_curve_linear_in_y_answers_within_a_second():
     """C = 2*x - y + x^N is linear in y, and B's one branch is C's linear
     part, which is x^N times a unit on C: mult_C B = 0 and (B . C) = N/2.
-    Solved for x, C's root is t/2 - (t/2)^N/2 + ..., read to order N.  A
-    timer fails the case after 1 s; with a unit x-coefficient,
-    x - y + x^N answers in about 2 ms at N = 10^9."""
+    C is solved for y, whose root 2*t + t^N is a polynomial; solved for x
+    its root would be t/2 - (t/2)^N/2 + ..., read to order N.  A timer
+    fails the case after 1 s."""
     n = 10**5
     with within(1, f"N = {n}"):
         assert contact_along_curve(parse_divisor("1/2*(2*x - y)"),
